@@ -97,9 +97,15 @@ class Flags {
 };
 
 /// Simulated duration flag: `--seconds=2.5` (experiment-specific default).
+/// A value outside the fs_t range is a hard error (exit 2), like a malformed one.
 inline fs_t duration_flag(const Flags& flags, double default_seconds) {
-  return static_cast<fs_t>(flags.get_double("seconds", default_seconds) *
-                           static_cast<double>(kFsPerSec));
+  const double seconds = flags.get_double("seconds", default_seconds);
+  try {
+    return to_fs_checked(seconds, kFsPerSec);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "bench: --seconds=%g: %s\n", seconds, e.what());
+    std::exit(2);
+  }
 }
 
 /// Print "name: n=... min=... max=... mean=... sd=..." for a series.

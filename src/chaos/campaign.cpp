@@ -1,7 +1,5 @@
 #include "chaos/campaign.hpp"
 
-#include <stdexcept>
-
 namespace dtpsim::chaos {
 
 net::NetworkParams CanonicalCampaign::net_params() {
@@ -48,95 +46,6 @@ FaultPlan CanonicalCampaign::plan(const net::PaperTreeTopology& tree, fs_t t0) {
       .add(FaultSpec::rogue_oscillator(*tree.leaves[7], t0 + from_ms(15), 500.0,
                                        from_ms(6), from_ms(2)));
   return plan;
-}
-
-void SourceCampaign::build_hierarchy(dtp::TimeHierarchy& hierarchy,
-                                     net::Network& net, dtp::DtpNetwork& dtpnet,
-                                     const net::PaperTreeTopology& tree) {
-  (void)net;
-  auto agent_on = [&dtpnet](net::Host* h) {
-    dtp::Agent* a = dtpnet.agent_of(h);
-    if (a == nullptr) throw std::logic_error("source campaign: leaf without agent");
-    return a;
-  };
-  auto gps = dtp::TimeSourceParams::gps(1, source_period());
-  hierarchy.add_server(net.simulator(), *tree.leaves[0], *agent_on(tree.leaves[0]),
-                       gps);
-  auto upstream =
-      dtp::TimeSourceParams::upstream_island(2, 2, 150.0, source_period());
-  hierarchy.add_server(net.simulator(), *tree.leaves[3], *agent_on(tree.leaves[3]),
-                       upstream);
-  for (std::size_t i = 0; i < tree.leaves.size(); ++i) {
-    if (i == 0 || i == 3) continue;
-    hierarchy.add_client(*tree.leaves[i], *agent_on(tree.leaves[i]),
-                         hierarchy_params());
-  }
-}
-
-FaultPlan SourceCampaign::plan(const net::PaperTreeTopology& tree, fs_t t0) {
-  net::Host& gps = *tree.leaves[0];
-  net::Switch& root = *tree.root;
-  net::Switch& s3 = *tree.aggs[2];
-
-  FaultPlan plan;
-  plan.add(FaultSpec::gps_loss(gps, t0, from_ms(1)))
-      .add(FaultSpec::rogue_grandmaster(gps, t0 + from_ms(2) + from_us(500),
-                                        2000.0, from_ms(1) + from_us(500),
-                                        from_us(500)))
-      .add(FaultSpec::island_partition(root, s3, t0 + from_ms(6), from_ms(2)))
-      .add(FaultSpec::stratum_flap(gps, t0 + from_ms(11), 4, from_us(200), 5));
-  for (FaultSpec& spec : plan.faults)
-    spec.probe_threshold_ticks = threshold_ticks();
-  return plan;
-}
-
-dtp::DtpParams GrayCampaign::dtp_params() {
-  dtp::DtpParams p = CanonicalCampaign::dtp_params();
-  // The watchdog is the detector under test: every gray magnitude is sized
-  // to pass the range filter, and with the jump detector off a detection is
-  // attributable to the watchdog alone.
-  p.enable_jump_detector = false;
-  return p;
-}
-
-ChaosParams GrayCampaign::chaos_params() {
-  ChaosParams cp;
-  cp.dtp = dtp_params();
-  return cp;
-}
-
-FaultPlan GrayCampaign::plan(const net::PaperTreeTopology& tree, fs_t t0) {
-  net::Switch& root = *tree.root;
-  net::Switch& s1 = *tree.aggs[0];
-  net::Switch& s2 = *tree.aggs[1];
-  net::Switch& s3 = *tree.aggs[2];
-
-  FaultPlan plan;
-  plan.add(FaultSpec::asymmetric_delay(root, s1, t0, from_ms(3), from_ns(52)))
-      .add(FaultSpec::limping_port(*tree.leaves[2], s1, t0 + from_ms(4),
-                                   from_ms(3), 0.3, from_ns(90)))
-      .add(FaultSpec::silent_corruption(*tree.leaves[4], s2, t0 + from_ms(8),
-                                        from_ms(3), 0.8))
-      .add(FaultSpec::frozen_counter(*tree.leaves[6], s3, t0 + from_ms(12),
-                                     from_ms(2)));
-  for (FaultSpec& spec : plan.faults) {
-    spec.label = std::string("gray:") + fault_class_name(spec.kind);
-    // Recovery includes the watchdog's backoff ladder (up to ~1.6 ms of
-    // pending backoff at heal time) plus probation, not just beacon churn:
-    // give every probe a generous window before calling a timeout.
-    spec.probe_timeout = from_ms(5);
-  }
-  return plan;
-}
-
-std::vector<std::pair<fs_t, fs_t>> GrayCampaign::blackouts(fs_t t0) {
-  const fs_t margin = from_ms(3);
-  return {
-      {t0, t0 + from_ms(3) + margin},
-      {t0 + from_ms(4), t0 + from_ms(7) + margin},
-      {t0 + from_ms(8), t0 + from_ms(11) + margin},
-      {t0 + from_ms(12), t0 + from_ms(14) + margin},
-  };
 }
 
 void CanonicalCampaign::start_heavy_load(net::Network& net,

@@ -24,8 +24,8 @@ std::map<std::string, ClassSummary> CampaignReport::by_class() const {
   for (auto& [name, c] : out) {
     auto it = times.find(name);
     if (it == times.end()) continue;
-    c.p50_bi = it->second.percentile(0.50);
-    c.p99_bi = it->second.percentile(0.99);
+    c.p50_bi = it->second.percentile(50);  // q in [0, 100]
+    c.p99_bi = it->second.percentile(99);
     c.worst_bi = it->second.max();
   }
   return out;

@@ -7,23 +7,39 @@
 
 namespace dtpsim {
 
+fs_t to_fs_checked(double value, fs_t unit, fs_t offset) {
+  const double fs = value * static_cast<double>(unit);
+  // 2^63 is exact in a double, and every double below it fits an int64_t.
+  fs_t out = 0;
+  if (std::isfinite(fs) && fs >= 0 && fs < 0x1p63 &&
+      !__builtin_add_overflow(static_cast<fs_t>(fs), offset, &out) && out >= 0)
+    return out;
+  const std::string settle = offset != 0 ? " + " + format_duration(offset) + " settle" : "";
+  char why[160];
+  std::snprintf(why, sizeof(why), "%g s%s %s", fs / static_cast<double>(kFsPerSec),
+                settle.c_str(),
+                std::isfinite(fs) ? "lies outside the simulated-time range [0 s, 9223.372 s]"
+                                  : "is not a finite duration");
+  throw std::invalid_argument(why);
+}
+
 fs_t parse_duration(const std::string& text) {
   char* end = nullptr;
   const double x = std::strtod(text.c_str(), &end);
   if (text.empty() || end == text.c_str())
     throw std::invalid_argument("'" + text + "' is not a duration");
   const std::string suffix(end);
-  double fs_per_unit = 0;
-  if (suffix == "ns") fs_per_unit = 1e6;
-  else if (suffix == "us") fs_per_unit = 1e9;
-  else if (suffix == "ms") fs_per_unit = 1e12;
-  else if (suffix == "s") fs_per_unit = 1e15;
+  fs_t unit = 0;
+  if (suffix == "ns") unit = kFsPerNs;
+  else if (suffix == "us") unit = kFsPerUs;
+  else if (suffix == "ms") unit = kFsPerMs;
+  else if (suffix == "s") unit = kFsPerSec;
   else
     throw std::invalid_argument("'" + text +
                                 "' needs a duration unit suffix (ns|us|ms|s)");
   if (!(x > 0))
     throw std::invalid_argument("duration '" + text + "' must be positive");
-  return static_cast<fs_t>(x * fs_per_unit);
+  return to_fs_checked(x, unit);
 }
 
 std::string format_duration(fs_t t) {

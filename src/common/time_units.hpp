@@ -69,11 +69,20 @@ constexpr fs_t operator""_sec(long double v) { return static_cast<fs_t>(v * stat
 /// Render a duration using the most readable unit, e.g. "25.6ns" or "1.28us".
 std::string format_duration(fs_t t);
 
+/// The checked conversion behind every externally supplied duration:
+/// `value` units of `unit` femtoseconds (kFsPerSec for a seconds flag), plus
+/// `offset` (a settle phase the run prepends). Throws std::invalid_argument
+/// when `value` is not finite or the total lies outside [0, INT64_MAX] fs
+/// (~9223 s): casting a double past 2^63 is undefined behaviour, and a
+/// wrapped horizon would silently run a different experiment.
+fs_t to_fs_checked(double value, fs_t unit, fs_t offset = 0);
+
 /// Strictly parse a positive duration with a required unit suffix: "50us",
-/// "1.5ms", "2s". The whole string must be consumed — "2,5ms", "50", or a
-/// non-positive value throw std::invalid_argument, so a typo can never run a
-/// different experiment. This is the single parser behind every CLI / bench
-/// duration flag (--metrics-interval, --holdover-ceiling, the watchdog knobs).
+/// "1.5ms", "2s". The whole string must be consumed — "2,5ms", "50", a
+/// non-positive value, or one past the fs_t range throw
+/// std::invalid_argument, so a typo can never run a different experiment.
+/// This is the single parser behind every CLI / bench duration flag
+/// (--metrics-interval, --holdover-ceiling, the watchdog knobs).
 fs_t parse_duration(const std::string& text);
 
 }  // namespace dtpsim

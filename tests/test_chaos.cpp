@@ -176,6 +176,37 @@ TEST(ChaosRecovery, CrashRestartRejoinsAgainstLivePeers) {
   EXPECT_LE(c.offset_ticks(*c.a, *c.b), 4.0);
 }
 
+TEST(ChaosReport, ClassPercentilesSpanTheDistribution) {
+  // SampleSeries::percentile takes q in [0, 100]: a class with several
+  // samples must report its median and tail, not (as q = 0.50 / 0.99 would)
+  // roughly its minimum. Probes that never converged stay out of the series.
+  chaos::CampaignReport report;
+  auto add = [&report](const char* cls, double beacons, bool converged = true) {
+    chaos::ProbeResult r;
+    r.fault_class = cls;
+    r.converged = converged;
+    r.reconverge_beacons = beacons;
+    report.add(r);
+  };
+  for (int i = 1; i <= 11; ++i) add("link_flap", i);
+  add("node_crash", 2);
+  add("node_crash", 4);
+  add("node_crash", 100, /*converged=*/false);
+
+  const chaos::ClassSummary flap = report.summary("link_flap");
+  EXPECT_EQ(flap.n, 11);
+  EXPECT_DOUBLE_EQ(flap.p50_bi, 6.0);
+  EXPECT_DOUBLE_EQ(flap.p99_bi, 10.9);
+  EXPECT_DOUBLE_EQ(flap.worst_bi, 11.0);
+
+  const chaos::ClassSummary crash = report.summary("node_crash");
+  EXPECT_EQ(crash.n, 3);
+  EXPECT_EQ(crash.converged, 2);
+  EXPECT_DOUBLE_EQ(crash.p50_bi, 3.0);
+  EXPECT_DOUBLE_EQ(crash.p99_bi, 3.98);
+  EXPECT_DOUBLE_EQ(crash.worst_bi, 4.0);
+}
+
 TEST(ChaosEngine, LinkFlapProbeMeasuresReconvergence) {
   const dtp::DtpParams params = chaos::CanonicalCampaign::dtp_params();
   Chain c(56, params);
