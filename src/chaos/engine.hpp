@@ -94,6 +94,9 @@ class ChaosEngine {
   /// True once every scheduled fault's probe has reported.
   bool all_probes_done() const;
 
+  /// Has every live neighbor quarantined its port facing `rogue`?
+  bool rogue_isolated(const net::Device& rogue) const;
+
   CampaignReport& report() { return report_; }
   const CampaignReport& report() const { return report_; }
 
@@ -126,9 +129,6 @@ class ChaosEngine {
   ProbeSample neighbor_offsets(const std::vector<net::Device*>& affected) const;
   net::Device* owner_of(const phy::PhyPort* port) const;
   dtp::PortLogic* port_logic_at(phy::PhyPort* port) const;
-  /// Rogue watcher: has every live neighbor quarantined its port facing
-  /// `rogue`?
-  bool rogue_isolated(const net::Device& rogue) const;
   void watch_rogue(const FaultSpec& spec);
   void rogue_poll(const FaultSpec& spec, fs_t deadline);
   /// Operator remediation: clear every kFaulty port in the network except
