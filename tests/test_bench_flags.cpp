@@ -69,6 +69,7 @@ TEST(BenchFlags, ParseDurationAcceptsEveryUnitSuffix) {
   EXPECT_EQ(parse_duration("1.5us"), dtpsim::from_ns(1500));
   EXPECT_EQ(parse_duration("2ms"), dtpsim::from_ms(2));
   EXPECT_EQ(parse_duration("0.25s"), dtpsim::from_ms(250));
+  EXPECT_EQ(parse_duration("9000s"), dtpsim::from_sec(9000));
 }
 
 TEST(BenchFlags, ParseDurationIsStrict) {
@@ -84,6 +85,11 @@ TEST(BenchFlags, ParseDurationIsStrict) {
   // Durations configure timers and windows: zero and negative are nonsense.
   EXPECT_THROW(parse_duration("0ms"), std::invalid_argument);
   EXPECT_THROW(parse_duration("-3us"), std::invalid_argument);
+  // Past the fs_t range (~9223 s) the double -> int64 cast is undefined.
+  EXPECT_THROW(parse_duration("10000s"), std::invalid_argument);
+  EXPECT_THROW(parse_duration("1e30s"), std::invalid_argument);
+  EXPECT_THROW(parse_duration("infms"), std::invalid_argument);
+  EXPECT_THROW(parse_duration("nanus"), std::invalid_argument);
 }
 
 TEST(BenchFlags, GetDurationParsesAndFallsBack) {
