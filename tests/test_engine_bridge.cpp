@@ -4,7 +4,6 @@
 /// fused without touching the heap — must reproduce the exact engine's runs
 /// event-for-event: offset traces, event counts per category, per-port
 /// frame/control counts, agent adjustment counters, and chaos verdicts.
-/// The [bridge] label routes this binary through the sanitize-bridge preset.
 
 #include <gtest/gtest.h>
 

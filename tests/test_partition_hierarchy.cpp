@@ -2,8 +2,7 @@
 /// itself, pod integrity under packing, the cross-pod-only cut property,
 /// and — end to end — bit-exact RunDigest equality of a k=32 fat-tree pod
 /// slice run serially and on 2/4 worker threads. The [parallel] label
-/// routes this binary through the sanitize-threads preset (TSan); the
-/// [scale] label through sanitize-scale (ASan+UBSan).
+/// routes this binary through the tsan test preset.
 
 #include <gtest/gtest.h>
 

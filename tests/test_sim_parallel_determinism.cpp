@@ -3,7 +3,7 @@
 /// 2..4 worker threads must reproduce the serial run exactly — per-device
 /// offset traces, event counts per category, per-port frame/control counts,
 /// agent adjustment counters, and chaos verdicts. The [parallel] label routes
-/// this binary through the sanitize-threads preset (TSan).
+/// this binary through the tsan test preset.
 
 #include <gtest/gtest.h>
 

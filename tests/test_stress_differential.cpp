@@ -2,7 +2,7 @@
 // threads, with the tick-bridging engine, or both, must produce sentinel
 // digests bit-identical to the serial cycle-exact run (offset samples, event
 // counts, frame counts, FIFO crossings, agent adjustments). Carries the
-// "parallel" label so the sanitize-threads preset runs it under TSan.
+// "parallel" label so the tsan test preset runs it under TSan.
 
 #include <gtest/gtest.h>
 

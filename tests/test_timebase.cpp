@@ -108,7 +108,7 @@ class TimebasePageTorn : public ::testing::TestWithParam<int> {};
 
 TEST_P(TimebasePageTorn, ConcurrentReadersNeverObserveATornSnapshot) {
   // Real OS threads against the seqlock (this is what TSan instruments in
-  // the sanitize-threads slice). The writer publishes snapshots whose words
+  // the tsan test preset). The writer publishes snapshots whose words
   // are all derived from one counter; a reader that ever sees a mix of two
   // publications fails the checksum or the derivation invariant.
   TimebasePage page;
