@@ -36,7 +36,7 @@ OwdApp::OwdApp(sim::Simulator& sim,
     auto& nic = src.host->nic();
     auto prev_tx = nic.on_transmit;
     nic.on_transmit = [this, i, id, src, prev_tx](net::Frame& f, fs_t tx_start) {
-      if (f.ethertype == kEtherTypePageOwd) {
+      if (f.ethertype == net::kEtherTypePageOwd) {
         if (auto pkt = std::dynamic_pointer_cast<const PageOwdPacket>(f.packet);
             pkt && pkt->pair_id == id) {
           const dtp::TimebaseSample s = src.sample(tx_start);
@@ -55,7 +55,7 @@ OwdApp::OwdApp(sim::Simulator& sim,
     auto prev_rx = pairs_[i].second.host->on_hw_receive;
     pairs_[i].second.host->on_hw_receive = [this, i, id, prev_rx](const net::Frame& f,
                                                                   fs_t rx_time) {
-      if (f.ethertype == kEtherTypePageOwd) {
+      if (f.ethertype == net::kEtherTypePageOwd) {
         if (auto pkt = std::dynamic_pointer_cast<const PageOwdPacket>(f.packet);
             pkt && pkt->pair_id == id) {
           on_probe(i, *pkt, rx_time);
@@ -94,7 +94,7 @@ void OwdApp::send_probe(std::size_t i) {
   pkt->sequence = ++seq_[i];
   net::Frame f;
   f.dst = pairs_[i].second.host->addr();
-  f.ethertype = kEtherTypePageOwd;
+  f.ethertype = net::kEtherTypePageOwd;
   f.payload_bytes = params_.payload_bytes;
   f.priority = params_.priority;
   f.packet = pkt;

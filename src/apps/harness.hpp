@@ -5,10 +5,9 @@
 ///
 /// Two pieces:
 ///
-/// `OwdApp` — the page-consuming one-way-delay meter. Unlike the legacy
-/// `OwdMeter` (which takes arbitrary ClockFn callbacks), probes here carry a
-/// full page sample — split timestamp, claimed uncertainty, staleness — and
-/// the receiver judges each probe like a real monitoring app would: the
+/// `OwdApp` — the page-consuming one-way-delay meter. Probes carry a full
+/// page sample — split timestamp, claimed uncertainty, staleness — and the
+/// receiver judges each probe like a real monitoring app would: the
 /// measurement error must fit inside the *claimed* error budget
 /// (sender unc + receiver unc + the pairwise network envelope). A fresh
 /// probe that busts the budget is a counted correctness failure; a probe
@@ -35,9 +34,6 @@
 #include "sim/simulator.hpp"
 
 namespace dtpsim::apps {
-
-/// EtherType for page-stamped OWD probes.
-inline constexpr std::uint16_t kEtherTypePageOwd = 0x88BB;
 
 struct PageOwdPacket : net::Packet {
   std::uint32_t pair_id = 0;

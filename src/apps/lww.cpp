@@ -28,7 +28,7 @@ LwwApp::LwwApp(sim::Simulator& sim, std::vector<TimeService> ring, LwwParams par
     net::Host& host = *ring_[i].host;
     auto prev = host.on_hw_receive;
     host.on_hw_receive = [this, i, prev](const net::Frame& f, fs_t rx_time) {
-      if (f.ethertype == kEtherTypeLww) {
+      if (f.ethertype == net::kEtherTypeLww) {
         if (auto tok = std::dynamic_pointer_cast<const LwwTokenPacket>(f.packet);
             tok && tok->ring_id == params_.ring_id) {
           on_token(i, *tok, rx_time);
@@ -69,7 +69,7 @@ void LwwApp::inject(std::uint64_t generation) {
   tok->stale = s.stale;
   net::Frame f;
   f.dst = ring_[1].host->addr();
-  f.ethertype = kEtherTypeLww;
+  f.ethertype = net::kEtherTypeLww;
   f.payload_bytes = params_.payload_bytes;
   f.priority = params_.priority;
   f.packet = tok;
@@ -115,7 +115,7 @@ void LwwApp::on_token(std::size_t me, const LwwTokenPacket& tok, fs_t now) {
   next_tok->stale = s.stale;
   net::Frame f;
   f.dst = ring_[(me + 1) % ring_.size()].host->addr();
-  f.ethertype = kEtherTypeLww;
+  f.ethertype = net::kEtherTypeLww;
   f.payload_bytes = params_.payload_bytes;
   f.priority = params_.priority;
   f.packet = next_tok;

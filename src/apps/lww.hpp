@@ -32,9 +32,6 @@
 
 namespace dtpsim::apps {
 
-/// EtherType for LWW token frames.
-inline constexpr std::uint16_t kEtherTypeLww = 0x88B9;
-
 /// One circulating version token: the previous write's version stamp.
 struct LwwTokenPacket : net::Packet {
   std::uint32_t ring_id = 0;

@@ -26,7 +26,7 @@ TdmaApp::TdmaApp(sim::Simulator& sim, std::vector<TimeService> senders,
     auto& nic = senders_[i].host->nic();
     auto prev = nic.on_transmit;
     nic.on_transmit = [this, i, prev](net::Frame& f, fs_t tx_start) {
-      if (f.ethertype == kEtherTypeTdma) {
+      if (f.ethertype == net::kEtherTypeTdma) {
         if (auto pkt = std::dynamic_pointer_cast<const TdmaSlotPacket>(f.packet);
             pkt && pkt->schedule_id == params_.schedule_id &&
             pkt->sender == static_cast<std::uint32_t>(i)) {
@@ -101,7 +101,7 @@ void TdmaApp::fire(std::size_t me) {
     pkt->round = rounds_[me]++;
     net::Frame f;
     f.dst = senders_[(me + 1) % senders_.size()].host->addr();
-    f.ethertype = kEtherTypeTdma;
+    f.ethertype = net::kEtherTypeTdma;
     f.payload_bytes = params_.payload_bytes;
     f.priority = params_.priority;
     f.packet = pkt;

@@ -29,9 +29,6 @@
 
 namespace dtpsim::apps {
 
-/// EtherType for TDMA slot frames.
-inline constexpr std::uint16_t kEtherTypeTdma = 0x88BA;
-
 struct TdmaSlotPacket : net::Packet {
   std::uint32_t schedule_id = 0;
   std::uint32_t sender = 0;

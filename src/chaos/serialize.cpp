@@ -1,11 +1,10 @@
 #include "chaos/serialize.hpp"
 
-#include <cstdio>
-#include <cstdlib>
 #include <sstream>
 #include <stdexcept>
 #include <unordered_map>
 
+#include "common/parse.hpp"
 #include "net/device.hpp"
 #include "net/topology.hpp"
 
@@ -44,30 +43,6 @@ bool is_link_fault(FaultKind k) {
     default:
       return false;
   }
-}
-
-std::int64_t parse_i64(const std::string& key, const std::string& v) {
-  errno = 0;
-  char* end = nullptr;
-  const long long out = std::strtoll(v.c_str(), &end, 10);
-  if (errno != 0 || end == v.c_str() || *end != '\0')
-    throw std::invalid_argument("chaos::serialize: bad integer for " + key + ": '" + v + "'");
-  return static_cast<std::int64_t>(out);
-}
-
-double parse_f64(const std::string& key, const std::string& v) {
-  errno = 0;
-  char* end = nullptr;
-  const double out = std::strtod(v.c_str(), &end);
-  if (errno != 0 || end == v.c_str() || *end != '\0')
-    throw std::invalid_argument("chaos::serialize: bad number for " + key + ": '" + v + "'");
-  return out;
-}
-
-std::string fmt_f64(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
 }
 
 }  // namespace
@@ -134,9 +109,9 @@ std::string fault_to_line(const FaultDescriptor& d) {
   out << "fault kind=" << fault_class_name(d.kind) << " a=" << d.a;
   if (is_link_fault(d.kind)) out << " b=" << d.b;
   out << " at=" << d.at << " dur=" << d.duration << " count=" << d.count
-      << " period=" << d.period << " mag=" << fmt_f64(d.magnitude);
+      << " period=" << d.period << " mag=" << format_real(d.magnitude);
   if (d.probe_threshold_ticks != 0)
-    out << " probe_threshold=" << fmt_f64(d.probe_threshold_ticks);
+    out << " probe_threshold=" << format_real(d.probe_threshold_ticks);
   if (d.probe_sample_period != 0) out << " probe_period=" << d.probe_sample_period;
   if (d.probe_timeout != 0) out << " probe_timeout=" << d.probe_timeout;
   if (!d.label.empty()) out << " label=" << d.label;
@@ -190,14 +165,16 @@ FaultDescriptor fault_from_line(const std::string& line) {
   d.kind = kind_from_name(take("kind"));
   d.a = take("a");
   if (is_link_fault(d.kind)) d.b = take("b");
-  d.at = parse_i64("at", take("at"));
-  d.duration = parse_i64("dur", take("dur"));
-  d.count = static_cast<int>(parse_i64("count", take("count")));
-  d.period = parse_i64("period", take("period"));
-  d.magnitude = parse_f64("mag", take("mag"));
-  d.probe_threshold_ticks = parse_f64("probe_threshold", take_opt("probe_threshold", "0"));
-  d.probe_sample_period = parse_i64("probe_period", take_opt("probe_period", "0"));
-  d.probe_timeout = parse_i64("probe_timeout", take_opt("probe_timeout", "0"));
+  // Times, durations and counts must fit their field and not be negative.
+  const std::string ctx = "chaos::serialize: ";
+  d.at = parse_int<fs_t>(ctx + "at", take("at"), 0);
+  d.duration = parse_int<fs_t>(ctx + "dur", take("dur"), 0);
+  d.count = parse_int<int>(ctx + "count", take("count"), 0);
+  d.period = parse_int<fs_t>(ctx + "period", take("period"), 0);
+  d.magnitude = parse_real(ctx + "mag", take("mag"));
+  d.probe_threshold_ticks = parse_real(ctx + "probe_threshold", take_opt("probe_threshold", "0"));
+  d.probe_sample_period = parse_int<fs_t>(ctx + "probe_period", take_opt("probe_period", "0"), 0);
+  d.probe_timeout = parse_int<fs_t>(ctx + "probe_timeout", take_opt("probe_timeout", "0"), 0);
   if (have_label) d.label = label;
 
   if (!kv.empty())

@@ -100,6 +100,10 @@ class Agent {
   /// (Section 3.2, "Network dynamics").
   std::uint64_t counter_resets() const { return counter_resets_; }
 
+  /// Expires when this agent is destroyed (its node crashed). Objects that
+  /// read the counter but outlive the agent check it before every read.
+  std::weak_ptr<const void> lifetime() const { return alive_; }
+
  private:
   friend class PortLogic;
 
@@ -133,6 +137,7 @@ class Agent {
   fs_t last_join_jump_at_ = -1;
   std::uint64_t last_join_jump_units_ = 0;
   std::optional<std::size_t> parent_port_;
+  std::shared_ptr<const void> alive_ = std::make_shared<char>();
 };
 
 /// Ground truth: gc_a(t) - gc_b(t) in counter units, evaluated at one

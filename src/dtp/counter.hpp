@@ -11,7 +11,6 @@
 /// the monotone-max semantics of the paper fall out of `fast_forward`.
 
 #include <cstdint>
-#include <optional>
 #include <stdexcept>
 
 #include "common/wide_counter.hpp"
@@ -36,7 +35,7 @@ class TickCounter {
   WideCounter at_tick(std::int64_t k) const {
     if (k < base_tick_) throw std::logic_error("TickCounter: query before anchor");
     WideCounter v = base_.plus(static_cast<std::uint64_t>(k - base_tick_) * delta_);
-    if (cap_ && v.diff(*cap_) > 0) return *cap_;
+    if (has_cap_ && v.diff(cap_) > 0) return cap_;
     return v;
   }
 
@@ -72,20 +71,26 @@ class TickCounter {
   /// stall occasionally" rule for children with faster oscillators than
   /// their master. Comparison is by signed modular distance so the cap keeps
   /// working while counter and ceiling straddle the 2^106 wrap.
-  void set_cap(const WideCounter& cap) { cap_ = cap; }
-  void clear_cap() { cap_.reset(); }
+  void set_cap(const WideCounter& cap) {
+    cap_ = cap;
+    has_cap_ = true;
+  }
+  void clear_cap() { has_cap_ = false; }
   bool capped_at(std::int64_t k) const {
-    if (!cap_) return false;
+    if (!has_cap_) return false;
     const WideCounter raw =
         base_.plus(static_cast<std::uint64_t>(k - base_tick_) * delta_);
-    return raw.diff(*cap_) > 0;
+    return raw.diff(cap_) > 0;
   }
 
  private:
   WideCounter base_;
   std::uint32_t delta_;
   std::int64_t base_tick_;
-  std::optional<WideCounter> cap_;
+  // A plain value plus a flag rather than std::optional: GCC's
+  // -Wmaybe-uninitialized misfires on an inlined optional<WideCounter>.
+  WideCounter cap_;
+  bool has_cap_ = false;
 };
 
 }  // namespace dtpsim::dtp

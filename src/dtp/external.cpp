@@ -23,7 +23,7 @@ void UtcBroadcaster::fire() {
 
   net::Frame f;
   f.dst = net::MacAddr{0x0180'C200'000EULL};  // link-local multicast
-  f.ethertype = kEtherTypeUtc;
+  f.ethertype = net::kEtherTypeUtc;
   f.payload_bytes = 46;
   f.packet = pkt;
   ++count_;
@@ -33,7 +33,7 @@ void UtcBroadcaster::fire() {
 UtcClient::UtcClient(net::Host& host, Daemon& daemon) : host_(host), daemon_(daemon) {
   auto previous = host_.on_app_receive;
   host_.on_app_receive = [this, previous](const net::Frame& f, fs_t hw, fs_t app) {
-    if (f.ethertype == kEtherTypeUtc) {
+    if (f.ethertype == net::kEtherTypeUtc) {
       if (auto pkt = std::dynamic_pointer_cast<const UtcPairPacket>(f.packet))
         handle_pair(*pkt);
       return;
@@ -73,95 +73,6 @@ bool UtcClient::stale(fs_t now) const {
   if (staleness_after_ > 0 && a > staleness_after_) return true;
   if (inter_arrival_ > 0 && a > 3 * inter_arrival_) return true;
   return false;
-}
-
-HybridUtcServer::HybridUtcServer(sim::Simulator& sim, net::Host& host, Agent& agent,
-                                 fs_t period, double utc_error_ns)
-    : sim_(sim),
-      host_(host),
-      agent_(agent),
-      utc_error_ns_(utc_error_ns),
-      rng_(sim.fork_rng(0x4B1D ^ host.addr().value)),
-      proc_(sim, period, [this] { fire(); }, sim::EventCategory::kBeacon) {
-  // Hardware-stamp the sync at the transmit instant, like a PTP one-step
-  // clock but with the DTP counter.
-  auto prev_tx = host_.nic().on_transmit;
-  host_.nic().on_transmit = [this, prev_tx](net::Frame& f, fs_t tx_start) {
-    if (f.ethertype == kEtherTypeHybridUtc) {
-      if (auto pkt = std::dynamic_pointer_cast<const HybridSyncPacket>(f.packet)) {
-        auto* mut = const_cast<HybridSyncPacket*>(pkt.get());
-        mut->tx_dtp_counter = agent_.global_fractional_at(tx_start);
-        fs_t utc = tx_start;
-        if (utc_error_ns_ > 0)
-          utc += static_cast<fs_t>(rng_.normal(0.0, utc_error_ns_) *
-                                   static_cast<double>(kFsPerNs));
-        mut->utc_at_tx = utc;
-      }
-    }
-    if (prev_tx) prev_tx(f, tx_start);
-  };
-}
-
-void HybridUtcServer::fire() {
-  net::Frame f;
-  f.dst = net::MacAddr{0x0180'C200'000EULL};
-  f.ethertype = kEtherTypeHybridUtc;
-  f.payload_bytes = 46;
-  f.packet = std::make_shared<HybridSyncPacket>();
-  ++count_;
-  host_.send_app(f);
-}
-
-HybridUtcClient::HybridUtcClient(net::Host& host, Agent& agent)
-    : host_(host), agent_(agent) {
-  auto prev = host_.on_hw_receive;
-  host_.on_hw_receive = [this, prev](const net::Frame& f, fs_t hw_rx) {
-    if (f.ethertype == kEtherTypeHybridUtc) {
-      handle(f, hw_rx);
-      return;
-    }
-    if (prev) prev(f, hw_rx);
-  };
-}
-
-void HybridUtcClient::handle(const net::Frame& f, fs_t hw_rx_time) {
-  auto pkt = std::dynamic_pointer_cast<const HybridSyncPacket>(f.packet);
-  if (!pkt) return;
-  ++syncs_;
-  const fs_t now_rx = host_.simulator().now();
-  if (have_fix_) inter_arrival_ = now_rx - last_rx_at_;
-  last_rx_at_ = now_rx;
-  // One-way delay in counter units, exact because both counters are DTP-
-  // synchronized: our counter now minus the server's at transmission.
-  const double rx_counter = agent_.global_fractional_at(hw_rx_time);
-  const double owd_units = rx_counter - pkt->tx_dtp_counter;
-  const double tick_ns = to_ns_f(agent_.device().oscillator().nominal_period()) /
-                         static_cast<double>(agent_.params().counter_delta);
-  fix_utc_ = pkt->utc_at_tx + static_cast<fs_t>(owd_units * tick_ns *
-                                                static_cast<double>(kFsPerNs));
-  fix_counter_ = rx_counter;
-  have_fix_ = true;
-
-  const fs_t now = host_.simulator().now();
-  error_series_.add(to_sec_f(now),
-                    (utc_at(now) - static_cast<double>(now)) / static_cast<double>(kFsPerNs));
-}
-
-bool HybridUtcClient::stale(fs_t now) const {
-  if (!ready()) return true;
-  const fs_t a = age(now);
-  if (staleness_after_ > 0 && a > staleness_after_) return true;
-  if (inter_arrival_ > 0 && a > 3 * inter_arrival_) return true;
-  return false;
-}
-
-double HybridUtcClient::utc_at(fs_t now) const {
-  if (!have_fix_) throw std::logic_error("HybridUtcClient: no fix yet");
-  const double tick_ns = to_ns_f(agent_.device().oscillator().nominal_period()) /
-                         static_cast<double>(agent_.params().counter_delta);
-  const double elapsed_units = agent_.global_fractional_at(now) - fix_counter_;
-  return static_cast<double>(fix_utc_) +
-         elapsed_units * tick_ns * static_cast<double>(kFsPerNs);
 }
 
 }  // namespace dtpsim::dtp

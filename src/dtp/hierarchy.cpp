@@ -65,19 +65,20 @@ UtcSourceServer::UtcSourceServer(sim::Simulator& sim, net::Host& host, Agent& ag
     : sim_(sim),
       host_(host),
       agent_(agent),
+      agent_alive_(agent.lifetime()),
       params_(params),
       stratum_(params.stratum),
       rng_(sim.fork_rng(0x5B0CULL ^ host.addr().value ^
                         (static_cast<std::uint64_t>(params.source_id) << 32))),
       proc_(sim, params.period, [this] { fire(); }, sim::EventCategory::kBeacon) {
   // One-step clock: counter and UTC are both captured at the hardware
-  // transmit instant (same pattern as HybridUtcServer). The lie, if any, is
-  // applied here too — a rogue grandmaster's packets are perfectly formed.
+  // transmit instant. The lie, if any, is applied here too — a rogue
+  // grandmaster's packets are perfectly formed.
   auto prev_tx = host_.nic().on_transmit;
   host_.nic().on_transmit = [this, prev_tx](net::Frame& f, fs_t tx_start) {
-    if (f.ethertype == kEtherTypeSourceSync) {
+    if (f.ethertype == net::kEtherTypeSourceSync) {
       if (auto pkt = std::dynamic_pointer_cast<const SourceSyncPacket>(f.packet)) {
-        if (pkt->source_id == params_.source_id) {
+        if (pkt->source_id == params_.source_id && !agent_alive_.expired()) {
           auto* mut = const_cast<SourceSyncPacket*>(pkt.get());
           mut->tx_dtp_counter = agent_.global_fractional_at(tx_start);
           double utc = static_cast<double>(tx_start);
@@ -85,6 +86,7 @@ UtcSourceServer::UtcSourceServer(sim::Simulator& sim, net::Host& host, Agent& ag
             utc += rng_.normal(0.0, params_.utc_error_ns) * static_cast<double>(kFsPerNs);
           utc += lie_ns_ * static_cast<double>(kFsPerNs);
           mut->utc_at_tx = static_cast<fs_t>(std::llround(utc));
+          mut->stamped = true;
         }
       }
     }
@@ -93,7 +95,8 @@ UtcSourceServer::UtcSourceServer(sim::Simulator& sim, net::Host& host, Agent& ag
 }
 
 void UtcSourceServer::fire() {
-  if (down_) return;  // reference lost: nothing worth advertising
+  // Reference lost, or the host crashed: nothing worth advertising.
+  if (down_ || agent_alive_.expired()) return;
   auto pkt = std::make_shared<SourceSyncPacket>();
   pkt->source_id = params_.source_id;
   pkt->source_kind = params_.kind;
@@ -102,7 +105,7 @@ void UtcSourceServer::fire() {
 
   net::Frame f;
   f.dst = net::MacAddr{0x0180'C200'000EULL};  // link-local multicast
-  f.ethertype = kEtherTypeSourceSync;
+  f.ethertype = net::kEtherTypeSourceSync;
   f.payload_bytes = 46;
   f.packet = pkt;
   ++count_;
@@ -113,10 +116,10 @@ void UtcSourceServer::fire() {
 // HierarchyClient
 
 HierarchyClient::HierarchyClient(net::Host& host, Agent& agent, HierarchyParams params)
-    : host_(host), agent_(agent), params_(params) {
+    : host_(host), agent_(agent), agent_alive_(agent.lifetime()), params_(params) {
   auto prev = host_.on_hw_receive;
   host_.on_hw_receive = [this, prev](const net::Frame& f, fs_t hw_rx) {
-    if (f.ethertype == kEtherTypeSourceSync) {
+    if (f.ethertype == net::kEtherTypeSourceSync) {
       handle_sync(f, hw_rx);
       return;
     }
@@ -220,7 +223,7 @@ void HierarchyClient::observe_selection(const SourceTrack* best, fs_t now) {
 
 void HierarchyClient::handle_sync(const net::Frame& f, fs_t hw_rx) {
   auto pkt = std::dynamic_pointer_cast<const SourceSyncPacket>(f.packet);
-  if (!pkt) return;
+  if (!pkt || !pkt->stamped || agent_alive_.expired()) return;
   ++syncs_;
   SourceTrack& t = track_for(*pkt);
   t.kind = pkt->source_kind;
@@ -300,6 +303,13 @@ void HierarchyClient::handle_sync(const net::Frame& f, fs_t hw_rx) {
 }
 
 ServedTime HierarchyClient::serve(fs_t now) {
+  if (agent_alive_.expired()) {
+    // The host crashed and its agent went with it: with no counter left to
+    // extrapolate on, refuse for the rest of the run.
+    last_ = ServedTime{};
+    last_.status = HierarchyStatus::kUnavailable;
+    return last_;
+  }
   const SourceTrack* best = select(now);
   observe_selection(best, now);
 

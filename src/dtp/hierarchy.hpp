@@ -25,6 +25,9 @@
 ///     with a configured drift bound, and past a configurable uncertainty
 ///     ceiling it refuses to serve time at all rather than serve a number
 ///     it cannot bound.
+///   * Crashes: a node crash destroys the host's DTP agent. A server on that
+///     host falls silent and a client serves `kUnavailable`, both for the
+///     rest of the run; neither reads the destroyed agent.
 ///
 /// Honesty by construction: a sample is only *accepted* when its implied
 /// step fits inside the served uncertainty (plus the source's claimed
@@ -36,6 +39,7 @@
 /// every sample, with no fault blackouts.
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -59,10 +63,8 @@ enum class SourceKind : std::uint8_t {
 
 const char* source_kind_name(SourceKind k);
 
-/// EtherType for hierarchy source syncs.
-inline constexpr std::uint16_t kEtherTypeSourceSync = 0x88BA;
-
-/// A hardware-stamped sync, like `HybridSyncPacket` plus the source's
+/// A sync hardware-stamped with the server's DTP counter and UTC at the
+/// transmit instant (§5.2's DTP-assisted variant), plus the source's
 /// advertisement (id, kind, stratum, claimed accuracy).
 struct SourceSyncPacket : net::Packet {
   std::uint32_t source_id = 0;
@@ -71,6 +73,9 @@ struct SourceSyncPacket : net::Packet {
   double accuracy_ns = 0;       ///< the source's *claimed* accuracy
   double tx_dtp_counter = 0.0;  ///< server gc at hardware TX (filled at TX)
   fs_t utc_at_tx = 0;           ///< server UTC at the same instant
+  /// Set with the stamp. A sync queued before its server's host crashed
+  /// leaves unstamped once the link is back, and clients drop it.
+  bool stamped = false;
 };
 
 /// Static description of one source.
@@ -100,7 +105,7 @@ struct TimeSourceParams {
 /// plus the source's current advertisement. Chaos controls model the ways a
 /// root fails: `set_down` (reference lost — broadcasts stop), `set_lie_ns`
 /// (rogue grandmaster — plausible-but-wrong UTC), `set_stratum` (flapping
-/// advertisement).
+/// advertisement). A node crash silences it for good.
 class UtcSourceServer {
  public:
   UtcSourceServer(sim::Simulator& sim, net::Host& host, Agent& agent,
@@ -131,6 +136,7 @@ class UtcSourceServer {
   sim::Simulator& sim_;
   net::Host& host_;
   Agent& agent_;
+  std::weak_ptr<const void> agent_alive_;
   TimeSourceParams params_;
   int stratum_;
   bool down_ = false;
@@ -175,7 +181,7 @@ enum class HierarchyStatus : std::uint8_t {
   kAcquiring,    ///< no source has ever delivered a fix
   kLocked,       ///< serving from a selected live source
   kHoldover,     ///< all sources lost; free-running with growing uncertainty
-  kUnavailable,  ///< holdover uncertainty exceeded the ceiling; refusing
+  kUnavailable,  ///< holdover past the ceiling, or the host crashed; refusing
 };
 
 const char* hierarchy_status_name(HierarchyStatus s);
@@ -264,6 +270,7 @@ class HierarchyClient {
 
   net::Host& host_;
   Agent& agent_;
+  std::weak_ptr<const void> agent_alive_;
   HierarchyParams params_;
   std::vector<SourceTrack> tracks_;
 

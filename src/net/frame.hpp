@@ -8,7 +8,9 @@
 /// (`serialize_frame`/`parse_frame`) exists so tests can push real frames
 /// through the real PCS codec and CRC.
 
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -32,9 +34,31 @@ struct MacAddrHash {
   std::size_t operator()(const MacAddr& m) const { return std::hash<std::uint64_t>{}(m.value); }
 };
 
-/// EtherTypes used in this repo.
-inline constexpr std::uint16_t kEtherTypeIpv4 = 0x0800;  ///< UDP-borne protocols (PTP/NTP/traffic)
-inline constexpr std::uint16_t kEtherTypeTest = 0x88B5;  ///< local experiments
+/// Every EtherType used in this repo. Receive and transmit hooks chain on
+/// the host, and each one claims frames by EtherType alone, so two
+/// protocols sharing a value would steal each other's frames.
+inline constexpr std::uint16_t kEtherTypeIpv4 = 0x0800;        ///< bulk traffic
+inline constexpr std::uint16_t kEtherTypeTest = 0x88B5;        ///< local experiments
+inline constexpr std::uint16_t kEtherTypeUtc = 0x88B6;         ///< dtp::UtcBroadcaster pairs
+inline constexpr std::uint16_t kEtherTypeNtp = 0x88B7;         ///< NTP datagrams (stand-in for UDP/123)
+inline constexpr std::uint16_t kEtherTypeTdma = 0x88B8;        ///< apps::TdmaApp slot frames
+inline constexpr std::uint16_t kEtherTypeLww = 0x88B9;         ///< apps::LwwApp tokens
+inline constexpr std::uint16_t kEtherTypeSourceSync = 0x88BA;  ///< dtp::UtcSourceServer syncs
+inline constexpr std::uint16_t kEtherTypePageOwd = 0x88BB;     ///< apps::OwdApp probes
+inline constexpr std::uint16_t kEtherTypePtp = 0x88F7;         ///< PTP over Ethernet (IEEE 1588 Annex F)
+
+inline constexpr std::uint16_t kEtherTypes[] = {
+    kEtherTypeIpv4, kEtherTypeTest,       kEtherTypeUtc,     kEtherTypeNtp, kEtherTypeTdma,
+    kEtherTypeLww,  kEtherTypeSourceSync, kEtherTypePageOwd, kEtherTypePtp};
+
+static_assert(
+    [] {
+      for (std::size_t i = 0; i < std::size(kEtherTypes); ++i)
+        for (std::size_t j = i + 1; j < std::size(kEtherTypes); ++j)
+          if (kEtherTypes[i] == kEtherTypes[j]) return false;
+      return true;
+    }(),
+    "two protocols share an EtherType");
 
 /// Base class for typed frame payloads (PTP messages, NTP messages, ...).
 struct Packet {

@@ -13,7 +13,7 @@ NtpServer::NtpServer(sim::Simulator& sim, net::Host& host, bool ideal_clock)
     : sim_(sim), host_(host), clock_(host.oscillator(), from_ns(100), ideal_clock) {
   auto previous = host_.on_app_receive;
   host_.on_app_receive = [this, previous](const net::Frame& f, fs_t hw, fs_t app) {
-    if (f.ethertype == kEtherTypeNtp) {
+    if (f.ethertype == net::kEtherTypeNtp) {
       handle(f, app);
       return;
     }
@@ -35,7 +35,7 @@ void NtpServer::handle(const net::Frame& f, fs_t app_rx_time) {
 
   net::Frame out;
   out.dst = f.src;
-  out.ethertype = kEtherTypeNtp;
+  out.ethertype = net::kEtherTypeNtp;
   out.payload_bytes = kNtpPayloadBytes;
   out.packet = resp;
   host_.send_app(out);
@@ -55,7 +55,7 @@ NtpClient::NtpClient(sim::Simulator& sim, net::Host& host, net::MacAddr server,
                    [this] { sample_truth(); }, sim::EventCategory::kProbe) {
   auto previous = host_.on_app_receive;
   host_.on_app_receive = [this, previous](const net::Frame& f, fs_t hw, fs_t app) {
-    if (f.ethertype == kEtherTypeNtp) {
+    if (f.ethertype == net::kEtherTypeNtp) {
       handle(f, app);
       return;
     }
@@ -81,7 +81,7 @@ void NtpClient::poll() {
 
   net::Frame f;
   f.dst = server_;
-  f.ethertype = kEtherTypeNtp;
+  f.ethertype = net::kEtherTypeNtp;
   f.payload_bytes = kNtpPayloadBytes;
   f.packet = req;
   host_.send_app(f);

@@ -22,9 +22,6 @@
 
 namespace dtpsim::ntp {
 
-/// EtherType used for NTP datagrams (stand-in for UDP/123).
-inline constexpr std::uint16_t kEtherTypeNtp = 0x88B7;
-
 /// One NTP datagram (request or response).
 struct NtpMessage : net::Packet {
   bool response = false;

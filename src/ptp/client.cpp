@@ -31,7 +31,7 @@ void PtpClient::stop() {
 }
 
 void PtpClient::handle_hw_receive(const net::Frame& f, fs_t rx_time) {
-  if (f.ethertype != kEtherTypePtp) return;
+  if (f.ethertype != net::kEtherTypePtp) return;
   auto msg = std::dynamic_pointer_cast<const PtpMessage>(f.packet);
   if (!msg) return;
   switch (msg->type) {
@@ -92,7 +92,7 @@ void PtpClient::send_delay_req() {
 }
 
 void PtpClient::handle_transmit(net::Frame& f, fs_t tx_start) {
-  if (f.ethertype != kEtherTypePtp) return;
+  if (f.ethertype != net::kEtherTypePtp) return;
   auto msg = std::dynamic_pointer_cast<const PtpMessage>(f.packet);
   if (!msg || msg->type != PtpType::kDelayReq || msg->sequence != dreq_seq_) return;
   t3_ns_ = phc_.timestamp_ns(tx_start);  // hardware TX timestamp

@@ -51,7 +51,7 @@ void Grandmaster::send_announce() {
 // Two-step clock: when the Sync actually hits the wire, capture its
 // hardware timestamp and chase it with a Follow_Up.
 void Grandmaster::handle_transmit(net::Frame& f, fs_t tx_start) {
-  if (f.ethertype != kEtherTypePtp) return;
+  if (f.ethertype != net::kEtherTypePtp) return;
   auto msg = std::dynamic_pointer_cast<const PtpMessage>(f.packet);
   if (!msg || msg->type != PtpType::kSync) return;
 
@@ -66,7 +66,7 @@ void Grandmaster::handle_transmit(net::Frame& f, fs_t tx_start) {
 }
 
 void Grandmaster::handle_hw_receive(const net::Frame& f, fs_t rx_time) {
-  if (f.ethertype != kEtherTypePtp) return;
+  if (f.ethertype != net::kEtherTypePtp) return;
   auto msg = std::dynamic_pointer_cast<const PtpMessage>(f.packet);
   if (!msg || msg->type != PtpType::kDelayReq) return;
 

@@ -30,7 +30,7 @@ net::Frame make_ptp_frame(net::MacAddr src, net::MacAddr dst,
   net::Frame f;
   f.src = src;
   f.dst = dst;
-  f.ethertype = kEtherTypePtp;
+  f.ethertype = net::kEtherTypePtp;
   f.payload_bytes = ptp_payload_bytes(msg->type);
   f.packet = msg;
   return f;

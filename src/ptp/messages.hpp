@@ -18,8 +18,6 @@
 
 namespace dtpsim::ptp {
 
-/// PTP over Ethernet (IEEE 1588 Annex F).
-inline constexpr std::uint16_t kEtherTypePtp = 0x88F7;
 /// The PTP primary multicast address 01-1B-19-00-00-00.
 inline constexpr net::MacAddr kPtpMulticast{0x011B'1900'0000ULL};
 

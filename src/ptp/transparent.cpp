@@ -4,7 +4,7 @@ namespace dtpsim::ptp {
 
 namespace {
 bool is_event_message(const net::Frame& f) {
-  if (f.ethertype != kEtherTypePtp) return false;
+  if (f.ethertype != net::kEtherTypePtp) return false;
   auto msg = std::dynamic_pointer_cast<const PtpMessage>(f.packet);
   return msg && (msg->type == PtpType::kSync || msg->type == PtpType::kDelayReq);
 }

@@ -1,12 +1,12 @@
 #include "stress/spec.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 #include <unordered_map>
 
+#include "common/parse.hpp"
 #include "common/rng.hpp"
 
 namespace dtpsim::stress {
@@ -84,43 +84,11 @@ double spec_size(const StressSpec& s) {
 
 namespace {
 
-std::int64_t parse_i64(const std::string& key, const std::string& v) {
-  errno = 0;
-  char* end = nullptr;
-  const long long out = std::strtoll(v.c_str(), &end, 10);
-  if (errno != 0 || end == v.c_str() || *end != '\0')
-    throw std::invalid_argument("stress: bad integer for " + key + ": '" + v + "'");
-  return static_cast<std::int64_t>(out);
-}
-
-std::uint64_t parse_u64(const std::string& key, const std::string& v) {
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long out = std::strtoull(v.c_str(), &end, 10);
-  if (errno != 0 || end == v.c_str() || *end != '\0')
-    throw std::invalid_argument("stress: bad unsigned for " + key + ": '" + v + "'");
-  return static_cast<std::uint64_t>(out);
-}
-
-double parse_f64(const std::string& key, const std::string& v) {
-  errno = 0;
-  char* end = nullptr;
-  const double out = std::strtod(v.c_str(), &end);
-  if (errno != 0 || end == v.c_str() || *end != '\0')
-    throw std::invalid_argument("stress: bad number for " + key + ": '" + v + "'");
-  return out;
-}
-
-std::string fmt_f64(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
+using Fields = std::unordered_map<std::string, std::string>;
 
 /// Parse "key=value key=value ..." from the remainder of a section line.
-std::unordered_map<std::string, std::string> parse_kv(std::istringstream& in,
-                                                      const std::string& section) {
-  std::unordered_map<std::string, std::string> kv;
+Fields parse_kv(std::istringstream& in, const std::string& section) {
+  Fields kv;
   std::string word;
   while (in >> word) {
     const auto eq = word.find('=');
@@ -133,8 +101,7 @@ std::unordered_map<std::string, std::string> parse_kv(std::istringstream& in,
   return kv;
 }
 
-std::string take(std::unordered_map<std::string, std::string>& kv,
-                 const std::string& section, const std::string& key) {
+std::string take(Fields& kv, const std::string& section, const std::string& key) {
   auto it = kv.find(key);
   if (it == kv.end())
     throw std::invalid_argument("stress: '" + section + "' line missing key '" + key + "'");
@@ -143,8 +110,23 @@ std::string take(std::unordered_map<std::string, std::string>& kv,
   return v;
 }
 
-void expect_empty(const std::unordered_map<std::string, std::string>& kv,
-                  const std::string& section) {
+/// Take `key` from a section line into `field`, checked against the
+/// field's type: 0 or 1 for a flag, a finite number for a real, and for an
+/// integer a value that fits it. Every integer in the format is a seed, a
+/// count, a size or a duration, so none may be negative.
+template <typename T>
+void read(Fields& kv, const std::string& section, const std::string& key, T& field) {
+  const std::string what = "stress: " + key;
+  const std::string text = take(kv, section, key);
+  if constexpr (std::is_same_v<T, bool>)
+    field = parse_int<int>(what, text, 0, 1) != 0;
+  else if constexpr (std::is_floating_point_v<T>)
+    field = parse_real(what, text);
+  else
+    field = parse_int<T>(what, text, 0);
+}
+
+void expect_empty(const Fields& kv, const std::string& section) {
   if (!kv.empty())
     throw std::invalid_argument("stress: unknown key '" + kv.begin()->first + "' in '" +
                                 section + "' line");
@@ -159,14 +141,14 @@ std::string to_text(const StressSpec& s) {
   out << "topo_args chain=" << s.chain_switches << " tree_sw=" << s.tree_switches
       << " tree_hosts=" << s.tree_hosts << " shape=" << s.shape_seed
       << " fat_k=" << s.fat_k << " fat_hpe=" << s.fat_hosts_per_edge << "\n";
-  out << "net beacon=" << s.beacon_interval_ticks << " ppm=" << fmt_f64(s.ppm_spread)
+  out << "net beacon=" << s.beacon_interval_ticks << " ppm=" << format_real(s.ppm_spread)
       << " drift=" << (s.enable_drift ? 1 : 0) << " prop=" << s.propagation_delay << "\n";
   out << "load flows=" << s.n_flows << " bytes=" << s.frame_bytes
-      << " saturate=" << (s.saturate ? 1 : 0) << " gbps=" << fmt_f64(s.rate_gbps) << "\n";
+      << " saturate=" << (s.saturate ? 1 : 0) << " gbps=" << format_real(s.rate_gbps) << "\n";
   out << "run threads=" << s.threads << " settle=" << s.settle
       << " horizon=" << s.horizon << " engine=" << (s.bridged ? "bridged" : "exact")
       << "\n";
-  out << "sentinel bound=" << fmt_f64(s.offset_bound_ticks)
+  out << "sentinel bound=" << format_real(s.offset_bound_ticks)
       << " sample=" << s.sample_period << "\n";
   // Optional section: omitted entirely for hierarchy-free specs so files
   // written before the hierarchy existed re-serialize byte-identically.
@@ -204,35 +186,33 @@ StressSpec spec_from_text(const std::string& text) {
     auto kv = parse_kv(ls, section);
     if (section == "campaign") {
       seen[0] = true;
-      s.sim_seed = parse_u64("seed", take(kv, section, "seed"));
+      read(kv, section, "seed", s.sim_seed);
       s.topo = topo_from_name(take(kv, section, "topo"));
     } else if (section == "topo_args") {
       seen[1] = true;
-      s.chain_switches = static_cast<std::uint32_t>(parse_u64("chain", take(kv, section, "chain")));
-      s.tree_switches = static_cast<std::uint32_t>(parse_u64("tree_sw", take(kv, section, "tree_sw")));
-      s.tree_hosts = static_cast<std::uint32_t>(parse_u64("tree_hosts", take(kv, section, "tree_hosts")));
-      s.shape_seed = parse_u64("shape", take(kv, section, "shape"));
-      s.fat_k = static_cast<std::uint32_t>(parse_u64("fat_k", take(kv, section, "fat_k")));
-      s.fat_hosts_per_edge =
-          static_cast<std::uint32_t>(parse_u64("fat_hpe", take(kv, section, "fat_hpe")));
+      read(kv, section, "chain", s.chain_switches);
+      read(kv, section, "tree_sw", s.tree_switches);
+      read(kv, section, "tree_hosts", s.tree_hosts);
+      read(kv, section, "shape", s.shape_seed);
+      read(kv, section, "fat_k", s.fat_k);
+      read(kv, section, "fat_hpe", s.fat_hosts_per_edge);
     } else if (section == "net") {
       seen[2] = true;
-      s.beacon_interval_ticks =
-          static_cast<std::uint32_t>(parse_u64("beacon", take(kv, section, "beacon")));
-      s.ppm_spread = parse_f64("ppm", take(kv, section, "ppm"));
-      s.enable_drift = parse_u64("drift", take(kv, section, "drift")) != 0;
-      s.propagation_delay = parse_i64("prop", take(kv, section, "prop"));
+      read(kv, section, "beacon", s.beacon_interval_ticks);
+      read(kv, section, "ppm", s.ppm_spread);
+      read(kv, section, "drift", s.enable_drift);
+      read(kv, section, "prop", s.propagation_delay);
     } else if (section == "load") {
       seen[3] = true;
-      s.n_flows = static_cast<std::uint32_t>(parse_u64("flows", take(kv, section, "flows")));
-      s.frame_bytes = static_cast<std::uint32_t>(parse_u64("bytes", take(kv, section, "bytes")));
-      s.saturate = parse_u64("saturate", take(kv, section, "saturate")) != 0;
-      s.rate_gbps = parse_f64("gbps", take(kv, section, "gbps"));
+      read(kv, section, "flows", s.n_flows);
+      read(kv, section, "bytes", s.frame_bytes);
+      read(kv, section, "saturate", s.saturate);
+      read(kv, section, "gbps", s.rate_gbps);
     } else if (section == "run") {
       seen[4] = true;
-      s.threads = static_cast<std::uint32_t>(parse_u64("threads", take(kv, section, "threads")));
-      s.settle = parse_i64("settle", take(kv, section, "settle"));
-      s.horizon = parse_i64("horizon", take(kv, section, "horizon"));
+      read(kv, section, "threads", s.threads);
+      read(kv, section, "settle", s.settle);
+      read(kv, section, "horizon", s.horizon);
       // Optional for files written before the bridged engine existed.
       if (auto it = kv.find("engine"); it != kv.end()) {
         if (it->second == "bridged") {
@@ -245,15 +225,15 @@ StressSpec spec_from_text(const std::string& text) {
       }
     } else if (section == "sentinel") {
       seen[5] = true;
-      s.offset_bound_ticks = parse_f64("bound", take(kv, section, "bound"));
-      s.sample_period = parse_i64("sample", take(kv, section, "sample"));
+      read(kv, section, "bound", s.offset_bound_ticks);
+      read(kv, section, "sample", s.sample_period);
     } else if (section == "hier") {
       // Optional — absent in pre-hierarchy repro files.
-      s.hier = parse_u64("enabled", take(kv, section, "enabled")) != 0;
-      s.hier_holdover_ceiling = parse_i64("ceiling", take(kv, section, "ceiling"));
+      read(kv, section, "enabled", s.hier);
+      read(kv, section, "ceiling", s.hier_holdover_ceiling);
     } else if (section == "gray") {
       // Optional — absent in pre-watchdog repro files.
-      s.gray = parse_u64("enabled", take(kv, section, "enabled")) != 0;
+      read(kv, section, "enabled", s.gray);
     } else {
       throw std::invalid_argument("stress: unknown section '" + section + "'");
     }
@@ -266,8 +246,6 @@ StressSpec spec_from_text(const std::string& text) {
   if (s.threads == 0 || s.threads > 16)
     throw std::invalid_argument("stress: threads must be in [1, 16]");
   if (s.horizon <= s.settle) throw std::invalid_argument("stress: horizon must exceed settle");
-  if (s.hier_holdover_ceiling < 0)
-    throw std::invalid_argument("stress: hier ceiling must be non-negative");
   if (s.hier && spec_host_count(s) < 3)
     throw std::invalid_argument(
         "stress: hier needs at least three hosts (two sources + a client)");

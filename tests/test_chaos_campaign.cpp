@@ -87,6 +87,39 @@ TEST(ChaosCampaign, SourceCampaignGates) {
   expect_gates(c);
 }
 
+TEST(ChaosCampaign, CrashedHierarchyHostsStopForTheRestOfTheRun) {
+  // A node crash destroys the host's DTP agent, and the hierarchy objects
+  // on it must never read that agent again. The island server (leaf 3)
+  // falls silent and the client on leaf 4 refuses to serve, while down and
+  // after the restart; the other clients stay locked to the GPS source.
+  stress::Campaign c(row("source"), {77});
+  const fs_t at = chaos::CanonicalCampaign::settle_time() + 13_ms;  // after the row's faults
+  net::Host& island = *c.tree().leaves[3];
+  net::Host& victim_host = *c.tree().leaves[4];
+  c.plan()
+      .add(chaos::FaultSpec::node_crash(island, at, 400_us))
+      .add(chaos::FaultSpec::node_crash(victim_host, at, 400_us));
+  const dtp::UtcSourceServer& server = *c.hierarchy().server_on(island.name());
+  dtp::HierarchyClient& victim = *c.hierarchy().client_on(victim_host.name());
+
+  std::uint64_t broadcasts_while_down = 0;
+  dtp::ServedTime served_while_down;
+  c.sim().schedule_at(at + 200_us, [&] {
+    broadcasts_while_down = server.broadcasts();
+    served_while_down = victim.serve(c.sim().now());
+  });
+  c.run();
+
+  EXPECT_EQ(served_while_down.status, dtp::HierarchyStatus::kUnavailable);
+  EXPECT_EQ(victim.status(), dtp::HierarchyStatus::kUnavailable);
+  EXPECT_FALSE(victim.last_served().available);
+  EXPECT_EQ(server.broadcasts(), broadcasts_while_down) << "a crashed server broadcast";
+  for (const auto& client : c.hierarchy().clients()) {
+    if (client.get() == &victim) continue;
+    EXPECT_EQ(client->status(), dtp::HierarchyStatus::kLocked) << client->host().name();
+  }
+}
+
 /// Bit-identical serial vs 2 vs 4 worker threads: the sentinel digest, the
 /// recovery numbers, and a per-row set of raw counters.
 struct Fingerprint {

@@ -68,6 +68,14 @@ TEST(ChaosSerialize, MalformedLinesThrow) {
       "fault kind=link_flap a=x b=y at=0 at=1 dur=0 count=1 period=0 mag=0",
       "fault kind=link_flap a=x b=y at=0 dur=0 count=1 period=0 mag=0 bogus=1",
       "fault kind=link_flap a=x b=y at=0 dur=0 count=1 period=0 mag=0 naked-token",
+      // Values that do not fit their field.
+      "fault kind=link_flap a=x b=y at=0 dur=0 count=4294967300 period=0 mag=0",
+      "fault kind=link_flap a=x b=y at=-1 dur=0 count=1 period=0 mag=0",
+      "fault kind=link_flap a=x b=y at=0 dur=-5 count=1 period=0 mag=0",
+      "fault kind=link_flap a=x b=y at=0 dur=0 count=-1 period=0 mag=0",
+      "fault kind=link_flap a=x b=y at=+0 dur=0 count=1 period=0 mag=0",
+      "fault kind=link_flap a=x b=y at=0 dur=0 count=1 period=0 mag=nan",
+      "fault kind=link_flap a=x b=y at=9223372036854775808 dur=0 count=1 period=0 mag=0",
   };
   for (const char* line : bad)
     EXPECT_THROW(chaos::fault_from_line(line), std::invalid_argument) << line;

@@ -170,6 +170,54 @@ TEST(ExternalSync, ServerUtcErrorPropagates) {
   EXPECT_LT(tail.max_abs(), 5'000.0);
 }
 
+TEST(ExternalSync, DeadBroadcasterMakesTheClientStale) {
+  // utc_at() extrapolates on the last ratio forever, so a dead broadcaster
+  // must surface through stale()/age(), not through an estimate that keeps
+  // looking authoritative.
+  TwoNodes n(101, 25.0, -25.0);
+  Daemon da(n.sim, *n.agent_a, fast_daemon(), 25.0);
+  Daemon db(n.sim, *n.agent_b, fast_daemon(), 25.0);
+  da.start();
+  db.start();
+  n.sim.run_until(200_ms);
+  UtcBroadcaster bc(n.sim, *n.a, da, from_ms(100));
+  UtcClient client(*n.b, db);
+  bc.start();
+  n.sim.run_until(n.sim.now() + 1_sec);
+  ASSERT_TRUE(client.ready());
+  EXPECT_FALSE(client.stale(n.sim.now())) << "live broadcasts flagged stale";
+
+  bc.stop();
+  const fs_t died_at = n.sim.now();
+  n.sim.run_until(n.sim.now() + 2_sec);
+  EXPECT_NO_THROW(client.utc_at(n.sim.now()));  // still extrapolates...
+  EXPECT_TRUE(client.stale(n.sim.now())) << "...but must read as degraded";
+  EXPECT_GE(client.age(n.sim.now()), n.sim.now() - died_at - from_ms(100));
+}
+
+TEST(ExternalSync, ExplicitStalenessLimitOverridesTheMeasuredGap) {
+  TwoNodes n(102, 25.0, -25.0);
+  Daemon da(n.sim, *n.agent_a, fast_daemon(), 25.0);
+  Daemon db(n.sim, *n.agent_b, fast_daemon(), 25.0);
+  da.start();
+  db.start();
+  n.sim.run_until(200_ms);
+  UtcBroadcaster bc(n.sim, *n.a, da, from_ms(100));
+  UtcClient client(*n.b, db);
+  bc.start();
+  n.sim.run_until(n.sim.now() + 1_sec);
+  ASSERT_TRUE(client.ready());
+  // A 50 ms application limit on a 100 ms cadence: a read taken 94-95 ms
+  // after the last pair is already too old for this consumer.
+  client.set_staleness_after(from_ms(50));
+  const std::uint64_t pairs = client.pairs_received();
+  while (client.pairs_received() == pairs) n.sim.run_until(n.sim.now() + 1_ms);
+  n.sim.run_until(n.sim.now() + 94_ms);
+  EXPECT_TRUE(client.stale(n.sim.now()));
+  client.set_staleness_after(0);  // back to 3x the measured gap
+  EXPECT_FALSE(client.stale(n.sim.now()));
+}
+
 // ---------------------------------------------------------------------------
 // Clock-reading bugfix regressions (PR 10)
 // ---------------------------------------------------------------------------

@@ -128,7 +128,7 @@ TEST(Ntp, ServerEchoesOriginateTimestamp) {
   req->t1_ns = 12345.0;
   net::Frame f;
   f.dst = star.hosts[0]->addr();
-  f.ethertype = kEtherTypeNtp;
+  f.ethertype = net::kEtherTypeNtp;
   f.payload_bytes = 48;
   f.packet = req;
   star.hosts[1]->send_app(f);

@@ -282,7 +282,7 @@ TEST(TransparentClockTest, AccumulatesResidenceAcrossQueueing) {
   TransparentClockAdapter tc(*star.hub, ideal);
   double seen_correction = -1;
   star.hosts[1]->on_hw_receive = [&](const net::Frame& f, fs_t) {
-    if (f.ethertype == kEtherTypePtp) seen_correction = f.correction_ns;
+    if (f.ethertype == net::kEtherTypePtp) seen_correction = f.correction_ns;
   };
   // Saturate the downlink toward host 1 so the PTP frame queues.
   net::TrafficParams tp;

@@ -111,6 +111,21 @@ TEST(StressSpec, MalformedReproTextRejected) {
     if (line.rfind("run ", 0) != 0) no_run += line + "\n";
   }
   EXPECT_THROW(stress::spec_from_text(no_run), std::invalid_argument);
+  // Values that do not fit their field: each replacement alone must throw.
+  const std::pair<const char*, const char*> unfit[] = {
+      {"threads=1 ", "threads=4294967297 "},  // wraps to 1 in 32 bits
+      {"shape=0", "shape=-1"},                // unsigned
+      {"sample=0", "sample=-1"},              // a duration
+      {"drift=0", "drift=2"},                 // a flag
+      {"gbps=2\n", "gbps=inf\n"},             // a finite real
+  };
+  for (const auto& [from, to] : unfit) {
+    std::string text = good;
+    const auto at = text.find(from);
+    ASSERT_NE(at, std::string::npos) << from;
+    text.replace(at, std::string(from).size(), to);
+    EXPECT_THROW(stress::spec_from_text(text), std::invalid_argument) << to;
+  }
 }
 
 TEST(StressRunner, FixedSeedBatchRunsClean) {

@@ -417,30 +417,18 @@ Options parse(int argc, char** argv) {
   }
   if (!o.chaos.empty() && o.protocol != "dtp")
     throw UsageError("--chaos drives the DTP protocol; drop --protocol=" + o.protocol);
-  if (o.readers >= 0 && o.app.empty())
-    throw UsageError("--readers only applies to --app runs");
   if (!o.app.empty()) {
     if (o.protocol != "dtp")
       throw UsageError("--app workloads read the DTP daemon's page; drop --protocol=" +
                        o.protocol);
-    if (!o.chaos.empty() || o.stress > 0 || !o.repro.empty())
-      throw UsageError("--app does not combine with --chaos/--stress/--repro");
     if (o.topology == "fattree")
       throw UsageError(
           "--app workloads need an acyclic topology (tree|star|chain): the "
           "fat-tree's learn-and-flood switches duplicate unicast app frames "
           "across its multipaths");
   }
-  if (o.stress > 0 && !o.repro.empty())
-    throw UsageError("--stress and --repro are mutually exclusive");
-  if (!o.json_out.empty() && o.stress == 0 && o.repro.empty())
-    throw UsageError("--json-out only applies to --stress or --repro runs");
   if (o.metrics_interval > 0 && o.trace.empty() && o.metrics.empty())
     throw UsageError("--metrics-interval needs --metrics or --trace");
-  if (o.holdover_ceiling > 0 && o.chaos != "source")
-    throw UsageError("--holdover-ceiling only applies to --chaos=source");
-  if ((o.wd_check_period > 0 || o.wd_backoff > 0) && o.chaos != "gray")
-    throw UsageError("--wd-check-period/--wd-backoff only apply to --chaos=gray");
 
   // Never run a different experiment silently: a flag the chosen mode does
   // not read is an error, not a no-op.
