@@ -21,8 +21,6 @@ namespace {
 net::NetworkParams exp_params() {
   net::NetworkParams np;
   np.enable_drift = true;
-  np.drift.step_ppm = 0.01;
-  np.drift.update_interval = from_ms(10);
   return np;
 }
 

@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
   fs_t dtp_converged_at = -1;
   {
     sim::Simulator sim(seed);
-    net::Network net(sim, DtpTreeExperiment::default_net_params());
+    net::Network net(sim, default_net_params());
     auto& a = net.add_host("a", 100.0);
     auto& b = net.add_host("b", -100.0);
     net.connect(a, b);

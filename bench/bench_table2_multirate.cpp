@@ -29,8 +29,6 @@ RateResult run_rate(phy::LinkRate rate, fs_t duration, std::uint64_t seed) {
   net::NetworkParams np;
   np.rate = rate;
   np.enable_drift = true;
-  np.drift.step_ppm = 0.01;
-  np.drift.update_interval = from_ms(10);
   sim::Simulator sim(seed);
   net::Network net(sim, np);
   auto& a = net.add_host("a", 100.0);

@@ -8,10 +8,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "common/parse.hpp"
 #include "common/stats.hpp"
 #include "common/time_units.hpp"
 #include "sim/simulator.hpp"
@@ -36,12 +38,14 @@ class Flags {
     *out = x;
     return true;
   }
+  /// A value past the long long range is malformed too, never saturated.
   static bool parse_int_strict(const std::string& v, long long* out) {
-    char* end = nullptr;
-    const long long x = std::strtoll(v.c_str(), &end, 10);
-    if (end == nullptr || end == v.c_str() || *end != '\0') return false;
-    *out = x;
-    return true;
+    try {
+      *out = parse_int<long long>("", v, std::numeric_limits<long long>::min());
+      return true;
+    } catch (const std::invalid_argument&) {
+      return false;
+    }
   }
 
   double get_double(const std::string& key, double fallback) const {

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "chaos/campaign.hpp"
 #include "dtp/network.hpp"
 #include "dtp/probe.hpp"
 #include "net/topology.hpp"
@@ -38,6 +39,13 @@ inline std::size_t port_toward_device(dtp::Agent& receiver, dtp::Agent& sender,
   throw std::logic_error("port_toward_device: not adjacent");
 }
 
+/// Both testbeds run with the oscillators' thermal drift walk on.
+inline net::NetworkParams default_net_params() {
+  net::NetworkParams np;
+  np.enable_drift = true;
+  return np;
+}
+
 /// The Fig. 5 DTP deployment with the paper's measurement probes.
 struct DtpTreeExperiment {
   sim::Simulator sim;
@@ -64,14 +72,6 @@ struct DtpTreeExperiment {
     add_probe("s3-s10", *tree.leaves[6], *tree.aggs[2]);
     add_probe("s3-s11", *tree.leaves[7], *tree.aggs[2]);
     add_probe("s3-s0", *tree.aggs[2], *tree.root);
-  }
-
-  static net::NetworkParams default_net_params() {
-    net::NetworkParams np;
-    np.enable_drift = true;
-    np.drift.step_ppm = 0.01;
-    np.drift.update_interval = from_ms(10);
-    return np;
   }
 
   void add_probe(const std::string& name, net::Device& sender_dev, net::Device& receiver_dev) {
@@ -109,17 +109,7 @@ struct DtpTreeExperiment {
   /// Cross-aggregation saturating flows loading every link with `bytes`
   /// frames (the "heavily loaded" condition of Fig. 6a/6b).
   void start_heavy_load(std::uint32_t frame_bytes) {
-    net::TrafficParams tp;
-    tp.saturate = true;
-    tp.frame_bytes = frame_bytes;
-    const std::size_t n = tree.leaves.size();
-    for (std::size_t i = 0; i < n; ++i) {
-      // Send to a leaf under a different aggregation switch so uplinks and
-      // the root trunks carry the load too.
-      net::Host& src = *tree.leaves[i];
-      net::Host& dst = *tree.leaves[(i + 3) % n];
-      net.add_traffic(src, dst.addr(), tp).start();
-    }
+    chaos::CanonicalCampaign::start_heavy_load(net, tree, frame_bytes);
   }
 };
 
@@ -152,14 +142,6 @@ struct PtpStarExperiment {
     tc = std::make_unique<ptp::TransparentClockAdapter>(*star.hub, tc_params);
     gm->start();
     for (auto& c : clients) c->start();
-  }
-
-  static net::NetworkParams default_net_params() {
-    net::NetworkParams np;
-    np.enable_drift = true;
-    np.drift.step_ppm = 0.01;
-    np.drift.update_interval = from_ms(10);
-    return np;
   }
 
   /// Fig. 6e/6f load: `n` nodes send bursty traffic at `rate_bps` each,

@@ -16,8 +16,6 @@ int main() {
   sim::Simulator sim(7);
   net::NetworkParams np;
   np.enable_drift = true;  // oscillators wander with temperature
-  np.drift.step_ppm = 0.01;
-  np.drift.update_interval = from_ms(10);
   net::Network net(sim, np);
 
   // Build the fabric, then flip every switch and NIC to DTP firmware.

@@ -5,8 +5,6 @@ namespace dtpsim::chaos {
 net::NetworkParams CanonicalCampaign::net_params() {
   net::NetworkParams np;
   np.enable_drift = true;
-  np.drift.step_ppm = 0.01;
-  np.drift.update_interval = from_ms(10);
   np.mac.data_holdoff = from_us(20);  // link-training stand-in; see header
   return np;
 }

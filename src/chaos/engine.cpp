@@ -163,11 +163,8 @@ ProbeResult ChaosEngine::make_seed(const FaultSpec& spec, fs_t recovery_start) c
   seed.label = spec.label;
   seed.injected_at = spec.at;
   seed.recovery_start = recovery_start;
-  try {
-    seed.repro = fault_to_line(describe(spec));
-  } catch (const std::invalid_argument&) {
-    // Daemon-targeted faults have no device name to serialize.
-  }
+  // Daemon-targeted faults have no device name to serialize.
+  if (spec.kind != FaultKind::kPcieStorm) seed.repro = fault_to_line(spec);
   return seed;
 }
 
@@ -221,97 +218,127 @@ void ChaosEngine::start_daemon_probe(const FaultSpec& spec, ProbeResult seed) {
   probes_.back()->start();
 }
 
-ChaosEngine::Link& ChaosEngine::require_link(const FaultSpec& spec) {
-  if (!spec.link_a || !spec.link_b)
-    throw std::invalid_argument("chaos: link fault without endpoints");
-  Link* l = link_between(*spec.link_a, *spec.link_b);
-  if (!l) throw std::invalid_argument("chaos: devices are not cabled together");
-  return *l;
+net::Device* ChaosEngine::require_device(const std::string& name) const {
+  net::Device* dev = net_.find_device(name);
+  if (dev == nullptr)
+    throw std::invalid_argument("chaos: no device named '" + name + "' in this topology");
+  return dev;
+}
+
+ChaosEngine::Target ChaosEngine::resolve(const FaultSpec& spec) {
+  fault_end(spec);  // every window must end inside the fs_t range
+  Target t;
+  if (spec.kind == FaultKind::kPcieStorm) {
+    if (!spec.daemon) throw std::invalid_argument("chaos: pcie_storm without daemon");
+    return t;
+  }
+  t.a = require_device(spec.a);
+  if (is_link_fault(spec.kind)) {
+    t.b = require_device(spec.b);
+    t.link = link_between(*t.a, *t.b);
+    if (!t.link) throw std::invalid_argument("chaos: devices are not cabled together");
+  }
+  switch (spec.kind) {
+    case FaultKind::kGpsLoss:
+    case FaultKind::kRogueGrandmaster:
+    case FaultKind::kStratumFlap:
+      t.server = require_server(spec);
+      break;
+    case FaultKind::kIslandPartition:
+      if (hierarchy_ == nullptr)
+        throw std::invalid_argument(
+            "chaos: island_partition without a time hierarchy (set_hierarchy)");
+      break;
+    default:
+      break;
+  }
+  return t;
 }
 
 void ChaosEngine::schedule(const FaultPlan& plan) {
-  for (const FaultSpec& spec : plan.faults) schedule_fault(spec);
+  std::vector<Target> targets;
+  targets.reserve(plan.size());
+  for (const FaultSpec& spec : plan.faults) targets.push_back(resolve(spec));
+  for (std::size_t i = 0; i < plan.size(); ++i) schedule_fault(plan.faults[i], targets[i]);
 }
 
-void ChaosEngine::schedule_fault(const FaultSpec& spec) {
+void ChaosEngine::schedule_fault(const FaultSpec& spec, const Target& t) {
   ++faults_pending_;
   if (auto* m = hub_ != nullptr ? hub_->metrics() : nullptr)
     m->add(m->counter("chaos.faults_injected"));
   switch (spec.kind) {
     case FaultKind::kLinkFlap:
     case FaultKind::kPortFail: {
-      Link* l = &require_link(spec);
+      Link* l = t.link;
       sim_.schedule_at(spec.at, [this, l] { take_link_down(*l); });
-      sim_.schedule_at(spec.at + spec.duration, [this, l, spec] {
+      sim_.schedule_at(spec.at + spec.duration, [this, l, spec, t] {
         bring_link_up(*l);
-        start_probe(spec, make_seed(spec, sim_.now()), {spec.link_a, spec.link_b});
+        start_probe(spec, make_seed(spec, sim_.now()), {t.a, t.b});
       });
       break;
     }
     case FaultKind::kFlapStorm: {
-      Link* l = &require_link(spec);
+      Link* l = t.link;
       const int flaps = std::max(1, spec.count);
       for (int i = 0; i < flaps; ++i) {
         const fs_t down_at = spec.at + i * spec.period;
         sim_.schedule_at(down_at, [this, l] { take_link_down(*l); });
         const bool last = i == flaps - 1;
-        sim_.schedule_at(down_at + spec.duration, [this, l, spec, last] {
+        sim_.schedule_at(down_at + spec.duration, [this, l, spec, t, last] {
           bring_link_up(*l);
-          if (last)
-            start_probe(spec, make_seed(spec, sim_.now()), {spec.link_a, spec.link_b});
+          if (last) start_probe(spec, make_seed(spec, sim_.now()), {t.a, t.b});
         });
       }
       break;
     }
     case FaultKind::kBerBurst: {
-      Link* l = &require_link(spec);
+      Link* l = t.link;
       sim_.schedule_at(spec.at, [this, l, ber = spec.magnitude] {
         mark("fault:ber_burst " + l->dev_a->name() + "-" + l->dev_b->name());
         l->cable->set_ber(ber);
       });
-      sim_.schedule_at(spec.at + spec.duration, [this, l, spec] {
+      sim_.schedule_at(spec.at + spec.duration, [this, l, spec, t] {
         mark("heal:ber_clear " + l->dev_a->name() + "-" + l->dev_b->name());
         l->cable->set_ber(net_.params().cable.ber);
-        start_probe(spec, make_seed(spec, sim_.now()), {spec.link_a, spec.link_b});
+        start_probe(spec, make_seed(spec, sim_.now()), {t.a, t.b});
       });
       break;
     }
     case FaultKind::kBeaconLoss: {
-      Link* l = &require_link(spec);
+      Link* l = t.link;
       sim_.schedule_at(spec.at, [this, l, drop = spec.magnitude] {
         mark("fault:beacon_loss " + l->dev_a->name() + "-" + l->dev_b->name());
         l->cable->set_control_drop(drop);
       });
-      sim_.schedule_at(spec.at + spec.duration, [this, l, spec] {
+      sim_.schedule_at(spec.at + spec.duration, [this, l, spec, t] {
         mark("heal:beacon_loss_clear " + l->dev_a->name() + "-" + l->dev_b->name());
         l->cable->set_control_drop(0.0);
-        start_probe(spec, make_seed(spec, sim_.now()), {spec.link_a, spec.link_b});
+        start_probe(spec, make_seed(spec, sim_.now()), {t.a, t.b});
       });
       break;
     }
     case FaultKind::kNodeCrash: {
-      if (!spec.device) throw std::invalid_argument("chaos: node_crash without device");
-      sim_.schedule_at(spec.at, [this, dev = spec.device] { crash_node(*dev); });
-      sim_.schedule_at(spec.at + spec.duration, [this, spec] {
-        restart_node(*spec.device);
-        start_probe(spec, make_seed(spec, sim_.now()), {spec.device});
+      net::Device* dev = t.a;
+      sim_.schedule_at(spec.at, [this, dev] { crash_node(*dev); });
+      sim_.schedule_at(spec.at + spec.duration, [this, spec, dev] {
+        restart_node(*dev);
+        start_probe(spec, make_seed(spec, sim_.now()), {dev});
       });
       break;
     }
     case FaultKind::kRogueOscillator: {
-      if (!spec.device) throw std::invalid_argument("chaos: rogue without device");
-      sim_.schedule_at(spec.at, [this, spec] {
-        mark("fault:rogue_oscillator " + spec.device->name());
+      net::Device* dev = t.a;
+      sim_.schedule_at(spec.at, [this, spec, dev] {
+        mark("fault:rogue_oscillator " + spec.a);
         // The thermal walk would pull the oscillator back toward its old
         // frequency; a genuinely broken part stays broken.
-        spec.device->disable_drift();
-        spec.device->oscillator().set_ppm_at(sim_.now(), spec.magnitude);
-        watch_rogue(spec);
+        dev->disable_drift();
+        dev->oscillator().set_ppm_at(sim_.now(), spec.magnitude);
+        watch_rogue(spec, dev);
       });
       break;
     }
     case FaultKind::kPcieStorm: {
-      if (!spec.daemon) throw std::invalid_argument("chaos: pcie_storm without daemon");
       sim_.schedule_at(spec.at, [this, spec] {
         mark("fault:pcie_storm");
         spec.daemon->set_pcie_stress(spec.pcie_extra_per_leg, spec.pcie_spike_prob,
@@ -325,36 +352,33 @@ void ChaosEngine::schedule_fault(const FaultSpec& spec) {
       break;
     }
     case FaultKind::kGpsLoss: {
-      dtp::UtcSourceServer* srv = require_server(spec);
+      dtp::UtcSourceServer* srv = t.server;
       // Failover is measured from the *loss*, not the heal: the probe goes
       // valid only once every client is locked to a different source.
       sim_.schedule_at(spec.at, [this, spec, srv] {
-        mark("fault:gps_loss " + spec.device->name());
+        mark("fault:gps_loss " + spec.a);
         srv->set_down(true);
         ProbeResult seed = make_seed(spec, spec.at);
         start_hierarchy_probe(spec, std::move(seed), srv->params().period,
                               static_cast<int>(srv->params().source_id));
       });
       sim_.schedule_at(spec.at + spec.duration, [this, spec, srv] {
-        mark("heal:gps_restore " + spec.device->name());
+        mark("heal:gps_restore " + spec.a);
         srv->set_down(false);
       });
       break;
     }
     case FaultKind::kRogueGrandmaster: {
-      dtp::UtcSourceServer* srv = require_server(spec);
+      dtp::UtcSourceServer* srv = t.server;
       sim_.schedule_at(spec.at, [this, spec, srv] {
-        mark("fault:rogue_grandmaster " + spec.device->name());
+        mark("fault:rogue_grandmaster " + spec.a);
         srv->set_lie_ns(spec.magnitude);
         watch_rogue_gm(spec, srv);
       });
       break;
     }
     case FaultKind::kIslandPartition: {
-      if (hierarchy_ == nullptr)
-        throw std::invalid_argument(
-            "chaos: island_partition without a time hierarchy (set_hierarchy)");
-      Link* l = &require_link(spec);
+      Link* l = t.link;
       sim_.schedule_at(spec.at, [this, l] { take_link_down(*l); });
       sim_.schedule_at(spec.at + spec.duration, [this, l, spec] {
         bring_link_up(*l);
@@ -369,20 +393,19 @@ void ChaosEngine::schedule_fault(const FaultSpec& spec) {
       break;
     }
     case FaultKind::kStratumFlap: {
-      dtp::UtcSourceServer* srv = require_server(spec);
+      dtp::UtcSourceServer* srv = t.server;
       const int flaps = std::max(1, spec.count);
       for (int i = 0; i < flaps; ++i) {
         sim_.schedule_at(spec.at + i * spec.period, [this, spec, srv, i] {
           const bool degrade = (i % 2) == 0;
           const int s = degrade ? static_cast<int>(spec.magnitude)
                                 : srv->params().stratum;
-          mark("fault:stratum_flap " + spec.device->name() + " -> " +
-               std::to_string(s));
+          mark("fault:stratum_flap " + spec.a + " -> " + std::to_string(s));
           srv->set_stratum(s);
         });
       }
       sim_.schedule_at(spec.at + flaps * spec.period, [this, spec, srv] {
-        mark("heal:stratum_restore " + spec.device->name());
+        mark("heal:stratum_restore " + spec.a);
         srv->set_stratum(srv->params().stratum);
         start_hierarchy_probe(spec, make_seed(spec, sim_.now()),
                               srv->params().period, -1);
@@ -392,68 +415,68 @@ void ChaosEngine::schedule_fault(const FaultSpec& spec) {
     // Gray failures: impair one *direction* of a live cable (or one port's
     // counter register) without any link-down edge. The spec's a -> b order
     // picks the direction: cable dir 0 carries dev_a's transmissions, so the
-    // faulted direction is 0 exactly when spec.link_a owns the cable's a side.
+    // faulted direction is 0 exactly when device spec.a owns the cable's a side.
     case FaultKind::kAsymmetricDelay: {
-      Link* l = &require_link(spec);
-      const int dir = l->dev_a == spec.link_a ? 0 : 1;
+      Link* l = t.link;
+      const int dir = l->dev_a == t.a ? 0 : 1;
       sim_.schedule_at(spec.at, [this, l, dir, extra = spec.period] {
         mark("fault:asymmetric_delay " + l->dev_a->name() + "-" + l->dev_b->name());
         l->cable->set_extra_delay(dir, extra);
       });
-      sim_.schedule_at(spec.at + spec.duration, [this, l, dir, spec] {
+      sim_.schedule_at(spec.at + spec.duration, [this, l, dir, spec, t] {
         mark("heal:asymmetric_delay_clear " + l->dev_a->name() + "-" +
              l->dev_b->name());
         l->cable->set_extra_delay(dir, 0);
-        start_probe(spec, make_seed(spec, sim_.now()), {spec.link_a, spec.link_b});
+        start_probe(spec, make_seed(spec, sim_.now()), {t.a, t.b});
       });
       break;
     }
     case FaultKind::kLimpingPort: {
-      Link* l = &require_link(spec);
-      const int dir = l->dev_a == spec.link_a ? 0 : 1;
+      Link* l = t.link;
+      const int dir = l->dev_a == t.a ? 0 : 1;
       sim_.schedule_at(spec.at,
                        [this, l, dir, prob = spec.magnitude, stall = spec.period] {
         mark("fault:limping_port " + l->dev_a->name() + "-" + l->dev_b->name());
         l->cable->set_tx_stall(dir, prob, stall);
       });
-      sim_.schedule_at(spec.at + spec.duration, [this, l, dir, spec] {
+      sim_.schedule_at(spec.at + spec.duration, [this, l, dir, spec, t] {
         mark("heal:limping_port_clear " + l->dev_a->name() + "-" +
              l->dev_b->name());
         l->cable->set_tx_stall(dir, 0.0, 0);
-        start_probe(spec, make_seed(spec, sim_.now()), {spec.link_a, spec.link_b});
+        start_probe(spec, make_seed(spec, sim_.now()), {t.a, t.b});
       });
       break;
     }
     case FaultKind::kSilentCorruption: {
-      Link* l = &require_link(spec);
-      const int dir = l->dev_a == spec.link_a ? 0 : 1;
+      Link* l = t.link;
+      const int dir = l->dev_a == t.a ? 0 : 1;
       sim_.schedule_at(spec.at, [this, l, dir, prob = spec.magnitude] {
         mark("fault:silent_corruption " + l->dev_a->name() + "-" +
              l->dev_b->name());
         l->cable->set_silent_corrupt(dir, prob);
       });
-      sim_.schedule_at(spec.at + spec.duration, [this, l, dir, spec] {
+      sim_.schedule_at(spec.at + spec.duration, [this, l, dir, spec, t] {
         mark("heal:silent_corruption_clear " + l->dev_a->name() + "-" +
              l->dev_b->name());
         l->cable->set_silent_corrupt(dir, 0.0);
-        start_probe(spec, make_seed(spec, sim_.now()), {spec.link_a, spec.link_b});
+        start_probe(spec, make_seed(spec, sim_.now()), {t.a, t.b});
       });
       break;
     }
     case FaultKind::kFrozenCounter: {
-      Link* l = &require_link(spec);
-      // The stuck register lives on spec.link_a's port facing spec.link_b.
-      phy::PhyPort* port = l->dev_a == spec.link_a ? l->a : l->b;
+      Link* l = t.link;
+      // The stuck register lives on device spec.a's port facing spec.b.
+      phy::PhyPort* port = l->dev_a == t.a ? l->a : l->b;
       sim_.schedule_at(spec.at, [this, port, spec] {
-        mark("fault:frozen_counter " + spec.link_a->name());
+        mark("fault:frozen_counter " + spec.a);
         // Resolve at fire time: the agent may have been replaced since
         // scheduling (crash faults earlier in the plan).
         if (dtp::PortLogic* pl = port_logic_at(port)) pl->set_counter_frozen(true);
       });
-      sim_.schedule_at(spec.at + spec.duration, [this, port, spec] {
-        mark("heal:frozen_counter_thaw " + spec.link_a->name());
+      sim_.schedule_at(spec.at + spec.duration, [this, port, spec, t] {
+        mark("heal:frozen_counter_thaw " + spec.a);
         if (dtp::PortLogic* pl = port_logic_at(port)) pl->set_counter_frozen(false);
-        start_probe(spec, make_seed(spec, sim_.now()), {spec.link_a, spec.link_b});
+        start_probe(spec, make_seed(spec, sim_.now()), {t.a, t.b});
       });
       break;
     }
@@ -464,12 +487,9 @@ dtp::UtcSourceServer* ChaosEngine::require_server(const FaultSpec& spec) const {
   if (hierarchy_ == nullptr)
     throw std::invalid_argument(
         "chaos: source fault without a time hierarchy (set_hierarchy)");
-  if (!spec.device)
-    throw std::invalid_argument("chaos: source fault without a device");
-  dtp::UtcSourceServer* srv = hierarchy_->server_on(spec.device->name());
+  dtp::UtcSourceServer* srv = hierarchy_->server_on(spec.a);
   if (srv == nullptr)
-    throw std::invalid_argument("chaos: no time source server hosted on '" +
-                                spec.device->name() + "'");
+    throw std::invalid_argument("chaos: no time source server hosted on '" + spec.a + "'");
   return srv;
 }
 
@@ -536,13 +556,13 @@ void ChaosEngine::watch_rogue_gm(const FaultSpec& spec, dtp::UtcSourceServer* sr
 void ChaosEngine::rogue_gm_poll(const FaultSpec& spec, dtp::UtcSourceServer* srv,
                                 fs_t deadline) {
   if (rogue_gm_deselected(srv->params().source_id)) {
-    mark("rogue_gm_deselected " + spec.device->name());
+    mark("rogue_gm_deselected " + spec.a);
     // Quarantine observed: every client is locked to a truthful source.
     // After the operator reaction delay the grandmaster is fixed and the
     // hierarchy must settle again (it may legitimately re-select the healed
     // source — monotone serving covers the switch-back).
     sim_.schedule_at(sim_.now() + spec.period, [this, spec, srv] {
-      mark("heal:rogue_gm_fixed " + spec.device->name());
+      mark("heal:rogue_gm_fixed " + spec.a);
       srv->set_lie_ns(0.0);
       ProbeResult seed = make_seed(spec, sim_.now());
       seed.peer_isolated = true;
@@ -577,27 +597,27 @@ bool ChaosEngine::rogue_isolated(const net::Device& rogue) const {
   return any;
 }
 
-void ChaosEngine::watch_rogue(const FaultSpec& spec) {
+void ChaosEngine::watch_rogue(const FaultSpec& spec, net::Device* rogue) {
   const fs_t deadline = spec.at + spec.duration;
   sim_.schedule_at(sim_.now() + probe_sample_period(),
-                   [this, spec, deadline] { rogue_poll(spec, deadline); },
+                   [this, spec, rogue, deadline] { rogue_poll(spec, rogue, deadline); },
                    sim::EventCategory::kProbe);
 }
 
-void ChaosEngine::rogue_poll(const FaultSpec& spec, fs_t deadline) {
-  if (rogue_isolated(*spec.device)) {
-    mark("rogue_isolated " + spec.device->name());
+void ChaosEngine::rogue_poll(const FaultSpec& spec, net::Device* rogue, fs_t deadline) {
+  if (rogue_isolated(*rogue)) {
+    mark("rogue_isolated " + spec.a);
     // Quarantine observed. After the operator reaction delay, clear the
     // collateral quarantines (ports that tripped on jumps the rogue's
     // counter caused to *propagate*, before the direct neighbor cut it
     // off) and measure the healthy remainder reconverging.
-    sim_.schedule_at(sim_.now() + spec.period, [this, spec] {
-      remediate_collateral(*spec.device);
+    sim_.schedule_at(sim_.now() + spec.period, [this, spec, rogue] {
+      remediate_collateral(*rogue);
       ProbeResult seed = make_seed(spec, sim_.now());
       seed.peer_isolated = true;
       std::vector<net::Device*> affected;
       for (net::Device* dev : net_.devices())
-        if (dev != spec.device) affected.push_back(dev);
+        if (dev != rogue) affected.push_back(dev);
       start_probe(spec, std::move(seed), std::move(affected));
     });
     return;
@@ -611,7 +631,7 @@ void ChaosEngine::rogue_poll(const FaultSpec& spec, fs_t deadline) {
     return;
   }
   sim_.schedule_at(sim_.now() + probe_sample_period(),
-                   [this, spec, deadline] { rogue_poll(spec, deadline); },
+                   [this, spec, rogue, deadline] { rogue_poll(spec, rogue, deadline); },
                    sim::EventCategory::kProbe);
 }
 

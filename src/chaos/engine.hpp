@@ -75,7 +75,10 @@ class ChaosEngine {
   ChaosEngine& operator=(const ChaosEngine&) = delete;
 
   /// Schedule every fault in the plan onto the simulator. May be called
-  /// before or during a run; injection times must be in the future.
+  /// before or during a run; injection times must be in the future. Every
+  /// fault is resolved before any is scheduled: a device name this network
+  /// lacks, an uncabled pair, a source fault without its server, or a fault
+  /// ending past the fs_t range throws std::invalid_argument.
   void schedule(const FaultPlan& plan);
 
   /// The link between two devices, or nullptr if they are not cabled.
@@ -116,8 +119,16 @@ class ChaosEngine {
   void set_hierarchy(dtp::TimeHierarchy* hierarchy) { hierarchy_ = hierarchy; }
 
  private:
-  void schedule_fault(const FaultSpec& spec);
-  Link& require_link(const FaultSpec& spec);
+  /// A fault's names resolved against this network (null where unused).
+  struct Target {
+    net::Device* a = nullptr;
+    net::Device* b = nullptr;
+    Link* link = nullptr;
+    dtp::UtcSourceServer* server = nullptr;
+  };
+  Target resolve(const FaultSpec& spec);
+  net::Device* require_device(const std::string& name) const;
+  void schedule_fault(const FaultSpec& spec, const Target& t);
   /// Kick off a probe measuring `affected` devices against their neighbors.
   void start_probe(const FaultSpec& spec, ProbeResult seed,
                    std::vector<net::Device*> affected);
@@ -129,12 +140,12 @@ class ChaosEngine {
   ProbeSample neighbor_offsets(const std::vector<net::Device*>& affected) const;
   net::Device* owner_of(const phy::PhyPort* port) const;
   dtp::PortLogic* port_logic_at(phy::PhyPort* port) const;
-  void watch_rogue(const FaultSpec& spec);
-  void rogue_poll(const FaultSpec& spec, fs_t deadline);
+  void watch_rogue(const FaultSpec& spec, net::Device* rogue);
+  void rogue_poll(const FaultSpec& spec, net::Device* rogue, fs_t deadline);
   /// Operator remediation: clear every kFaulty port in the network except
   /// those facing the rogue device (which stays quarantined).
   void remediate_collateral(const net::Device& rogue);
-  /// The hierarchy server hosted on spec.device; throws without one.
+  /// The hierarchy server hosted on device spec.a; throws without one.
   dtp::UtcSourceServer* require_server(const FaultSpec& spec) const;
   /// Probe over the hierarchy's clients: every client must be kLocked (and,
   /// when `exclude_source` >= 0, locked to some *other* source) with served

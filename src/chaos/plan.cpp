@@ -3,6 +3,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "net/device.hpp"
+
 namespace dtpsim::chaos {
 
 namespace {
@@ -43,14 +45,49 @@ const char* fault_class_name(FaultKind kind) {
   return "?";
 }
 
+bool is_link_fault(FaultKind kind) {
+  switch (kind) {
+    case FaultKind::kLinkFlap:
+    case FaultKind::kFlapStorm:
+    case FaultKind::kPortFail:
+    case FaultKind::kBerBurst:
+    case FaultKind::kBeaconLoss:
+    case FaultKind::kIslandPartition:
+    case FaultKind::kAsymmetricDelay:
+    case FaultKind::kLimpingPort:
+    case FaultKind::kSilentCorruption:
+    case FaultKind::kFrozenCounter:
+      return true;
+    default:
+      return false;
+  }
+}
+
+fs_t fault_end(const FaultSpec& spec) {
+  fs_t span = spec.duration;
+  bool overflow = false;
+  if (spec.kind == FaultKind::kFlapStorm && spec.count > 1) {
+    fs_t flaps = 0;
+    overflow = __builtin_mul_overflow(static_cast<fs_t>(spec.count - 1), spec.period, &flaps) ||
+               __builtin_add_overflow(flaps, spec.duration, &span);
+  } else if (spec.kind == FaultKind::kStratumFlap) {
+    overflow = __builtin_mul_overflow(static_cast<fs_t>(spec.count), spec.period, &span);
+  }
+  fs_t end = 0;
+  if (overflow || __builtin_add_overflow(spec.at, span, &end))
+    throw std::invalid_argument(std::string("chaos: ") + fault_class_name(spec.kind) +
+                                " fault ends past the fs_t range");
+  return end;
+}
+
 FaultSpec FaultSpec::link_flap(net::Device& a, net::Device& b, fs_t at,
                                fs_t down_for) {
   FaultSpec s;
   s.kind = FaultKind::kLinkFlap;
   s.at = at;
   s.duration = down_for;
-  s.link_a = &a;
-  s.link_b = &b;
+  s.a = a.name();
+  s.b = b.name();
   return s;
 }
 
@@ -62,8 +99,8 @@ FaultSpec FaultSpec::flap_storm(net::Device& a, net::Device& b, fs_t at,
   s.duration = down_for;
   s.count = flaps;
   s.period = flap_period;
-  s.link_a = &a;
-  s.link_b = &b;
+  s.a = a.name();
+  s.b = b.name();
   return s;
 }
 
@@ -73,8 +110,8 @@ FaultSpec FaultSpec::port_fail(net::Device& a, net::Device& b, fs_t at,
   s.kind = FaultKind::kPortFail;
   s.at = at;
   s.duration = down_for;
-  s.link_a = &a;
-  s.link_b = &b;
+  s.a = a.name();
+  s.b = b.name();
   return s;
 }
 
@@ -85,8 +122,8 @@ FaultSpec FaultSpec::ber_burst(net::Device& a, net::Device& b, fs_t at,
   s.at = at;
   s.duration = window;
   s.magnitude = ber;
-  s.link_a = &a;
-  s.link_b = &b;
+  s.a = a.name();
+  s.b = b.name();
   return s;
 }
 
@@ -97,8 +134,8 @@ FaultSpec FaultSpec::beacon_loss(net::Device& a, net::Device& b, fs_t at,
   s.at = at;
   s.duration = window;
   s.magnitude = drop;
-  s.link_a = &a;
-  s.link_b = &b;
+  s.a = a.name();
+  s.b = b.name();
   return s;
 }
 
@@ -107,7 +144,7 @@ FaultSpec FaultSpec::node_crash(net::Device& dev, fs_t at, fs_t down_for) {
   s.kind = FaultKind::kNodeCrash;
   s.at = at;
   s.duration = down_for;
-  s.device = &dev;
+  s.a = dev.name();
   return s;
 }
 
@@ -119,7 +156,7 @@ FaultSpec FaultSpec::rogue_oscillator(net::Device& dev, fs_t at, double ppm,
   s.duration = detect_deadline;
   s.period = remediation_delay;
   s.magnitude = ppm;
-  s.device = &dev;
+  s.a = dev.name();
   return s;
 }
 
@@ -143,7 +180,7 @@ FaultSpec FaultSpec::gps_loss(net::Device& server_host, fs_t at, fs_t down_for) 
   s.kind = FaultKind::kGpsLoss;
   s.at = at;
   s.duration = down_for;
-  s.device = &server_host;
+  s.a = server_host.name();
   return s;
 }
 
@@ -156,7 +193,7 @@ FaultSpec FaultSpec::rogue_grandmaster(net::Device& server_host, fs_t at,
   s.duration = detect_deadline;
   s.period = remediation_delay;
   s.magnitude = lie_ns;
-  s.device = &server_host;
+  s.a = server_host.name();
   return s;
 }
 
@@ -166,8 +203,8 @@ FaultSpec FaultSpec::island_partition(net::Device& a, net::Device& b, fs_t at,
   s.kind = FaultKind::kIslandPartition;
   s.at = at;
   s.duration = down_for;
-  s.link_a = &a;
-  s.link_b = &b;
+  s.a = a.name();
+  s.b = b.name();
   return s;
 }
 
@@ -179,7 +216,7 @@ FaultSpec FaultSpec::stratum_flap(net::Device& server_host, fs_t at, int flaps,
   s.count = flaps;
   s.period = flap_period;
   s.magnitude = alt_stratum;
-  s.device = &server_host;
+  s.a = server_host.name();
   return s;
 }
 
@@ -193,8 +230,8 @@ FaultSpec FaultSpec::asymmetric_delay(net::Device& a, net::Device& b, fs_t at,
   s.at = at;
   s.duration = window;
   s.period = extra_delay;
-  s.link_a = &a;
-  s.link_b = &b;
+  s.a = a.name();
+  s.b = b.name();
   return s;
 }
 
@@ -210,8 +247,8 @@ FaultSpec FaultSpec::limping_port(net::Device& a, net::Device& b, fs_t at,
   s.duration = window;
   s.magnitude = stall_prob;
   s.period = stall;
-  s.link_a = &a;
-  s.link_b = &b;
+  s.a = a.name();
+  s.b = b.name();
   return s;
 }
 
@@ -224,8 +261,8 @@ FaultSpec FaultSpec::silent_corruption(net::Device& a, net::Device& b, fs_t at,
   s.at = at;
   s.duration = window;
   s.magnitude = prob;
-  s.link_a = &a;
-  s.link_b = &b;
+  s.a = a.name();
+  s.b = b.name();
   return s;
 }
 
@@ -236,8 +273,8 @@ FaultSpec FaultSpec::frozen_counter(net::Device& a, net::Device& b, fs_t at,
   s.kind = FaultKind::kFrozenCounter;
   s.at = at;
   s.duration = window;
-  s.link_a = &a;
-  s.link_b = &b;
+  s.a = a.name();
+  s.b = b.name();
   return s;
 }
 

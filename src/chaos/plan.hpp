@@ -8,8 +8,10 @@
 /// plan can be built declaratively, printed, and replayed deterministically
 /// (injection times are simulator times; all randomness inside a fault, e.g.
 /// which bits a BER burst flips, comes from the simulator's seeded RNG
-/// streams). The `ChaosEngine` turns specs into scheduled events and hangs a
-/// `RecoveryProbe` off each one.
+/// streams). It names its devices, so the same spec is a line of a repro file
+/// (chaos/serialize.hpp) and an entry of a plan. The `ChaosEngine` resolves
+/// the names against its network, turns specs into scheduled events and hangs
+/// a `RecoveryProbe` off each one.
 
 #include <cstdint>
 #include <string>
@@ -56,6 +58,9 @@ enum class FaultKind : std::uint8_t {
 /// Stable snake_case identifier per class (JSON keys, report rows).
 const char* fault_class_name(FaultKind kind);
 
+/// True for the classes that fault a cable, named by both of its ends.
+bool is_link_fault(FaultKind kind);
+
 /// One planned fault. Only the fields relevant to `kind` are used; the
 /// named constructors below fill exactly those.
 struct FaultSpec {
@@ -63,14 +68,15 @@ struct FaultSpec {
   fs_t at = 0;        ///< injection time (simulator time)
   fs_t duration = 0;  ///< outage/window length (per flap, for storms)
 
-  // Link faults: the cable between these two devices.
-  net::Device* link_a = nullptr;
-  net::Device* link_b = nullptr;
+  // The faulted devices, by name (every topology builder assigns names
+  // deterministically). Link faults name the cable's ends in `a` and `b`;
+  // the a -> b order picks the direction a gray fault impairs. Node and
+  // source faults name their device in `a`; PCIe storms name none.
+  std::string a;
+  std::string b;
 
-  // Node faults (crash / rogue oscillator).
-  net::Device* device = nullptr;
-
-  // PCIe storms.
+  // PCIe storms (a daemon is host software, not a named device, so a storm
+  // cannot be written to a repro file).
   dtp::Daemon* daemon = nullptr;
   fs_t pcie_extra_per_leg = 0;
   double pcie_spike_prob = 0;
@@ -86,6 +92,8 @@ struct FaultSpec {
   fs_t probe_timeout = 0;
 
   std::string label;  ///< free-form tag carried into the report
+
+  bool operator==(const FaultSpec&) const = default;
 
   // --- Named constructors ---------------------------------------------------
 
@@ -184,6 +192,11 @@ struct FaultSpec {
   static FaultSpec frozen_counter(net::Device& a, net::Device& b, fs_t at,
                                   fs_t window);
 };
+
+/// When the fault's last injected perturbation ends (storms: the final
+/// flap; stratum flaps: the restoring toggle). Throws std::invalid_argument
+/// when that time does not fit fs_t.
+fs_t fault_end(const FaultSpec& spec);
 
 /// An ordered batch of faults. Order is cosmetic — each spec carries its own
 /// absolute injection time.

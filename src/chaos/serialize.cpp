@@ -5,8 +5,6 @@
 #include <unordered_map>
 
 #include "common/parse.hpp"
-#include "net/device.hpp"
-#include "net/topology.hpp"
 
 namespace dtpsim::chaos {
 
@@ -27,84 +25,13 @@ FaultKind kind_from_name(const std::string& name) {
   throw std::invalid_argument("chaos::serialize: unknown fault kind '" + name + "'");
 }
 
-bool is_link_fault(FaultKind k) {
-  switch (k) {
-    case FaultKind::kLinkFlap:
-    case FaultKind::kFlapStorm:
-    case FaultKind::kPortFail:
-    case FaultKind::kBerBurst:
-    case FaultKind::kBeaconLoss:
-    case FaultKind::kIslandPartition:
-    case FaultKind::kAsymmetricDelay:
-    case FaultKind::kLimpingPort:
-    case FaultKind::kSilentCorruption:
-    case FaultKind::kFrozenCounter:
-      return true;
-    default:
-      return false;
-  }
-}
-
 }  // namespace
 
-FaultDescriptor describe(const FaultSpec& spec) {
-  if (spec.kind == FaultKind::kPcieStorm)
+std::string fault_to_line(const FaultSpec& d) {
+  if (d.kind == FaultKind::kPcieStorm)
     throw std::invalid_argument(
         "chaos::serialize: pcie_storm targets a daemon, not a named device; "
         "it cannot be serialized");
-  FaultDescriptor d;
-  d.kind = spec.kind;
-  if (is_link_fault(spec.kind)) {
-    if (spec.link_a == nullptr || spec.link_b == nullptr)
-      throw std::invalid_argument("chaos::serialize: link fault without endpoints");
-    d.a = spec.link_a->name();
-    d.b = spec.link_b->name();
-  } else {
-    if (spec.device == nullptr)
-      throw std::invalid_argument("chaos::serialize: node fault without a device");
-    d.a = spec.device->name();
-  }
-  d.at = spec.at;
-  d.duration = spec.duration;
-  d.count = spec.count;
-  d.period = spec.period;
-  d.magnitude = spec.magnitude;
-  d.probe_threshold_ticks = spec.probe_threshold_ticks;
-  d.probe_sample_period = spec.probe_sample_period;
-  d.probe_timeout = spec.probe_timeout;
-  d.label = spec.label;
-  return d;
-}
-
-FaultSpec realize(const FaultDescriptor& d, net::Network& net) {
-  FaultSpec spec;
-  spec.kind = d.kind;
-  auto resolve = [&net](const std::string& name) {
-    net::Device* dev = net.find_device(name);
-    if (dev == nullptr)
-      throw std::invalid_argument("chaos::serialize: no device named '" + name +
-                                  "' in this topology");
-    return dev;
-  };
-  if (is_link_fault(d.kind)) {
-    spec.link_a = resolve(d.a);
-    spec.link_b = resolve(d.b);
-  } else {
-    spec.device = resolve(d.a);
-  }
-  spec.at = d.at;
-  spec.duration = d.duration;
-  spec.count = d.count;
-  spec.period = d.period;
-  spec.magnitude = d.magnitude;
-  spec.probe_threshold_ticks = d.probe_threshold_ticks;
-  spec.probe_sample_period = d.probe_sample_period;
-  spec.probe_timeout = d.probe_timeout;
-  spec.label = d.label;
-  return spec;
-}
-
-std::string fault_to_line(const FaultDescriptor& d) {
   std::ostringstream out;
   out << "fault kind=" << fault_class_name(d.kind) << " a=" << d.a;
   if (is_link_fault(d.kind)) out << " b=" << d.b;
@@ -118,7 +45,7 @@ std::string fault_to_line(const FaultDescriptor& d) {
   return out.str();
 }
 
-FaultDescriptor fault_from_line(const std::string& line) {
+FaultSpec fault_from_line(const std::string& line) {
   std::istringstream in(line);
   std::string word;
   if (!(in >> word) || word != "fault")
@@ -161,7 +88,7 @@ FaultDescriptor fault_from_line(const std::string& line) {
     return v;
   };
 
-  FaultDescriptor d;
+  FaultSpec d;
   d.kind = kind_from_name(take("kind"));
   d.a = take("a");
   if (is_link_fault(d.kind)) d.b = take("b");
@@ -179,34 +106,8 @@ FaultDescriptor fault_from_line(const std::string& line) {
 
   if (!kv.empty())
     throw std::invalid_argument("chaos::serialize: unknown key '" + kv.begin()->first + "'");
+  fault_end(d);  // throws if the fault would end past the fs_t range
   return d;
-}
-
-std::string plan_to_text(const FaultPlan& plan) {
-  std::string out = "dtp-chaos-plan v1\n";
-  for (const FaultSpec& spec : plan.faults) out += fault_to_line(describe(spec)) + "\n";
-  out += "end\n";
-  return out;
-}
-
-FaultPlan plan_from_text(const std::string& text, net::Network& net) {
-  std::istringstream in(text);
-  std::string line;
-  if (!std::getline(in, line) || line != "dtp-chaos-plan v1")
-    throw std::invalid_argument("chaos::serialize: missing 'dtp-chaos-plan v1' header");
-  FaultPlan plan;
-  bool terminated = false;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    if (line == "end") {
-      terminated = true;
-      break;
-    }
-    plan.add(realize(fault_from_line(line), net));
-  }
-  if (!terminated)
-    throw std::invalid_argument("chaos::serialize: plan text missing 'end' footer");
-  return plan;
 }
 
 }  // namespace dtpsim::chaos

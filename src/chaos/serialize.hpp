@@ -1,19 +1,16 @@
 #pragma once
 
 /// \file serialize.hpp
-/// FaultPlan <-> text: the repro-file backbone (DESIGN.md §10).
+/// FaultSpec <-> text: the fault lines of a repro file (DESIGN.md §10).
 ///
-/// A `FaultSpec` holds device pointers; the serialized form replaces them
-/// with device *names*, which every topology builder assigns
-/// deterministically, so a plan written on one build of a topology resolves
-/// on any other build of the same topology. The grammar is line-based
-/// key=value, versioned, and strict: unknown keys, unknown kinds, and
-/// unresolvable device names are errors, never guesses.
+/// A `FaultSpec` names its devices, and every topology builder assigns
+/// names deterministically, so a fault written on one build of a topology
+/// resolves on any other build of the same topology. The grammar is one
+/// line of key=value pairs, and strict: unknown keys, unknown kinds, and
+/// numbers that do not fit their field are errors, never guesses.
 ///
-///   dtp-chaos-plan v1
 ///   fault kind=link_flap a=S1 b=S4 at=900000000000 dur=150000000000
 ///         count=1 period=0 mag=0
-///   end
 ///
 /// (one physical line per fault; the wrap above is typographic).
 /// `label` is optional and, when present, must be the last key — its value
@@ -23,49 +20,15 @@
 
 #include "chaos/plan.hpp"
 
-namespace dtpsim::net {
-class Network;
-}
-
 namespace dtpsim::chaos {
 
-/// Name-based mirror of `FaultSpec` — what actually goes on disk. Equality
-/// is field-wise, which makes round-trip tests exact.
-struct FaultDescriptor {
-  FaultKind kind = FaultKind::kLinkFlap;
-  std::string a;  ///< link endpoint / faulted device name
-  std::string b;  ///< second link endpoint (link faults only)
-  fs_t at = 0;
-  fs_t duration = 0;
-  int count = 1;
-  fs_t period = 0;
-  double magnitude = 0;
-  double probe_threshold_ticks = 0;
-  fs_t probe_sample_period = 0;
-  fs_t probe_timeout = 0;
-  std::string label;
-
-  bool operator==(const FaultDescriptor&) const = default;
-};
-
-/// Pointer form -> name form. Throws std::invalid_argument for kPcieStorm
-/// (a daemon is host software, not a named network device — PCIe storms are
-/// scripted, not serialized).
-FaultDescriptor describe(const FaultSpec& spec);
-
-/// Name form -> pointer form, resolving names through `net`. Throws
-/// std::invalid_argument if a named device does not exist.
-FaultSpec realize(const FaultDescriptor& d, net::Network& net);
-
-/// One "fault ..." line (no trailing newline).
-std::string fault_to_line(const FaultDescriptor& d);
+/// One "fault ..." line (no trailing newline). Throws std::invalid_argument
+/// for kPcieStorm: a storm targets a daemon, which has no device name.
+std::string fault_to_line(const FaultSpec& spec);
 
 /// Parse one "fault ..." line. Throws std::invalid_argument on malformed
-/// input: missing/duplicate/unknown keys, bad numbers, unknown kind.
-FaultDescriptor fault_from_line(const std::string& line);
-
-/// Whole-plan serialization with the versioned header/footer shown above.
-std::string plan_to_text(const FaultPlan& plan);
-FaultPlan plan_from_text(const std::string& text, net::Network& net);
+/// input: missing/duplicate/unknown keys, bad numbers, unknown kind, or a
+/// fault whose end (fault_end) does not fit fs_t.
+FaultSpec fault_from_line(const std::string& line);
 
 }  // namespace dtpsim::chaos

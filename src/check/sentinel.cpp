@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <unordered_map>
 
 #include "dtp/daemon.hpp"
 #include "dtp/hierarchy.hpp"
@@ -67,56 +66,9 @@ struct Sentinel::WatchdogMon {
   bool was_disabled = false;
 };
 
-namespace {
-
-/// Hop diameter of the cabled device graph (double BFS from node 0).
-std::size_t cable_diameter(net::Network& net) {
-  // Build adjacency by walking cables through port ownership.
-  std::unordered_map<const phy::PhyPort*, std::size_t> owner;
-  std::vector<net::Device*> devs = net.devices();
-  for (std::size_t i = 0; i < devs.size(); ++i)
-    for (std::size_t p = 0; p < devs[i]->port_count(); ++p)
-      owner[&devs[i]->port(p)] = i;
-  std::vector<std::vector<std::size_t>> adj(devs.size());
-  for (const auto& cable : net.cables()) {
-    if (!cable->connected()) continue;
-    auto a = owner.find(&cable->port_a());
-    auto b = owner.find(&cable->port_b());
-    if (a == owner.end() || b == owner.end()) continue;
-    adj[a->second].push_back(b->second);
-    adj[b->second].push_back(a->second);
-  }
-  if (devs.empty()) return 0;
-  auto farthest = [&adj](std::size_t from) {
-    std::vector<int> dist(adj.size(), -1);
-    dist[from] = 0;
-    std::vector<std::size_t> frontier{from};
-    std::size_t last = from;
-    while (!frontier.empty()) {
-      std::vector<std::size_t> next;
-      for (std::size_t u : frontier)
-        for (std::size_t v : adj[u])
-          if (dist[v] < 0) {
-            dist[v] = dist[u] + 1;
-            next.push_back(v);
-            last = v;
-          }
-      frontier = std::move(next);
-    }
-    return std::pair<std::size_t, int>(last, dist[last]);
-  };
-  const auto [far, d0] = farthest(0);
-  (void)d0;
-  const auto [far2, d] = farthest(far);
-  (void)far2;
-  return static_cast<std::size_t>(std::max(d, 0));
-}
-
-}  // namespace
-
 Sentinel::Sentinel(net::Network& net, dtp::DtpNetwork& dtp, SentinelParams params)
     : net_(net), dtp_(dtp), params_(params) {
-  diameter_hops_ = params_.diameter_hops ? params_.diameter_hops : cable_diameter(net_);
+  diameter_hops_ = net::hop_diameter(net_);
   offset_bound_ticks_ = params_.offset_bound_ticks > 0.0
                             ? params_.offset_bound_ticks
                             : 4.0 * static_cast<double>(diameter_hops_) + 1.0;

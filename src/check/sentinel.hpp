@@ -66,11 +66,10 @@ struct SentinelParams {
   /// Ground-truth sampling cadence. The per-block probes are continuous;
   /// this only paces the device-list walk.
   fs_t sample_period = from_us(5);
-  /// Pairwise offset bound in ticks; 0 = 4 * diameter + 1 (the 4TD claim
-  /// plus the one-tick sampling/phase quantum bench_fig6a also allows).
+  /// Pairwise offset bound in ticks; 0 = 4 * D + 1, with D the network's
+  /// exact hop diameter (net::hop_diameter): the 4TD claim plus the one-tick
+  /// sampling/phase quantum bench_fig6a also allows.
   double offset_bound_ticks = 0.0;
-  /// Hop diameter used for the default bound; 0 = BFS over the cables.
-  std::size_t diameter_hops = 0;
   /// Consecutive all-synced samples before the offset monitor arms.
   int settle_samples = 8;
   /// Slack added to the FIFO crossing bound, as a fraction of one period

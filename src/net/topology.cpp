@@ -1,5 +1,6 @@
 #include "net/topology.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <unordered_map>
 
@@ -144,43 +145,15 @@ RandomTreeTopology build_random_tree(Network& net, std::uint64_t shape_seed,
   if (n_switches == 0) throw std::invalid_argument("build_random_tree: need >= 1 switch");
   RandomTreeTopology topo;
   Rng shape(shape_seed);
-  std::vector<std::vector<std::size_t>> adj(n_switches);
   for (std::size_t i = 0; i < n_switches; ++i)
     topo.switches.push_back(&net.add_switch("sw" + std::to_string(i)));
-  for (std::size_t i = 1; i < n_switches; ++i) {
-    const std::size_t parent = shape.uniform(i);
-    net.connect(*topo.switches[parent], *topo.switches[i]);
-    adj[parent].push_back(i);
-    adj[i].push_back(parent);
-  }
+  for (std::size_t i = 1; i < n_switches; ++i)
+    net.connect(*topo.switches[shape.uniform(i)], *topo.switches[i]);
   for (std::size_t i = 0; i < n_hosts; ++i) {
     Host& h = net.add_host("h" + std::to_string(i));
     net.connect(*topo.switches[shape.uniform(n_switches)], h);
     topo.hosts.push_back(&h);
   }
-  // Switch-tree diameter by double BFS; hosts add one hop at each end.
-  auto farthest = [&adj, n_switches](std::size_t from) {
-    std::vector<int> dist(n_switches, -1);
-    dist[from] = 0;
-    std::vector<std::size_t> frontier{from};
-    std::size_t last = from;
-    while (!frontier.empty()) {
-      std::vector<std::size_t> next;
-      for (std::size_t u : frontier)
-        for (std::size_t v : adj[u])
-          if (dist[v] < 0) {
-            dist[v] = dist[u] + 1;
-            next.push_back(v);
-            last = v;
-          }
-      frontier = std::move(next);
-    }
-    return std::pair<std::size_t, std::size_t>(last, static_cast<std::size_t>(dist[last]));
-  };
-  const auto [far, _] = farthest(0);
-  const auto [far2, d] = farthest(far);
-  (void)far2;
-  topo.diameter_hops = d + (n_hosts > 0 ? 2 : 0);
   return topo;
 }
 
@@ -230,9 +203,6 @@ FatTreeTopology build_fat_tree(Network& net, const FatTreeParams& params) {
   FatTreeTopology topo;
   topo.k = k;
   topo.pods = pods;
-  // Any cross-pod host pair needs host-edge-agg-core-agg-edge-host; inside
-  // one pod two edge switches meet at an agg, so the worst path is 4 hops.
-  topo.diameter_hops = pods > 1 ? 6 : 4;
 
   // Reserve everything ahead: construction is O(n), no vector (or partition
   // registry) reallocation while cabling.
@@ -280,6 +250,48 @@ FatTreeTopology build_fat_tree(Network& net, const FatTreeParams& params) {
 
 FatTreeTopology build_fat_tree(Network& net, int k, int hosts_per_edge) {
   return build_fat_tree(net, FatTreeParams{k, hosts_per_edge, -1});
+}
+
+std::vector<std::pair<Device*, Device*>> cabled_devices(const Network& net) {
+  std::unordered_map<const phy::PhyPort*, Device*> owner;
+  for (Device* d : net.devices())
+    for (std::size_t p = 0; p < d->port_count(); ++p) owner[&d->port(p)] = d;
+  std::vector<std::pair<Device*, Device*>> pairs;
+  pairs.reserve(net.cables().size());
+  for (const auto& cable : net.cables())
+    if (cable->connected())
+      pairs.emplace_back(owner.at(&cable->port_a()), owner.at(&cable->port_b()));
+  return pairs;
+}
+
+std::size_t hop_diameter(const Network& net) {
+  const std::vector<Device*> devices = net.devices();
+  const std::size_t n = devices.size();
+  std::unordered_map<const Device*, std::size_t> index;
+  for (std::size_t i = 0; i < n; ++i) index[devices[i]] = i;
+  std::vector<std::vector<std::size_t>> adj(n);
+  for (const auto& [a, b] : cabled_devices(net)) {
+    adj[index[a]].push_back(index[b]);
+    adj[index[b]].push_back(index[a]);
+  }
+  // One BFS per source; the last device a BFS reaches is its farthest.
+  constexpr std::size_t kUnreached = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> dist(n), order(n);
+  std::size_t diameter = 0;
+  for (std::size_t src = 0; src < n; ++src) {
+    std::fill(dist.begin(), dist.end(), kUnreached);
+    dist[src] = 0;
+    order[0] = src;
+    std::size_t reached = 1;
+    for (std::size_t head = 0; head < reached; ++head)
+      for (std::size_t v : adj[order[head]])
+        if (dist[v] == kUnreached) {
+          dist[v] = dist[order[head]] + 1;
+          order[reached++] = v;
+        }
+    diameter = std::max(diameter, dist[order[reached - 1]]);
+  }
+  return diameter;
 }
 
 }  // namespace dtpsim::net

@@ -20,6 +20,7 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "net/host.hpp"
@@ -139,7 +140,6 @@ ChainTopology build_chain(Network& net, std::size_t n_switches);
 struct RandomTreeTopology {
   std::vector<Switch*> switches;
   std::vector<Host*> hosts;
-  std::size_t diameter_hops = 0;  ///< longest shortest path, in hops
 };
 RandomTreeTopology build_random_tree(Network& net, std::uint64_t shape_seed,
                                      std::size_t n_switches, std::size_t n_hosts);
@@ -168,8 +168,7 @@ struct FatTreeParams {
 };
 struct FatTreeTopology {
   int k = 0;
-  int pods = 0;           ///< pods actually built
-  int diameter_hops = 0;  ///< graph diameter (6 multi-pod, 4 single-pod)
+  int pods = 0;  ///< pods actually built
   std::vector<Switch*> core;
   std::vector<Switch*> agg;    ///< pod-major order
   std::vector<Switch*> edge;   ///< pod-major order
@@ -182,5 +181,16 @@ struct FatTreeTopology {
 /// are cut (partition.hpp).
 FatTreeTopology build_fat_tree(Network& net, const FatTreeParams& params);
 FatTreeTopology build_fat_tree(Network& net, int k, int hosts_per_edge = -1);
+
+/// Every connected cable as the pair of devices it joins, in the order the
+/// cables were made, each pair oriented as cabled (port_a's device first).
+std::vector<std::pair<Device*, Device*>> cabled_devices(const Network& net);
+
+/// The network's hop diameter D, the D of the paper's 4TD bound (§3.3): the
+/// longest shortest path, in cables, between any two devices, by a BFS from
+/// every device (exact on any graph, unlike a double BFS, which is exact only
+/// on trees). Disconnected cables do not count; pairs with no path are
+/// ignored.
+std::size_t hop_diameter(const Network& net);
 
 }  // namespace dtpsim::net

@@ -20,7 +20,7 @@ namespace dtpsim::phy {
 /// Parameters for the drift random walk.
 struct DriftParams {
   double bound_ppm = kMaxPpm;     ///< reflecting bound on |ppm|
-  double step_ppm = 0.5;          ///< max step magnitude per update
+  double step_ppm = 0.01;         ///< max step magnitude per update
   fs_t update_interval = from_ms(10);  ///< how often the walk steps
 };
 

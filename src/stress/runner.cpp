@@ -4,14 +4,8 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "chaos/serialize.hpp"
-
 namespace dtpsim::stress {
 
-namespace {
-
-/// Build the spec's topology into `net` and return the hosts that can
-/// source/sink traffic (switch-only shapes return empty).
 std::vector<net::Host*> build_topology(net::Network& net, const StressSpec& s) {
   switch (s.topo) {
     case TopoKind::kChain: {
@@ -29,6 +23,8 @@ std::vector<net::Host*> build_topology(net::Network& net, const StressSpec& s) {
   }
   throw std::invalid_argument("stress: unknown topology kind");
 }
+
+namespace {
 
 void start_traffic(net::Network& net, const std::vector<net::Host*>& hosts,
                    const StressSpec& s) {
@@ -53,10 +49,6 @@ Scenario resolve(const StressSpec& spec) {
   Scenario s;
   s.net.ppm_spread = spec.ppm_spread;
   s.net.enable_drift = spec.enable_drift;
-  if (spec.enable_drift) {
-    s.net.drift.step_ppm = 0.01;
-    s.net.drift.update_interval = from_ms(10);
-  }
   s.net.cable.propagation_delay = spec.propagation_delay;
   // INIT's delay measurement must not queue behind an in-flight data frame
   // right after a replug (see MacParams::data_holdoff).
@@ -67,8 +59,7 @@ Scenario resolve(const StressSpec& spec) {
   s.topology = [spec](net::Network& net) { return build_topology(net, spec); };
   s.load = [spec](Campaign& c) { start_traffic(c.net(), c.hosts(), spec); };
   // Multi-source hierarchy: a stratum-1 GPS source on the first host, a
-  // stratum-2 island source on the last, clients everywhere in between
-  // (mirrored by hier_server_hosts for the generator's fault targeting).
+  // stratum-2 island source on the last, clients everywhere in between.
   if (spec.hier) {
     s.hierarchy = [](Campaign& c) {
       if (c.hosts().size() < 3)
@@ -79,11 +70,7 @@ Scenario resolve(const StressSpec& spec) {
     s.holdover_ceiling = spec.hier_holdover_ceiling;
   }
   if (spec.gray) s.watchdog = dtp::WatchdogParams{};  // DESIGN.md §15
-  s.plan = [spec](Campaign& c) {
-    chaos::FaultPlan plan;
-    for (const auto& f : spec.faults) plan.add(chaos::realize(f, c.net()));
-    return plan;
-  };
+  s.plan = [spec](Campaign&) { return chaos::FaultPlan{spec.faults}; };
   s.horizon = spec.horizon;
 
   check::SentinelParams sp;
@@ -91,8 +78,7 @@ Scenario resolve(const StressSpec& spec) {
   if (spec.offset_bound_ticks > 0) sp.offset_bound_ticks = spec.offset_bound_ticks;
   s.sentinel = sp;
   for (const auto& f : spec.faults)
-    s.blackouts.emplace_back(f.at - 2 * sp.sample_period,
-                             fault_end(f) + recovery_margin(f.kind));
+    s.blackouts.emplace_back(f.at - 2 * sp.sample_period, blackout_end(f));
   return s;
 }
 

@@ -34,11 +34,18 @@ struct CampaignResult {
   bool clean() const { return violations.empty(); }
 };
 
+/// Build the spec's topology into `net` and return its traffic hosts: the
+/// one function that turns a spec into a network (the generator reads its
+/// cables, names and hosts from it too). Throws std::invalid_argument for a
+/// shape the builders reject.
+std::vector<net::Host*> build_topology(net::Network& net, const StressSpec& spec);
+
 /// Execute one campaign. Deterministic: same spec -> same result (any
 /// thread count yields the same digest). Throws std::invalid_argument if
-/// the spec is internally inconsistent (e.g. a fault names a device the
-/// topology does not build) — the shrinker treats that as "candidate
-/// invalid", not as a failure. A non-null `obs` naming an output path
+/// the spec is internally inconsistent (a topology the builders reject, a
+/// fault naming a device or cable the topology does not build, a hierarchy
+/// on fewer than three hosts) — the shrinker treats that as "candidate
+/// invalid", not as a failure, and `dtpsim --repro` as a malformed file. A non-null `obs` naming an output path
 /// attaches trace/metrics (the CLI replays a failing campaign that way);
 /// std::runtime_error if such a file cannot be written.
 CampaignResult run_campaign(const StressSpec& spec, const ObsOptions* obs = nullptr);

@@ -50,7 +50,7 @@ void add_recovery_gates(std::vector<Gate>& gates, const std::string& cls) {
 
 const net::Device* rogue_device(Campaign& c) {
   for (const FaultSpec& f : c.plan().faults)
-    if (f.kind == chaos::FaultKind::kRogueOscillator) return f.device;
+    if (f.kind == chaos::FaultKind::kRogueOscillator) return c.net().find_device(f.a);
   return nullptr;
 }
 

@@ -58,7 +58,7 @@ std::vector<StressSpec> candidates(const StressSpec& s) {
   // chaos probes, not reproduce the violation).
   {
     fs_t floor = s.settle + from_us(200);
-    for (const auto& f : s.faults) floor = std::max(floor, fault_end(f) + from_us(200));
+    for (const auto& f : s.faults) floor = std::max(floor, chaos::fault_end(f) + from_us(200));
     const fs_t half = s.settle + (s.horizon - s.settle) / 2;
     if (half > floor && half < s.horizon) {
       StressSpec c = s;
@@ -68,7 +68,7 @@ std::vector<StressSpec> candidates(const StressSpec& s) {
   }
 
   // Shave the topology. Candidates that orphan a fault's named device fail
-  // to realize and are skipped by the caller.
+  // to resolve and are skipped by the caller.
   switch (s.topo) {
     case TopoKind::kChain:
       if (s.chain_switches > 1) {
@@ -129,7 +129,7 @@ ShrinkResult shrink(const StressSpec& spec, const CampaignResult& failure, int m
         cr = r.kind == check::InvariantKind::kDigestMismatch ? run_differential(c)
                                                              : run_campaign(c);
       } catch (const std::invalid_argument&) {
-        continue;  // candidate references a device it no longer builds
+        continue;  // candidate names a device or cable it no longer builds
       }
       if (has_kind(cr, r.kind)) {
         r.minimal = std::move(c);

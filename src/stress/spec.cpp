@@ -6,8 +6,10 @@
 #include <type_traits>
 #include <unordered_map>
 
+#include "chaos/serialize.hpp"
 #include "common/parse.hpp"
 #include "common/rng.hpp"
+#include "stress/runner.hpp"
 
 namespace dtpsim::stress {
 
@@ -28,61 +30,38 @@ TopoKind topo_from_name(const std::string& name) {
   throw std::invalid_argument("stress: unknown topology '" + name + "'");
 }
 
-std::size_t spec_device_count(const StressSpec& s) {
-  switch (s.topo) {
-    case TopoKind::kChain: return s.chain_switches + 2;
-    case TopoKind::kPaperTree: return 12;
-    case TopoKind::kRandomTree: return s.tree_switches + s.tree_hosts;
-    case TopoKind::kFatTree: {
-      const std::size_t half = s.fat_k / 2;
-      return half * half + 2 * s.fat_k * half + s.fat_k * half * s.fat_hosts_per_edge;
-    }
-  }
-  return 0;
-}
-
-std::size_t spec_host_count(const StressSpec& s) {
-  switch (s.topo) {
-    case TopoKind::kChain: return 2;
-    case TopoKind::kPaperTree: return 8;
-    case TopoKind::kRandomTree: return s.tree_hosts;
-    case TopoKind::kFatTree:
-      return s.fat_k * (s.fat_k / 2) * s.fat_hosts_per_edge;
-  }
-  return 0;
-}
-
-std::pair<std::string, std::string> hier_server_hosts(const StressSpec& s) {
-  // Kept in lockstep with build_topology in runner.cpp: the names of the
-  // first and last entries of each builder's host list.
-  switch (s.topo) {
-    case TopoKind::kChain: return {"left", "right"};
-    case TopoKind::kPaperTree: return {"S4", "S11"};
-    case TopoKind::kRandomTree:
-      return {"h0", "h" + std::to_string(s.tree_hosts - 1)};
-    case TopoKind::kFatTree: {
-      const std::uint32_t half = s.fat_k / 2;
-      return {"pod0-e0-h0",
-              "pod" + std::to_string(s.fat_k - 1) + "-e" +
-                  std::to_string(half - 1) + "-h" +
-                  std::to_string(s.fat_hosts_per_edge - 1)};
-    }
-  }
-  return {"", ""};
-}
-
-double spec_size(const StressSpec& s) {
-  double size = 1000.0 * static_cast<double>(s.faults.size());
-  for (const auto& f : s.faults) size += 50.0 * f.count;
-  size += 10.0 * static_cast<double>(spec_device_count(s));
-  size += static_cast<double>(s.horizon) / static_cast<double>(from_ms(1));
-  size += 2.0 * s.threads + s.n_flows + (s.bridged ? 2.0 : 0.0);
-  size += s.hier ? 25.0 : 0.0;  // shrinker: drop the hierarchy when it can
-  size += s.gray ? 25.0 : 0.0;  // ... and the watchdog
-  return size;
-}
-
 namespace {
+
+/// The spec's topology built into a scratch network: the generator and
+/// spec_size read cables, names and hosts from it instead of mirroring the
+/// builders.
+struct ScratchTopology {
+  sim::Simulator sim{0};
+  net::Network net{sim};
+  std::vector<net::Host*> hosts;
+
+  explicit ScratchTopology(const StressSpec& s) : hosts(build_topology(net, s)) {}
+};
+
+/// Reconvergence time granted after a fault ends before the offset monitor
+/// re-arms (crash/port-fail need INIT restart; link faults resync faster).
+fs_t recovery_margin(chaos::FaultKind kind) {
+  switch (kind) {
+    case chaos::FaultKind::kNodeCrash:
+    case chaos::FaultKind::kPortFail:
+      return from_us(1500);  // INIT restart + join propagation
+    case chaos::FaultKind::kAsymmetricDelay:
+    case chaos::FaultKind::kLimpingPort:
+    case chaos::FaultKind::kSilentCorruption:
+    case chaos::FaultKind::kFrozenCounter:
+      // The watchdog ladder runs past the heal: a pending exponential
+      // backoff (a few doublings of the 200us base), the re-INIT exchange,
+      // and a full clean probation before the port counts as recovered.
+      return from_ms(3);
+    default:
+      return from_ms(1);
+  }
+}
 
 using Fields = std::unordered_map<std::string, std::string>;
 
@@ -133,6 +112,17 @@ void expect_empty(const Fields& kv, const std::string& section) {
 }
 
 }  // namespace
+
+double spec_size(const StressSpec& s) {
+  double size = 1000.0 * static_cast<double>(s.faults.size());
+  for (const auto& f : s.faults) size += 50.0 * f.count;
+  size += 10.0 * static_cast<double>(ScratchTopology(s).net.devices().size());
+  size += static_cast<double>(s.horizon) / static_cast<double>(from_ms(1));
+  size += 2.0 * s.threads + s.n_flows + (s.bridged ? 2.0 : 0.0);
+  size += s.hier ? 25.0 : 0.0;  // shrinker: drop the hierarchy when it can
+  size += s.gray ? 25.0 : 0.0;  // ... and the watchdog
+  return size;
+}
 
 std::string to_text(const StressSpec& s) {
   std::ostringstream out;
@@ -246,108 +236,15 @@ StressSpec spec_from_text(const std::string& text) {
   if (s.threads == 0 || s.threads > 16)
     throw std::invalid_argument("stress: threads must be in [1, 16]");
   if (s.horizon <= s.settle) throw std::invalid_argument("stress: horizon must exceed settle");
-  if (s.hier && spec_host_count(s) < 3)
-    throw std::invalid_argument(
-        "stress: hier needs at least three hosts (two sources + a client)");
   return s;
 }
 
-namespace {
-
-using LinkList = std::vector<std::pair<std::string, std::string>>;
-
-/// The cable list each builder will create, by name — kept in lockstep with
-/// net::build_* so the generator can aim faults at real links without
-/// constructing a Network.
-LinkList links_of(const StressSpec& s) {
-  LinkList links;
-  auto sw = [](std::size_t i) { return "sw" + std::to_string(i); };
-  switch (s.topo) {
-    case TopoKind::kChain: {
-      std::string prev = "left";
-      for (std::uint32_t i = 0; i < s.chain_switches; ++i) {
-        links.emplace_back(prev, sw(i));
-        prev = sw(i);
-      }
-      links.emplace_back(prev, "right");
-      break;
-    }
-    case TopoKind::kPaperTree: {
-      for (int i = 1; i <= 3; ++i) links.emplace_back("S0", "S" + std::to_string(i));
-      const int agg_of[8] = {1, 1, 1, 2, 2, 3, 3, 3};
-      for (int i = 0; i < 8; ++i)
-        links.emplace_back("S" + std::to_string(agg_of[i]), "S" + std::to_string(i + 4));
-      break;
-    }
-    case TopoKind::kRandomTree: {
-      // Mirrors build_random_tree's use of Rng(shape_seed) exactly.
-      Rng shape(s.shape_seed);
-      for (std::size_t i = 1; i < s.tree_switches; ++i)
-        links.emplace_back(sw(shape.uniform(i)), sw(i));
-      for (std::size_t i = 0; i < s.tree_hosts; ++i)
-        links.emplace_back(sw(shape.uniform(s.tree_switches)), "h" + std::to_string(i));
-      break;
-    }
-    case TopoKind::kFatTree: {
-      const int k = static_cast<int>(s.fat_k), half = k / 2;
-      auto pod = [](int p, const char* role, int i) {
-        return "pod" + std::to_string(p) + "-" + role + std::to_string(i);
-      };
-      for (int p = 0; p < k; ++p) {
-        for (int a = 0; a < half; ++a)
-          for (int c = 0; c < half; ++c)
-            links.emplace_back(pod(p, "agg", a), "core" + std::to_string(a * half + c));
-        for (int e = 0; e < half; ++e) {
-          for (int a = 0; a < half; ++a) links.emplace_back(pod(p, "edge", e), pod(p, "agg", a));
-          for (int h = 0; h < static_cast<int>(s.fat_hosts_per_edge); ++h)
-            links.emplace_back(pod(p, "edge", e),
-                               pod(p, "e", e) + "-h" + std::to_string(h));
-        }
-      }
-      break;
-    }
-  }
-  return links;
-}
-
-std::vector<std::string> device_names_of(const StressSpec& s) {
-  std::vector<std::string> names;
-  LinkList links = links_of(s);
-  for (const auto& [a, b] : links) {
-    names.push_back(a);
-    names.push_back(b);
-  }
-  std::sort(names.begin(), names.end());
-  names.erase(std::unique(names.begin(), names.end()), names.end());
-  return names;
-}
-
-}  // namespace
-
-fs_t recovery_margin(chaos::FaultKind kind) {
-  switch (kind) {
-    case chaos::FaultKind::kNodeCrash:
-    case chaos::FaultKind::kPortFail:
-      return from_us(1500);  // INIT restart + join propagation
-    case chaos::FaultKind::kAsymmetricDelay:
-    case chaos::FaultKind::kLimpingPort:
-    case chaos::FaultKind::kSilentCorruption:
-    case chaos::FaultKind::kFrozenCounter:
-      // The watchdog ladder runs past the heal: a pending exponential
-      // backoff (a few doublings of the 200us base), the re-INIT exchange,
-      // and a full clean probation before the port counts as recovered.
-      return from_ms(3);
-    default:
-      return from_ms(1);
-  }
-}
-
-fs_t fault_end(const chaos::FaultDescriptor& f) {
-  if (f.kind == chaos::FaultKind::kFlapStorm && f.count > 1)
-    return f.at + static_cast<fs_t>(f.count - 1) * f.period + f.duration;
-  if (f.kind == chaos::FaultKind::kStratumFlap)
-    return f.at + static_cast<fs_t>(f.count) * f.period;  // restore toggle
-  return f.at + f.duration;
+fs_t blackout_end(const chaos::FaultSpec& f) {
+  fs_t end = 0;
+  if (__builtin_add_overflow(chaos::fault_end(f), recovery_margin(f.kind), &end))
+    throw std::invalid_argument(std::string("stress: ") + chaos::fault_class_name(f.kind) +
+                                " fault's blackout ends past the fs_t range");
+  return end;
 }
 
 StressSpec generate(std::uint64_t seed, std::uint32_t index, const StressLimits& limits) {
@@ -396,12 +293,19 @@ StressSpec generate(std::uint64_t seed, std::uint32_t index, const StressLimits&
 
   s.settle = from_ms(3);
 
-  const LinkList links = links_of(s);
-  const std::vector<std::string> names = device_names_of(s);
+  // Faults land on the topology as built: its cables in cabling order (a -> b
+  // as cabled), its device names sorted, and its host list.
+  const ScratchTopology topo(s);
+  std::vector<std::pair<std::string, std::string>> links;
+  for (const auto& [a, b] : net::cabled_devices(topo.net))
+    links.emplace_back(a->name(), b->name());
+  std::vector<std::string> names;
+  for (const net::Device* d : topo.net.devices()) names.push_back(d->name());
+  std::sort(names.begin(), names.end());
   const std::uint32_t n_faults = static_cast<std::uint32_t>(r.uniform(limits.max_faults + 1));
   fs_t last_recovery = s.settle;
   for (std::uint32_t i = 0; i < n_faults; ++i) {
-    chaos::FaultDescriptor f;
+    chaos::FaultSpec f;
     const fs_t at = s.settle + from_us(200) + from_ns(static_cast<std::int64_t>(r.uniform(600'000)));
     switch (r.uniform(6)) {
       case 0: {
@@ -461,7 +365,7 @@ StressSpec generate(std::uint64_t seed, std::uint32_t index, const StressLimits&
         break;
       }
     }
-    last_recovery = std::max(last_recovery, fault_end(f) + recovery_margin(f.kind));
+    last_recovery = std::max(last_recovery, blackout_end(f));
     s.faults.push_back(std::move(f));
   }
 
@@ -473,11 +377,11 @@ StressSpec generate(std::uint64_t seed, std::uint32_t index, const StressLimits&
 
   // Multi-source hierarchy slice: two competing sources plus clients, and
   // (half the time) one source-level fault aimed at the stratum-1 server.
-  if (limits.allow_hier && spec_host_count(s) >= 3 && r.bernoulli(0.25)) {
+  if (limits.allow_hier && topo.hosts.size() >= 3 && r.bernoulli(0.25)) {
     s.hier = true;
     if (s.faults.size() < limits.max_faults && r.bernoulli(0.5)) {
-      chaos::FaultDescriptor f;
-      f.a = hier_server_hosts(s).first;
+      chaos::FaultSpec f;
+      f.a = topo.hosts.front()->name();  // the stratum-1 source's host
       f.at = s.settle + from_us(300) +
              from_ns(static_cast<std::int64_t>(r.uniform(400'000)));
       if (r.bernoulli(0.5)) {
@@ -489,7 +393,7 @@ StressSpec generate(std::uint64_t seed, std::uint32_t index, const StressLimits&
         f.period = from_us(static_cast<std::int64_t>(80 + r.uniform(120)));
         f.magnitude = 5;  // alternate (worse) advertised stratum
       }
-      last_recovery = std::max(last_recovery, fault_end(f) + recovery_margin(f.kind));
+      last_recovery = std::max(last_recovery, blackout_end(f));
       s.faults.push_back(std::move(f));
     }
   }
@@ -503,7 +407,7 @@ StressSpec generate(std::uint64_t seed, std::uint32_t index, const StressLimits&
   if (limits.allow_gray && r.bernoulli(0.25)) {
     s.gray = true;
     if (s.faults.size() < limits.max_faults && r.bernoulli(0.5)) {
-      chaos::FaultDescriptor f;
+      chaos::FaultSpec f;
       const auto& [a, b] = links[r.uniform(links.size())];
       f.a = a;
       f.b = b;
@@ -528,7 +432,7 @@ StressSpec generate(std::uint64_t seed, std::uint32_t index, const StressLimits&
           f.kind = chaos::FaultKind::kFrozenCounter;
           break;
       }
-      last_recovery = std::max(last_recovery, fault_end(f) + recovery_margin(f.kind));
+      last_recovery = std::max(last_recovery, blackout_end(f));
       s.faults.push_back(std::move(f));
     }
   }

@@ -5,8 +5,8 @@
 ///
 /// A `StressSpec` is a fully self-contained description of one campaign:
 /// simulator seed, topology shape, oscillator population, traffic mix,
-/// thread count, fault schedule (name-based `chaos::FaultDescriptor`s), and
-/// sentinel overrides. `generate(seed, index)` samples one from a master
+/// thread count, fault schedule (`chaos::FaultSpec`s, which name their
+/// devices), and sentinel overrides. `generate(seed, index)` samples one from a master
 /// seed; `to_text`/`spec_from_text` round-trip it through the repro-file
 /// format that `dtpsim --repro=<file>` replays; and the shrinker mutates it
 /// toward a minimal failing case. Everything the run does is a pure
@@ -14,10 +14,9 @@
 
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
-#include "chaos/serialize.hpp"
+#include "chaos/plan.hpp"
 #include "common/time_units.hpp"
 
 namespace dtpsim::stress {
@@ -61,8 +60,8 @@ struct StressSpec {
   /// When set, the campaign runs a TimeHierarchy on top of DTP: a stratum-1
   /// GPS source on the first host, a stratum-2 upstream-island source on the
   /// last, and a HierarchyClient on every host in between. Requires a
-  /// topology with at least three hosts; `run_campaign` rejects the spec
-  /// otherwise. Source-level faults (gps_loss, stratum_flap, ...) in the
+  /// topology with at least three hosts; `run_campaign` throws
+  /// std::invalid_argument otherwise. Source-level faults (gps_loss, stratum_flap, ...) in the
   /// schedule below are only valid when this is on.
   bool hier = false;
   fs_t hier_holdover_ceiling = 0;  ///< 0 = HierarchyParams default
@@ -78,7 +77,7 @@ struct StressSpec {
   bool gray = false;
 
   // --- Fault schedule --------------------------------------------------------
-  std::vector<chaos::FaultDescriptor> faults;
+  std::vector<chaos::FaultSpec> faults;
 
   // --- Sentinel overrides (0 = defaults) ------------------------------------
   /// Deliberately tightened in the bug-surrogate tests to prove the
@@ -90,11 +89,8 @@ struct StressSpec {
 };
 
 /// Rough campaign cost metric the shrinker minimizes: faults dominate, then
-/// device count, then horizon/threads/flows.
+/// the built topology's device count, then horizon/threads/flows.
 double spec_size(const StressSpec& spec);
-
-/// Device count implied by the topology fields.
-std::size_t spec_device_count(const StressSpec& spec);
 
 /// Serialize to the versioned repro-file text ("dtpsim-stress-repro v1").
 std::string to_text(const StressSpec& spec);
@@ -115,23 +111,16 @@ struct StressLimits {
   bool allow_gray = true;
 };
 
-/// Host (traffic endpoint) count implied by the topology fields — the
-/// number of entries `run_campaign`'s topology builder will return.
-std::size_t spec_host_count(const StressSpec& spec);
-
-/// The hosts `run_campaign` puts the two time sources on when `spec.hier`
-/// is set: {first host, last host} of the builder's host list, by name.
-std::pair<std::string, std::string> hier_server_hosts(const StressSpec& spec);
-
-/// Deterministically sample campaign `index` of master seed `seed`.
+/// Deterministically sample campaign `index` of master seed `seed`. Faults
+/// are aimed at the spec's topology as `build_topology` builds it: its
+/// cables, its device names and its host list.
 StressSpec generate(std::uint64_t seed, std::uint32_t index,
                     const StressLimits& limits = {});
 
-/// When a fault's last injected perturbation ends (storms: the final flap).
-fs_t fault_end(const chaos::FaultDescriptor& f);
-
-/// Reconvergence time granted after a fault ends before the offset monitor
-/// re-arms (crash/port-fail need INIT restart; link faults resync faster).
-fs_t recovery_margin(chaos::FaultKind kind);
+/// When the sentinel's offset monitor re-arms after a fault: its end
+/// (chaos::fault_end) plus the reconvergence time its class needs (INIT
+/// restart for crash/port-fail, the watchdog ladder for gray faults).
+/// Throws std::invalid_argument past the fs_t range.
+fs_t blackout_end(const chaos::FaultSpec& f);
 
 }  // namespace dtpsim::stress

@@ -1,5 +1,6 @@
-// Round-trip and strictness tests for the chaos plan <-> text serializer —
-// the grammar every stress repro file embeds its fault schedule in.
+// Round-trip and strictness tests for the fault-line serializer — the
+// grammar every stress repro file writes its fault schedule in — and for
+// the engine's resolution of the names a FaultSpec carries.
 
 #include <gtest/gtest.h>
 
@@ -13,8 +14,8 @@ using namespace dtpsim;
 
 namespace {
 
-chaos::FaultDescriptor sample_descriptor() {
-  chaos::FaultDescriptor d;
+chaos::FaultSpec sample_spec() {
+  chaos::FaultSpec d;
   d.kind = chaos::FaultKind::kFlapStorm;
   d.a = "S1";
   d.b = "S4";
@@ -26,29 +27,37 @@ chaos::FaultDescriptor sample_descriptor() {
   return d;
 }
 
+/// Every fault of `plan` written as a line and parsed back.
+chaos::FaultPlan through_lines(const chaos::FaultPlan& plan) {
+  chaos::FaultPlan back;
+  for (const chaos::FaultSpec& f : plan.faults)
+    back.add(chaos::fault_from_line(chaos::fault_to_line(f)));
+  return back;
+}
+
 }  // namespace
 
 TEST(ChaosSerialize, FaultLineRoundTripsEveryField) {
-  chaos::FaultDescriptor d = sample_descriptor();
+  chaos::FaultSpec d = sample_spec();
   d.probe_threshold_ticks = 6.5;
   d.probe_sample_period = from_us(3);
   d.probe_timeout = from_ms(2);
   d.label = "a label with spaces";
 
-  const chaos::FaultDescriptor back = chaos::fault_from_line(chaos::fault_to_line(d));
+  const chaos::FaultSpec back = chaos::fault_from_line(chaos::fault_to_line(d));
   EXPECT_EQ(d, back);
 }
 
 TEST(ChaosSerialize, DoublesRoundTripBitExactly) {
-  chaos::FaultDescriptor d = sample_descriptor();
+  chaos::FaultSpec d = sample_spec();
   d.kind = chaos::FaultKind::kBerBurst;
   d.magnitude = 2.7182818284590452e-5;  // needs all 17 significant digits
-  const chaos::FaultDescriptor back = chaos::fault_from_line(chaos::fault_to_line(d));
+  const chaos::FaultSpec back = chaos::fault_from_line(chaos::fault_to_line(d));
   EXPECT_EQ(d.magnitude, back.magnitude);
 }
 
 TEST(ChaosSerialize, NodeFaultOmitsSecondEndpoint) {
-  chaos::FaultDescriptor d;
+  chaos::FaultSpec d;
   d.kind = chaos::FaultKind::kNodeCrash;
   d.a = "S7";
   d.at = from_ms(4);
@@ -56,6 +65,13 @@ TEST(ChaosSerialize, NodeFaultOmitsSecondEndpoint) {
   const std::string line = chaos::fault_to_line(d);
   EXPECT_EQ(line.find(" b="), std::string::npos) << line;
   EXPECT_EQ(d, chaos::fault_from_line(line));
+}
+
+TEST(ChaosSerialize, PcieStormIsNotSerializable) {
+  // A storm targets a daemon, which has no device name to write.
+  chaos::FaultSpec d;
+  d.kind = chaos::FaultKind::kPcieStorm;
+  EXPECT_THROW(chaos::fault_to_line(d), std::invalid_argument);
 }
 
 TEST(ChaosSerialize, MalformedLinesThrow) {
@@ -76,37 +92,40 @@ TEST(ChaosSerialize, MalformedLinesThrow) {
       "fault kind=link_flap a=x b=y at=+0 dur=0 count=1 period=0 mag=0",
       "fault kind=link_flap a=x b=y at=0 dur=0 count=1 period=0 mag=nan",
       "fault kind=link_flap a=x b=y at=9223372036854775808 dur=0 count=1 period=0 mag=0",
+      // Each value fits, but the fault's end (fault_end) does not.
+      "fault kind=link_flap a=x b=y at=9223372036854775807 dur=1 count=1 period=0 mag=0",
+      "fault kind=flap_storm a=x b=y at=1 dur=1 count=4 period=3074457345618258602 mag=0",
+      "fault kind=stratum_flap a=x at=0 dur=0 count=2 period=4611686018427387904 mag=5",
   };
   for (const char* line : bad)
     EXPECT_THROW(chaos::fault_from_line(line), std::invalid_argument) << line;
+  // The last representable end is fine.
+  EXPECT_NO_THROW(chaos::fault_from_line(
+      "fault kind=link_flap a=x b=y at=9223372036854775806 dur=1 count=1 period=0 mag=0"));
 }
 
 TEST(ChaosSerialize, PlanRoundTripsThroughALiveTopology) {
   sim::Simulator sim(11);
   net::Network net(sim);
   net::PaperTreeTopology topo = net::build_paper_tree(net);
+  dtp::DtpNetwork dtpn = dtp::enable_dtp(net);
 
   chaos::FaultPlan plan;
   plan.add(chaos::FaultSpec::link_flap(*topo.root, *topo.aggs[0], from_ms(3), from_us(80)));
   plan.add(chaos::FaultSpec::ber_burst(*topo.aggs[1], *topo.leaves[3], from_ms(4),
                                        from_us(150), 1e-5));
   plan.add(chaos::FaultSpec::node_crash(*topo.leaves[7], from_ms(5), from_us(250)));
+  // The named constructors store the devices' names.
+  EXPECT_EQ(plan.faults[0].a, "S0");
+  EXPECT_EQ(plan.faults[0].b, "S1");
+  EXPECT_EQ(plan.faults[2].a, "S11");
+  EXPECT_EQ(plan.faults[2].b, "");
 
-  const std::string text = chaos::plan_to_text(plan);
-  chaos::FaultPlan back = chaos::plan_from_text(text, net);
-
-  ASSERT_EQ(back.size(), plan.size());
-  for (std::size_t i = 0; i < plan.size(); ++i) {
-    EXPECT_EQ(back.faults[i].kind, plan.faults[i].kind);
-    EXPECT_EQ(back.faults[i].link_a, plan.faults[i].link_a);
-    EXPECT_EQ(back.faults[i].link_b, plan.faults[i].link_b);
-    EXPECT_EQ(back.faults[i].device, plan.faults[i].device);
-    EXPECT_EQ(back.faults[i].at, plan.faults[i].at);
-    EXPECT_EQ(back.faults[i].duration, plan.faults[i].duration);
-    EXPECT_EQ(back.faults[i].magnitude, plan.faults[i].magnitude);
-  }
-  // Serializing the parsed plan reproduces the text byte for byte.
-  EXPECT_EQ(chaos::plan_to_text(back), text);
+  const chaos::FaultPlan back = through_lines(plan);
+  EXPECT_EQ(back.faults, plan.faults);
+  // The parsed plan resolves against the live network.
+  chaos::ChaosEngine engine(net, dtpn, {});
+  EXPECT_NO_THROW(engine.schedule(back));
 }
 
 TEST(ChaosSerialize, SourceFaultsRoundTripThroughALiveTopology) {
@@ -126,25 +145,13 @@ TEST(ChaosSerialize, SourceFaultsRoundTripThroughALiveTopology) {
   plan.add(chaos::FaultSpec::stratum_flap(*topo.leaves[3], from_ms(11), 4,
                                           from_us(200), 5));
 
-  const std::string text = chaos::plan_to_text(plan);
+  std::string text;
+  for (const chaos::FaultSpec& f : plan.faults) text += chaos::fault_to_line(f) + "\n";
   for (const char* name :
        {"gps_loss", "rogue_grandmaster", "island_partition", "stratum_flap"})
     EXPECT_NE(text.find(std::string("kind=") + name), std::string::npos) << text;
 
-  chaos::FaultPlan back = chaos::plan_from_text(text, net);
-  ASSERT_EQ(back.size(), plan.size());
-  for (std::size_t i = 0; i < plan.size(); ++i) {
-    EXPECT_EQ(back.faults[i].kind, plan.faults[i].kind);
-    EXPECT_EQ(back.faults[i].device, plan.faults[i].device);
-    EXPECT_EQ(back.faults[i].link_a, plan.faults[i].link_a);
-    EXPECT_EQ(back.faults[i].link_b, plan.faults[i].link_b);
-    EXPECT_EQ(back.faults[i].at, plan.faults[i].at);
-    EXPECT_EQ(back.faults[i].duration, plan.faults[i].duration);
-    EXPECT_EQ(back.faults[i].count, plan.faults[i].count);
-    EXPECT_EQ(back.faults[i].period, plan.faults[i].period);
-    EXPECT_EQ(back.faults[i].magnitude, plan.faults[i].magnitude);
-  }
-  EXPECT_EQ(chaos::plan_to_text(back), text);
+  EXPECT_EQ(through_lines(plan).faults, plan.faults);
 }
 
 TEST(ChaosSerialize, SourceFaultStrictness) {
@@ -180,25 +187,13 @@ TEST(ChaosSerialize, GrayFaultsRoundTripThroughALiveTopology) {
   plan.faults.back().label = "gray:frozen_counter";
   plan.faults.back().probe_timeout = from_ms(5);
 
-  const std::string text = chaos::plan_to_text(plan);
+  std::string text;
+  for (const chaos::FaultSpec& f : plan.faults) text += chaos::fault_to_line(f) + "\n";
   for (const char* name : {"asymmetric_delay", "limping_port", "silent_corruption",
                            "frozen_counter"})
     EXPECT_NE(text.find(std::string("kind=") + name), std::string::npos) << text;
 
-  chaos::FaultPlan back = chaos::plan_from_text(text, net);
-  ASSERT_EQ(back.size(), plan.size());
-  for (std::size_t i = 0; i < plan.size(); ++i) {
-    EXPECT_EQ(back.faults[i].kind, plan.faults[i].kind);
-    EXPECT_EQ(back.faults[i].link_a, plan.faults[i].link_a);
-    EXPECT_EQ(back.faults[i].link_b, plan.faults[i].link_b);
-    EXPECT_EQ(back.faults[i].at, plan.faults[i].at);
-    EXPECT_EQ(back.faults[i].duration, plan.faults[i].duration);
-    EXPECT_EQ(back.faults[i].period, plan.faults[i].period);
-    EXPECT_EQ(back.faults[i].magnitude, plan.faults[i].magnitude);
-    EXPECT_EQ(back.faults[i].label, plan.faults[i].label);
-    EXPECT_EQ(back.faults[i].probe_timeout, plan.faults[i].probe_timeout);
-  }
-  EXPECT_EQ(chaos::plan_to_text(back), text);
+  EXPECT_EQ(through_lines(plan).faults, plan.faults);
 }
 
 TEST(ChaosSerialize, GrayKindsRejectMisspellingsAndMissingEndpoints) {
@@ -221,20 +216,17 @@ TEST(ChaosSerialize, GrayKindsRejectMisspellingsAndMissingEndpoints) {
 TEST(ChaosSerialize, UnresolvableDeviceNameThrows) {
   sim::Simulator sim(12);
   net::Network net(sim);
-  net::build_paper_tree(net);
+  net::PaperTreeTopology topo = net::build_paper_tree(net);
+  dtp::DtpNetwork dtpn = dtp::enable_dtp(net);
+  chaos::ChaosEngine engine(net, dtpn, {});
 
-  chaos::FaultDescriptor d = sample_descriptor();
-  d.a = "S99";
-  EXPECT_THROW(chaos::realize(d, net), std::invalid_argument);
-}
-
-TEST(ChaosSerialize, PlanTextRequiresHeaderAndFooter) {
-  sim::Simulator sim(13);
-  net::Network net(sim);
-  net::build_paper_tree(net);
-
-  EXPECT_THROW(chaos::plan_from_text("dtp-chaos-plan v2\nend\n", net),
-               std::invalid_argument);
-  EXPECT_THROW(chaos::plan_from_text("dtp-chaos-plan v1\n", net), std::invalid_argument);
-  EXPECT_NO_THROW(chaos::plan_from_text("dtp-chaos-plan v1\nend\n", net));
+  // A valid fault ahead of one naming a device this topology lacks: the
+  // schedule throws before either is scheduled.
+  chaos::FaultPlan plan;
+  plan.add(chaos::FaultSpec::link_flap(*topo.root, *topo.aggs[0], from_ms(3), from_us(80)));
+  chaos::FaultSpec unknown = sample_spec();
+  unknown.a = "S99";
+  plan.add(unknown);
+  EXPECT_THROW(engine.schedule(plan), std::invalid_argument);
+  EXPECT_TRUE(engine.all_probes_done()) << "nothing may be scheduled";
 }

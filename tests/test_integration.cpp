@@ -26,8 +26,6 @@ TEST(Integration, EverythingAtOnce) {
   sim::Simulator sim(777);
   net::NetworkParams np;
   np.enable_drift = true;
-  np.drift.step_ppm = 0.01;
-  np.drift.update_interval = 10_ms;
   net::Network net(sim, np);
   auto tree = net::build_paper_tree(net);
 

@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <unordered_map>
+
+#include "check/sentinel.hpp"
+#include "common/rng.hpp"
+#include "dtp/network.hpp"
 #include "net/topology.hpp"
 #include "sim/simulator.hpp"
 
@@ -326,6 +332,94 @@ TEST(TopologyTest, ExplicitPpmHonored) {
   Network net(sim);
   auto& h = net.add_host("h", 42.0);
   EXPECT_NEAR(h.oscillator().ppm(), 42.0, 0.2);
+}
+
+TEST(HopDiameter, FatTreeSlices) {
+  struct Case {
+    int k, pods;
+    std::size_t diameter;
+  };
+  // One pod: edge switches meet at an agg (4 hops between hosts). Two or
+  // more: host-edge-agg-core-agg-edge-host (6). k=2 with one pod is the
+  // chain core-agg-edge-host (3).
+  for (const Case c : {Case{4, 1, 4}, Case{4, 2, 6}, Case{4, 4, 6}, Case{2, 1, 3}}) {
+    sim::Simulator sim(70);
+    Network net(sim);
+    build_fat_tree(net, FatTreeParams{c.k, -1, c.pods});
+    EXPECT_EQ(hop_diameter(net), c.diameter) << "k=" << c.k << " pods=" << c.pods;
+  }
+}
+
+TEST(HopDiameter, StarChainAndPaperTree) {
+  {
+    sim::Simulator sim(71);
+    Network net(sim);
+    build_star(net, 5);
+    EXPECT_EQ(hop_diameter(net), 2u);
+  }
+  for (std::size_t d = 1; d <= 6; ++d) {
+    sim::Simulator sim(72);
+    Network net(sim);
+    build_chain(net, d - 1);
+    EXPECT_EQ(hop_diameter(net), d);
+  }
+  sim::Simulator sim(73);
+  Network net(sim);
+  build_paper_tree(net);
+  EXPECT_EQ(hop_diameter(net), 4u);
+}
+
+TEST(HopDiameter, MatchesFloydWarshall) {
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    sim::Simulator sim(seed);
+    Network net(sim);
+    Rng rng(seed * 31);
+    const std::size_t n_switches = 1 + rng.uniform(10);
+    const RandomTreeTopology topo =
+        build_random_tree(net, seed, n_switches, rng.uniform(8));
+    // Odd seeds add cross links, so graphs with cycles are covered too.
+    for (int i = 0; seed % 2 == 1 && n_switches > 1 && i < 3; ++i) {
+      const std::size_t a = rng.uniform(n_switches);
+      const std::size_t b = (a + 1 + rng.uniform(n_switches - 1)) % n_switches;
+      net.connect(*topo.switches[a], *topo.switches[b]);
+    }
+
+    // Reference: Floyd-Warshall over the port peers.
+    const std::vector<Device*> devs = net.devices();
+    const std::size_t n = devs.size();
+    std::unordered_map<const phy::PhyPort*, std::size_t> owner;
+    for (std::size_t i = 0; i < n; ++i)
+      for (std::size_t p = 0; p < devs[i]->port_count(); ++p) owner[&devs[i]->port(p)] = i;
+    constexpr std::size_t kInf = 1 << 20;
+    std::vector<std::vector<std::size_t>> dist(n, std::vector<std::size_t>(n, kInf));
+    for (std::size_t i = 0; i < n; ++i) {
+      dist[i][i] = 0;
+      for (std::size_t p = 0; p < devs[i]->port_count(); ++p)
+        if (const phy::PhyPort* peer = devs[i]->port(p).peer())
+          dist[i][owner.at(peer)] = std::min<std::size_t>(dist[i][owner.at(peer)], 1);
+    }
+    for (std::size_t k = 0; k < n; ++k)
+      for (std::size_t i = 0; i < n; ++i)
+        for (std::size_t j = 0; j < n; ++j)
+          dist[i][j] = std::min(dist[i][j], dist[i][k] + dist[k][j]);
+    std::size_t expected = 0;
+    for (const auto& row : dist)
+      for (std::size_t d : row)
+        if (d < kInf) expected = std::max(expected, d);
+    EXPECT_EQ(hop_diameter(net), expected) << "seed " << seed;
+  }
+}
+
+TEST(HopDiameter, SentinelBoundsAFatTreeByItsTrueDiameter) {
+  // A double BFS from core0 ends on a core and reads D=4 (bound 17 ticks);
+  // hosts in different pods are 6 hops apart.
+  sim::Simulator sim(74);
+  Network net(sim);
+  build_fat_tree(net, 4, 1);
+  dtp::DtpNetwork dtpn = dtp::enable_dtp(net);
+  const check::Sentinel sentinel(net, dtpn);
+  EXPECT_EQ(sentinel.diameter_hops(), 6u);
+  EXPECT_DOUBLE_EQ(sentinel.offset_bound_ticks(), 25.0);
 }
 
 }  // namespace

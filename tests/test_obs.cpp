@@ -250,7 +250,7 @@ stress::StressSpec obs_spec(std::uint32_t threads) {
   s.settle = from_ms(3);
   s.horizon = from_ms(5);
 
-  chaos::FaultDescriptor flap;
+  chaos::FaultSpec flap;
   flap.kind = chaos::FaultKind::kLinkFlap;
   flap.a = "S0";
   flap.b = "S2";

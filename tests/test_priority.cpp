@@ -113,8 +113,6 @@ TEST(Priority, PrioritizedPtpResistsCongestion) {
     sim::Simulator sim(405);
     NetworkParams np = prio_params(2);
     np.enable_drift = true;
-    np.drift.step_ppm = 0.01;
-    np.drift.update_interval = from_ms(10);
     Network net(sim, np);
     auto star = build_star(net, 4);
     ptp::GrandmasterParams gp;

@@ -141,8 +141,6 @@ struct PtpFixture {
   static net::NetworkParams make_params() {
     net::NetworkParams np;
     np.enable_drift = true;
-    np.drift.step_ppm = 0.01;  // gentle thermal wander
-    np.drift.update_interval = from_ms(10);
     return np;
   }
 

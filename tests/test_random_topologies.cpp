@@ -5,8 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <queue>
-
 #include "dtp/network.hpp"
 #include "dtp_test_util.hpp"
 #include "net/topology.hpp"
@@ -18,7 +16,6 @@ using namespace dtpsim::literals;
 
 struct RandomTree {
   std::vector<net::Device*> devices;
-  std::vector<std::pair<std::size_t, std::size_t>> edges;
   std::size_t diameter_hops = 0;
 };
 
@@ -30,46 +27,14 @@ RandomTree build_random_tree(net::Network& net, Rng& rng, std::size_t n_switches
   for (std::size_t i = 0; i < n_switches; ++i) {
     switches.push_back(&net.add_switch("sw" + std::to_string(i)));
     tree.devices.push_back(switches.back());
-    if (i > 0) {
-      const std::size_t parent = rng.uniform(i);
-      net.connect(*switches[parent], *switches[i]);
-      tree.edges.emplace_back(parent, i);
-    }
+    if (i > 0) net.connect(*switches[rng.uniform(i)], *switches[i]);
   }
   for (std::size_t i = 0; i < n_switches; ++i) {
     auto& host = net.add_host("h" + std::to_string(i));
     net.connect(*switches[i], host);
-    tree.edges.emplace_back(i, tree.devices.size());
     tree.devices.push_back(&host);
   }
-
-  // Hop diameter by double BFS over the device graph.
-  const std::size_t n = tree.devices.size();
-  std::vector<std::vector<std::size_t>> adj(n);
-  for (auto [a, b] : tree.edges) {
-    adj[a].push_back(b);
-    adj[b].push_back(a);
-  }
-  auto bfs = [&](std::size_t start) {
-    std::vector<int> dist(n, -1);
-    std::queue<std::size_t> q;
-    dist[start] = 0;
-    q.push(start);
-    std::size_t far = start;
-    while (!q.empty()) {
-      const std::size_t u = q.front();
-      q.pop();
-      for (std::size_t v : adj[u])
-        if (dist[v] < 0) {
-          dist[v] = dist[u] + 1;
-          if (dist[v] > dist[far]) far = v;
-          q.push(v);
-        }
-    }
-    return std::pair<std::size_t, std::size_t>(far, static_cast<std::size_t>(dist[far]));
-  };
-  const auto [far, _] = bfs(0);
-  tree.diameter_hops = bfs(far).second;
+  tree.diameter_hops = net::hop_diameter(net);
   return tree;
 }
 
@@ -80,8 +45,6 @@ TEST_P(RandomTrees, FourTDBoundHolds) {
   sim::Simulator sim(seed);
   net::NetworkParams np;
   np.enable_drift = true;
-  np.drift.step_ppm = 0.01;
-  np.drift.update_interval = from_ms(10);
   net::Network net(sim, np);
   Rng shape_rng(seed * 7919);
   const std::size_t n_switches = 2 + shape_rng.uniform(6);

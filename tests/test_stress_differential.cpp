@@ -36,16 +36,15 @@ stress::StressSpec hier_flap_spec(std::uint32_t threads) {
   // across thread counts.
   stress::StressSpec s = differential_spec(threads);
   s.hier = true;
-  chaos::FaultDescriptor flap;
+  chaos::FaultSpec flap;
   flap.kind = chaos::FaultKind::kStratumFlap;
-  flap.a = stress::hier_server_hosts(s).first;
+  flap.a = "S4";  // the paper tree's first host
   flap.at = from_ms(3) + from_us(200);
   flap.count = 3;
   flap.period = from_us(150);
   flap.magnitude = 5;  // alternate (worse) advertised stratum
   s.faults.push_back(flap);
-  s.horizon =
-      stress::fault_end(flap) + stress::recovery_margin(flap.kind) + from_us(300);
+  s.horizon = stress::blackout_end(flap) + from_us(300);
   return s;
 }
 
@@ -67,7 +66,7 @@ TEST(StressDifferential, FourThreadWithFaultsMatchesSerial) {
   stress::StressSpec s = differential_spec(4);
   // A mid-run link flap plus a BER burst: fault handling itself must stay
   // deterministic across thread counts.
-  chaos::FaultDescriptor flap;
+  chaos::FaultSpec flap;
   flap.kind = chaos::FaultKind::kLinkFlap;
   flap.a = "S0";
   flap.b = "S2";
@@ -75,7 +74,7 @@ TEST(StressDifferential, FourThreadWithFaultsMatchesSerial) {
   flap.duration = from_us(80);
   s.faults.push_back(flap);
 
-  chaos::FaultDescriptor ber;
+  chaos::FaultSpec ber;
   ber.kind = chaos::FaultKind::kBerBurst;
   ber.a = "S1";
   ber.b = "S4";
@@ -84,7 +83,7 @@ TEST(StressDifferential, FourThreadWithFaultsMatchesSerial) {
   ber.magnitude = 1e-5;
   s.faults.push_back(ber);
 
-  s.horizon = stress::fault_end(ber) + stress::recovery_margin(ber.kind) + from_us(300);
+  s.horizon = stress::blackout_end(ber) + from_us(300);
 
   const stress::CampaignResult r = stress::run_differential(s);
   for (const auto& v : r.violations) ADD_FAILURE() << v.to_string();
@@ -111,7 +110,7 @@ TEST(StressDifferential, BridgedFourThreadWithFaultsMatchesExactSerial) {
   // Faults land inside bridged quiet spans: the flap exercises the purge /
   // bridge_cancel paths, the BER burst corrupts blocks riding as bridged
   // arrival steps.
-  chaos::FaultDescriptor flap;
+  chaos::FaultSpec flap;
   flap.kind = chaos::FaultKind::kLinkFlap;
   flap.a = "S0";
   flap.b = "S2";
@@ -119,7 +118,7 @@ TEST(StressDifferential, BridgedFourThreadWithFaultsMatchesExactSerial) {
   flap.duration = from_us(80);
   s.faults.push_back(flap);
 
-  chaos::FaultDescriptor ber;
+  chaos::FaultSpec ber;
   ber.kind = chaos::FaultKind::kBerBurst;
   ber.a = "S1";
   ber.b = "S4";
@@ -128,7 +127,7 @@ TEST(StressDifferential, BridgedFourThreadWithFaultsMatchesExactSerial) {
   ber.magnitude = 1e-5;
   s.faults.push_back(ber);
 
-  s.horizon = stress::fault_end(ber) + stress::recovery_margin(ber.kind) + from_us(300);
+  s.horizon = stress::blackout_end(ber) + from_us(300);
 
   const stress::CampaignResult r = stress::run_differential(s);
   for (const auto& v : r.violations) ADD_FAILURE() << v.to_string();
@@ -157,15 +156,14 @@ stress::StressSpec gray_spec(std::uint32_t threads) {
   // serial and threaded runs must agree bit for bit.
   stress::StressSpec s = differential_spec(threads);
   s.gray = true;
-  chaos::FaultDescriptor frozen;
+  chaos::FaultSpec frozen;
   frozen.kind = chaos::FaultKind::kFrozenCounter;
   frozen.a = "S4";
   frozen.b = "S1";
   frozen.at = from_ms(3) + from_us(200);
   frozen.duration = from_us(400);
   s.faults.push_back(frozen);
-  s.horizon = stress::fault_end(frozen) + stress::recovery_margin(frozen.kind) +
-              from_us(300);
+  s.horizon = stress::blackout_end(frozen) + from_us(300);
   return s;
 }
 

@@ -31,6 +31,7 @@
 #include <fstream>
 #include <initializer_list>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -39,6 +40,7 @@
 #include "apps/harness.hpp"
 #include "chaos/campaign.hpp"
 #include "check/sentinel.hpp"
+#include "common/parse.hpp"
 #include "dtp/network.hpp"
 #include "dtp/watchdog.hpp"
 #include "net/topology.hpp"
@@ -183,12 +185,19 @@ bool one_of(const std::string& v, std::initializer_list<const char*> allowed) {
   return false;
 }
 
-long long parse_int(const std::string& key, const std::string& v) {
-  char* end = nullptr;
-  const long long out = std::strtoll(v.c_str(), &end, 10);
-  if (v.empty() || end == nullptr || *end != '\0')
+/// An integer flag value that must fit `T`: text that is not an integer
+/// keeps its "is not an integer" message; a number outside T's range names
+/// the range (dtpsim::parse_int), never saturates or wraps.
+template <typename T>
+T parse_int(const std::string& key, const std::string& v) {
+  const std::size_t digits = v.rfind('-', 0) == 0 ? 1 : 0;
+  if (v.size() == digits || v.find_first_not_of("0123456789", digits) != std::string::npos)
     throw UsageError("--" + key + "=" + v + " is not an integer");
-  return out;
+  try {
+    return dtpsim::parse_int<T>("--" + key, v, std::numeric_limits<T>::min());
+  } catch (const std::invalid_argument& e) {
+    throw UsageError(e.what());
+  }
 }
 
 double parse_double(const std::string& key, const std::string& v) {
@@ -214,7 +223,7 @@ fs_t parse_duration_flag(const std::string& key, const std::string& v) {
 /// that doesn't spread evenly over the edge switches — is a UsageError, so
 /// a typo exits 2 instead of silently building a different fabric.
 void parse_fat_tree_spec(const std::string& spec, Options& o) {
-  long long k = -1, hosts = -1, pods = -1;
+  int k = -1, hosts = -1, pods = -1;
   if (spec.empty())
     throw UsageError("--topology=fat-tree: needs k=K,hosts=H");
   std::size_t start = 0;
@@ -227,7 +236,7 @@ void parse_fat_tree_spec(const std::string& spec, Options& o) {
       throw UsageError("--topology=fat-tree: bad item '" + item + "' (want key=value)");
     const std::string sk = item.substr(0, eq);
     const std::string sv = item.substr(eq + 1);
-    const long long n = parse_int("topology", sv);
+    const int n = parse_int<int>("topology", sv);
     if (sk == "k") k = n;
     else if (sk == "hosts") hosts = n;
     else if (sk == "pods") pods = n;
@@ -246,13 +255,13 @@ void parse_fat_tree_spec(const std::string& spec, Options& o) {
   if (pods < 1 || pods > k)
     throw UsageError("--topology=fat-tree: pods must be in [1, k], got " +
                      std::to_string(pods));
-  const long long edges = pods * (k / 2);
+  const long long edges = static_cast<long long>(pods) * (k / 2);  // < 2^62
   if (hosts < edges || hosts % edges != 0)
     throw UsageError("--topology=fat-tree: hosts must be a positive multiple of "
                      "pods*k/2 = " + std::to_string(edges) + ", got " +
                      std::to_string(hosts));
-  o.ft_k = static_cast<int>(k);
-  o.ft_pods = static_cast<int>(pods);
+  o.ft_k = k;
+  o.ft_pods = pods;
   o.ft_hosts_per_edge = static_cast<int>(hosts / edges);
   o.topology = "fattree";
 }
@@ -359,31 +368,31 @@ Options parse(int argc, char** argv) {
         throw UsageError("--app must be owd|lww|tdma, got '" + value + "'");
       o.app = value;
     } else if (key == "readers") {
-      const long long n = parse_int(key, value);
+      const long long n = parse_int<long long>(key, value);
       if (n < 0 || n > 4096) throw UsageError("--readers must be in [0, 4096]");
       o.readers = n;
     } else if (key == "nodes") {
-      const long long n = parse_int(key, value);
+      const long long n = parse_int<long long>(key, value);
       if (n < 2) throw UsageError("--nodes must be >= 2");
       o.nodes = static_cast<std::size_t>(n);
     } else if (key == "hops") {
-      const long long n = parse_int(key, value);
+      const long long n = parse_int<long long>(key, value);
       if (n < 1) throw UsageError("--hops must be >= 1");
       o.hops = static_cast<std::size_t>(n);
     } else if (key == "seconds") {
       o.seconds = parse_double(key, value);
       if (o.seconds <= 0) throw UsageError("--seconds must be positive");
     } else if (key == "seed") {
-      o.seed = static_cast<std::uint64_t>(parse_int(key, value));
+      o.seed = parse_int<std::uint64_t>(key, value);
     } else if (key == "beacon") {
-      o.beacon = parse_int(key, value);
+      o.beacon = parse_int<std::int64_t>(key, value);
       if (o.beacon < 8) throw UsageError("--beacon must be >= 8 ticks");
     } else if (key == "rate") {
       if (!one_of(value, {"1g", "10g", "40g", "100g"}))
         throw UsageError("--rate must be 1g|10g|40g|100g, got '" + value + "'");
       o.rate = value;
     } else if (key == "threads") {
-      const long long n = parse_int(key, value);
+      const long long n = parse_int<long long>(key, value);
       if (n < 1 || n > 64) throw UsageError("--threads must be in [1, 64]");
       o.threads = static_cast<unsigned>(n);
     } else if (key == "engine") {
@@ -391,7 +400,7 @@ Options parse(int argc, char** argv) {
         throw UsageError("--engine must be exact|bridged, got '" + value + "'");
       o.bridged = value == "bridged";
     } else if (key == "stress") {
-      const long long n = parse_int(key, value);
+      const long long n = parse_int<long long>(key, value);
       if (n < 1 || n > 1'000'000) throw UsageError("--stress must be in [1, 1000000]");
       o.stress = static_cast<std::uint32_t>(n);
     } else if (key == "repro") {
@@ -504,11 +513,10 @@ void engage_threads(sim::Simulator& sim, unsigned threads) {
 }
 
 /// The realized --topology, reduced to what the runners need: the host
-/// list, a root for master-tree mode, and the hop diameter for the 4TD bound.
+/// list and a root for master-tree mode.
 struct BuiltTopology {
   std::vector<net::Host*> hosts;
   net::Device* root = nullptr;
-  std::size_t diameter = 2;
 };
 
 BuiltTopology build_topology(net::Network& net, const Options& o) {
@@ -517,12 +525,10 @@ BuiltTopology build_topology(net::Network& net, const Options& o) {
     auto star = net::build_star(net, o.nodes);
     t.hosts = star.hosts;
     t.root = star.hub;
-    t.diameter = 2;
   } else if (o.topology == "chain") {
     auto chain = net::build_chain(net, o.hops > 0 ? o.hops - 1 : 0);
     t.hosts = {chain.left, chain.right};
     t.root = chain.left;
-    t.diameter = o.hops;
   } else if (o.topology == "fattree") {
     net::FatTreeParams fp;
     fp.k = o.ft_k;
@@ -531,12 +537,10 @@ BuiltTopology build_topology(net::Network& net, const Options& o) {
     auto ft = net::build_fat_tree(net, fp);
     t.hosts = ft.hosts;
     t.root = ft.core[0];
-    t.diameter = static_cast<std::size_t>(ft.diameter_hops);
   } else {  // tree (the paper's Fig. 5)
     auto tree = net::build_paper_tree(net);
     t.hosts = tree.leaves;
     t.root = tree.root;
-    t.diameter = 4;
   }
   return t;
 }
@@ -662,7 +666,10 @@ int run_stress(const Options& o) {
 }
 
 /// --repro=FILE: deterministic replay; the sentinel verdict is the exit
-/// status (0 clean, 1 violations; a malformed file is a usage error, 2).
+/// status (0 clean, 1 violations; a malformed file is a usage error, 2). A
+/// spec its own topology cannot run (a device or cable it does not build, a
+/// shape the builders reject) is malformed too: run_campaign's contract
+/// gives std::invalid_argument that meaning.
 int run_repro(const Options& o) {
   stress::StressSpec spec;
   try {
@@ -671,15 +678,19 @@ int run_repro(const Options& o) {
     throw UsageError(std::string("--repro: ") + e.what());
   }
   stress::CampaignResult r;
-  if (obs_requested(o)) {
-    // Observability changes the event schedule (snapshot events), so the
-    // differential serial-vs-parallel digest compare does not apply here.
-    const obs::SessionConfig oo = obs_config(o);
-    r = stress::run_campaign(spec, &oo);
-    report_obs_files(o);
-  } else {
-    r = spec.threads > 1 ? stress::run_differential(spec) : stress::run_campaign(spec);
+  try {
+    if (obs_requested(o)) {
+      // Observability changes the event schedule (snapshot events), so the
+      // differential serial-vs-parallel digest compare does not apply here.
+      const obs::SessionConfig oo = obs_config(o);
+      r = stress::run_campaign(spec, &oo);
+    } else {
+      r = spec.threads > 1 ? stress::run_differential(spec) : stress::run_campaign(spec);
+    }
+  } catch (const std::invalid_argument& e) {
+    throw UsageError(std::string("--repro: ") + e.what());
   }
+  if (obs_requested(o)) report_obs_files(o);
   std::printf("repro %s: threads=%u shards=%d events=%llu digest=%s\n", o.repro.c_str(),
               spec.threads, r.shards, static_cast<unsigned long long>(r.events_executed),
               r.digest.hex().c_str());
@@ -826,18 +837,14 @@ int run(const Options& o) {
   net::NetworkParams np;
   np.rate = parse_rate(o.rate);
   np.cable.ber = o.ber;
-  if (o.drift) {
-    np.enable_drift = true;
-    np.drift.step_ppm = 0.01;
-    np.drift.update_interval = from_ms(10);
-  }
+  np.enable_drift = o.drift;
   net::Network net(sim, np);
 
   // ---- Topology --------------------------------------------------------
   const BuiltTopology topo = build_topology(net, o);
   const std::vector<net::Host*>& hosts = topo.hosts;
   net::Device* tree_root = topo.root;
-  const std::size_t diameter = topo.diameter;
+  const std::size_t diameter = net::hop_diameter(net);
   std::printf("topology=%s devices=%zu hosts=%zu diameter=%zu hops rate=%s\n",
               o.topology.c_str(), net.devices().size(), hosts.size(), diameter,
               o.rate.c_str());
