@@ -16,7 +16,7 @@
 /// Emits BENCH_event_loop.json (fields documented in EXPERIMENTS.md) and
 /// verifies that both engines fire events in the identical order.
 ///
-///   bench_event_loop [--events=N] [--out=PATH]
+///   bench_event_loop [--events=N] [--json-out=PATH]
 
 #include <chrono>
 #include <cstdio>

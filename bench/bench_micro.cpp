@@ -122,7 +122,7 @@ int main(int argc, char** argv) {
   std::vector<char*> bench_argv;
   for (int i = 0; i < argc; ++i) {
     const std::string a = argv[i];
-    if (a.rfind("--json-out", 0) == 0 || a.rfind("--out", 0) == 0) continue;
+    if (a.rfind("--json-out", 0) == 0) continue;
     bench_argv.push_back(argv[i]);
   }
   int bench_argc = static_cast<int>(bench_argv.size());

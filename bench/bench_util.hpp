@@ -186,13 +186,10 @@ inline void print_sim_stats(const sim::Simulator& s) {
                 st.events_per_sec / 1e6, st.run_wall_seconds);
 }
 
-/// Destination for a harness's BENCH_*.json artifact: `--json-out=PATH`
-/// wins, then the older `--out=PATH` spelling, then `BENCH_<name>.json` in
-/// the working directory.
+/// Destination for a harness's BENCH_*.json artifact: `--json-out=PATH`, or
+/// `BENCH_<name>.json` in the working directory.
 inline std::string json_out_path(const Flags& flags, const std::string& name) {
-  const std::string explicit_path = flags.get_string("json-out", "");
-  if (!explicit_path.empty()) return explicit_path;
-  return flags.get_string("out", "BENCH_" + name + ".json");
+  return flags.get_string("json-out", "BENCH_" + name + ".json");
 }
 
 /// Incremental flat-JSON writer for the BENCH_*.json perf artifacts.

@@ -43,9 +43,9 @@ int main() {
   sim.run_until(until);
 
   const apps::OwdPairStats owd = harness.owd()->total();
-  const double budget_ns = hp.owd.network_bound_units * apps::ns_per_unit(harness.daemon(0));
+  const double budget_ns = apps::kNetworkBoundUnits * apps::ns_per_unit(harness.daemon(0));
   std::printf("OWD probes judged:       %llu (one per %.0f us)\n",
-              static_cast<unsigned long long>(owd.probes), to_ns_f(hp.owd.period) / 1e3);
+              static_cast<unsigned long long>(owd.probes), to_ns_f(apps::kOwdPeriod) / 1e3);
   std::printf("worst |measured - true|: %.1f ns\n", owd.worst_error_ns);
   std::printf("outside claimed budget:  %llu (both pages' uncertainty + %.0f ns of 4TD)\n",
               static_cast<unsigned long long>(owd.failures), budget_ns);

@@ -48,9 +48,9 @@ int main() {
 
   const apps::TdmaSenderStats tdma = harness.tdma()->total();
   const double unit_ns = apps::ns_per_unit(harness.daemon(0));
-  const double guard_ns = static_cast<double>(hp.tdma.guard_units) * unit_ns;
+  const double guard_ns = static_cast<double>(apps::kTdmaGuardUnits) * unit_ns;
   std::printf("three senders, %.1f us slots with %.1f us guard bands, %.0f ms of schedule\n\n",
-              static_cast<double>(hp.tdma.slot_units) * unit_ns / 1e3, guard_ns / 1e3,
+              static_cast<double>(apps::kTdmaSlotUnits) * unit_ns / 1e3, guard_ns / 1e3,
               to_ns_f(until - start) / 1e6);
   std::printf("DTP-synchronized slots:\n");
   std::printf("  frames sent:             %llu\n", static_cast<unsigned long long>(tdma.sends));

@@ -1,6 +1,7 @@
 #include "apps/harness.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <stdexcept>
 #include <string>
@@ -8,6 +9,9 @@
 namespace dtpsim::apps {
 
 namespace {
+/// Per-host TSC ppm errors; cycled when shorter than the host list.
+constexpr std::array<double, 8> kTscPpm = {17.0, -23.0, 9.0, -5.0, 21.0, -13.0, 3.0, -19.0};
+
 std::uint32_t next_pair_block(std::uint32_t n) {
   static std::uint32_t counter = 0;  // setup-time only
   const std::uint32_t base = counter + 1;
@@ -17,11 +21,9 @@ std::uint32_t next_pair_block(std::uint32_t n) {
 }  // namespace
 
 OwdApp::OwdApp(sim::Simulator& sim,
-               std::vector<std::pair<TimeService, TimeService>> pairs,
-               OwdAppParams params)
+               std::vector<std::pair<TimeService, TimeService>> pairs)
     : sim_(sim),
       pairs_(std::move(pairs)),
-      params_(params),
       stats_(pairs_.size()),
       seq_(pairs_.size(), 0),
       base_pair_id_(next_pair_block(static_cast<std::uint32_t>(pairs_.size()))) {
@@ -66,7 +68,7 @@ OwdApp::OwdApp(sim::Simulator& sim,
     };
 
     auto proc = std::make_unique<sim::PeriodicProcess>(
-        sim_, params_.period, [this, i] { send_probe(i); },
+        sim_, kOwdPeriod, [this, i] { send_probe(i); },
         sim::EventCategory::kApp);
     proc->set_affinity(src.host->node());
     senders_.push_back(std::move(proc));
@@ -78,9 +80,9 @@ void OwdApp::start(fs_t at) {
   for (std::size_t i = 0; i < senders_.size(); ++i) {
     // Spread pairs across one period so probes do not leave in one comb.
     const fs_t offset = static_cast<fs_t>(
-        (static_cast<__int128>(params_.period) * static_cast<fs_t>(i)) /
+        (static_cast<__int128>(kOwdPeriod) * static_cast<fs_t>(i)) /
         static_cast<fs_t>(senders_.size()));
-    senders_[i]->start_with_phase(at - now + offset + params_.period);
+    senders_[i]->start_with_phase(at - now + offset + kOwdPeriod);
   }
 }
 
@@ -95,8 +97,8 @@ void OwdApp::send_probe(std::size_t i) {
   net::Frame f;
   f.dst = pairs_[i].second.host->addr();
   f.ethertype = net::kEtherTypePageOwd;
-  f.payload_bytes = params_.payload_bytes;
-  f.priority = params_.priority;
+  f.payload_bytes = kAppPayloadBytes;
+  f.priority = kAppPriority;
   f.packet = pkt;
   pairs_[i].first.host->send_hw(f);
 }
@@ -119,7 +121,7 @@ void OwdApp::on_probe(std::size_t i, const PageOwdPacket& pkt, fs_t rx_time) {
     // Either page admitted its bound no longer holds — the app noticed.
     ++st.detected;
   } else if (std::abs(err_ns) >
-             (pkt.unc_units + s.uncertainty_units + params_.network_bound_units) *
+             (pkt.unc_units + s.uncertainty_units + kNetworkBoundUnits) *
                  ns_per_unit_) {
     ++st.failures;
   }
@@ -141,7 +143,6 @@ AppHarness::AppHarness(sim::Simulator& sim, dtp::DtpNetwork& dtp,
                        std::vector<net::Host*> hosts, AppHarnessParams params)
     : sim_(sim), params_(std::move(params)) {
   if (hosts.empty()) throw std::invalid_argument("AppHarness: no hosts");
-  if (params_.tsc_ppm.empty()) throw std::invalid_argument("AppHarness: tsc_ppm");
   daemons_.reserve(hosts.size());
   services_.reserve(hosts.size());
   for (std::size_t i = 0; i < hosts.size(); ++i) {
@@ -149,7 +150,7 @@ AppHarness::AppHarness(sim::Simulator& sim, dtp::DtpNetwork& dtp,
     if (agent == nullptr)
       throw std::invalid_argument("AppHarness: host has no DTP agent");
     auto d = std::make_unique<dtp::Daemon>(
-        sim_, *agent, params_.daemon, params_.tsc_ppm[i % params_.tsc_ppm.size()]);
+        sim_, *agent, params_.daemon, kTscPpm[i % kTscPpm.size()]);
     d->set_affinity(hosts[i]->node());
     services_.push_back(TimeService{hosts[i], d.get()});
     daemons_.push_back(std::move(d));
@@ -165,19 +166,19 @@ AppHarness::AppHarness(sim::Simulator& sim, dtp::DtpNetwork& dtp,
     std::vector<std::pair<TimeService, TimeService>> pairs;
     pairs.reserve(params_.owd_pairs.size());
     for (const auto& [a, b] : params_.owd_pairs) pairs.emplace_back(pick(a), pick(b));
-    owd_ = std::make_unique<OwdApp>(sim_, std::move(pairs), params_.owd);
+    owd_ = std::make_unique<OwdApp>(sim_, std::move(pairs));
   }
   if (!params_.lww_ring.empty()) {
     std::vector<TimeService> ring;
     ring.reserve(params_.lww_ring.size());
     for (std::size_t idx : params_.lww_ring) ring.push_back(pick(idx));
-    lww_ = std::make_unique<LwwApp>(sim_, std::move(ring), params_.lww);
+    lww_ = std::make_unique<LwwApp>(sim_, std::move(ring));
   }
   if (!params_.tdma_senders.empty()) {
     std::vector<TimeService> senders;
     senders.reserve(params_.tdma_senders.size());
     for (std::size_t idx : params_.tdma_senders) senders.push_back(pick(idx));
-    tdma_ = std::make_unique<TdmaApp>(sim_, std::move(senders), params_.tdma);
+    tdma_ = std::make_unique<TdmaApp>(sim_, std::move(senders));
   }
   if (params_.readers_per_host > 0) {
     fleet_ = std::make_unique<ReaderFleet>(sim_, services_, params_.readers_per_host,
@@ -242,8 +243,8 @@ std::vector<chaos::AppVerdict> AppHarness::verdicts() const {
     v.detected = t.stale_fires + t.unc_warnings;
     v.worst_error_ns = t.worst_miss_ns;
     v.detail = "senders=" + std::to_string(tdma_->size()) +
-               " slot_units=" + std::to_string(tdma_->params().slot_units) +
-               " guard_units=" + std::to_string(tdma_->params().guard_units);
+               " slot_units=" + std::to_string(kTdmaSlotUnits) +
+               " guard_units=" + std::to_string(kTdmaGuardUnits);
     out.push_back(std::move(v));
   }
   return out;

@@ -48,15 +48,8 @@ struct PageOwdPacket : net::Packet {
   fs_t tx_true = 0;
 };
 
-struct OwdAppParams {
-  fs_t period = from_us(100);  ///< probe cadence per pair
-  /// Cross-host counter disagreement budget (counter units) added to the
-  /// two page uncertainties when judging a probe — the 4TD envelope the
-  /// pages themselves cannot see.
-  double network_bound_units = 17.0;
-  std::uint32_t payload_bytes = 64;
-  std::uint8_t priority = 7;
-};
+/// Probe cadence of every OWD pair.
+inline constexpr fs_t kOwdPeriod = from_us(100);
 
 /// Per-pair counters, written only on the receiver's shard.
 struct OwdPairStats {
@@ -73,8 +66,7 @@ struct OwdPairStats {
 class OwdApp {
  public:
   OwdApp(sim::Simulator& sim,
-         std::vector<std::pair<TimeService, TimeService>> pairs,
-         OwdAppParams params = {});
+         std::vector<std::pair<TimeService, TimeService>> pairs);
 
   OwdApp(const OwdApp&) = delete;
   OwdApp& operator=(const OwdApp&) = delete;
@@ -86,15 +78,12 @@ class OwdApp {
   const OwdPairStats& pair_stats(std::size_t i) const { return stats_.at(i); }
   OwdPairStats total() const;
 
-  const OwdAppParams& params() const { return params_; }
-
  private:
   void send_probe(std::size_t i);
   void on_probe(std::size_t i, const PageOwdPacket& pkt, fs_t rx_time);
 
   sim::Simulator& sim_;
   std::vector<std::pair<TimeService, TimeService>> pairs_;
-  OwdAppParams params_;
   std::vector<OwdPairStats> stats_;
   std::vector<std::uint32_t> seq_;  ///< per-pair, sender shard
   std::vector<std::unique_ptr<sim::PeriodicProcess>> senders_;
@@ -105,16 +94,11 @@ class OwdApp {
 /// Which workloads an AppHarness runs, over which host indices.
 struct AppHarnessParams {
   dtp::DaemonParams daemon;
-  /// Per-host TSC ppm errors; cycled when shorter than the host list.
-  std::vector<double> tsc_ppm = {17.0, -23.0, 9.0, -5.0, 21.0, -13.0, 3.0, -19.0};
   std::size_t readers_per_host = 0;  ///< 0 = no reader fleet
   fs_t reader_period = from_us(50);
   std::vector<std::pair<std::size_t, std::size_t>> owd_pairs;
-  OwdAppParams owd;
   std::vector<std::size_t> lww_ring;  ///< empty = no LWW app
-  LwwParams lww;
   std::vector<std::size_t> tdma_senders;  ///< empty = no TDMA app
-  TdmaParams tdma;
 };
 
 /// Builds daemons + pages + reader fleet + selected apps over `hosts`.

@@ -6,12 +6,17 @@
 
 namespace dtpsim::apps {
 
-LwwApp::LwwApp(sim::Simulator& sim, std::vector<TimeService> ring, LwwParams params)
+namespace {
+constexpr std::uint32_t kRingId = 1;
+/// Initiator re-injects a token if its own writer saw none for this long.
+constexpr fs_t kWatchdogPeriod = from_ms(1);
+}  // namespace
+
+LwwApp::LwwApp(sim::Simulator& sim, std::vector<TimeService> ring)
     : sim_(sim),
       ring_(std::move(ring)),
-      params_(params),
       stats_(ring_.size()),
-      watchdog_(sim, params.watchdog_period, [this] {
+      watchdog_(sim, kWatchdogPeriod, [this] {
         // Runs on writer 0's shard: if no lap completed since the last
         // check, the token died somewhere (dropped frame, dark link) —
         // re-inject under a fresh generation.
@@ -30,7 +35,7 @@ LwwApp::LwwApp(sim::Simulator& sim, std::vector<TimeService> ring, LwwParams par
     host.on_hw_receive = [this, i, prev](const net::Frame& f, fs_t rx_time) {
       if (f.ethertype == net::kEtherTypeLww) {
         if (auto tok = std::dynamic_pointer_cast<const LwwTokenPacket>(f.packet);
-            tok && tok->ring_id == params_.ring_id) {
+            tok && tok->ring_id == kRingId) {
           on_token(i, *tok, rx_time);
           return;
         }
@@ -46,7 +51,7 @@ void LwwApp::start(fs_t at) {
   const fs_t now = sim_.now();
   sim::ScopedAffinity aff(ring_.front().host->node());
   sim_.schedule_at(at, [this] { inject(generation_); }, sim::EventCategory::kApp);
-  watchdog_.start_with_phase(at - now + params_.watchdog_period);
+  watchdog_.start_with_phase(at - now + kWatchdogPeriod);
 }
 
 void LwwApp::stop() {
@@ -59,7 +64,7 @@ void LwwApp::inject(std::uint64_t generation) {
   const fs_t now = sim_.now();
   const dtp::TimebaseSample s = ring_.front().sample(now);
   auto tok = std::make_shared<LwwTokenPacket>();
-  tok->ring_id = params_.ring_id;
+  tok->ring_id = kRingId;
   tok->generation = generation;
   tok->hop = 0;
   tok->writer = 0;
@@ -70,8 +75,8 @@ void LwwApp::inject(std::uint64_t generation) {
   net::Frame f;
   f.dst = ring_[1].host->addr();
   f.ethertype = net::kEtherTypeLww;
-  f.payload_bytes = params_.payload_bytes;
-  f.priority = params_.priority;
+  f.payload_bytes = kAppPayloadBytes;
+  f.priority = kAppPriority;
   f.packet = tok;
   ring_.front().host->send_hw(f);
 }
@@ -89,7 +94,7 @@ void LwwApp::on_token(std::size_t me, const LwwTokenPacket& tok, fs_t now) {
   const double diff =
       static_cast<double>(s.units - tok.ts_units) + (s.frac - tok.ts_frac);
   const double budget =
-      s.uncertainty_units + tok.unc_units + params_.network_bound_units;
+      s.uncertainty_units + tok.unc_units + kNetworkBoundUnits;
   if (diff <= 0.0) {
     ++st.inversions;
     st.worst_inversion_ns = std::max(st.worst_inversion_ns, -diff * ns_per_unit_);
@@ -105,7 +110,7 @@ void LwwApp::on_token(std::size_t me, const LwwTokenPacket& tok, fs_t now) {
 
   // Forward a fresh token carrying my version.
   auto next_tok = std::make_shared<LwwTokenPacket>();
-  next_tok->ring_id = params_.ring_id;
+  next_tok->ring_id = kRingId;
   next_tok->generation = tok.generation;
   next_tok->hop = tok.hop + 1;
   next_tok->writer = static_cast<std::uint32_t>(me);
@@ -116,8 +121,8 @@ void LwwApp::on_token(std::size_t me, const LwwTokenPacket& tok, fs_t now) {
   net::Frame f;
   f.dst = ring_[(me + 1) % ring_.size()].host->addr();
   f.ethertype = net::kEtherTypeLww;
-  f.payload_bytes = params_.payload_bytes;
-  f.priority = params_.priority;
+  f.payload_bytes = kAppPayloadBytes;
+  f.priority = kAppPriority;
   f.packet = next_tok;
   ring_[me].host->send_hw(f);
 }

@@ -44,18 +44,6 @@ struct LwwTokenPacket : net::Packet {
   bool stale = false;            ///< previous writer's page was stale
 };
 
-struct LwwParams {
-  std::uint32_t ring_id = 1;
-  /// Cross-host counter disagreement budget added to the certainty test, in
-  /// counter units (the pairwise 4TD envelope; the page uncertainty only
-  /// covers daemon-vs-own-counter error).
-  double network_bound_units = 17.0;
-  /// Initiator re-injects a token if its own writer saw none for this long.
-  fs_t watchdog_period = from_ms(1);
-  std::uint32_t payload_bytes = 64;
-  std::uint8_t priority = 7;
-};
-
 /// Per-writer counters. Every field is written only from the owning host's
 /// shard; aggregate after the run.
 struct LwwWriterStats {
@@ -71,7 +59,7 @@ struct LwwWriterStats {
 
 class LwwApp {
  public:
-  LwwApp(sim::Simulator& sim, std::vector<TimeService> ring, LwwParams params = {});
+  LwwApp(sim::Simulator& sim, std::vector<TimeService> ring);
 
   LwwApp(const LwwApp&) = delete;
   LwwApp& operator=(const LwwApp&) = delete;
@@ -86,15 +74,12 @@ class LwwApp {
   LwwWriterStats total() const;
   std::uint64_t reinjects() const { return reinjects_; }
 
-  const LwwParams& params() const { return params_; }
-
  private:
   void on_token(std::size_t me, const LwwTokenPacket& tok, fs_t now);
   void inject(std::uint64_t generation);
 
   sim::Simulator& sim_;
   std::vector<TimeService> ring_;
-  LwwParams params_;
   std::vector<LwwWriterStats> stats_;
   double ns_per_unit_ = 1.0;
   // Initiator-shard state (writer 0's node): watchdog liveness tracking.

@@ -6,20 +6,25 @@
 
 namespace dtpsim::apps {
 
-TdmaApp::TdmaApp(sim::Simulator& sim, std::vector<TimeService> senders,
-                 TdmaParams params)
+namespace {
+constexpr std::uint32_t kScheduleId = 1;
+/// Aim point inside the usable window, from the guarded window start, in
+/// counter units. Splits the miss budget between early (aim) and late
+/// (window - aim) clock error.
+constexpr std::int64_t kAimUnits = 125;
+
+static_assert(kTdmaGuardUnits * 2 < kTdmaSlotUnits, "guard bands swallow the slot");
+static_assert(kAimUnits >= 0 && kAimUnits <= kTdmaSlotUnits - 2 * kTdmaGuardUnits,
+              "aim outside the guarded window");
+}  // namespace
+
+TdmaApp::TdmaApp(sim::Simulator& sim, std::vector<TimeService> senders)
     : sim_(sim),
       senders_(std::move(senders)),
-      params_(params),
       stats_(senders_.size()),
       rounds_(senders_.size(), 0) {
   if (senders_.size() < 2) throw std::invalid_argument("TdmaApp: need >= 2 senders");
-  if (params_.guard_units * 2 >= params_.slot_units)
-    throw std::invalid_argument("TdmaApp: guard bands swallow the slot");
-  if (params_.aim_units < 0 ||
-      params_.aim_units > params_.slot_units - 2 * params_.guard_units)
-    throw std::invalid_argument("TdmaApp: aim outside the guarded window");
-  round_units_ = params_.slot_units * static_cast<std::int64_t>(senders_.size());
+  round_units_ = kTdmaSlotUnits * static_cast<std::int64_t>(senders_.size());
   ns_per_unit_ = ns_per_unit(*senders_.front().daemon);
 
   for (std::size_t i = 0; i < senders_.size(); ++i) {
@@ -28,7 +33,7 @@ TdmaApp::TdmaApp(sim::Simulator& sim, std::vector<TimeService> senders,
     nic.on_transmit = [this, i, prev](net::Frame& f, fs_t tx_start) {
       if (f.ethertype == net::kEtherTypeTdma) {
         if (auto pkt = std::dynamic_pointer_cast<const TdmaSlotPacket>(f.packet);
-            pkt && pkt->schedule_id == params_.schedule_id &&
+            pkt && pkt->schedule_id == kScheduleId &&
             pkt->sender == static_cast<std::uint32_t>(i)) {
           on_transmit(i, tx_start);
         }
@@ -68,17 +73,17 @@ void TdmaApp::arm(std::size_t me) {
   // re-targeting the not-quite-reached aim would fire again for the same
   // slot — a Zeno loop emitting a frame per TSC count. Anything within half
   // a slot is "this round already happened"; roll to the next one.
-  const std::int64_t aim_off = static_cast<std::int64_t>(me) * params_.slot_units +
-                               params_.guard_units + params_.aim_units;
+  const std::int64_t aim_off =
+      static_cast<std::int64_t>(me) * kTdmaSlotUnits + kTdmaGuardUnits + kAimUnits;
   std::int64_t target = (s.units / round_units_) * round_units_ + aim_off;
-  while (target <= s.units + params_.slot_units / 2) target += round_units_;
+  while (target <= s.units + kTdmaSlotUnits / 2) target += round_units_;
   // Convert the page-time distance to a sleep: page units -> TSC counts via
   // the published rate, TSC counts -> wall time via the *nominal* TSC
   // frequency (all an application knows; its TSC ppm error over one round is
   // sub-ns and re-corrected at the next arm).
   const double delta_units = static_cast<double>(target - s.units) - s.frac;
   const double delta_tsc = delta_units / snap.units_per_tsc;
-  const double delta_fs = delta_tsc / senders_[me].daemon->params().tsc_hz * 1e15;
+  const double delta_fs = delta_tsc / dtp::kTscHz * 1e15;
   sim_.schedule_at(now + std::max<fs_t>(static_cast<fs_t>(delta_fs), 1),
                    [this, me] { fire(me); }, sim::EventCategory::kApp);
 }
@@ -93,17 +98,17 @@ void TdmaApp::fire(std::size_t me) {
     // If the page's own error bar no longer fits inside the guard band the
     // app *knows* this fire may collide — a detected hazard even if the
     // frame happens to land inside the window.
-    if (s.uncertainty_units > static_cast<double>(params_.guard_units))
+    if (s.uncertainty_units > static_cast<double>(kTdmaGuardUnits))
       ++st.unc_warnings;
     auto pkt = std::make_shared<TdmaSlotPacket>();
-    pkt->schedule_id = params_.schedule_id;
+    pkt->schedule_id = kScheduleId;
     pkt->sender = static_cast<std::uint32_t>(me);
     pkt->round = rounds_[me]++;
     net::Frame f;
     f.dst = senders_[(me + 1) % senders_.size()].host->addr();
     f.ethertype = net::kEtherTypeTdma;
-    f.payload_bytes = params_.payload_bytes;
-    f.priority = params_.priority;
+    f.payload_bytes = kAppPayloadBytes;
+    f.priority = kAppPriority;
     f.packet = pkt;
     senders_[me].host->send_hw(f);
   }
@@ -117,10 +122,9 @@ void TdmaApp::on_transmit(std::size_t me, fs_t tx_start) {
   const unsigned __int128 v = senders_[me].daemon->agent().global_at(tx_start).value();
   const std::int64_t pos = static_cast<std::int64_t>(
       v % static_cast<unsigned __int128>(round_units_));
-  const std::int64_t lo =
-      static_cast<std::int64_t>(me) * params_.slot_units + params_.guard_units;
-  const std::int64_t hi = (static_cast<std::int64_t>(me) + 1) * params_.slot_units -
-                          params_.guard_units;
+  const std::int64_t lo = static_cast<std::int64_t>(me) * kTdmaSlotUnits + kTdmaGuardUnits;
+  const std::int64_t hi =
+      (static_cast<std::int64_t>(me) + 1) * kTdmaSlotUnits - kTdmaGuardUnits;
   TdmaSenderStats& st = stats_[me];
   ++st.sends;
   if (pos < lo || pos >= hi) {

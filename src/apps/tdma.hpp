@@ -35,17 +35,10 @@ struct TdmaSlotPacket : net::Packet {
   std::uint64_t round = 0;
 };
 
-struct TdmaParams {
-  std::uint32_t schedule_id = 1;
-  std::int64_t slot_units = 500;   ///< slot length in counter units (3.2 us at 10G)
-  std::int64_t guard_units = 125;  ///< guard band on each side (0.8 us)
-  /// Aim point inside the usable window, from the guarded window start, in
-  /// counter units. Splits the miss budget between early (aim) and late
-  /// (window - aim) clock error.
-  std::int64_t aim_units = 125;
-  std::uint32_t payload_bytes = 64;
-  std::uint8_t priority = 7;
-};
+/// Slot length in counter units (3.2 us at 10G), and the guard band on each
+/// side of it (0.8 us).
+inline constexpr std::int64_t kTdmaSlotUnits = 500;
+inline constexpr std::int64_t kTdmaGuardUnits = 125;
 
 /// Per-sender counters; each is written only from its host's shard.
 struct TdmaSenderStats {
@@ -60,8 +53,7 @@ struct TdmaSenderStats {
 
 class TdmaApp {
  public:
-  TdmaApp(sim::Simulator& sim, std::vector<TimeService> senders,
-          TdmaParams params = {});
+  TdmaApp(sim::Simulator& sim, std::vector<TimeService> senders);
 
   TdmaApp(const TdmaApp&) = delete;
   TdmaApp& operator=(const TdmaApp&) = delete;
@@ -75,7 +67,6 @@ class TdmaApp {
   /// Sum over senders (call after the run).
   TdmaSenderStats total() const;
 
-  const TdmaParams& params() const { return params_; }
   /// Round length in counter units (slot * senders).
   std::int64_t round_units() const { return round_units_; }
 
@@ -86,7 +77,6 @@ class TdmaApp {
 
   sim::Simulator& sim_;
   std::vector<TimeService> senders_;
-  TdmaParams params_;
   std::vector<TdmaSenderStats> stats_;
   std::vector<std::uint64_t> rounds_;  ///< per-sender round counter (own shard)
   std::int64_t round_units_ = 0;

@@ -20,12 +20,6 @@ dtp::DtpParams CanonicalCampaign::dtp_params() {
   return p;
 }
 
-ChaosParams CanonicalCampaign::chaos_params() {
-  ChaosParams cp;
-  cp.dtp = dtp_params();
-  return cp;  // threshold ±4T, 3 consecutive samples, T/8 cadence, 50T timeout
-}
-
 FaultPlan CanonicalCampaign::plan(const net::PaperTreeTopology& tree, fs_t t0) {
   net::Switch& root = *tree.root;
   net::Switch& s1 = *tree.aggs[0];

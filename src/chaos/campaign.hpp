@@ -56,9 +56,6 @@ struct CanonicalCampaign {
   /// Protocol parameters the campaign's agents must be built with.
   static dtp::DtpParams dtp_params();
 
-  /// Engine parameters matching dtp_params().
-  static ChaosParams chaos_params();
-
   /// Time to let the cold-started tree settle before the first injection.
   static constexpr fs_t settle_time() { return from_ms(3); }
 

@@ -14,8 +14,15 @@
 
 namespace dtpsim::chaos {
 
-ChaosEngine::ChaosEngine(net::Network& net, dtp::DtpNetwork& dtp, ChaosParams params)
-    : net_(net), dtp_(dtp), params_(params), sim_(net.simulator()) {
+namespace {
+/// Reconvergence criterion: worst neighbor offset back within this many
+/// ticks (±4T is the paper's one-hop bound, Section 3.3).
+constexpr double kConvergeThresholdTicks = 4;
+constexpr int kConsecutiveOk = 3;  ///< samples in a row under the threshold
+}  // namespace
+
+ChaosEngine::ChaosEngine(net::Network& net, dtp::DtpNetwork& dtp)
+    : net_(net), dtp_(dtp), sim_(net.simulator()) {
   const auto devices = net_.devices();
   if (devices.empty()) throw std::invalid_argument("ChaosEngine: empty network");
   for (net::Device* dev : devices)
@@ -32,16 +39,8 @@ ChaosEngine::ChaosEngine(net::Network& net, dtp::DtpNetwork& dtp, ChaosParams pa
   }
   // The beacon interval in simulator time — the unit recovery is reported
   // in. Ticks are nominal (every device's grid is within ±100 ppm of this).
-  beacon_interval_ = static_cast<fs_t>(params_.dtp.beacon_interval_ticks) *
+  beacon_interval_ = static_cast<fs_t>(dtp_.params().beacon_interval_ticks) *
                      devices.front()->oscillator().nominal_period();
-}
-
-fs_t ChaosEngine::probe_sample_period() const {
-  return params_.sample_period > 0 ? params_.sample_period : beacon_interval_ / 8;
-}
-
-fs_t ChaosEngine::probe_timeout() const {
-  return params_.probe_timeout > 0 ? params_.probe_timeout : 50 * beacon_interval_;
 }
 
 net::Device* ChaosEngine::owner_of(const phy::PhyPort* port) const {
@@ -119,13 +118,13 @@ void ChaosEngine::restart_node(net::Device& dev) {
     if ((l.dev_a == &dev || l.dev_b == &dev) && !l.up) bring_link_up(l);
   // Fresh agent: counters at zero, INIT re-runs on every up link, and the
   // network counter is re-learned through BEACON-JOIN (Section 3.2).
-  dtp_.attach_agent(dev, params_.dtp);
+  dtp_.attach_agent(dev);
 }
 
 ProbeSample ChaosEngine::neighbor_offsets(const std::vector<net::Device*>& affected) const {
   ProbeSample s;
   const fs_t t = sim_.now();
-  const double delta = static_cast<double>(params_.dtp.counter_delta);
+  const double delta = static_cast<double>(dtp_.params().counter_delta);
   bool any = false;
   bool missing = false;
   for (net::Device* dev : affected) {
@@ -172,8 +171,8 @@ void ChaosEngine::start_probe(const FaultSpec& spec, ProbeResult seed,
                               std::vector<net::Device*> affected) {
   RecoveryProbe::Params pp;
   pp.threshold_ticks = spec.probe_threshold_ticks > 0 ? spec.probe_threshold_ticks
-                                                      : params_.converge_threshold_ticks;
-  pp.consecutive_ok = params_.consecutive_ok;
+                                                      : kConvergeThresholdTicks;
+  pp.consecutive_ok = kConsecutiveOk;
   pp.sample_period =
       spec.probe_sample_period > 0 ? spec.probe_sample_period : probe_sample_period();
   pp.timeout = spec.probe_timeout > 0 ? spec.probe_timeout : probe_timeout();
@@ -181,7 +180,7 @@ void ChaosEngine::start_probe(const FaultSpec& spec, ProbeResult seed,
   // Section 5.4: a recovering device may lag arbitrarily (it fast-forwards)
   // but must never run *ahead* of a neighbor past one beacon interval of
   // drift plus the stall slack.
-  pp.stall_ceiling_ticks = static_cast<double>(params_.dtp.beacon_interval_ticks) + 4;
+  pp.stall_ceiling_ticks = static_cast<double>(dtp_.params().beacon_interval_ticks) + 4;
   probes_.push_back(std::make_unique<RecoveryProbe>(
       sim_, pp,
       [this, affected = std::move(affected)] { return neighbor_offsets(affected); },
@@ -192,7 +191,7 @@ void ChaosEngine::start_probe(const FaultSpec& spec, ProbeResult seed,
 void ChaosEngine::start_daemon_probe(const FaultSpec& spec, ProbeResult seed) {
   RecoveryProbe::Params pp;
   pp.threshold_ticks = spec.probe_threshold_ticks > 0 ? spec.probe_threshold_ticks : 16;
-  pp.consecutive_ok = params_.consecutive_ok;
+  pp.consecutive_ok = kConsecutiveOk;
   // The software clock only moves on daemon polls; sampling faster than the
   // poll period would just re-read the same extrapolation.
   pp.sample_period = spec.probe_sample_period > 0 ? spec.probe_sample_period
@@ -497,8 +496,8 @@ void ChaosEngine::start_hierarchy_probe(const FaultSpec& spec, ProbeResult seed,
                                         fs_t source_period, int exclude_source) {
   RecoveryProbe::Params pp;
   pp.threshold_ticks = spec.probe_threshold_ticks > 0 ? spec.probe_threshold_ticks
-                                                      : params_.converge_threshold_ticks;
-  pp.consecutive_ok = params_.consecutive_ok;
+                                                      : kConvergeThresholdTicks;
+  pp.consecutive_ok = kConsecutiveOk;
   pp.sample_period =
       spec.probe_sample_period > 0 ? spec.probe_sample_period : source_period / 8;
   pp.timeout = spec.probe_timeout > 0 ? spec.probe_timeout : 50 * source_period;

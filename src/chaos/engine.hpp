@@ -5,7 +5,9 @@
 /// live DTP network.
 ///
 /// The engine is constructed over a finished topology (`net::Network`) and
-/// its DTP layer (`dtp::DtpNetwork`). `schedule()` translates each
+/// its DTP layer (`dtp::DtpNetwork`), whose `DtpParams` give the beacon
+/// interval recovery is reported in, the Section 5.4 stall ceiling, and the
+/// fresh agents a restarted node comes up with. `schedule()` translates each
 /// `FaultSpec` into simulator events — unplug/replug cables, tear down and
 /// re-attach agents, step oscillators, stress daemons — and attaches a
 /// `RecoveryProbe` to each fault measuring time-to-reconverge against the
@@ -23,7 +25,6 @@
 #include "chaos/plan.hpp"
 #include "chaos/probe.hpp"
 #include "chaos/report.hpp"
-#include "dtp/config.hpp"
 #include "dtp/network.hpp"
 #include "net/topology.hpp"
 
@@ -38,20 +39,6 @@ class Hub;
 }
 
 namespace dtpsim::chaos {
-
-/// Campaign-wide knobs.
-struct ChaosParams {
-  /// Reconvergence criterion: worst neighbor offset back within this many
-  /// ticks (±4T is the paper's one-hop bound, Section 3.3).
-  double converge_threshold_ticks = 4;
-  int consecutive_ok = 3;   ///< samples in a row under the threshold
-  fs_t sample_period = 0;   ///< probe cadence; 0 = beacon interval / 8
-  fs_t probe_timeout = 0;   ///< per-fault give-up; 0 = 50 beacon intervals
-  /// The DtpParams the network's agents were built with. Used for the
-  /// beacon interval (the reporting unit), the Section 5.4 stall ceiling,
-  /// and for the fresh agents attached when a crashed node restarts.
-  dtp::DtpParams dtp{};
-};
 
 /// Executes fault plans and collects recovery results.
 class ChaosEngine {
@@ -69,7 +56,7 @@ class ChaosEngine {
 
   /// Snapshot the topology (all links must exist already; cables connected
   /// afterwards are invisible to the engine).
-  ChaosEngine(net::Network& net, dtp::DtpNetwork& dtp, ChaosParams params);
+  ChaosEngine(net::Network& net, dtp::DtpNetwork& dtp);
 
   ChaosEngine(const ChaosEngine&) = delete;
   ChaosEngine& operator=(const ChaosEngine&) = delete;
@@ -104,8 +91,10 @@ class ChaosEngine {
   const CampaignReport& report() const { return report_; }
 
   fs_t beacon_interval() const { return beacon_interval_; }
-  fs_t probe_sample_period() const;
-  fs_t probe_timeout() const;
+  /// Probe cadence (beacon interval / 8) and per-fault give-up (50 beacon
+  /// intervals) unless a FaultSpec overrides them.
+  fs_t probe_sample_period() const { return beacon_interval_ / 8; }
+  fs_t probe_timeout() const { return 50 * beacon_interval_; }
 
   /// Attach observability (null detaches): fault begin/end become global
   /// trace instants, recoveries feed the chaos.* metrics. Coordinator-only —
@@ -165,7 +154,6 @@ class ChaosEngine {
 
   net::Network& net_;
   dtp::DtpNetwork& dtp_;
-  ChaosParams params_;
   sim::Simulator& sim_;
   fs_t beacon_interval_ = 0;
   std::vector<Link> links_;

@@ -14,6 +14,19 @@
 
 namespace dtpsim::check {
 
+namespace {
+/// Consecutive all-synced samples before the offset monitor arms.
+constexpr int kSettleSamples = 8;
+/// Slack added to the FIFO crossing bound, as a fraction of one period
+/// (covers the re-anchor quantization of a drifting oscillator).
+constexpr double kFifoSlackFraction = 0.75;
+/// Oscillator-error margin (ppm) for the counter-runaway bound, on top of
+/// the network's configured ppm spread.
+constexpr double kExtraPpmMargin = 100.0;
+/// Cap on stored violations per kind (the rest are counted, not stored).
+constexpr std::size_t kMaxStoredPerKind = 16;
+}  // namespace
+
 std::string RunDigest::hex() const {
   char buf[20];
   std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(hash));
@@ -104,8 +117,8 @@ Sentinel::Sentinel(net::Network& net, dtp::DtpNetwork& dtp, SentinelParams param
         const fs_t dt = rx.crossing.visible_time - rx.wire_arrival;
         const fs_t period = m->port->oscillator().period();
         const auto& fp = m->port->params().fifo;
-        const double max_periods = static_cast<double>(fp.pipeline_cycles) + 2.0 +
-                                   m->owner->params_.fifo_slack_fraction;
+        const double max_periods =
+            static_cast<double>(fp.pipeline_cycles) + 2.0 + kFifoSlackFraction;
         const fs_t bound = static_cast<fs_t>(max_periods * static_cast<double>(period));
         if (dt <= 0 || dt > bound) {
           m->owner->record(Violation{InvariantKind::kFifoBound,
@@ -170,7 +183,7 @@ void Sentinel::record(Violation v) {
   std::lock_guard<std::mutex> lock(mu_);
   auto& count = violation_counts_[static_cast<int>(v.kind)];
   ++count;
-  if (count <= params_.max_stored_per_kind) violations_.push_back(std::move(v));
+  if (count <= kMaxStoredPerKind) violations_.push_back(std::move(v));
 }
 
 void Sentinel::report(Violation v) { record(std::move(v)); }
@@ -427,7 +440,7 @@ void Sentinel::check_offsets(fs_t now) {
     hi = std::max(hi, frac);
   }
 
-  if (settled_streak_ < params_.settle_samples) return;
+  if (settled_streak_ < kSettleSamples) return;
   ++stats_.offset_checks;
   const double delta = static_cast<double>(ref->params().counter_delta);
   const double spread_ticks = (hi - lo) / delta;
@@ -487,7 +500,7 @@ void Sentinel::check_wrap_and_rate(fs_t now) {
     ++stats_.rate_checks;
     const fs_t elapsed = now - prev_net_max_at_;
     const double nominal = static_cast<double>(ref->device().oscillator().nominal_period());
-    const double ppm = net_.params().ppm_spread + params_.extra_ppm_margin;
+    const double ppm = net_.params().ppm_spread + kExtraPpmMargin;
     const double max_ticks = static_cast<double>(elapsed) / (nominal * (1.0 - ppm * 1e-6));
     const double delta = static_cast<double>(ref->params().counter_delta);
     const double bound = (max_ticks + 4.0) * delta;

@@ -70,16 +70,6 @@ struct SentinelParams {
   /// exact hop diameter (net::hop_diameter): the 4TD claim plus the one-tick
   /// sampling/phase quantum bench_fig6a also allows.
   double offset_bound_ticks = 0.0;
-  /// Consecutive all-synced samples before the offset monitor arms.
-  int settle_samples = 8;
-  /// Slack added to the FIFO crossing bound, as a fraction of one period
-  /// (covers the re-anchor quantization of a drifting oscillator).
-  double fifo_slack_fraction = 0.75;
-  /// Oscillator-error margin (ppm) for the counter-runaway bound, on top of
-  /// the network's configured ppm spread.
-  double extra_ppm_margin = 100.0;
-  /// Cap on stored violations per kind (the rest are counted, not stored).
-  std::size_t max_stored_per_kind = 16;
 };
 
 /// Counts of checks actually performed — the "is the sentinel alive" gauge

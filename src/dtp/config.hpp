@@ -58,12 +58,6 @@ struct DtpParams {
   /// (supports peers whose DTP layer comes up later — incremental deploy).
   std::int64_t init_retry_ticks = 50'000;
 
-  /// Divergence recovery: after this many *consecutive* range-filtered
-  /// beacons from a peer (impossible under random bit errors, certain under
-  /// real divergence), announce our counter with a BEACON-JOIN so the pair
-  /// re-agrees on the maximum. 0 disables.
-  std::int64_t filter_recovery_threshold = 16;
-
   /// Faulty-peer detection (Section 3.2): adjustments larger than
   /// `jump_threshold_ticks` are suspicious; more than `max_jumps` of them
   /// within `jump_window` marks the peer faulty and stops synchronizing.
@@ -91,13 +85,6 @@ struct WatchdogParams {
   /// Sampling window. Each window either records a strike or counts clean.
   fs_t check_period = from_us(50);
 
-  /// Sibling cross-check bound, in ticks: ports on one device share the
-  /// oscillator, so their local counters must agree within roughly
-  /// 2 * max_beacon_offset_ticks of each other (each port tracks its peer
-  /// with at most the range-filter bias) plus CDC slack. A port lagging the
-  /// best sibling by more than this is struck.
-  double sibling_bound_ticks = 12.0;
-
   /// Plausibility gate on implied beacon deltas (gdiff before the
   /// fast-forward clamp), in ticks; only deltas more negative than -gate
   /// count (staleness — positive surprises are the max-discipline working).
@@ -109,13 +96,6 @@ struct WatchdogParams {
   /// delay of 8+ ticks). Smaller lies (+-4) stay sub-threshold by design —
   /// the range filter already bounds their effect to the healthy envelope.
   double plausible_delta_ticks = 6.0;
-
-  /// Gate events within one window needed to call the window a strike
-  /// (a single outlier is CDC noise, a burst is a failing lane).
-  int min_gate_events = 2;
-
-  /// Consecutive strike windows before a suspect port is quarantined.
-  int suspect_strikes = 2;
 
   /// Re-INIT backoff: attempt k fires base * 2^k plus a deterministic
   /// jitter drawn in [0, base/4) after the quarantine. Monotone by
@@ -130,16 +110,6 @@ struct WatchdogParams {
   /// episode's attempt counter resets. Short streaks keep the attempt count
   /// (and therefore the backoff) growing — no flap-looping.
   int probation_windows = 8;
-
-  /// Post-join grace. When a device adopts a join-sized forward jump (a
-  /// partition heals, a quarantined subtree re-joins, an operator sets the
-  /// counter), every peer that has not heard the announce wave yet looks
-  /// stale and sibling ports transiently diverge — the max-discipline
-  /// converging, not damage. Windows overlapping this long a shadow after
-  /// the device's last such jump skip the staleness and sibling signals;
-  /// the counter-stall signal stays live (a frozen register is frozen
-  /// regardless of who jumped).
-  fs_t jump_shadow = from_us(10);
 };
 
 }  // namespace dtpsim::dtp

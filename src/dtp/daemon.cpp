@@ -11,6 +11,24 @@ namespace {
 // far below 2^63 units inside the fs_t horizon even when tests pre-age it
 // past the 2^53 double-precision cliff.
 constexpr std::uint64_t kUnitsMask = 0x7FFF'FFFF'FFFF'FFFFULL;
+
+constexpr fs_t kPcieBase = from_ns(250);        ///< nominal round-trip MMIO read cost
+constexpr fs_t kPcieJitterMean = from_ns(40);   ///< exponential jitter on top
+/// Quality filter: a read whose bracketed round trip exceeds the best
+/// recently seen RTT by this much is discarded (its association error is
+/// unbounded). RADclock-style.
+constexpr fs_t kRttRejectMargin = from_ns(120);
+/// Fraction of each new reading blended into the interpolation anchor
+/// (1.0 = jump to every reading). Damps per-read jitter the same way
+/// production daemons low-pass their raw clock readings.
+constexpr double kAnchorBlend = 0.3;
+constexpr std::size_t kSmoothWindow = 10;  ///< Fig. 7b moving-average window
+/// Uncertainty model for the timebase page: fixed margin (ticks) added to
+/// the RTT-derived association bound and the recent blend residual, plus
+/// growth with anchor age (ppm) covering rate-estimate error and the
+/// counter's discipline dynamics between polls.
+constexpr double kUncMarginTicks = 8.0;
+constexpr double kUncDriftPpm = 50.0;
 }  // namespace
 
 Daemon::Daemon(sim::Simulator& sim, Agent& agent, DaemonParams params, double tsc_ppm)
@@ -19,8 +37,8 @@ Daemon::Daemon(sim::Simulator& sim, Agent& agent, DaemonParams params, double ts
       params_(params),
       rng_(sim.fork_rng(0xDAE0 ^ std::hash<std::string>{}(agent.device().name()))),
       tsc_rate_hz_(static_cast<std::int64_t>(
-          std::llround(params.tsc_hz * (1.0 + tsc_ppm * 1e-6)))),
-      smoother_(params.smooth_window),
+          std::llround(kTscHz * (1.0 + tsc_ppm * 1e-6)))),
+      smoother_(kSmoothWindow),
       poller_(sim, params.poll_period, [this] { poll(); },
               sim::EventCategory::kProbe),
       sampler_(sim, params.sample_period > 0 ? params.sample_period : from_ms(1),
@@ -72,9 +90,8 @@ void Daemon::poll() {
   // request/response *asymmetry*: zero-mean jitter plus occasional
   // one-sided spikes, exactly the Fig. 7a error structure.
   auto leg = [&] {
-    fs_t d = params_.pcie_base / 2;
-    if (params_.pcie_jitter_mean > 0)
-      d += static_cast<fs_t>(rng_.exponential(static_cast<double>(params_.pcie_jitter_mean)));
+    fs_t d = kPcieBase / 2 +
+             static_cast<fs_t>(rng_.exponential(static_cast<double>(kPcieJitterMean)));
     if (params_.pcie_spike_prob > 0 && rng_.bernoulli(params_.pcie_spike_prob))
       d += static_cast<fs_t>(rng_.exponential(static_cast<double>(params_.pcie_spike_mean)));
     // Injected PCIe storm: constant extra latency per leg plus bursty spikes.
@@ -102,8 +119,7 @@ void Daemon::poll() {
     rtt_next_ = (rtt_next_ + 1) % params_.rtt_window_polls;
   }
   best_rtt_ = *std::min_element(rtt_ring_.begin(), rtt_ring_.end());
-  if (params_.rtt_reject_margin > 0 && polls_ >= 2 &&
-      rtt > best_rtt_ + params_.rtt_reject_margin) {
+  if (polls_ >= 2 && rtt > best_rtt_ + kRttRejectMargin) {
     ++rejected_;
     return;
   }
@@ -141,7 +157,7 @@ void Daemon::poll() {
                           static_cast<double>(tsc_assoc - last_tsc_) * counter_per_tsc_,
                           &pred_units, &pred_frac);
     const double resid = static_cast<double>(counter - pred_units) - pred_frac;
-    TimebasePage::advance(pred_units, pred_frac, params_.anchor_blend * resid,
+    TimebasePage::advance(pred_units, pred_frac, kAnchorBlend * resid,
                           &anchor_units_, &anchor_frac_);
     resid_max_ = std::max(std::abs(resid), resid_max_ * 0.7);
   } else {
@@ -158,12 +174,10 @@ double Daemon::unc_base_units() const {
   // Association bound of an accepted read: the register is sampled at
   // t_issue + d_req but associated with the RTT midpoint, so the error is
   // at most rtt/2, and accepted RTTs are capped at best + margin.
-  const fs_t rtt_budget = best_rtt_ + (params_.rtt_reject_margin > 0
-                                           ? params_.rtt_reject_margin
-                                           : best_rtt_);
+  const fs_t rtt_budget = best_rtt_ + kRttRejectMargin;
   const double assoc_units = static_cast<double>(rtt_budget) / 2.0 / unit_fs();
   const double margin_units =
-      params_.unc_margin_ticks * static_cast<double>(agent_.params().counter_delta);
+      kUncMarginTicks * static_cast<double>(agent_.params().counter_delta);
   return assoc_units + resid_max_ + margin_units;
 }
 
@@ -175,7 +189,7 @@ void Daemon::publish_page() {
   s.anchor_tsc = static_cast<std::int64_t>(last_tsc_);
   s.units_per_tsc = counter_per_tsc_;
   s.unc_base_units = unc_base_units();
-  s.unc_per_tsc = params_.unc_drift_ppm * 1e-6 * counter_per_tsc_;
+  s.unc_per_tsc = kUncDriftPpm * 1e-6 * counter_per_tsc_;
   s.stale_after_tsc = static_cast<std::int64_t>(
       last_tsc_ + static_cast<__int128>(max_anchor_age_effective()) *
                       tsc_rate_hz_ / kFsPerSec);
@@ -210,7 +224,7 @@ double Daemon::get_time_ns(fs_t now) const {
 double Daemon::uncertainty_units(fs_t now) const {
   const fs_t age = anchor_age(now);
   const double growth =
-      age > 0 ? static_cast<double>(age) * params_.unc_drift_ppm * 1e-6 / unit_fs()
+      age > 0 ? static_cast<double>(age) * kUncDriftPpm * 1e-6 / unit_fs()
               : 0.0;
   return unc_base_units() + growth;
 }

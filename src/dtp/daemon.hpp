@@ -37,25 +37,22 @@
 
 namespace dtpsim::dtp {
 
+/// Nominal TSC rate.
+inline constexpr double kTscHz = 3e9;
+
 /// Daemon timing/latency model.
 struct DaemonParams {
   fs_t poll_period = from_ms(50);       ///< MMIO read cadence
   fs_t sample_period = from_ms(5);      ///< offset_sw evaluation cadence
-  fs_t pcie_base = from_ns(250);        ///< nominal round-trip MMIO read cost
-  fs_t pcie_jitter_mean = from_ns(40);  ///< exponential jitter on top
   double pcie_spike_prob = 0.02;        ///< rare contention spikes
   fs_t pcie_spike_mean = from_ns(500);
-  double tsc_hz = 3e9;                  ///< nominal TSC rate
   /// Rate estimation baseline: the counter/TSC ratio is computed against a
   /// checkpoint this many polls old (a long baseline averages out per-read
   /// jitter, the technique RADclock-style daemons use).
   std::size_t rate_window_polls = 16;
-  /// Quality filter: a read whose bracketed round trip exceeds the best
-  /// recently seen RTT by this much is discarded (its association error is
-  /// unbounded). RADclock-style; 0 disables.
-  fs_t rtt_reject_margin = from_ns(120);
-  /// The best-RTT baseline is the minimum over this many recent polls
-  /// (accepted *or* rejected — rejected reads still measured their RTT).
+  /// The quality filter's best-RTT baseline is the minimum over this many
+  /// recent polls (accepted *or* rejected — rejected reads still measured
+  /// their RTT).
   /// A windowed minimum, unlike an all-time ratchet, lets the filter
   /// re-learn after a legitimate permanent PCIe-latency regime change:
   /// once the pre-change samples age out, the floor steps up and reads are
@@ -67,17 +64,6 @@ struct DaemonParams {
   /// extrapolation on a dead anchor is unbounded and callers must know.
   /// 0 = 8 poll periods.
   fs_t max_anchor_age = 0;
-  /// Fraction of each new reading blended into the interpolation anchor
-  /// (1.0 = jump to every reading). Damps per-read jitter the same way
-  /// production daemons low-pass their raw clock readings.
-  double anchor_blend = 0.3;
-  std::size_t smooth_window = 10;       ///< Fig. 7b moving-average window
-  /// Uncertainty model for the timebase page: fixed margin (ticks) added to
-  /// the RTT-derived association bound and the recent blend residual, plus
-  /// growth with anchor age (ppm) covering rate-estimate error and the
-  /// counter's discipline dynamics between polls.
-  double unc_margin_ticks = 8.0;
-  double unc_drift_ppm = 50.0;
 };
 
 /// Split-precision counter reading: exact integer units + fraction.

@@ -7,6 +7,32 @@
 
 namespace dtpsim::dtp {
 
+namespace {
+/// A source is stale once no sample was accepted for this multiple of its
+/// measured inter-arrival gap (failover trigger; keep < 2 so GPS loss fails
+/// over within two broadcast intervals).
+constexpr double kStalenessFactor = 1.5;
+/// Staleness age limit before the inter-arrival gap is known.
+constexpr fs_t kStalenessFloor = from_ms(1);
+/// Falseticker acceptance margin on top of claimed accuracy + drift age.
+constexpr double kFalsetickerMarginNs = 50.0;
+/// Consecutive rejected samples before a source is quarantined.
+constexpr int kFalsetickerStrikes = 2;
+/// Quarantine hold-down; rejections while lying keep extending it.
+constexpr fs_t kFalsetickerHolddown = from_ms(1);
+/// Rate-error bound (ppm) of the free-running island vs UTC — covers the
+/// oscillator envelope of whatever the island's master tree runs at, on both
+/// sides of a partition.
+constexpr double kHoldoverDriftPpm = 300.0;
+/// Tighter bound while a fresh SyncE-style frequency reference is held.
+constexpr double kHoldoverDriftPpmSynced = 25.0;
+/// Fixed uncertainty margin (ns) on top of claim + dispersion + drift.
+constexpr double kBaseMarginNs = 25.0;
+/// Minimum serving rate while slewing out a backward raw jump: served time
+/// still advances at this fraction of real time.
+constexpr double kMinServeRate = 0.5;
+}  // namespace
+
 const char* source_kind_name(SourceKind k) {
   switch (k) {
     case SourceKind::kUtc: return "utc";
@@ -157,8 +183,8 @@ double HierarchyClient::drift_ppm_effective(fs_t now) const {
   // even when no absolute source is left; the free-run bound tightens.
   for (const SourceTrack& t : tracks_)
     if (t.kind == SourceKind::kFrequencyRef && t.have_fix && !stale(t, now))
-      return params_.holdover_drift_ppm_synced;
-  return params_.holdover_drift_ppm;
+      return kHoldoverDriftPpmSynced;
+  return kHoldoverDriftPpm;
 }
 
 double HierarchyClient::uncertainty_of(const SourceTrack& t, fs_t now) const {
@@ -168,16 +194,16 @@ double HierarchyClient::uncertainty_of(const SourceTrack& t, fs_t now) const {
   const double age_ns = to_ns_f(std::max<fs_t>(0, now - t.last_accept));
   const double drift_ns = drift_ppm_effective(now) * 1e-6 * age_ns;
   const double ns =
-      t.accuracy_ns + t.dispersion_ns + params_.base_margin_ns + drift_ns;
+      t.accuracy_ns + t.dispersion_ns + kBaseMarginNs + drift_ns;
   return ns * static_cast<double>(kFsPerNs);
 }
 
 bool HierarchyClient::stale(const SourceTrack& t, fs_t now) const {
   if (!t.have_fix) return true;
   const fs_t limit = t.inter_arrival > 0
-                         ? static_cast<fs_t>(params_.staleness_factor *
+                         ? static_cast<fs_t>(kStalenessFactor *
                                              static_cast<double>(t.inter_arrival))
-                         : params_.staleness_floor;
+                         : kStalenessFloor;
   return now - t.last_accept > limit;
 }
 
@@ -243,7 +269,7 @@ void HierarchyClient::handle_sync(const net::Frame& f, fs_t hw_rx) {
     // so a healed source is eventually re-admitted by this check alone.
     if (t.have_fix) {
       const double age_ns = to_ns_f(std::max<fs_t>(0, hw_rx - t.last_accept));
-      const double allowed_ns = 2.0 * t.accuracy_ns + params_.falseticker_margin_ns +
+      const double allowed_ns = 2.0 * t.accuracy_ns + kFalsetickerMarginNs +
                                 drift_ppm_effective(hw_rx) * 1e-6 * age_ns;
       if (std::abs(est - extrapolate(t, hw_rx)) >
           allowed_ns * static_cast<double>(kFsPerNs))
@@ -260,7 +286,7 @@ void HierarchyClient::handle_sync(const net::Frame& f, fs_t hw_rx) {
       if (sel != nullptr && usable(*sel, hw_rx)) {
         const double lim =
             uncertainty_of(*sel, hw_rx) +
-            (t.accuracy_ns + params_.falseticker_margin_ns) *
+            (t.accuracy_ns + kFalsetickerMarginNs) *
                 static_cast<double>(kFsPerNs);
         if (std::abs(est - extrapolate(*sel, hw_rx)) > lim) reject = true;
       }
@@ -270,8 +296,8 @@ void HierarchyClient::handle_sync(const net::Frame& f, fs_t hw_rx) {
   if (reject) {
     ++t.rejected;
     ++rejected_;
-    if (++t.strikes >= params_.falseticker_strikes) {
-      const fs_t until = hw_rx + params_.falseticker_holddown;
+    if (++t.strikes >= kFalsetickerStrikes) {
+      const fs_t until = hw_rx + kFalsetickerHolddown;
       if (until > t.quarantined_until) {
         if (t.quarantined_until <= hw_rx) {
           if (auto* tr = hub_ != nullptr ? hub_->trace() : nullptr)
@@ -344,8 +370,7 @@ ServedTime HierarchyClient::serve(fs_t now) {
     // holdover), keep advancing at a reduced rate and let the raw timeline
     // catch up; the slew gap is added to the reported uncertainty so the
     // bound stays honest while we converge.
-    const double floor = served_utc_ + params_.min_serve_rate *
-                                           static_cast<double>(now - served_at_);
+    const double floor = served_utc_ + kMinServeRate * static_cast<double>(now - served_at_);
     if (raw < floor) {
       served = floor;
       unc += floor - raw;

@@ -148,32 +148,9 @@ class UtcSourceServer {
 
 /// Client-side knobs.
 struct HierarchyParams {
-  /// A source is stale once no sample was accepted for this multiple of its
-  /// measured inter-arrival gap (failover trigger; keep < 2 so GPS loss
-  /// fails over within two broadcast intervals).
-  double staleness_factor = 1.5;
-  /// Staleness age limit before the inter-arrival gap is known.
-  fs_t staleness_floor = from_ms(1);
-  /// Falseticker acceptance margin on top of claimed accuracy + drift age.
-  double falseticker_margin_ns = 50.0;
-  /// Consecutive rejected samples before a source is quarantined.
-  int falseticker_strikes = 2;
-  /// Quarantine hold-down; rejections while lying keep extending it.
-  fs_t falseticker_holddown = from_ms(1);
-  /// Rate-error bound (ppm) of the free-running island vs UTC — covers the
-  /// oscillator envelope of whatever the island's master tree runs at, on
-  /// both sides of a partition.
-  double holdover_drift_ppm = 300.0;
-  /// Tighter bound while a fresh SyncE-style frequency reference is held.
-  double holdover_drift_ppm_synced = 25.0;
-  /// Fixed uncertainty margin (ns) on top of claim + dispersion + drift.
-  double base_margin_ns = 25.0;
   /// Refuse to serve once uncertainty exceeds this (femtoseconds of
   /// uncertainty, i.e. a duration). 0 = never refuse.
   fs_t holdover_ceiling = from_us(2);
-  /// Minimum serving rate while slewing out a backward raw jump: served
-  /// time still advances at this fraction of real time.
-  double min_serve_rate = 0.5;
 };
 
 /// Client view of the hierarchy's health.

@@ -56,10 +56,10 @@ bool DtpNetwork::remove_agent(const net::Device& dev) {
   return true;
 }
 
-Agent& DtpNetwork::attach_agent(net::Device& dev, DtpParams params) {
+Agent& DtpNetwork::attach_agent(net::Device& dev) {
   if (by_device_.count(&dev))
     throw std::logic_error("DtpNetwork: device already has an agent");
-  agents_.push_back(std::make_unique<Agent>(dev, params));
+  agents_.push_back(std::make_unique<Agent>(dev, params_));
   by_device_[&dev] = agents_.back().get();
   return *agents_.back();
 }
@@ -104,6 +104,7 @@ std::size_t configure_master_tree(DtpNetwork& dtp, net::Device& root) {
 
 DtpNetwork enable_dtp(net::Network& net, DtpParams params) {
   DtpNetwork out;
+  out.params_ = params;
   for (net::Device* dev : net.devices()) {
     out.agents_.push_back(std::make_unique<Agent>(*dev, params));
     out.by_device_[dev] = out.agents_.back().get();

@@ -27,6 +27,9 @@ class DtpNetwork {
   /// The agent attached to `dev`, or nullptr.
   Agent* agent_of(const net::Device* dev) const;
 
+  /// The parameters every agent here was built with (`enable_dtp`'s).
+  const DtpParams& params() const { return params_; }
+
   std::size_t size() const { return agents_.size(); }
   Agent& agent(std::size_t i) { return *agents_.at(i); }
   const Agent& agent(std::size_t i) const { return *agents_.at(i); }
@@ -46,14 +49,15 @@ class DtpNetwork {
   bool remove_agent(const net::Device& dev);
 
   /// DTP-enable `dev` (again) after a crash: a fresh agent with zeroed
-  /// counters comes up and re-runs INIT on every up link, re-learning the
-  /// network counter through BEACON-JOIN (Section 3.2). `dev` must not
-  /// already have an agent.
-  Agent& attach_agent(net::Device& dev, DtpParams params);
+  /// counters and this network's parameters comes up and re-runs INIT on
+  /// every up link, re-learning the network counter through BEACON-JOIN
+  /// (Section 3.2). `dev` must not already have an agent.
+  Agent& attach_agent(net::Device& dev);
 
  private:
   friend DtpNetwork enable_dtp(net::Network& net, DtpParams params);
 
+  DtpParams params_;
   std::vector<std::unique_ptr<Agent>> agents_;
   std::unordered_map<const net::Device*, Agent*> by_device_;
 };

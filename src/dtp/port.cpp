@@ -19,6 +19,12 @@ const char* to_string(PortState s) {
 }
 
 namespace {
+/// Divergence recovery: after this many *consecutive* range-filtered beacons
+/// from a peer (impossible under random bit errors, certain under real
+/// divergence), announce our counter with a BEACON-JOIN so the pair
+/// re-agrees on the maximum.
+constexpr std::int64_t kFilterRecoveryThreshold = 16;
+
 /// Payload width in use (53, or 52 with parity).
 int payload_bits(const DtpParams& p) {
   return p.parity ? kParityPayloadBits : kDtpPayloadBits;
@@ -443,8 +449,7 @@ void PortLogic::handle_beacon(const Message& m, std::int64_t rx_tick, bool join)
       ++stats_.filtered_range;
       // Random bit errors are filtered one at a time; a *run* of filtered
       // beacons means the pair genuinely diverged — trigger a join exchange.
-      if (p.filter_recovery_threshold > 0 &&
-          ++consecutive_filtered_ >= p.filter_recovery_threshold) {
+      if (++consecutive_filtered_ >= kFilterRecoveryThreshold) {
         consecutive_filtered_ = 0;
         send_join();
       }

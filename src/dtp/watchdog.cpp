@@ -8,6 +8,31 @@
 
 namespace dtpsim::dtp {
 
+namespace {
+/// Sibling cross-check bound, in ticks: ports on one device share the
+/// oscillator, so their local counters must agree within roughly
+/// 2 * max_beacon_offset_ticks of each other (each port tracks its peer with
+/// at most the range-filter bias) plus CDC slack. A port lagging the best
+/// sibling by more than this is struck.
+constexpr double kSiblingBoundTicks = 12.0;
+
+/// Gate events within one window needed to call the window a strike (a
+/// single outlier is CDC noise, a burst is a failing lane).
+constexpr int kMinGateEvents = 2;
+
+/// Consecutive strike windows before a suspect port is quarantined.
+constexpr int kSuspectStrikes = 2;
+
+/// Post-join grace. When a device adopts a join-sized forward jump (a
+/// partition heals, a quarantined subtree re-joins, an operator sets the
+/// counter), every peer that has not heard the announce wave yet looks stale
+/// and sibling ports transiently diverge — the max-discipline converging,
+/// not damage. Windows overlapping this long a shadow after the device's
+/// last such jump skip the staleness and sibling signals; the counter-stall
+/// signal stays live (a frozen register is frozen regardless of who jumped).
+constexpr fs_t kJumpShadow = from_us(10);
+}  // namespace
+
 const char* to_string(PortHealth h) {
   switch (h) {
     case PortHealth::kHealthy: return "HEALTHY";
@@ -194,14 +219,14 @@ void HealthWatchdog::evaluate(Mon& m, fs_t now) {
     const bool jump_shadowed =
         agent.last_join_jump_at() >= 0 &&
         now - agent.last_join_jump_at() <=
-            params_.check_period + params_.jump_shadow &&
+            params_.check_period + kJumpShadow &&
         agent.last_join_jump_units() > 2 * agent.params().counter_delta;
     if (lc.diff(m.prev_lc) <= 0) {
       struck = true;
       why = "counter stalled";
     }
     if (!struck && !jump_shadowed &&
-        gate - m.prev_gate >= static_cast<std::uint64_t>(params_.min_gate_events)) {
+        gate - m.prev_gate >= static_cast<std::uint64_t>(kMinGateEvents)) {
       struck = true;
       why = "implausibly stale beacons";
     }
@@ -209,8 +234,7 @@ void HealthWatchdog::evaluate(Mon& m, fs_t now) {
       // Sibling cross-check: all ports of the device share one oscillator,
       // so lagging the best sibling beyond the bound means this port's view
       // of its peer went lame while the siblings' stayed live.
-      const auto bound =
-          static_cast<__int128>(params_.sibling_bound_ticks * delta);
+      const auto bound = static_cast<__int128>(kSiblingBoundTicks * delta);
       for (std::size_t p = 0; p < agent.port_count(); ++p) {
         if (p == m.port_index) continue;
         const PortLogic& sib = agent.port_logic(p);
@@ -254,7 +278,7 @@ void HealthWatchdog::strike(Mon& m, fs_t now, const char* why) {
     if (metrics_ready_) hub_->metrics_registry().add(metric_ids_[0]);
     note(m, now, std::string("suspect (") + why + ")");
   }
-  if (m.strike_streak >= params_.suspect_strikes)
+  if (m.strike_streak >= kSuspectStrikes)
     enter_quarantine(m, now, why);
 }
 

@@ -19,15 +19,15 @@
 ///                  local counters may differ only by what their peers
 ///                  legitimately differ (bounded by the per-hop offset bound
 ///                  plus CDC slack); a port lagging its best sibling beyond
-///                  `sibling_bound_ticks` is tracking a lame peer;
+///                  `kSiblingBoundTicks` is tracking a lame peer;
 ///   3. staleness — `PortLogic` counts beacons whose implied delta is more
-///                  negative than the plausibility gate; `min_gate_events`
+///                  negative than the plausibility gate; `kMinGateEvents`
 ///                  of them in one window is a failing lane, not noise.
 ///
 /// Any signal makes the window a *strike*. Strikes drive an escalation
 /// ladder that never flap-loops:
 ///
-///   Healthy -> Suspect (one strike) -> Quarantined (`suspect_strikes`
+///   Healthy -> Suspect (one strike) -> Quarantined (`kSuspectStrikes`
 ///   consecutive) -> re-INIT after `reinit_backoff * 2^attempt` plus
 ///   deterministic jitter -> Probation -> Healthy after `probation_windows`
 ///   clean windows (only then does the attempt counter reset), or Disabled

@@ -2,21 +2,26 @@
 
 namespace dtpsim::net {
 
+namespace {
+constexpr fs_t kStackBase = from_us(2);         ///< deterministic syscall/kernel-buffer/DMA cost
+constexpr fs_t kStackJitterMean = from_us(1);   ///< exponential jitter added on top
+constexpr double kStackSpikeProb = 0.01;        ///< probability of a scheduling spike
+constexpr fs_t kStackSpikeMean = from_us(50);   ///< exponential spike magnitude
+}  // namespace
+
 fs_t StackModel::sample() {
-  fs_t d = params_.base;
-  if (params_.jitter_mean > 0)
-    d += static_cast<fs_t>(rng_.exponential(static_cast<double>(params_.jitter_mean)));
-  if (params_.spike_prob > 0 && rng_.bernoulli(params_.spike_prob))
-    d += static_cast<fs_t>(rng_.exponential(static_cast<double>(params_.spike_mean)));
+  fs_t d = kStackBase +
+           static_cast<fs_t>(rng_.exponential(static_cast<double>(kStackJitterMean)));
+  if (rng_.bernoulli(kStackSpikeProb))
+    d += static_cast<fs_t>(rng_.exponential(static_cast<double>(kStackSpikeMean)));
   return d;
 }
 
-Host::Host(sim::Simulator& sim, std::string name, MacAddr addr, DeviceParams dev,
-           HostParams params)
+Host::Host(sim::Simulator& sim, std::string name, MacAddr addr, DeviceParams dev)
     : Device(sim, std::move(name), dev),
       addr_(addr),
-      tx_stack_(params.tx_stack, sim.fork_rng(0x7C5ULL ^ addr.value)),
-      rx_stack_(params.rx_stack, sim.fork_rng(0x7C6ULL ^ addr.value)) {
+      tx_stack_(sim.fork_rng(0x7C5ULL ^ addr.value)),
+      rx_stack_(sim.fork_rng(0x7C6ULL ^ addr.value)) {
   add_port();
 }
 

@@ -20,40 +20,22 @@
 
 namespace dtpsim::net {
 
-/// Software network stack delay model (per direction).
-struct StackParams {
-  fs_t base = from_us(2);            ///< deterministic syscall/driver/DMA cost
-  fs_t jitter_mean = from_us(1);     ///< exponential jitter added on top
-  double spike_prob = 0.01;          ///< probability of a scheduling spike
-  fs_t spike_mean = from_us(50);     ///< exponential spike magnitude
-};
-
-/// Samples one traversal delay of the software stack.
+/// Samples one traversal delay of the software stack (per direction).
 class StackModel {
  public:
-  StackModel(StackParams params, Rng rng) : params_(params), rng_(rng) {}
+  explicit StackModel(Rng rng) : rng_(rng) {}
 
-  /// One stack traversal delay (>= base).
+  /// One stack traversal delay (>= the deterministic base cost).
   fs_t sample();
 
-  const StackParams& params() const { return params_; }
-
  private:
-  StackParams params_;
   Rng rng_;
-};
-
-/// Host configuration.
-struct HostParams {
-  StackParams tx_stack{};
-  StackParams rx_stack{};
 };
 
 /// An end host with a single NIC.
 class Host : public Device {
  public:
-  Host(sim::Simulator& sim, std::string name, MacAddr addr, DeviceParams dev,
-       HostParams params = {});
+  Host(sim::Simulator& sim, std::string name, MacAddr addr, DeviceParams dev);
 
   MacAddr addr() const { return addr_; }
   phy::PhyPort& nic_port() { return port(0); }

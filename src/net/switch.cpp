@@ -4,6 +4,10 @@
 
 namespace dtpsim::net {
 
+namespace {
+constexpr fs_t kPipelineLatency = from_ns(300);  ///< lookup + fabric crossing
+}  // namespace
+
 Switch::Switch(sim::Simulator& sim, std::string name, DeviceParams dev, SwitchParams params)
     : Device(sim, std::move(name), dev), sw_params_(params) {}
 
@@ -23,14 +27,13 @@ std::size_t Switch::route(MacAddr addr) const {
 }
 
 fs_t Switch::eligible_time(const Frame& frame, fs_t rx_time) const {
-  if (!sw_params_.cut_through) return rx_time + sw_params_.pipeline_latency;
   // Cut-through: the header was available one frame-duration minus one
   // header-duration ago; eligibility is clamped to "now" because the event
   // engine only learns of the frame at full reception.
   const fs_t tick = osc_.period();
   const fs_t frame_dur = phy::blocks_for_frame(frame.wire_bytes()) * tick;
   const fs_t header_dur = phy::blocks_for_frame(kMacHeaderBytes + kPreambleBytes) * tick;
-  const fs_t eligible = rx_time - frame_dur + header_dur + sw_params_.pipeline_latency;
+  const fs_t eligible = rx_time - frame_dur + header_dur + kPipelineLatency;
   return std::max(eligible, rx_time);
 }
 

@@ -9,14 +9,12 @@
 /// PHY serialization produce the queueing delays that degrade PTP under
 /// load (Fig. 6e/6f) — nothing about PTP is special-cased here.
 ///
-/// Two forwarding modes:
-///  * store-and-forward: a frame becomes eligible for the egress queue after
-///    it is fully received, plus a fixed pipeline latency;
-///  * cut-through (the paper's IBM G8264): eligible once the header has been
-///    received plus the pipeline latency. The event engine learns of a frame
-///    at full reception, so eligibility is clamped to that instant; for the
-///    frame sizes PTP uses the difference is tens of nanoseconds and is
-///    symmetric on request/response paths (see DESIGN.md deviations).
+/// Forwarding is cut-through (the paper's IBM G8264): a frame becomes
+/// eligible for the egress queue once its header has been received plus a
+/// fixed pipeline latency. The event engine learns of a frame at full
+/// reception, so eligibility is clamped to that instant; for the frame sizes
+/// PTP uses the difference is tens of nanoseconds and is symmetric on
+/// request/response paths (see DESIGN.md deviations).
 
 #include <cstdint>
 #include <unordered_map>
@@ -28,9 +26,7 @@ namespace dtpsim::net {
 
 /// Switch fabric configuration.
 struct SwitchParams {
-  bool cut_through = true;
-  fs_t pipeline_latency = from_ns(300);  ///< lookup + fabric crossing
-  bool flood_on_miss = true;             ///< flood unknown unicast (tree topologies)
+  bool flood_on_miss = true;  ///< flood unknown unicast (tree topologies)
 };
 
 /// Forwarding statistics.
@@ -53,7 +49,6 @@ class Switch : public Device {
   static constexpr std::size_t kNoRoute = static_cast<std::size_t>(-1);
   std::size_t route(MacAddr addr) const;
 
-  const SwitchParams& fabric_params() const { return sw_params_; }
   const SwitchStats& stats() const { return stats_; }
 
  protected:

@@ -30,7 +30,7 @@ Host& Network::add_host(const std::string& name) { return add_host(name, sample_
 
 Host& Network::add_host(const std::string& name, double ppm) {
   auto host = std::make_unique<Host>(sim_, name, MacAddr{next_mac_++},
-                                     make_device_params(ppm), params_.host);
+                                     make_device_params(ppm));
   if (params_.enable_drift) host->enable_drift(params_.drift);
   hosts_.push_back(host.get());
   by_name_.emplace(name, host.get());

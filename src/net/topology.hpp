@@ -39,7 +39,6 @@ struct NetworkParams {
   phy::DriftParams drift{};
   phy::Cable::Params cable{};        ///< default ~10 m, no bit errors
   SwitchParams switch_params{};
-  HostParams host{};
   MacParams mac{};
   phy::SyncFifoParams fifo{};
 };

@@ -5,6 +5,12 @@
 
 namespace dtpsim::net {
 
+namespace {
+/// Queue depth target in saturate mode (~100 KB: bulk TCP keeps NIC queues
+/// deep).
+constexpr std::size_t kBacklogFrames = 64;
+}  // namespace
+
 TrafficGenerator::TrafficGenerator(sim::Simulator& sim, Host& src, MacAddr dst,
                                    TrafficParams params)
     : sim_(sim),
@@ -59,7 +65,7 @@ void TrafficGenerator::arm_next() {
 
 void TrafficGenerator::offer() {
   if (!running_) return;
-  if (params_.saturate && src_.nic().queue_frames() >= params_.backlog_frames) {
+  if (params_.saturate && src_.nic().queue_frames() >= kBacklogFrames) {
     // Backlog target met: nothing to enqueue, but re-arm the pump in case
     // the NIC's link bounced while the queue was already full.
     src_.nic().kick();

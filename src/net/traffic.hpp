@@ -23,8 +23,6 @@ struct TrafficParams {
   std::uint32_t frame_bytes = kMtuFrameBytes;  ///< full frame size (header..FCS)
   bool poisson = true;             ///< exponential vs constant interarrivals
   bool saturate = false;           ///< keep the egress queue backlogged
-  std::size_t backlog_frames = 64;  ///< queue depth target in saturate mode
-                                    ///< (~100 KB: bulk TCP keeps NIC queues deep)
   /// Frames emitted back-to-back per arrival (TCP-window-style burstiness;
   /// interarrival times are scaled so the offered rate is unchanged). The
   /// queueing tails that degrade PTP at sub-line offered loads (Fig. 6e)

@@ -7,6 +7,10 @@ namespace dtpsim::ntp {
 
 namespace {
 constexpr std::uint32_t kNtpPayloadBytes = 48;  // NTPv4 packet size
+constexpr std::size_t kFilterWindow = 8;        ///< clock-filter shift register size
+constexpr double kStepThresholdNs = 50e6;       ///< step if |offset| above this (50 ms)
+constexpr double kSlewGain = 0.5;               ///< fraction of offset corrected per poll
+constexpr fs_t kSamplePeriod = from_ms(100);    ///< true-offset sampling cadence
 }
 
 NtpServer::NtpServer(sim::Simulator& sim, net::Host& host, bool ideal_clock)
@@ -51,8 +55,8 @@ NtpClient::NtpClient(sim::Simulator& sim, net::Host& host, net::MacAddr server,
       clock_(host.oscillator(), from_ns(100)),
       poll_proc_(sim, params.poll_interval, [this] { poll(); },
                  sim::EventCategory::kBeacon),
-      sample_proc_(sim, params.sample_period > 0 ? params.sample_period : from_ms(100),
-                   [this] { sample_truth(); }, sim::EventCategory::kProbe) {
+      sample_proc_(sim, kSamplePeriod, [this] { sample_truth(); },
+                   sim::EventCategory::kProbe) {
   auto previous = host_.on_app_receive;
   host_.on_app_receive = [this, previous](const net::Frame& f, fs_t hw, fs_t app) {
     if (f.ethertype == net::kEtherTypeNtp) {
@@ -65,7 +69,7 @@ NtpClient::NtpClient(sim::Simulator& sim, net::Host& host, net::MacAddr server,
 
 void NtpClient::start() {
   poll_proc_.start_with_phase(params_.poll_interval / 3);
-  if (params_.sample_period > 0) sample_proc_.start();
+  sample_proc_.start();
 }
 
 void NtpClient::stop() {
@@ -90,11 +94,11 @@ void NtpClient::poll() {
 // Mills' clock filter in miniature: keep the last N (offset, delay) samples
 // and trust the offset of the minimum-delay sample.
 std::optional<double> NtpClient::clock_filter(double offset_ns, double delay_ns) {
-  if (filter_.size() < params_.filter_window) {
+  if (filter_.size() < kFilterWindow) {
     filter_.push_back({offset_ns, delay_ns});
   } else {
     filter_[filter_next_] = {offset_ns, delay_ns};
-    filter_next_ = (filter_next_ + 1) % params_.filter_window;
+    filter_next_ = (filter_next_ + 1) % kFilterWindow;
   }
   const auto best = std::min_element(
       filter_.begin(), filter_.end(),
@@ -122,13 +126,13 @@ void NtpClient::handle(const net::Frame& f, fs_t app_rx_time) {
   measured_series_.add(to_sec_f(now), *filtered);
 
   double applied;
-  if (std::fabs(*filtered) > params_.step_threshold_ns) {
+  if (std::fabs(*filtered) > kStepThresholdNs) {
     applied = *filtered;
     clock_.step(now, applied);
   } else {
     // Slew a fraction of the filtered offset and fold the remainder into
     // the frequency estimate (crude FLL+PLL hybrid, like ntpd's discipline).
-    applied = params_.slew_gain * *filtered;
+    applied = kSlewGain * *filtered;
     clock_.step(now, applied);
     freq_est_ppb_ += 0.1 * (*filtered / to_sec_f(params_.poll_interval));
     freq_est_ppb_ = std::clamp(freq_est_ppb_, -500000.0, 500000.0);  // adjtimex range

@@ -55,12 +55,8 @@ class NtpServer {
 
 /// Client configuration.
 struct NtpClientParams {
-  fs_t poll_interval = from_sec(1);   ///< LAN ntpd minimum poll is 8 s; we poll
-                                      ///< faster to converge within short runs
-  std::size_t filter_window = 8;      ///< clock-filter shift register size
-  double step_threshold_ns = 50e6;    ///< step if |offset| above this (50 ms)
-  double slew_gain = 0.5;             ///< fraction of offset corrected per poll
-  fs_t sample_period = from_ms(100);  ///< true-offset sampling cadence
+  fs_t poll_interval = from_sec(1);  ///< LAN ntpd minimum poll is 8 s; we poll
+                                     ///< faster to converge within short runs
 };
 
 /// NTP client: polls a server and disciplines its software clock.

@@ -10,7 +10,6 @@
 /// exact and tested property-style over random frame sizes.
 
 #include <cstdint>
-#include <stdexcept>
 #include <vector>
 
 #include "phy/block.hpp"
@@ -34,12 +33,6 @@ std::vector<Block> encode_frame(const std::vector<std::uint8_t>& bytes);
 /// (an /S/ after idles; a mid-frame /S/ itself starts the next frame).
 class FrameDecoder {
  public:
-  /// Legacy alias: feed() no longer throws, but callers that still name the
-  /// type (catch blocks written against the old API) keep compiling.
-  struct DecodeError : std::runtime_error {
-    using std::runtime_error::runtime_error;
-  };
-
   /// Per-kind error tallies; `total()` is the sentinel/fuzzer headline.
   struct ErrorStats {
     std::uint64_t bad_sync = 0;           ///< sync header not 0b01/0b10

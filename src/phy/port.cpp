@@ -185,7 +185,7 @@ PhyPort::TxTiming PhyPort::send_frame(std::uint32_t wire_bytes,
   const std::int64_t blocks = blocks_for_frame(wire_bytes);
   const fs_t end = osc_.edge_of_tick(start_tick + blocks);
   line_free_ = end;
-  frame_allowed_ = osc_.edge_of_tick(start_tick + blocks + params_.ipg_blocks);
+  frame_allowed_ = osc_.edge_of_tick(start_tick + blocks + kIpgBlocks);
   ++frames_sent_;
   cable_->transmit_frame(*this, wire_bytes, std::move(payload), end);
   // A control request queued mid-frame gets the IPG slot right after `end`.

@@ -59,10 +59,12 @@ struct FrameRx {
   fs_t arrival_time = 0;                ///< last bit on the wire
 };
 
+/// Minimum idle blocks between frames (>= 12 /I/).
+inline constexpr int kIpgBlocks = 2;
+
 /// Per-port configuration.
 struct PortParams {
   LinkRate rate = LinkRate::k10G;
-  int ipg_blocks = 2;        ///< minimum idle blocks between frames (>= 12 /I/)
   SyncFifoParams fifo{};     ///< CDC model parameters
 };
 

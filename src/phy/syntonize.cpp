@@ -4,6 +4,10 @@
 
 namespace dtpsim::phy {
 
+namespace {
+constexpr fs_t kUpdateInterval = from_us(100);  ///< PLL bandwidth proxy
+}  // namespace
+
 Syntonizer::Syntonizer(sim::Simulator& sim, Oscillator& slave, const Oscillator& upstream,
                        SyntonizeParams params, Rng rng)
     : sim_(sim),
@@ -11,7 +15,7 @@ Syntonizer::Syntonizer(sim::Simulator& sim, Oscillator& slave, const Oscillator&
       upstream_(upstream),
       params_(params),
       rng_(rng),
-      proc_(sim, params.update_interval, [this] { update(); },
+      proc_(sim, kUpdateInterval, [this] { update(); },
             sim::EventCategory::kDrift) {}
 
 void Syntonizer::update() {

@@ -22,8 +22,7 @@ namespace dtpsim::phy {
 
 /// PLL model parameters.
 struct SyntonizeParams {
-  fs_t update_interval = from_us(100);  ///< PLL bandwidth proxy
-  double residual_ppb = 10.0;           ///< cleanup-PLL jitter (1-sigma, ppb)
+  double residual_ppb = 10.0;  ///< cleanup-PLL jitter (1-sigma, ppb)
 };
 
 /// Locks a slave oscillator's frequency to an upstream (master-side)

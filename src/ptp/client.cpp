@@ -4,25 +4,29 @@
 
 namespace dtpsim::ptp {
 
+namespace {
+constexpr std::size_t kDelayFilterWindow = 8;  ///< median window for path delay
+constexpr fs_t kSamplePeriod = from_ms(100);   ///< true-offset sampling cadence
+}  // namespace
+
 PtpClient::PtpClient(sim::Simulator& sim, net::Host& host, const HardwareClock& reference,
                      PtpClientParams params)
     : sim_(sim),
       host_(host),
       reference_(reference),
       params_(params),
-      phc_(host.oscillator(), params.ts_resolution),
-      servo_(params.servo),
+      phc_(host.oscillator(), kTimestampResolution),
       dreq_proc_(sim, params.delay_req_interval, [this] { send_delay_req(); },
                  sim::EventCategory::kBeacon),
-      sample_proc_(sim, params.sample_period > 0 ? params.sample_period : from_ms(100),
-                   [this] { sample_truth(); }, sim::EventCategory::kProbe) {
+      sample_proc_(sim, kSamplePeriod, [this] { sample_truth(); },
+                   sim::EventCategory::kProbe) {
   host_.on_hw_receive = [this](const net::Frame& f, fs_t t) { handle_hw_receive(f, t); };
   host_.nic().on_transmit = [this](net::Frame& f, fs_t t) { handle_transmit(f, t); };
 }
 
 void PtpClient::start() {
   dreq_proc_.start();
-  if (params_.sample_period > 0) sample_proc_.start();
+  sample_proc_.start();
 }
 
 void PtpClient::stop() {
@@ -99,12 +103,11 @@ void PtpClient::handle_transmit(net::Frame& f, fs_t tx_start) {
 }
 
 double PtpClient::filtered_delay(double sample_ns) {
-  if (params_.delay_filter_window <= 1) return sample_ns;
-  if (delay_window_.size() < params_.delay_filter_window) {
+  if (delay_window_.size() < kDelayFilterWindow) {
     delay_window_.push_back(sample_ns);
   } else {
     delay_window_[delay_window_next_] = sample_ns;
-    delay_window_next_ = (delay_window_next_ + 1) % params_.delay_filter_window;
+    delay_window_next_ = (delay_window_next_ + 1) % kDelayFilterWindow;
   }
   std::vector<double> sorted = delay_window_;
   std::nth_element(sorted.begin(), sorted.begin() + sorted.size() / 2, sorted.end());

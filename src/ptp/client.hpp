@@ -27,10 +27,6 @@ namespace dtpsim::ptp {
 /// Client configuration.
 struct PtpClientParams {
   fs_t delay_req_interval = from_ms(750);  ///< 2 per 1.5 s, as configured in §6.1
-  fs_t ts_resolution = from_ns(8);
-  ServoParams servo{};
-  std::size_t delay_filter_window = 8;     ///< median window for path delay
-  fs_t sample_period = from_ms(100);       ///< true-offset sampling cadence
   std::uint8_t cos = 0;                    ///< 802.1p class for PTP frames
 };
 

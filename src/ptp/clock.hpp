@@ -14,4 +14,8 @@ namespace dtpsim::ptp {
 /// A PHC is an adjustable clock in the NIC.
 using HardwareClock = phy::AdjustableClock;
 
+/// Hardware timestamp granularity of every PHC: grandmaster, client and
+/// transparent clock.
+inline constexpr fs_t kTimestampResolution = from_ns(8);
+
 }  // namespace dtpsim::ptp

@@ -6,7 +6,7 @@ Grandmaster::Grandmaster(sim::Simulator& sim, net::Host& host, GrandmasterParams
     : sim_(sim),
       host_(host),
       params_(params),
-      phc_(host.oscillator(), params.ts_resolution, /*ideal=*/true),
+      phc_(host.oscillator(), kTimestampResolution, /*ideal=*/true),
       sync_proc_(sim, params.sync_interval, [this] { send_sync(); },
                  sim::EventCategory::kBeacon),
       announce_proc_(sim, params.announce_interval, [this] { send_announce(); },

@@ -22,7 +22,6 @@ namespace dtpsim::ptp {
 struct GrandmasterParams {
   fs_t sync_interval = from_sec(1);
   fs_t announce_interval = from_sec(1);
-  fs_t ts_resolution = from_ns(8);  ///< hardware timestamp granularity
   std::uint8_t priority = 1;        ///< BMC priority (lower wins)
   std::uint8_t cos = 0;             ///< 802.1p class for PTP frames
 };

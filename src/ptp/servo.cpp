@@ -5,6 +5,12 @@
 
 namespace dtpsim::ptp {
 
+namespace {
+constexpr double kKp = 0.7;           ///< proportional gain (per second)
+constexpr double kKi = 0.3;           ///< integral gain (per second)
+constexpr double kMaxFreqPpb = 5e5;   ///< trim clamp (covers +-100 ppm oscillators)
+}  // namespace
+
 PiServo::PiServo(ServoParams params) : params_(params) {}
 
 void PiServo::reset() {
@@ -34,7 +40,7 @@ ServoAction PiServo::update(double offset_ns, double dt_sec) {
   if (first_ || std::fabs(offset_ns) > params_.step_threshold_ns) {
     // Gross offset: step the clock, keep the frequency estimate.
     action.step_ns = -offset_ns;
-    action.freq_ppb = std::clamp(-integral_ppb_, -params_.max_freq_ppb, params_.max_freq_ppb);
+    action.freq_ppb = std::clamp(-integral_ppb_, -kMaxFreqPpb, kMaxFreqPpb);
     action.filtered_offset_ns = offset_ns;
     first_ = false;
     return action;
@@ -45,10 +51,10 @@ ServoAction PiServo::update(double offset_ns, double dt_sec) {
 
   // offset_ns observed over dt seconds == offset_ns/dt ppb of rate error
   // plus accumulated phase; standard PI mapping.
-  integral_ppb_ += params_.ki * filtered / dt_sec;
-  integral_ppb_ = std::clamp(integral_ppb_, -params_.max_freq_ppb, params_.max_freq_ppb);
-  const double out = params_.kp * filtered / dt_sec + integral_ppb_;
-  action.freq_ppb = std::clamp(-out, -params_.max_freq_ppb, params_.max_freq_ppb);
+  integral_ppb_ += kKi * filtered / dt_sec;
+  integral_ppb_ = std::clamp(integral_ppb_, -kMaxFreqPpb, kMaxFreqPpb);
+  const double out = kKp * filtered / dt_sec + integral_ppb_;
+  action.freq_ppb = std::clamp(-out, -kMaxFreqPpb, kMaxFreqPpb);
   return action;
 }
 

@@ -14,16 +14,13 @@
 
 namespace dtpsim::ptp {
 
-/// Servo gains and limits.
+/// Servo prefilter and step limit.
 struct ServoParams {
-  double kp = 0.7;                   ///< proportional gain (per second)
-  double ki = 0.3;                   ///< integral gain (per second)
   /// Offset median prefilter size. 1 = off (ptp4l's default servo shape):
   /// a median inside the loop adds delay and destabilizes the PI gains, so
   /// enable it only with reduced gains.
   std::size_t median_window = 1;
   double step_threshold_ns = 1e6;    ///< step instead of slew above this
-  double max_freq_ppb = 5e5;         ///< trim clamp (covers +-100 ppm oscillators)
 };
 
 /// Output of one servo update.

@@ -12,7 +12,7 @@ bool is_event_message(const net::Frame& f) {
 
 TransparentClockAdapter::TransparentClockAdapter(net::Switch& sw,
                                                  TransparentClockParams params)
-    : sw_(sw), params_(params), clock_(sw.oscillator(), params.ts_resolution) {
+    : sw_(sw), params_(params), clock_(sw.oscillator(), kTimestampResolution) {
   for (std::size_t i = 0; i < sw_.port_count(); ++i) {
     net::Mac& mac = sw_.mac(i);
     // Chain in front of the switch's own forwarding handler.

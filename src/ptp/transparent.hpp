@@ -24,7 +24,6 @@ namespace dtpsim::ptp {
 
 /// Transparent-clock behaviour knobs.
 struct TransparentClockParams {
-  fs_t ts_resolution = from_ns(8);
   /// Residence times above this are NOT corrected. This models the
   /// congestion misbehaviour reported for enterprise TC switches ([52],
   /// which the paper cites to explain its own Fig. 6e/f measurements): the

@@ -31,7 +31,7 @@ Campaign::Campaign(Scenario scenario, const RunOptions& options)
   if (s.watchdog)
     watchdog_ = std::make_unique<dtp::HealthWatchdog>(net_, dtp_, *s.watchdog, options_.seed);
 
-  engine_ = std::make_unique<chaos::ChaosEngine>(net_, dtp_, s.chaos);
+  engine_ = std::make_unique<chaos::ChaosEngine>(net_, dtp_);
   if (s.hierarchy) engine_->set_hierarchy(&hierarchy_);
   if (s.plan) plan_ = s.plan(*this);
 

@@ -65,7 +65,6 @@ struct Scenario {
 
   net::NetworkParams net;
   dtp::DtpParams dtp;
-  chaos::ChaosParams chaos;
   /// Builds the topology and returns its traffic hosts; empty = the Fig. 5
   /// tree (then `Campaign::tree()` is valid and the leaves are the hosts).
   std::function<std::vector<net::Host*>(net::Network&)> topology;

@@ -1,12 +1,42 @@
 #include "stress/runner.hpp"
 
+#include <cstdint>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 namespace dtpsim::stress {
 
+namespace {
+
+/// The largest topology in the repository: the k=32 fat-tree (8192 hosts)
+/// that bench_scalability builds.
+constexpr std::uint64_t kMaxDevices = 9472;
+
+/// Hosts plus switches the spec's topology builds, from its size fields in
+/// 128-bit arithmetic so no uint32 value can wrap the count.
+unsigned __int128 device_count(const StressSpec& s) {
+  using U = unsigned __int128;
+  switch (s.topo) {
+    case TopoKind::kChain: return U{s.chain_switches} + 2;
+    case TopoKind::kPaperTree: return 12;  // Fig. 5: S0-S3 switches, S4-S11 hosts
+    case TopoKind::kRandomTree: return U{s.tree_switches} + s.tree_hosts;
+    case TopoKind::kFatTree: {
+      const U half = s.fat_k / 2;
+      const U edges = U{s.fat_k} * half;  // = aggregation switches
+      return half * half + 2 * edges + edges * s.fat_hosts_per_edge;
+    }
+  }
+  return 0;
+}
+
+}  // namespace
+
 std::vector<net::Host*> build_topology(net::Network& net, const StressSpec& s) {
+  if (device_count(s) > kMaxDevices)
+    throw std::invalid_argument("stress: the spec's topology has more than " +
+                                std::to_string(kMaxDevices) + " devices");
   switch (s.topo) {
     case TopoKind::kChain: {
       auto topo = net::build_chain(net, s.chain_switches);
@@ -54,7 +84,6 @@ Scenario resolve(const StressSpec& spec) {
   // right after a replug (see MacParams::data_holdoff).
   s.net.mac.data_holdoff = from_us(20);
   s.dtp.beacon_interval_ticks = spec.beacon_interval_ticks;
-  s.chaos.dtp = s.dtp;
 
   s.topology = [spec](net::Network& net) { return build_topology(net, spec); };
   s.load = [spec](Campaign& c) { start_traffic(c.net(), c.hosts(), spec); };
@@ -76,9 +105,18 @@ Scenario resolve(const StressSpec& spec) {
   check::SentinelParams sp;
   if (spec.sample_period > 0) sp.sample_period = spec.sample_period;
   if (spec.offset_bound_ticks > 0) sp.offset_bound_ticks = spec.offset_bound_ticks;
+  // A sentinel that never samples would call any run clean.
+  if (sp.sample_period >= spec.horizon)
+    throw std::invalid_argument("stress: sentinel sample period is not shorter than the horizon");
   s.sentinel = sp;
-  for (const auto& f : spec.faults)
-    s.blackouts.emplace_back(f.at - 2 * sp.sample_period, blackout_end(f));
+  for (const auto& f : spec.faults) {
+    // The blackout opens two samples before the fault.
+    fs_t from = 0;
+    if (__builtin_mul_overflow(sp.sample_period, 2, &from) ||
+        __builtin_sub_overflow(f.at, from, &from))
+      throw std::invalid_argument("stress: sentinel blackout starts before the fs_t range");
+    s.blackouts.emplace_back(from, blackout_end(f));
+  }
   return s;
 }
 
@@ -131,9 +169,7 @@ BatchOutcome run_batch(std::uint64_t seed, std::uint32_t count,
   BatchOutcome out;
   for (std::uint32_t i = 0; i < count; ++i) {
     const StressSpec spec = generate(seed, i, limits);
-    CampaignResult r = differential && (spec.threads > 1 || spec.bridged)
-                           ? run_differential(spec)
-                           : run_campaign(spec);
+    CampaignResult r = differential ? run_differential(spec) : run_campaign(spec);
     ++out.campaigns;
     out.events_executed += r.events_executed;
     if (!r.clean()) out.failures.push_back(std::move(r));

@@ -37,26 +37,32 @@ struct CampaignResult {
 /// Build the spec's topology into `net` and return its traffic hosts: the
 /// one function that turns a spec into a network (the generator reads its
 /// cables, names and hosts from it too). Throws std::invalid_argument for a
-/// shape the builders reject.
+/// shape the builders reject, and, before creating anything, for one of more
+/// than 9472 devices (the k=32 fat-tree, the largest the repository builds).
 std::vector<net::Host*> build_topology(net::Network& net, const StressSpec& spec);
 
 /// Execute one campaign. Deterministic: same spec -> same result (any
 /// thread count yields the same digest). Throws std::invalid_argument if
-/// the spec is internally inconsistent (a topology the builders reject, a
-/// fault naming a device or cable the topology does not build, a hierarchy
-/// on fewer than three hosts) — the shrinker treats that as "candidate
-/// invalid", not as a failure, and `dtpsim --repro` as a malformed file. A non-null `obs` naming an output path
-/// attaches trace/metrics (the CLI replays a failing campaign that way);
-/// std::runtime_error if such a file cannot be written.
+/// the spec is internally inconsistent (a topology the builders reject or of
+/// more than 9472 devices, a fault naming a device or cable the topology does
+/// not build, a hierarchy on fewer than three hosts, a sentinel sample period
+/// not shorter than the horizon or one whose blackout start leaves the fs_t
+/// range) — the shrinker treats that as "candidate invalid", not as a
+/// failure, and `dtpsim --repro` as a malformed file. A non-null `obs` naming
+/// an output path attaches trace/metrics (the CLI replays a failing campaign
+/// that way); std::runtime_error if such a file cannot be written.
 CampaignResult run_campaign(const StressSpec& spec, const ObsOptions* obs = nullptr);
 
 /// The spec as a runnable scenario (no gates: the verdict is the
-/// sentinel's).
+/// sentinel's). Throws std::invalid_argument when the sentinel would never
+/// sample (period not shorter than the horizon) or a fault's blackout, which
+/// opens two samples early, would start before the fs_t range.
 Scenario resolve(const StressSpec& spec);
 
-/// Run the spec serially and with `spec.threads` workers and compare
-/// sentinel digests. On mismatch the returned (parallel) result gains a
-/// kDigestMismatch violation. Specs with threads <= 1 are run once.
+/// Run the spec on the serial exact engine and on its own engine
+/// (`spec.threads` workers, `spec.bridged`) and compare sentinel digests. On
+/// mismatch the returned result (the spec's own engine) gains a
+/// kDigestMismatch violation. Serial exact specs are run once.
 CampaignResult run_differential(const StressSpec& spec);
 
 /// Fixed-seed batch: generate + run campaigns [0, count). Clean results are
@@ -69,8 +75,9 @@ struct BatchOutcome {
   bool clean() const { return failures.empty(); }
 };
 
-/// `differential` additionally replays every multi-threaded spec serially
-/// and digest-compares the two runs.
+/// `differential` runs every spec through `run_differential`: multi-threaded
+/// and bridged specs are replayed on the serial exact engine and the two
+/// digests compared.
 BatchOutcome run_batch(std::uint64_t seed, std::uint32_t count,
                        const StressLimits& limits = {}, bool differential = false);
 

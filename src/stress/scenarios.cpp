@@ -95,7 +95,6 @@ Scenario canonical_row(std::string name, std::function<chaos::FaultPlan(Campaign
   s.setting = ", MTU-saturated";
   s.net = CanonicalCampaign::net_params();
   s.dtp = CanonicalCampaign::dtp_params();
-  s.chaos = CanonicalCampaign::chaos_params();
   s.load = [](Campaign& c) {
     CanonicalCampaign::start_heavy_load(c.net(), c.tree(), net::kMtuFrameBytes);
   };
@@ -131,7 +130,7 @@ Scenario single_fault_row(std::string name, const std::string& cls, fs_t length,
 ///
 ///   t0+0      gps_loss      GPS reference dark 1 ms; clients must fail over
 ///                           to the stratum-2 source within 2 broadcast
-///                           intervals (staleness_factor 1.5 + detection lag)
+///                           intervals (kStalenessFactor 1.5 + detection lag)
 ///   t0+2.5ms  rogue_gm      GPS broadcasts UTC shifted +2 us; every client
 ///                           must quarantine it within 1.5 ms; the lie is
 ///                           cleared 0.5 ms after quarantine is observed
@@ -260,7 +259,6 @@ Scenario gray_row() {
       kT0 + from_ms(20));
   s.flags = {"wd-check-period", "wd-backoff"};
   s.dtp.enable_jump_detector = false;
-  s.chaos.dtp = s.dtp;
   s.watchdog = dtp::WatchdogParams{};
   // Each fault window plus a remediation margin (backoff ladder, probation,
   // and the post-heal fast-forward that re-absorbs a biased OWD): offsets

@@ -32,6 +32,11 @@ TopoKind topo_from_name(const std::string& name) {
 
 namespace {
 
+/// The generator's traffic and random-tree envelope (tier-1 batches stay
+/// small).
+constexpr std::uint32_t kMaxFlows = 4;
+constexpr std::uint32_t kMaxTreeSwitches = 8;
+
 /// The spec's topology built into a scratch network: the generator and
 /// spec_size read cables, names and hosts from it instead of mirroring the
 /// builders.
@@ -263,8 +268,7 @@ StressSpec generate(std::uint64_t seed, std::uint32_t index, const StressLimits&
       break;
     case 2:
       s.topo = TopoKind::kRandomTree;
-      s.tree_switches =
-          3 + static_cast<std::uint32_t>(r.uniform(limits.max_tree_switches - 2));
+      s.tree_switches = 3 + static_cast<std::uint32_t>(r.uniform(kMaxTreeSwitches - 2));
       s.tree_hosts = 2 + static_cast<std::uint32_t>(r.uniform(4));
       s.shape_seed = r();
       break;
@@ -281,14 +285,14 @@ StressSpec generate(std::uint64_t seed, std::uint32_t index, const StressLimits&
   s.enable_drift = r.bernoulli(0.5);
   s.propagation_delay = from_ns(static_cast<std::int64_t>(200 + r.uniform(1801)));
 
-  s.n_flows = static_cast<std::uint32_t>(r.uniform(limits.max_flows + 1));
+  s.n_flows = static_cast<std::uint32_t>(r.uniform(kMaxFlows + 1));
   const std::uint32_t sizes[3] = {64, 512, 1522};
   s.frame_bytes = sizes[r.uniform(3)];
   s.saturate = r.bernoulli(0.25);
   s.rate_gbps = r.uniform_real(0.5, 3.0);
 
   const std::uint32_t thread_choices[4] = {1, 1, 2, 4};
-  s.threads = limits.allow_parallel ? thread_choices[r.uniform(4)] : 1;
+  s.threads = thread_choices[r.uniform(4)];
   if (s.threads > 1 && s.propagation_delay < from_us(1)) s.propagation_delay = from_us(1);
 
   s.settle = from_ms(3);
@@ -373,11 +377,11 @@ StressSpec generate(std::uint64_t seed, std::uint32_t index, const StressLimits&
   // earlier field bit-identical to what they sampled before the bridged
   // engine existed. The hierarchy slice below follows the same rule: each
   // newer feature appends its draws strictly after the older ones.
-  s.bridged = limits.allow_bridged && r.bernoulli(0.25);
+  s.bridged = r.bernoulli(0.25);
 
   // Multi-source hierarchy slice: two competing sources plus clients, and
   // (half the time) one source-level fault aimed at the stratum-1 server.
-  if (limits.allow_hier && topo.hosts.size() >= 3 && r.bernoulli(0.25)) {
+  if (topo.hosts.size() >= 3 && r.bernoulli(0.25)) {
     s.hier = true;
     if (s.faults.size() < limits.max_faults && r.bernoulli(0.5)) {
       chaos::FaultSpec f;
@@ -404,7 +408,7 @@ StressSpec generate(std::uint64_t seed, std::uint32_t index, const StressLimits&
   // random link. Magnitudes track the canonical gray campaign's: big enough
   // that the staleness clears the default plausibility gate, small enough
   // that the range filter still bounds every lie.
-  if (limits.allow_gray && r.bernoulli(0.25)) {
+  if (r.bernoulli(0.25)) {
     s.gray = true;
     if (s.faults.size() < limits.max_faults && r.bernoulli(0.5)) {
       chaos::FaultSpec f;

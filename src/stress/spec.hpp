@@ -98,17 +98,11 @@ std::string to_text(const StressSpec& spec);
 /// Strict parse; throws std::invalid_argument on any malformed input.
 StressSpec spec_from_text(const std::string& text);
 
-/// Sampling envelope for `generate`. The defaults keep tier-1 batches small
-/// and exclude fault classes that need special protocol configuration
+/// Sampling envelope for `generate`. The generator keeps tier-1 batches
+/// small and excludes fault classes that need special protocol configuration
 /// (rogue oscillators want the jump detector; PCIe storms want daemons).
 struct StressLimits {
   std::uint32_t max_faults = 3;
-  std::uint32_t max_flows = 4;
-  std::uint32_t max_tree_switches = 8;
-  bool allow_parallel = true;
-  bool allow_bridged = true;
-  bool allow_hier = true;
-  bool allow_gray = true;
 };
 
 /// Deterministically sample campaign `index` of master seed `seed`. Faults

@@ -156,8 +156,7 @@ TEST(ChaosRecovery, CrashRestartRejoinsAgainstLivePeers) {
   c.sim.run_until(2_ms);
   ASSERT_TRUE(c.dtp.all_synced());
 
-  chaos::ChaosParams cp = chaos::CanonicalCampaign::chaos_params();
-  chaos::ChaosEngine engine(c.net, c.dtp, cp);
+  chaos::ChaosEngine engine(c.net, c.dtp);
 
   engine.crash_node(*c.a);
   EXPECT_EQ(c.dtp.agent_of(c.a), nullptr);
@@ -210,7 +209,7 @@ TEST(ChaosReport, ClassPercentilesSpanTheDistribution) {
 TEST(ChaosEngine, LinkFlapProbeMeasuresReconvergence) {
   const dtp::DtpParams params = chaos::CanonicalCampaign::dtp_params();
   Chain c(56, params);
-  chaos::ChaosEngine engine(c.net, c.dtp, chaos::CanonicalCampaign::chaos_params());
+  chaos::ChaosEngine engine(c.net, c.dtp);
 
   chaos::FaultPlan plan;
   plan.add(chaos::FaultSpec::link_flap(*c.a, *c.s, 2_ms, 50_us));
@@ -227,7 +226,7 @@ TEST(ChaosEngine, LinkFlapProbeMeasuresReconvergence) {
 
 TEST(ChaosEngine, UnknownLinkInPlanThrows) {
   Chain c(57, chaos::CanonicalCampaign::dtp_params());
-  chaos::ChaosEngine engine(c.net, c.dtp, chaos::CanonicalCampaign::chaos_params());
+  chaos::ChaosEngine engine(c.net, c.dtp);
   chaos::FaultPlan plan;
   plan.add(chaos::FaultSpec::link_flap(*c.a, *c.b, 1_ms, 50_us));  // not cabled
   EXPECT_THROW(engine.schedule(plan), std::invalid_argument);
@@ -266,7 +265,7 @@ TEST(ChaosGray, NamedConstructorsRejectMalformedSpecs) {
 
 TEST(ChaosGray, ScheduleRejectsUncabledGrayFaults) {
   Chain c(60, chaos::CanonicalCampaign::dtp_params());
-  chaos::ChaosEngine engine(c.net, c.dtp, chaos::CanonicalCampaign::chaos_params());
+  chaos::ChaosEngine engine(c.net, c.dtp);
   // a and b are two hops apart — no direct cable, so the direction the spec
   // names does not exist.
   chaos::FaultPlan plan;
@@ -276,7 +275,7 @@ TEST(ChaosGray, ScheduleRejectsUncabledGrayFaults) {
 
 TEST(ChaosGray, SourceFaultWithoutHierarchyThrows) {
   Chain c(61, chaos::CanonicalCampaign::dtp_params());
-  chaos::ChaosEngine engine(c.net, c.dtp, chaos::CanonicalCampaign::chaos_params());
+  chaos::ChaosEngine engine(c.net, c.dtp);
   // No set_hierarchy(): scheduling a source-kind fault must fail loudly, not
   // silently skip the injection.
   chaos::FaultPlan plan;
@@ -302,7 +301,7 @@ TEST(ChaosEngine, PcieStormRejectedThenRecovered) {
   // A handful of benign rejections can occur while best-RTT settles.
   const auto rejected_baseline = daemon.rejected_polls();
 
-  chaos::ChaosEngine engine(net, dtpn, {});
+  chaos::ChaosEngine engine(net, dtpn);
   chaos::FaultPlan plan;
   plan.add(chaos::FaultSpec::pcie_storm(daemon, 3_ms, 2_ms, from_ns(400), 0.3,
                                         2_us, 24.0));

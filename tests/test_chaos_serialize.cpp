@@ -124,7 +124,7 @@ TEST(ChaosSerialize, PlanRoundTripsThroughALiveTopology) {
   const chaos::FaultPlan back = through_lines(plan);
   EXPECT_EQ(back.faults, plan.faults);
   // The parsed plan resolves against the live network.
-  chaos::ChaosEngine engine(net, dtpn, {});
+  chaos::ChaosEngine engine(net, dtpn);
   EXPECT_NO_THROW(engine.schedule(back));
 }
 
@@ -218,7 +218,7 @@ TEST(ChaosSerialize, UnresolvableDeviceNameThrows) {
   net::Network net(sim);
   net::PaperTreeTopology topo = net::build_paper_tree(net);
   dtp::DtpNetwork dtpn = dtp::enable_dtp(net);
-  chaos::ChaosEngine engine(net, dtpn, {});
+  chaos::ChaosEngine engine(net, dtpn);
 
   // A valid fault ahead of one naming a device this topology lacks: the
   // schedule throws before either is scheduled.

@@ -73,7 +73,7 @@ RunResult run_fig5(const RunConfig& cfg, std::uint64_t* fused_out = nullptr) {
     net.add_traffic(*topo.leaves[3], topo.leaves[7]->addr(), tp).start();
   }
 
-  chaos::ChaosEngine chaos_eng(net, dtp, {});
+  chaos::ChaosEngine chaos_eng(net, dtp);
   if (cfg.chaos) {
     // Faults land inside bridged quiet spans: the flap cancels pending
     // bridge steps (purge + bridge_cancel paths), the BER burst corrupts

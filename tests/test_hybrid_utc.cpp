@@ -190,7 +190,7 @@ TEST(OneSourceHierarchy, SyncQueuedAcrossAServerCrashIsDropped) {
   // leaves unstamped because its agent is gone. The client must drop it
   // rather than take a fix from an empty stamp.
   OneSource f(428);
-  chaos::ChaosEngine engine(f.net, f.dtp, {});
+  chaos::ChaosEngine engine(f.net, f.dtp);
   net::Host& server_host = *f.star.hosts[0];
   net::Host& client_host = *f.star.hosts[1];
   int arrived = 0;

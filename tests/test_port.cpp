@@ -105,8 +105,7 @@ TEST_F(LinkFixture, FrameOccupiesLineForItsBlocks) {
   const auto timing = a.send_frame(1530, nullptr);
   const std::int64_t blocks = blocks_for_frame(1530);
   EXPECT_EQ(timing.end - timing.start, blocks * osc_a.period());
-  EXPECT_EQ(timing.next_frame_allowed - timing.end,
-            a.params().ipg_blocks * osc_a.period());
+  EXPECT_EQ(timing.next_frame_allowed - timing.end, kIpgBlocks * osc_a.period());
 }
 
 TEST_F(LinkFixture, BackToBackFramesRespectIpg) {

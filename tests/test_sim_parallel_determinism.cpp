@@ -61,7 +61,7 @@ RunResult run_fig5(unsigned threads, int* shards_out = nullptr) {
   net.add_traffic(*topo.leaves[3], topo.leaves[7]->addr(), tp).start();
 
   // A small campaign: one flap on a leaf link, one BER burst near the root.
-  chaos::ChaosEngine chaos_eng(net, dtp, {});
+  chaos::ChaosEngine chaos_eng(net, dtp);
   chaos::FaultPlan plan;
   plan.add(chaos::FaultSpec::link_flap(*topo.aggs[0], *topo.leaves[0],
                                        from_us(900), from_us(150)));

@@ -195,6 +195,25 @@ TEST(StressRunner, SentinelMonitorsAreAllAlive) {
   EXPECT_DOUBLE_EQ(r.offset_bound_ticks, 17.0);
 }
 
+// A fault's sentinel blackout opens two samples before it. A sample period
+// past 2^62 fs, though shorter than the horizon, puts that start outside the
+// fs_t range: the spec is malformed, not a blackout that wrapped around.
+TEST(StressRunner, BlackoutStartPastTheFsRangeIsRejected) {
+  stress::StressSpec s = base_spec();
+  s.horizon = (fs_t{1} << 62) + (fs_t{1} << 61);
+  s.sample_period = (fs_t{1} << 62) + 1;
+  chaos::FaultSpec f;
+  f.kind = chaos::FaultKind::kLinkFlap;
+  f.a = "S0";
+  f.b = "S1";
+  f.at = from_ms(3);
+  f.duration = from_us(50);
+  s.faults.push_back(f);
+  EXPECT_THROW(stress::resolve(s), std::invalid_argument);
+  s.sample_period = fs_t{1} << 61;
+  EXPECT_NO_THROW(stress::resolve(s));
+}
+
 // The acceptance-path test: plant a surrogate bug (an offset bound no real
 // network can hold), catch it, write a repro, replay it bit-exactly through
 // the same code path `dtpsim --repro` uses, then shrink it and verify the

@@ -27,9 +27,9 @@ std::uint32_t campaigns_from_env(std::uint32_t fallback) {
 
 TEST(StressSmoke, FixedSeedCampaignBatchIsViolationFree) {
   const std::uint32_t n = campaigns_from_env(16);
-  // differential=true: every multi-threaded campaign is also replayed
-  // serially and digest-compared, so the batch sweeps serial, 2- and
-  // 4-thread execution of the same specs.
+  // differential=true: every multi-threaded or bridged campaign is also
+  // replayed on the serial exact engine and digest-compared, so the batch
+  // sweeps serial, 2- and 4-thread and bridged execution of the same specs.
   const stress::BatchOutcome out =
       stress::run_batch(/*seed=*/20260806, n, stress::StressLimits{},
                         /*differential=*/true);

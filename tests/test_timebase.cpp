@@ -388,8 +388,7 @@ TEST(TimebaseApps, CanonicalCampaignAppsDetectInjectedFailures) {
   for (std::size_t i = 0; i < run.harness->size(); ++i)
     sentinel.watch_timebase(&run.harness->daemon(i));
 
-  chaos::ChaosEngine engine(run.net, run.dtp,
-                            chaos::CanonicalCampaign::chaos_params());
+  chaos::ChaosEngine engine(run.net, run.dtp);
   const fs_t t0 = chaos::CanonicalCampaign::settle_time();
   chaos::FaultPlan plan = chaos::CanonicalCampaign::plan(run.tree, t0);
   // leaf6 is harness host index 5 in the campaign host list. The storm ends

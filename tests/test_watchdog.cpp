@@ -68,7 +68,7 @@ TEST(Watchdog, SuspectClearsAfterOneCleanWindow) {
   const dtp::WatchdogPortStats& ws = run.watchdog->watch_stats(run.left_watch());
   EXPECT_EQ(ws.suspects, 1u) << "one stalled window is one suspicion";
   EXPECT_EQ(ws.quarantines, 0u)
-      << "a single strike must never quarantine (suspect_strikes = 2)";
+      << "a single strike must never quarantine (kSuspectStrikes = 2)";
   EXPECT_EQ(run.watchdog->watch_health(run.left_watch()),
             dtp::PortHealth::kHealthy)
       << "the next clean window must clear a suspicion";

@@ -622,14 +622,12 @@ void write_json_summary(const std::string& path, const char* mode,
 /// failure is written out as a replayable repro plus a shrunken minimal one.
 int run_stress(const Options& o) {
   std::printf("stress: %u campaigns from master seed %llu (differential on "
-              "multi-threaded specs)\n",
+              "multi-threaded and bridged specs)\n",
               o.stress, static_cast<unsigned long long>(o.seed));
   std::vector<stress::CampaignResult> failures;
   std::uint64_t events = 0;
   for (std::uint32_t i = 0; i < o.stress; ++i) {
-    const stress::StressSpec spec = stress::generate(o.seed, i);
-    stress::CampaignResult r =
-        spec.threads > 1 ? stress::run_differential(spec) : stress::run_campaign(spec);
+    stress::CampaignResult r = stress::run_differential(stress::generate(o.seed, i));
     events += r.events_executed;
     if (r.clean()) continue;
 
@@ -668,8 +666,9 @@ int run_stress(const Options& o) {
 /// --repro=FILE: deterministic replay; the sentinel verdict is the exit
 /// status (0 clean, 1 violations; a malformed file is a usage error, 2). A
 /// spec its own topology cannot run (a device or cable it does not build, a
-/// shape the builders reject) is malformed too: run_campaign's contract
-/// gives std::invalid_argument that meaning.
+/// shape the builders reject or one too large to build) or whose sentinel
+/// would never sample is malformed too: run_campaign's contract gives
+/// std::invalid_argument that meaning.
 int run_repro(const Options& o) {
   stress::StressSpec spec;
   try {
@@ -685,7 +684,7 @@ int run_repro(const Options& o) {
       const obs::SessionConfig oo = obs_config(o);
       r = stress::run_campaign(spec, &oo);
     } else {
-      r = spec.threads > 1 ? stress::run_differential(spec) : stress::run_campaign(spec);
+      r = stress::run_differential(spec);
     }
   } catch (const std::invalid_argument& e) {
     throw UsageError(std::string("--repro: ") + e.what());
