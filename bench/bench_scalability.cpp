@@ -80,7 +80,8 @@ EngineModeResult run_quiet_tree(bool bridged, fs_t settle, fs_t duration,
                                 std::uint64_t seed) {
   const auto t0 = std::chrono::steady_clock::now();
   sim::Simulator sim(seed);
-  if (bridged) sim.set_engine(sim::Simulator::EngineMode::kBridged);
+  sim.set_engine(bridged ? sim::Simulator::EngineMode::kBridged
+                         : sim::Simulator::EngineMode::kExact);
   net::Network net(sim);
   net::build_paper_tree(net);
   dtp::DtpNetwork dtp = dtp::enable_dtp(net);

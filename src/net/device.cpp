@@ -1,5 +1,7 @@
 #include "net/device.hpp"
 
+#include <utility>
+
 namespace dtpsim::net {
 
 Device::Device(sim::Simulator& sim, std::string name, DeviceParams params)
@@ -20,6 +22,23 @@ phy::PhyPort& Device::add_port() {
   macs_.push_back(std::make_unique<Mac>(sim_, *ports_.back(), params_.mac));
   on_port_added(index);
   return *ports_.back();
+}
+
+std::uint32_t Device::park_frame(Frame frame) {
+  if (parked_free_.empty()) {
+    parked_.push_back(std::move(frame));
+    return static_cast<std::uint32_t>(parked_.size() - 1);
+  }
+  const std::uint32_t index = parked_free_.back();
+  parked_free_.pop_back();
+  parked_[index] = std::move(frame);
+  return index;
+}
+
+Frame Device::unpark_frame(std::uint32_t index) {
+  Frame frame = std::move(parked_[index]);  // drops the pool's packet reference
+  parked_free_.push_back(index);
+  return frame;
 }
 
 void Device::enable_drift(phy::DriftParams dp) {

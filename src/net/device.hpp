@@ -69,6 +69,14 @@ class Device {
   /// Invoked after add_port wires the MAC; subclasses hook receive paths.
   virtual void on_port_added(std::size_t /*index*/) {}
 
+  /// Frames waiting out a modeled delay (switch pipeline, host stack). The
+  /// delay event captures the pool index instead of the 64-byte frame, which
+  /// would outgrow Callback's inline buffer and heap-allocate per event.
+  /// Touched only by this device's events, like the rest of its state.
+  std::uint32_t park_frame(Frame frame);
+  /// Move the frame out of the pool and free its index.
+  Frame unpark_frame(std::uint32_t index);
+
   sim::Simulator& sim_;
   std::string name_;
   DeviceParams params_;
@@ -77,6 +85,10 @@ class Device {
   std::optional<phy::DriftProcess> drift_;
   std::vector<std::unique_ptr<phy::PhyPort>> ports_;
   std::vector<std::unique_ptr<Mac>> macs_;
+
+ private:
+  std::vector<Frame> parked_;
+  std::vector<std::uint32_t> parked_free_;
 };
 
 }  // namespace dtpsim::net

@@ -33,7 +33,8 @@ void Host::send_app(Frame frame) {
   sim::ScopedAffinity aff(node());
   frame.src = addr_;
   const fs_t delay = tx_stack_.sample();
-  sim_.schedule_in(delay, [this, frame] { nic().enqueue(frame); },
+  const std::uint32_t parked = park_frame(std::move(frame));
+  sim_.schedule_in(delay, [this, parked] { nic().enqueue(unpark_frame(parked)); },
                    sim::EventCategory::kFrame);
 }
 
@@ -43,8 +44,10 @@ void Host::handle_rx(const Frame& frame, fs_t rx_time) {
   if (on_hw_receive) on_hw_receive(frame, rx_time);
   if (on_app_receive) {
     const fs_t delay = rx_stack_.sample();
+    const std::uint32_t parked = park_frame(frame);
     sim_.schedule_in(
-        delay, [this, frame, rx_time] { on_app_receive(frame, rx_time, sim_.now()); },
+        delay,
+        [this, parked, rx_time] { on_app_receive(unpark_frame(parked), rx_time, sim_.now()); },
         sim::EventCategory::kFrame);
   }
 }

@@ -71,10 +71,11 @@ void Switch::deliver(std::size_t out_port, const Frame& frame, fs_t eligible) {
     if (!mac(out_port).enqueue(frame)) ++stats_.egress_drops;
     return;
   }
+  const std::uint32_t parked = park_frame(frame);
   sim_.schedule_at(
       eligible,
-      [this, out_port, frame] {
-        if (!mac(out_port).enqueue(frame)) ++stats_.egress_drops;
+      [this, out_port, parked] {
+        if (!mac(out_port).enqueue(unpark_frame(parked))) ++stats_.egress_drops;
       },
       sim::EventCategory::kFrame);
 }

@@ -144,7 +144,7 @@ void PhyPort::bridge_arrival(std::uint64_t bits56, fs_t wire_arrival, bool corru
     sim_.bridge_virtual_schedule(node_);
     sim_.bridge_virtual_fire(node_, sim::EventCategory::kFrame,
                              crossing.visible_time);
-    bridge_apply(ControlRx{bits56, wire_arrival, crossing, corrupted});
+    apply_control(ControlRx{bits56, wire_arrival, crossing, corrupted});
     return;
   }
   sim::EventQueue::BridgeStep step;
@@ -163,11 +163,11 @@ void PhyPort::bridge_arrival(std::uint64_t bits56, fs_t wire_arrival, bool corru
 void PhyPort::bridge_apply_step(void* client, const sim::EventQueue::BridgeStep& s,
                                 fs_t t) {
   const CrossingResult crossing{s.c, t, static_cast<int>(s.d & 1)};
-  static_cast<PhyPort*>(client)->bridge_apply(
+  static_cast<PhyPort*>(client)->apply_control(
       ControlRx{s.a, s.b, crossing, (s.d & 2) != 0});
 }
 
-void PhyPort::bridge_apply(const ControlRx& rx) {
+void PhyPort::apply_control(const ControlRx& rx) {
   if (probe_control_rx) probe_control_rx(rx);
   if (on_control) on_control(rx);
 }
@@ -199,12 +199,16 @@ void PhyPort::deliver_control(std::uint64_t bits56, fs_t tx_end, bool corrupted)
   ++fifo_crossings_;
   fifo_extra_cycles_ += static_cast<std::uint64_t>(crossing.random_extra);
   sim::ScopedAffinity aff(node_);
+  // The capture packs the crossing as the bridged apply step does, so it
+  // fits Callback's inline buffer: the event fires at the visible edge, so
+  // that time is now() at fire, and d = bit0 random_extra | bit1 corrupted.
+  const std::int64_t visible_tick = crossing.visible_tick;
+  const std::int32_t d = (crossing.random_extra & 1) | (corrupted ? 2 : 0);
   sim_.schedule_at(
       crossing.visible_time,
-      [this, bits56, wire_arrival, crossing, corrupted] {
-        const ControlRx rx{bits56, wire_arrival, crossing, corrupted};
-        if (probe_control_rx) probe_control_rx(rx);
-        if (on_control) on_control(rx);
+      [this, bits56, wire_arrival, visible_tick, d] {
+        const CrossingResult c{visible_tick, sim_.now(), d & 1};
+        apply_control(ControlRx{bits56, wire_arrival, c, (d & 2) != 0});
       },
       sim::EventCategory::kFrame);
 }

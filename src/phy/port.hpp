@@ -205,7 +205,8 @@ class PhyPort {
   static void bridge_apply_step(void* client,
                                 const sim::EventQueue::BridgeStep& s, fs_t t);
   void bridge_arrival(std::uint64_t bits56, fs_t wire_arrival, bool corrupted);
-  void bridge_apply(const ControlRx& rx);
+  /// The visibility event's body in both engines: probe, then on_control.
+  void apply_control(const ControlRx& rx);
 
   sim::Simulator& sim_;
   Oscillator& osc_;

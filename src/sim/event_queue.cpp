@@ -206,8 +206,9 @@ std::uint64_t EventQueue::bridge_insert(fs_t t, std::uint64_t key,
   if (step.node >= 0) {
     if (static_cast<std::size_t>(step.node) >= node_pending_.size())
       node_pending_.resize(static_cast<std::size_t>(step.node) + 1);
-    node_pending_[static_cast<std::size_t>(step.node)].push_back(
-        NodePending{t, step.client, idx, step.kind});
+    std::vector<NodePending>& v = node_pending_[static_cast<std::size_t>(step.node)];
+    s.node_pos = static_cast<std::uint32_t>(v.size());
+    v.push_back(NodePending{t, step.client, idx, step.kind});
   }
   bheap_push(BridgeEntry{t, key, idx});
   const std::size_t depth = heap_.size() + bheap_.size();
@@ -296,16 +297,13 @@ bool EventQueue::bridge_apply_fusible(std::int32_t node, fs_t t) const {
 
 void EventQueue::bridge_release(std::uint32_t idx) {
   BridgeSlot& s = bridge_slots_[idx];
-  const std::int32_t node = s.step.node;
-  if (node >= 0 && static_cast<std::size_t>(node) < node_pending_.size()) {
-    std::vector<NodePending>& v = node_pending_[node];
-    for (std::size_t i = 0; i < v.size(); ++i) {
-      if (v[i].idx == idx) {
-        v[i] = v.back();
-        v.pop_back();
-        break;
-      }
-    }
+  if (s.step.node >= 0) {
+    // Swap-remove: the node's last entry takes this step's place, and its
+    // slot learns the new position.
+    std::vector<NodePending>& v = node_pending_[static_cast<std::size_t>(s.step.node)];
+    v[s.node_pos] = v.back();
+    bridge_slots_[v[s.node_pos].idx].node_pos = s.node_pos;
+    v.pop_back();
   }
   s.step = BridgeStep{};
   s.token = 0;

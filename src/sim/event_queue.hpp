@@ -359,10 +359,13 @@ class EventQueue {
   }
 
   /// Slab entry for a bridged step; `heap_pos` == kNoHeapPos marks free.
+  /// `node_pos` is the step's index in its node's `node_pending_` vector,
+  /// so releasing a step swap-removes it there in O(1).
   struct BridgeSlot {
     BridgeStep step{};
     std::uint64_t token = 0;
     std::uint32_t heap_pos = kNoHeapPos;
+    std::uint32_t node_pos = 0;
   };
 
   /// Bridge heap entry: same (time, key) order as HeapEntry, indexing the
@@ -387,7 +390,7 @@ class EventQueue {
   struct NodePending {
     fs_t time;
     const void* client;
-    std::uint32_t idx;  ///< bridge slab index, for removal
+    std::uint32_t idx;  ///< bridge slab index; its BridgeSlot::node_pos points back
     BridgeKind kind;
   };
 

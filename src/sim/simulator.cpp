@@ -30,7 +30,12 @@ EventHandle Simulator::schedule_at(fs_t t, Callback fn, EventCategory cat) {
 
 EventHandle Simulator::schedule_in(fs_t dt, Callback fn, EventCategory cat) {
   if (dt < 0) throw std::logic_error("Simulator::schedule_in: negative delay");
-  return schedule_at(now() + dt, std::move(fn), cat);
+  fs_t t = 0;
+  if (__builtin_add_overflow(now(), dt, &t))
+    throw std::logic_error(
+        "Simulator::schedule_in: now + delay is past the fs_t range (2^63 - 1 fs, "
+        "about 9223 s)");
+  return schedule_at(t, std::move(fn), cat);
 }
 
 EventHandle Simulator::route_schedule(fs_t t, Callback fn, EventCategory cat,

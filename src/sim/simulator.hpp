@@ -137,7 +137,8 @@ class Simulator {
   EventHandle schedule_at(fs_t t, Callback fn,
                           EventCategory cat = EventCategory::kGeneric);
 
-  /// Schedule `fn` after a delay of `dt` (must be >= 0).
+  /// Schedule `fn` after a delay of `dt` (must be >= 0). A delay that puts
+  /// now() + dt past the fs_t range throws std::logic_error.
   EventHandle schedule_in(fs_t dt, Callback fn,
                           EventCategory cat = EventCategory::kGeneric);
 
@@ -236,6 +237,8 @@ class Simulator {
   /// CDC visibility) advance through analytic POD steps that fire at the
   /// exact same (time, key) positions — RunDigest-bit-identical, ~an order
   /// of magnitude fewer event-machinery costs on quiet intervals.
+  /// kBridged is the default; kExact is the reference the differential
+  /// checks compare against, so a caller that promises it must name it.
   enum class EngineMode : std::uint8_t { kExact, kBridged };
 
   /// Select the engine mode. Consulted at arm time, so switching mid-run
@@ -326,7 +329,7 @@ class Simulator {
 
   std::uint64_t seed_;
   Rng root_rng_;
-  EngineMode engine_mode_ = EngineMode::kExact;
+  EngineMode engine_mode_ = EngineMode::kBridged;
   std::chrono::steady_clock::duration run_wall_{0};
   EventQueue global_q_;
   std::unique_ptr<ParallelEngine> engine_;

@@ -10,7 +10,8 @@ Campaign::Campaign(Scenario scenario, const RunOptions& options)
       sim_(options.seed),
       net_(sim_, scenario_.net) {
   const Scenario& s = scenario_;
-  if (options_.bridged) sim_.set_engine(sim::Simulator::EngineMode::kBridged);
+  sim_.set_engine(options_.bridged ? sim::Simulator::EngineMode::kBridged
+                                   : sim::Simulator::EngineMode::kExact);
   if (s.topology) {
     hosts_ = s.topology(net_);
   } else {

@@ -44,10 +44,11 @@ struct Gate {
 using ObsOptions = obs::SessionConfig;
 
 /// How to execute a scenario: the seed, the engine (threads > 1 shards onto
-/// the parallel engine and bridged selects tick-bridging, both bit-identical
-/// to the serial exact run), and observability.
+/// the parallel engine; bridged, the default, selects tick-bridging and
+/// false the serial exact reference; both are bit-identical to it), and
+/// observability.
 struct RunOptions {
-  RunOptions(std::uint64_t s = 1, unsigned t = 1, bool b = false, ObsOptions o = {})
+  RunOptions(std::uint64_t s = 1, unsigned t = 1, bool b = true, ObsOptions o = {})
       : seed(s), threads(t), bridged(b), obs(std::move(o)) {}
   std::uint64_t seed;
   unsigned threads;

@@ -4,6 +4,8 @@
 /// fused without touching the heap — must reproduce the exact engine's runs
 /// event-for-event: offset traces, event counts per category, per-port
 /// frame/control counts, agent adjustment counters, and chaos verdicts.
+/// It also pins which engine a caller gets (bridged unless it names the
+/// exact reference) and that neither engine heap-allocates callbacks.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +20,7 @@
 #include "dtp/network.hpp"
 #include "net/topology.hpp"
 #include "sim/simulator.hpp"
+#include "stress/campaign.hpp"
 
 namespace dtpsim::sim {
 namespace {
@@ -193,6 +196,84 @@ TEST_F(EngineBridge, SetThreadsWithPendingBridgeStepsThrows) {
   sim.run_until(from_ms(1));  // ports sync; beacon bridge steps now pending
   ASSERT_TRUE(dtp.all_synced());
   EXPECT_THROW(sim.set_threads(2), std::logic_error);
+}
+
+TEST(EngineDefault, SimulatorDefaultsToBridged) {
+  EXPECT_EQ(Simulator().engine_mode(), Simulator::EngineMode::kBridged);
+}
+
+/// A short idle Fig. 5 campaign: long enough for the ports to sync and the
+/// bridged engine to fuse beacons.
+stress::Scenario quiet_tree_scenario() {
+  stress::Scenario s;
+  s.name = "quiet";
+  s.horizon = from_ms(2);
+  return s;
+}
+
+TEST(EngineDefault, CampaignWithoutBridgedRunsTheExactEngine) {
+  // run_differential's baseline and the shrinker's bridged=false candidate
+  // rely on this: were the flag ignored, the differential would compare the
+  // bridged engine with itself and always agree.
+  stress::Campaign c(quiet_tree_scenario(), {1, 1, /*bridged=*/false});
+  EXPECT_EQ(c.sim().engine_mode(), Simulator::EngineMode::kExact);
+  c.run();
+  ASSERT_TRUE(c.dtp().all_synced());
+  EXPECT_EQ(c.sim().stats().fused, 0u) << "the exact engine fused an event";
+}
+
+TEST(EngineDefault, CampaignWithBridgedFuses) {
+  stress::Campaign c(quiet_tree_scenario(), {1, 1, /*bridged=*/true});
+  EXPECT_EQ(c.sim().engine_mode(), Simulator::EngineMode::kBridged);
+  c.run();
+  EXPECT_GT(c.sim().stats().fused, 0u) << "bridge never engaged; test is vacuous";
+}
+
+/// The Fig. 5 tree under MTU saturation, plus a stream of minimum-size
+/// frames through two host stacks; returns the engine's counters.
+SimStats saturated_tree_stats(Simulator::EngineMode mode) {
+  Simulator sim(42);
+  sim.set_engine(mode);
+  net::Network net(sim);
+  net::PaperTreeTopology topo = net::build_paper_tree(net);
+  dtp::DtpNetwork dtp = dtp::enable_dtp(net);
+  net::TrafficParams tp;
+  tp.saturate = true;
+  net.add_traffic(*topo.leaves[0], topo.leaves[5]->addr(), tp).start();
+  // A 64-byte frame is shorter than the switch's cut-through pipeline, so
+  // each hop holds it in a delay event, as do both host stacks.
+  net::Host& src = *topo.leaves[1];
+  net::Host& dst = *topo.leaves[6];
+  std::uint64_t received = 0;
+  dst.on_app_receive = [&received](const net::Frame&, fs_t, fs_t) { ++received; };
+  PeriodicProcess sender(
+      sim, from_us(2),
+      [&src, &dst] {
+        net::Frame f;
+        f.dst = dst.addr();
+        src.send_app(f);
+      },
+      EventCategory::kApp);
+  sender.set_affinity(src.node());
+  sender.start();
+  sim.run_until(from_ms(2));
+  EXPECT_TRUE(dtp.all_synced());
+  EXPECT_GT(received, 100u) << "the host-stack path never ran";
+  return sim.stats();
+}
+
+TEST(EngineDefault, SaturatedTreeSchedulesNoSpilledCallbacks) {
+  // Every delayed frame (switch pipeline, host stacks) and, on the exact
+  // engine, every CDC visibility event is a Callback; none may outgrow the
+  // inline buffer and heap-allocate.
+  for (const Simulator::EngineMode mode :
+       {Simulator::EngineMode::kExact, Simulator::EngineMode::kBridged}) {
+    const SimStats st = saturated_tree_stats(mode);
+    EXPECT_GT(st.executed_by_category[static_cast<std::size_t>(EventCategory::kFrame)],
+              100000u);
+    EXPECT_EQ(st.callback_spills, 0u)
+        << (mode == Simulator::EngineMode::kExact ? "exact" : "bridged");
+  }
 }
 
 }  // namespace

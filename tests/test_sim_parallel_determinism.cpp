@@ -44,6 +44,10 @@ struct RunResult {
 
 RunResult run_fig5(unsigned threads, int* shards_out = nullptr) {
   Simulator sim(42);
+  // The exact engine, so every event (cross-shard deliveries included) runs
+  // through a Callback; test_engine_bridge runs this network on the default
+  // bridged engine at 2 and 4 threads.
+  sim.set_engine(Simulator::EngineMode::kExact);
   net::NetworkParams np;
   // Metres of fiber make femtoseconds of lookahead: 1 us of propagation per
   // cable gives the partitioner a usable conservative window.

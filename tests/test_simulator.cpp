@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <limits>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace dtpsim::sim {
@@ -51,6 +54,24 @@ TEST(Simulator, PastSchedulingThrows) {
   sim.run();
   EXPECT_THROW(sim.schedule_at(5_ns, [] {}), std::logic_error);
   EXPECT_THROW(sim.schedule_in(-1, [] {}), std::logic_error);
+}
+
+TEST(Simulator, ScheduleInPastTheFsRangeThrows) {
+  // now + dt past INT64_MAX fs is a signed overflow: it must be rejected by
+  // name, not wrap negative and read as "time in the past".
+  Simulator sim;
+  sim.schedule_at(10_ns, [] {});
+  sim.run();
+  const fs_t max = std::numeric_limits<fs_t>::max();
+  try {
+    sim.schedule_in(max, [] {});
+    ADD_FAILURE() << "schedule_in past the fs_t range did not throw";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("fs_t range"), std::string::npos) << e.what();
+  }
+  EXPECT_EQ(sim.events_pending(), 0u);
+  sim.schedule_in(max - sim.now(), [] {});  // lands exactly on the last fs
+  EXPECT_EQ(sim.events_pending(), 1u);
 }
 
 TEST(Simulator, EmptyCallbackRejected) {

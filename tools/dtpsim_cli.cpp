@@ -109,7 +109,7 @@ constexpr const char* kUsageTail =
     "  --threads=N          parallel conservative engine workers (default 1)\n"
     "  --engine=exact|bridged  event engine: cycle-exact, or analytic\n"
     "                       tick-bridging fast-forward for quiet PHY time\n"
-    "                       (bit-identical results; default exact)\n"
+    "                       (bit-identical; default bridged; exact is the reference)\n"
     "  --stress=N           run N randomized invariant-checked campaigns from\n"
     "                       --seed; failures write dtpsim-repro-<seed>-<i>.txt\n"
     "                       (+ a shrunken -min.txt) and exit 1\n"
@@ -159,7 +159,7 @@ struct Options {
   fs_t holdover_ceiling = 0;  ///< --chaos=source only; 0 = hierarchy default
   fs_t wd_check_period = 0;   ///< --chaos=gray only; 0 = watchdog default
   fs_t wd_backoff = 0;        ///< --chaos=gray only; 0 = watchdog default
-  bool bridged = false;  ///< --engine=bridged
+  bool bridged = true;  ///< false = --engine=exact
   std::uint32_t stress = 0;  ///< 0 = off; N = campaign count
   std::string repro;         ///< non-empty = replay this file
   std::string json_out;      ///< non-empty = write JSON summary here
@@ -709,7 +709,8 @@ int run_repro(const Options& o) {
 /// understated-uncertainty violations outside the cold-start blackout.
 int run_app(const Options& o) {
   sim::Simulator sim(o.seed);
-  if (o.bridged) sim.set_engine(sim::Simulator::EngineMode::kBridged);
+  sim.set_engine(o.bridged ? sim::Simulator::EngineMode::kBridged
+                           : sim::Simulator::EngineMode::kExact);
   // Serving apps under saturating load needs the campaign-hardened network
   // and DTP parameters (MAC data holdoff, 800-tick beacons): the page is
   // only as honest as the sync underneath it. --drift is already part of
@@ -832,7 +833,8 @@ int run(const Options& o) {
   if (!o.app.empty()) return run_app(o);
 
   sim::Simulator sim(o.seed);
-  if (o.bridged) sim.set_engine(sim::Simulator::EngineMode::kBridged);
+  sim.set_engine(o.bridged ? sim::Simulator::EngineMode::kBridged
+                           : sim::Simulator::EngineMode::kExact);
   net::NetworkParams np;
   np.rate = parse_rate(o.rate);
   np.cable.ber = o.ber;
