@@ -26,8 +26,9 @@
 
 namespace dtpsim::dtp {
 
-/// DTP-enables one device (NIC or switch).
-class Agent {
+/// DTP-enables one device (NIC or switch). Cache-line aligned: the state
+/// its ports' beacons read fills three whole lines (see Hot).
+class alignas(64) Agent {
  public:
   /// Attaches to every port currently on `dev` and starts the protocol on
   /// ports whose link is already up. Ports added to the device afterwards
@@ -37,19 +38,19 @@ class Agent {
   Agent(const Agent&) = delete;
   Agent& operator=(const Agent&) = delete;
 
-  net::Device& device() { return dev_; }
-  const net::Device& device() const { return dev_; }
-  const DtpParams& params() const { return params_; }
-  sim::Simulator& simulator() { return dev_.simulator(); }
+  net::Device& device() { return hot_.dev; }
+  const net::Device& device() const { return hot_.dev; }
+  const DtpParams& params() const { return hot_.params; }
+  sim::Simulator& simulator() { return hot_.dev.simulator(); }
 
   /// Device tick index at simulated time `t`.
-  std::int64_t tick_at(fs_t t) const { return dev_.oscillator().tick_at(t); }
+  std::int64_t tick_at(fs_t t) const { return hot_.dev.oscillator().tick_at(t); }
 
   /// Global counter value after the edge of tick `k`.
-  WideCounter global_at_tick(std::int64_t k) const { return global_.at_tick(k); }
+  WideCounter global_at_tick(std::int64_t k) const { return hot_.global.at_tick(k); }
   /// Global counter value at simulated time `t` (the value software would
   /// read from the NIC register at that instant).
-  WideCounter global_at(fs_t t) const { return global_.at_tick(tick_at(t)); }
+  WideCounter global_at(fs_t t) const { return hot_.global.at_tick(tick_at(t)); }
 
   /// Global counter in fractional ticks at time `t` (ground-truth probes):
   /// counter units plus the phase fraction into the current tick. Rendered
@@ -63,9 +64,9 @@ class Agent {
   /// difference between devices regardless of counter magnitude.
   double phase_units_at(fs_t t) const;
 
-  std::size_t port_count() const { return ports_.size(); }
-  PortLogic& port_logic(std::size_t i) { return *ports_.at(i); }
-  const PortLogic& port_logic(std::size_t i) const { return *ports_.at(i); }
+  std::size_t port_count() const { return hot_.ports.size(); }
+  PortLogic& port_logic(std::size_t i) { return *hot_.ports.at(i); }
+  const PortLogic& port_logic(std::size_t i) const { return *hot_.ports.at(i); }
 
   /// Force the global counter to `v` as of time `t` (tests: pre-aged
   /// devices for BEACON-JOIN / partition-heal scenarios).
@@ -79,13 +80,15 @@ class Agent {
   /// Declare this device the tree root (no parent; its counter free-runs
   /// and everyone else follows it).
   void set_as_root();
-  bool is_root() const { return params_.mode == SyncMode::kMasterTree && !parent_port_; }
+  bool is_root() const {
+    return hot_.params.mode == SyncMode::kMasterTree && !parent_port_;
+  }
   std::optional<std::size_t> parent_port() const { return parent_port_; }
   /// True while the counter is currently stalled against its ceiling.
-  bool stalled_at(fs_t t) const { return global_.capped_at(tick_at(t)); }
+  bool stalled_at(fs_t t) const { return hot_.global.capped_at(tick_at(t)); }
 
   /// Total positive gc fast-forwards (device-level jumps).
-  std::uint64_t global_adjustments() const { return global_adjustments_; }
+  std::uint64_t global_adjustments() const { return hot_.global_adjustments; }
 
   /// When gc last took a join-sized forward jump (adopting a BEACON-JOIN or
   /// an operator force_global), and by how much (counter units, saturated to
@@ -128,11 +131,22 @@ class Agent {
   /// network's counter through BEACON-JOIN.
   void port_went_down(std::size_t port_index);
 
-  net::Device& dev_;
-  DtpParams params_;
-  TickCounter global_;
-  std::vector<std::unique_ptr<PortLogic>> ports_;
-  std::uint64_t global_adjustments_ = 0;
+  /// Quiet-path state: what a beacon on any of this device's ports reads.
+  /// PortLogic's bridge_fire_beacon, schedule_beacon and handle_beacon read
+  /// the device (its simulator and oscillator), the parameters and gc;
+  /// local_updated folds an adjusted lc into gc through the port table.
+  /// Join bookkeeping, the master-tree parent and the lifetime token are
+  /// cold and sit behind it.
+  struct Hot {
+    net::Device& dev;
+    DtpParams params;
+    TickCounter global;  ///< gc
+    std::vector<std::unique_ptr<PortLogic>> ports{};
+    std::uint64_t global_adjustments = 0;
+  };
+  static_assert(sizeof(Hot) == 192, "Agent::Hot must stay three cache lines");
+  Hot hot_;
+
   std::uint64_t counter_resets_ = 0;
   fs_t last_join_jump_at_ = -1;
   std::uint64_t last_join_jump_units_ = 0;

@@ -23,7 +23,7 @@ class TickCounter {
   /// \param delta  increment per tick (Table 2: 20 at 10G, 25 at 1G, ...)
   /// \param start_tick  the tick at which the counter is born with value 0
   explicit TickCounter(std::uint32_t delta = 1, std::int64_t start_tick = 0)
-      : delta_(delta), base_tick_(start_tick) {
+      : base_tick_(start_tick), delta_(delta) {
     if (delta == 0) throw std::invalid_argument("TickCounter: zero delta");
   }
 
@@ -84,13 +84,16 @@ class TickCounter {
   }
 
  private:
+  // Widest first, so the counter packs into 48 bytes (it sits in the hot
+  // blocks of PortLogic and Agent, which every beacon reads).
   WideCounter base_;
-  std::uint32_t delta_;
-  std::int64_t base_tick_;
   // A plain value plus a flag rather than std::optional: GCC's
   // -Wmaybe-uninitialized misfires on an inlined optional<WideCounter>.
   WideCounter cap_;
+  std::int64_t base_tick_;
+  std::uint32_t delta_;
   bool has_cap_ = false;
 };
+static_assert(sizeof(TickCounter) == 48, "TickCounter must stay three 16-byte words");
 
 }  // namespace dtpsim::dtp

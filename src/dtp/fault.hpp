@@ -10,8 +10,9 @@
 /// jumps above a threshold inside a sliding window and trips when there are
 /// too many.
 
+#include <algorithm>
 #include <cstdint>
-#include <deque>
+#include <vector>
 
 #include "common/time_units.hpp"
 
@@ -24,7 +25,7 @@ class JumpDetector {
   /// \param max_jumps        trip after more than this many in the window
   /// \param window           sliding window length
   JumpDetector(std::int64_t threshold_units, int max_jumps, fs_t window)
-      : threshold_(threshold_units), max_jumps_(max_jumps), window_(window) {}
+      : threshold_(threshold_units), window_(window), max_jumps_(max_jumps) {}
 
   /// Record an adjustment of `jump` counter units applied at time `now`.
   /// Returns true if the peer should now be considered faulty.
@@ -32,7 +33,12 @@ class JumpDetector {
     if (tripped_) return true;
     if (jump <= static_cast<unsigned __int128>(threshold_)) return false;
     events_.push_back(now);
-    while (!events_.empty() && events_.front() + window_ < now) events_.pop_front();
+    // Drop the jumps that left the window (times are recorded in order). The
+    // window holds at most max_jumps + 1 entries before it trips, so the
+    // erase moves at most that many.
+    events_.erase(events_.begin(),
+                  std::find_if(events_.begin(), events_.end(),
+                               [&](fs_t t) { return t + window_ >= now; }));
     if (static_cast<int>(events_.size()) > max_jumps_) tripped_ = true;
     return tripped_;
   }
@@ -48,10 +54,12 @@ class JumpDetector {
 
  private:
   std::int64_t threshold_;
-  int max_jumps_;
   fs_t window_;
-  std::deque<fs_t> events_;
+  int max_jumps_;
   bool tripped_ = false;
+  // A vector, not a deque: a default deque allocates a 576-byte map and block
+  // per detector at construction, and every DTP port owns one.
+  std::vector<fs_t> events_;
 };
 
 }  // namespace dtpsim::dtp

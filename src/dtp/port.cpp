@@ -32,44 +32,45 @@ int payload_bits(const DtpParams& p) {
 }  // namespace
 
 PortLogic::PortLogic(Agent& agent, phy::PhyPort& port, std::size_t index)
-    : agent_(agent),
-      port_(port),
-      index_(index),
-      local_(agent.params().counter_delta,
-             agent.device().oscillator().tick_at(agent.simulator().now())),
+    : hot_{.local = TickCounter(agent.params().counter_delta,
+                                agent.device().oscillator().tick_at(
+                                    agent.simulator().now())),
+           .agent = agent,
+           .port = port,
+           .index = static_cast<std::uint32_t>(index)},
       jump_detector_(agent.params().jump_threshold_ticks *
                          agent.params().counter_delta,
                      agent.params().max_jumps, agent.params().jump_window) {
-  port_.on_control = [this](const phy::ControlRx& rx) { handle_control(rx); };
-  port_.on_link_down = [this] { handle_link_down(); };
+  hot_.port.on_control = [this](const phy::ControlRx& rx) { handle_control(rx); };
+  hot_.port.on_link_down = [this] { handle_link_down(); };
 }
 
 PortLogic::~PortLogic() {
-  auto& sim = agent_.simulator();
+  auto& sim = hot_.agent.simulator();
   sim.cancel(beacon_timer_);
-  sim.bridge_cancel(beacon_step_);
-  beacon_step_ = {};
+  sim.bridge_cancel(hot_.beacon_step);
+  hot_.beacon_step = {};
   sim.cancel(init_retry_);
   // Every one of these captures `this`; the PHY port outlives us (it belongs
   // to the device, we belong to the agent), so they must go.
-  port_.on_control = nullptr;
-  port_.on_link_up = nullptr;
-  port_.on_link_down = nullptr;
-  port_.clear_pending_control();
+  hot_.port.on_control = nullptr;
+  hot_.port.on_link_up = nullptr;
+  hot_.port.on_link_down = nullptr;
+  hot_.port.clear_pending_control();
 }
 
 void PortLogic::start() {
   // Persistent hook: every (re)connection restarts the INIT phase (T0).
-  port_.on_link_up = [this] { handle_link_up(); };
-  if (port_.link_up()) handle_link_up();
+  hot_.port.on_link_up = [this] { handle_link_up(); };
+  if (hot_.port.link_up()) handle_link_up();
 }
 
 void PortLogic::set_state(PortState s) {
-  if (s == state_) return;
-  state_ = s;
+  if (s == hot_.state) return;
+  hot_.state = s;
   ++stats_.state_transitions;
   if (auto* tr = obs_hub_ != nullptr ? obs_hub_->trace() : nullptr)
-    tr->instant(obs_track_, agent_.simulator().now(),
+    tr->instant(obs_track_, hot_.agent.simulator().now(),
                 std::string("state:") + to_string(s));
 }
 
@@ -77,7 +78,7 @@ void PortLogic::handle_link_up() {
   if (jump_detector_.tripped()) {
     // The quarantine survives a link bounce inside the cooldown — otherwise
     // a flapping cable would launder a faulty peer back in every few ms.
-    if (agent_.simulator().now() - faulted_at_ < agent_.params().fault_cooldown) {
+    if (hot_.agent.simulator().now() - faulted_at_ < hot_.agent.params().fault_cooldown) {
       set_state(PortState::kFaulty);
       return;
     }
@@ -87,13 +88,13 @@ void PortLogic::handle_link_up() {
 }
 
 void PortLogic::clear_fault() {
-  if (state_ != PortState::kFaulty) return;
+  if (hot_.state != PortState::kFaulty) return;
   jump_detector_.reset();
-  if (!port_.link_up()) {
+  if (!hot_.port.link_up()) {
     set_state(PortState::kDown);
     return;
   }
-  if (owd_units_) {
+  if (hot_.owd_units) {
     // The cable never moved while the port sat quarantined, so the measured
     // delay is still valid. Re-running INIT here would re-measure d on a
     // live, possibly saturated link, where the ACK can sit behind an MTU
@@ -113,63 +114,63 @@ void PortLogic::handle_link_down() {
   set_state(PortState::kDown);
   // The measured delay belongs to the old cable; a reconnection re-measures
   // from scratch — no reinit ceiling either, the new cable may be shorter.
-  owd_units_.reset();
+  hot_.owd_units.reset();
   prior_owd_.reset();
   init_echo_wait_.reset();
-  auto& sim = agent_.simulator();
+  auto& sim = hot_.agent.simulator();
   sim.cancel(beacon_timer_);
-  sim.bridge_cancel(beacon_step_);
-  beacon_step_ = {};
+  sim.bridge_cancel(hot_.beacon_step);
+  hot_.beacon_step = {};
   sim.cancel(init_retry_);
-  agent_.port_went_down(index_);
+  hot_.agent.port_went_down(hot_.index);
 }
 
 WideCounter PortLogic::local_at(fs_t t) const {
-  return lc_at_tick(agent_.device().oscillator().tick_at(t));
+  return lc_at_tick(hot_.agent.device().oscillator().tick_at(t));
 }
 
 WideCounter PortLogic::lc_at_tick(std::int64_t tick) const {
-  if (counter_frozen_) return *frozen_value_;
-  return local_.at_tick(tick);
+  if (hot_.counter_frozen) return *frozen_value_;
+  return hot_.local.at_tick(tick);
 }
 
 WideCounter PortLogic::tx_global(std::int64_t tx_tick) const {
-  if (counter_frozen_) return *frozen_gc_;
-  return agent_.global_at_tick(tx_tick);
+  if (hot_.counter_frozen) return *frozen_gc_;
+  return hot_.agent.global_at_tick(tx_tick);
 }
 
 void PortLogic::local_set(std::int64_t tick, const WideCounter& v) {
-  if (counter_frozen_) return;  // a stuck register ignores writes
-  local_.set(tick, v);
+  if (hot_.counter_frozen) return;  // a stuck register ignores writes
+  hot_.local.set(tick, v);
 }
 
 unsigned __int128 PortLogic::local_fast_forward(std::int64_t tick,
                                                 const WideCounter& v) {
-  if (counter_frozen_) return 0;
-  return local_.fast_forward(tick, v);
+  if (hot_.counter_frozen) return 0;
+  return hot_.local.fast_forward(tick, v);
 }
 
 void PortLogic::set_counter_frozen(bool frozen) {
-  if (frozen == counter_frozen_) return;
+  if (frozen == hot_.counter_frozen) return;
   const std::int64_t tick =
-      agent_.device().oscillator().tick_at(agent_.simulator().now());
+      hot_.agent.device().oscillator().tick_at(hot_.agent.simulator().now());
   if (frozen) {
-    frozen_value_ = local_.at_tick(tick);
-    frozen_gc_ = agent_.global_at_tick(tick);
-    counter_frozen_ = true;
+    frozen_value_ = hot_.local.at_tick(tick);
+    frozen_gc_ = hot_.agent.global_at_tick(tick);
+    hot_.counter_frozen = true;
     return;
   }
-  counter_frozen_ = false;
+  hot_.counter_frozen = false;
   // The register resumes counting from the latched value: re-anchor lc so
   // the port wakes up exactly as far behind as the freeze lasted. Recovery
   // is the watchdog's job (quarantine blocks beacons; re-INIT + join).
-  local_.set(tick, *frozen_value_);
+  hot_.local.set(tick, *frozen_value_);
   frozen_value_.reset();
   frozen_gc_.reset();
 }
 
 void PortLogic::quarantine(fs_t now) {
-  if (state_ == PortState::kFaulty) return;
+  if (hot_.state == PortState::kFaulty) return;
   set_state(PortState::kFaulty);
   faulted_at_ = now;
 }
@@ -178,16 +179,16 @@ void PortLogic::reinit() {
   jump_detector_.reset();
   // Keep the old measurement as a ceiling for the redo (see handle_init_ack):
   // the cable did not get shorter while the port sat quarantined.
-  if (owd_units_) prior_owd_ = owd_units_;
-  owd_units_.reset();
+  if (hot_.owd_units) prior_owd_ = hot_.owd_units;
+  hot_.owd_units.reset();
   init_echo_wait_.reset();
-  consecutive_filtered_ = 0;
-  auto& sim = agent_.simulator();
+  hot_.consecutive_filtered = 0;
+  auto& sim = hot_.agent.simulator();
   sim.cancel(beacon_timer_);
-  sim.bridge_cancel(beacon_step_);
-  beacon_step_ = {};
+  sim.bridge_cancel(hot_.beacon_step);
+  hot_.beacon_step = {};
   sim.cancel(init_retry_);
-  if (!port_.link_up()) {
+  if (!hot_.port.link_up()) {
     set_state(PortState::kDown);
     return;
   }
@@ -198,33 +199,33 @@ void PortLogic::reinit() {
 // idle block serializes, exactly as the hardware would.
 void PortLogic::send_init() {
   set_state(PortState::kInitWait);
-  port_.request_control_slot([this](fs_t, std::int64_t tx_tick) {
-    local_set(tx_tick, agent_.global_at_tick(tx_tick));
+  hot_.port.request_control_slot([this](fs_t, std::int64_t tx_tick) {
+    local_set(tx_tick, hot_.agent.global_at_tick(tx_tick));
     init_echo_wait_ = lc_at_tick(tx_tick);
     ++stats_.inits_sent;
     return encode_bits({MessageType::kInit, init_echo_wait_->lsb53()},
-                       agent_.params().parity);
+                       hot_.agent.params().parity);
   });
   arm_init_retry();
 }
 
 void PortLogic::arm_init_retry() {
-  auto& sim = agent_.simulator();
-  sim::ScopedAffinity aff(port_.node());
+  auto& sim = hot_.agent.simulator();
+  sim::ScopedAffinity aff(hot_.port.node());
   sim.cancel(init_retry_);
-  const auto& osc = agent_.device().oscillator();
-  const std::int64_t due = osc.tick_at(sim.now()) + agent_.params().init_retry_ticks;
+  const auto& osc = hot_.agent.device().oscillator();
+  const std::int64_t due = osc.tick_at(sim.now()) + hot_.agent.params().init_retry_ticks;
   init_retry_ = sim.schedule_at(
       osc.edge_of_tick(due),
       [this] {
-        if (state_ == PortState::kInitWait) send_init();
+        if (hot_.state == PortState::kInitWait) send_init();
       },
       sim::EventCategory::kBeacon);
 }
 
 void PortLogic::handle_control(const phy::ControlRx& rx) {
-  if (!port_.link_up()) return;  // a message that was in flight at unplug time
-  const auto msg = decode_bits(rx.bits56, agent_.params().parity);
+  if (!hot_.port.link_up()) return;  // a message that was in flight at unplug time
+  const auto msg = decode_bits(rx.bits56, hot_.agent.params().parity);
   if (!msg) {
     // Either plain idles (bits56 == 0) or a parity-failed DTP message.
     if (rx.bits56 != 0) ++stats_.filtered_parity;
@@ -261,9 +262,9 @@ void PortLogic::handle_control(const phy::ControlRx& rx) {
 
 // T1: echo the received counter back in an INIT-ACK.
 void PortLogic::handle_init(const Message& m, std::int64_t) {
-  port_.request_control_slot([this, c = m.payload](fs_t, std::int64_t) {
+  hot_.port.request_control_slot([this, c = m.payload](fs_t, std::int64_t) {
     ++stats_.init_acks_sent;
-    return encode_bits({MessageType::kInitAck, c}, agent_.params().parity);
+    return encode_bits({MessageType::kInitAck, c}, hot_.agent.params().parity);
   });
   // An INIT means the peer just (re)started its protocol — a rejoining node
   // whose counter was reset (Section 3.2, "network dynamics"). Announce our
@@ -276,22 +277,22 @@ void PortLogic::handle_init(const Message& m, std::int64_t) {
 // T2: d <- (lc - c - alpha) / 2.
 void PortLogic::handle_init_ack(const Message& m, std::int64_t rx_tick) {
   if (!init_echo_wait_) return;  // unsolicited / duplicate
-  const int bits = payload_bits(agent_.params());
+  const int bits = payload_bits(hot_.agent.params());
   const std::uint64_t mask = (1ULL << bits) - 1;
   if ((m.payload & mask) != (init_echo_wait_->lsb53() & mask)) return;  // stale echo
 
   const WideCounter lc_now = lc_at_tick(rx_tick);
   const __int128 rtt_units = lc_now.diff(*init_echo_wait_);
-  const auto alpha_units = static_cast<__int128>(agent_.params().alpha_ticks) *
-                           agent_.params().counter_delta;
+  const auto alpha_units = static_cast<__int128>(hot_.agent.params().alpha_ticks) *
+                           hot_.agent.params().counter_delta;
   const __int128 d = (rtt_units - alpha_units) / 2;
   if (d <= 0 && prior_owd_) {
     // Physically impossible (true RTT >= 2d + alpha): the local counter sat
     // frozen across the exchange, so the echo timed itself. Keep the prior
     // measurement — the cable is what it was.
-    owd_units_ = prior_owd_;
+    hot_.owd_units = prior_owd_;
   } else {
-    owd_units_ = static_cast<std::int64_t>(std::max<__int128>(d, 0));
+    hot_.owd_units = static_cast<std::int64_t>(std::max<__int128>(d, 0));
     // Watchdog re-INIT on a live link: the ACK may have sat behind an MTU
     // frame, and that wait lands squarely in the measured RTT. Queueing only
     // ever adds, so the fresh d can overestimate but never undershoot the
@@ -301,11 +302,11 @@ void PortLogic::handle_init_ack(const Message& m, std::int64_t rx_tick) {
     // value; an underestimate merely makes this port lag a few ticks, which
     // the max-discipline absorbs.
     if (prior_owd_ && *prior_owd_ > 0)
-      owd_units_ = std::min(*owd_units_, *prior_owd_);
+      hot_.owd_units = std::min(*hot_.owd_units, *prior_owd_);
   }
   prior_owd_.reset();
   init_echo_wait_.reset();
-  agent_.simulator().cancel(init_retry_);
+  hot_.agent.simulator().cancel(init_retry_);
   set_state(PortState::kSynced);
   // Announce our counter device-wide once, so a joining device (or healed
   // partition) converges immediately rather than through the +-8 filter.
@@ -315,10 +316,11 @@ void PortLogic::handle_init_ack(const Message& m, std::int64_t rx_tick) {
 
 // T3: arm the beacon timeout one interval of local ticks from now.
 void PortLogic::schedule_beacon() {
-  auto& sim = agent_.simulator();
-  sim::ScopedAffinity aff(port_.node());
-  const auto& osc = agent_.device().oscillator();
-  const std::int64_t due = osc.tick_at(sim.now()) + agent_.params().beacon_interval_ticks;
+  auto& sim = hot_.agent.simulator();
+  sim::ScopedAffinity aff(hot_.port.node());
+  const auto& osc = hot_.agent.device().oscillator();
+  const std::int64_t due =
+      osc.tick_at(sim.now()) + hot_.agent.params().beacon_interval_ticks;
   const fs_t at = osc.edge_of_tick(due);
   if (sim.bridged()) {
     // POD step at the timer's exact (time, key) position. Overwriting the
@@ -329,10 +331,10 @@ void PortLogic::schedule_beacon() {
       static_cast<PortLogic*>(client)->bridge_fire_beacon();
     };
     step.client = this;
-    step.node = port_.node();
+    step.node = hot_.port.node();
     step.cat = sim::EventCategory::kBeacon;
     step.kind = sim::EventQueue::BridgeKind::kTx;
-    beacon_step_ = sim.bridge_schedule(port_.node(), at, step);
+    hot_.beacon_step = sim.bridge_schedule(hot_.port.node(), at, step);
     return;
   }
   beacon_timer_ = sim.schedule_at(at, [this] { send_beacon(); },
@@ -340,14 +342,14 @@ void PortLogic::schedule_beacon() {
 }
 
 void PortLogic::bridge_fire_beacon() {
-  if (state_ != PortState::kSynced) return;
-  const DtpParams& p = agent_.params();
+  if (hot_.state != PortState::kSynced) return;
+  const DtpParams& p = hot_.agent.params();
   // Peek the MSB cadence *before* incrementing: an MSB-due beacon queues a
   // second control block, which the fused single-slot path cannot carry.
   const bool msb_due =
       p.msb_every_n_beacons > 0 &&
-      beacons_since_msb_ + 1 >= p.msb_every_n_beacons;
-  if (msb_due || !port_.control_slot_fusible(this)) {
+      hot_.beacons_since_msb + 1 >= p.msb_every_n_beacons;
+  if (msb_due || !hot_.port.control_slot_fusible(this)) {
     // Fall back to the exact body wholesale; its request_control_slot /
     // schedule_control_service machinery consumes the same sequence numbers
     // the exact engine would, and schedule_beacon() re-arms bridged.
@@ -357,34 +359,35 @@ void PortLogic::bridge_fire_beacon() {
   // Fused quiet path, preserving the exact engine's sequence-number order:
   // service slot first (request_control_slot inside send_beacon), then the
   // next timer (schedule_beacon at its end), then the service body fires.
-  port_.fuse_reserve_control();
-  if (p.msb_every_n_beacons > 0) ++beacons_since_msb_;
+  hot_.port.fuse_reserve_control();
+  if (p.msb_every_n_beacons > 0) ++hot_.beacons_since_msb;
   schedule_beacon();
-  port_.fuse_fire_control([this](fs_t, std::int64_t tx_tick) {
+  hot_.port.fuse_fire_control([this](fs_t, std::int64_t tx_tick) {
     const WideCounter gc = tx_global(tx_tick);
     ++stats_.beacons_sent;
-    return encode_bits({MessageType::kBeacon, gc.lsb53()}, agent_.params().parity);
+    return encode_bits({MessageType::kBeacon, gc.lsb53()}, hot_.agent.params().parity);
   });
 }
 
 void PortLogic::send_beacon() {
-  if (state_ != PortState::kSynced) return;
-  port_.request_control_slot([this](fs_t, std::int64_t tx_tick) {
+  if (hot_.state != PortState::kSynced) return;
+  hot_.port.request_control_slot([this](fs_t, std::int64_t tx_tick) {
     const WideCounter gc = tx_global(tx_tick);
     ++stats_.beacons_sent;
-    return encode_bits({MessageType::kBeacon, gc.lsb53()}, agent_.params().parity);
+    return encode_bits({MessageType::kBeacon, gc.lsb53()}, hot_.agent.params().parity);
   });
   // The high counter half rides in an occasional *extra* idle block right
   // behind the regular beacon (idle slots are plentiful — even a saturated
   // link yields one whole /E/ block per frame gap), so the beacon cadence
   // that the precision analysis depends on is never thinned.
-  if (agent_.params().msb_every_n_beacons > 0 &&
-      ++beacons_since_msb_ >= agent_.params().msb_every_n_beacons) {
-    beacons_since_msb_ = 0;
-    port_.request_control_slot([this](fs_t, std::int64_t tx_tick) {
+  if (hot_.agent.params().msb_every_n_beacons > 0 &&
+      ++hot_.beacons_since_msb >= hot_.agent.params().msb_every_n_beacons) {
+    hot_.beacons_since_msb = 0;
+    hot_.port.request_control_slot([this](fs_t, std::int64_t tx_tick) {
       const WideCounter gc = tx_global(tx_tick);
       ++stats_.msbs_sent;
-      return encode_bits({MessageType::kBeaconMsb, gc.msb53()}, agent_.params().parity);
+      return encode_bits({MessageType::kBeaconMsb, gc.msb53()},
+                         hot_.agent.params().parity);
     });
   }
   schedule_beacon();
@@ -392,19 +395,19 @@ void PortLogic::send_beacon() {
 
 // T4: lc <- max(lc, c + d), guarded by the Section 3.2 filters.
 void PortLogic::handle_beacon(const Message& m, std::int64_t rx_tick, bool join) {
-  if (state_ == PortState::kFaulty) return;
-  if (counter_frozen_) return;  // a stuck register cannot latch a beacon
-  if (!owd_units_) return;  // cannot apply a beacon before d is measured
+  if (hot_.state == PortState::kFaulty) return;
+  if (hot_.counter_frozen) return;  // a stuck register cannot latch a beacon
+  if (!hot_.owd_units) return;  // cannot apply a beacon before d is measured
 
-  const DtpParams& p = agent_.params();
-  const WideCounter lc_now = local_.at_tick(rx_tick);
-  const WideCounter gc_now = agent_.global_at_tick(rx_tick);
+  const DtpParams& p = hot_.agent.params();
+  const WideCounter lc_now = hot_.local.at_tick(rx_tick);
+  const WideCounter gc_now = hot_.agent.global_at_tick(rx_tick);
   // Reconstruct the peer's full counter from the 53-bit payload. lc is the
   // reference in master-tree mode: gc may be stalled against its ceiling
   // (Section 5.4) while lc keeps tracking the parent without a cap.
   const WideCounter& reference = p.mode == SyncMode::kMasterTree ? lc_now : gc_now;
   const WideCounter peer = reference.reconstruct_from_lsb(m.payload, payload_bits(p));
-  const WideCounter target = peer.plus(static_cast<std::uint64_t>(*owd_units_));
+  const WideCounter target = peer.plus(static_cast<std::uint64_t>(*hot_.owd_units));
 
   const auto limit = static_cast<__int128>(p.max_beacon_offset_ticks) * p.counter_delta;
 
@@ -413,7 +416,7 @@ void PortLogic::handle_beacon(const Message& m, std::int64_t rx_tick, bool join)
     // children (or from anyone, at the root) are ignored. The bit-error
     // filter compares against the *uncapped* lc — judging against a stalled
     // gc would reject every beacon and deadlock the stall mechanism.
-    if (agent_.parent_port() != std::optional<std::size_t>(index_)) return;
+    if (hot_.agent.parent_port() != std::optional<std::size_t>(hot_.index)) return;
     if (!join) {
       const __int128 ldiff = target.diff(lc_now);
       if (ldiff > limit || ldiff < -limit) {
@@ -425,7 +428,7 @@ void PortLogic::handle_beacon(const Message& m, std::int64_t rx_tick, bool join)
     // both directions (monotonicity of the device clock is gc's job, via
     // fast-forward plus the stall ceiling).
     local_set(rx_tick, target);
-    agent_.parent_update(rx_tick, target);
+    hot_.agent.parent_update(rx_tick, target);
     ++stats_.adjustments;
     return;
   }
@@ -443,19 +446,19 @@ void PortLogic::handle_beacon(const Message& m, std::int64_t rx_tick, bool join)
     // protocol working), and an inflated counter propagating through healthy
     // devices arrives as a positive delta — counting it would let one lying
     // link strike its innocent neighbors.
-    if (plausibility_gate_units_ > 0 && gdiff < -plausibility_gate_units_)
+    if (hot_.plausibility_gate_units > 0 && gdiff < -hot_.plausibility_gate_units)
       ++wd_gate_events_;
     if (gdiff > limit || gdiff < -limit) {
       ++stats_.filtered_range;
       // Random bit errors are filtered one at a time; a *run* of filtered
       // beacons means the pair genuinely diverged — trigger a join exchange.
-      if (++consecutive_filtered_ >= kFilterRecoveryThreshold) {
-        consecutive_filtered_ = 0;
+      if (++hot_.consecutive_filtered >= kFilterRecoveryThreshold) {
+        hot_.consecutive_filtered = 0;
         send_join();
       }
       return;
     }
-    consecutive_filtered_ = 0;
+    hot_.consecutive_filtered = 0;
   }
 
   const __int128 diff = target.diff(lc_now);
@@ -472,13 +475,13 @@ void PortLogic::handle_beacon(const Message& m, std::int64_t rx_tick, bool join)
   }
   if (diff <= 0) return;  // we are already at or ahead of the peer's view
 
-  const unsigned __int128 jump = local_.fast_forward(rx_tick, target);
+  const unsigned __int128 jump = hot_.local.fast_forward(rx_tick, target);
   ++stats_.adjustments;
   stats_.max_adjustment =
       std::max<std::uint64_t>(stats_.max_adjustment, static_cast<std::uint64_t>(jump));
 
   if (p.enable_jump_detector &&
-      jump_detector_.record(agent_.simulator().now(), jump)) {
+      jump_detector_.record(hot_.agent.simulator().now(), jump)) {
     // Quarantine the peer. Note the tripping adjustment was applied to lc
     // but is NOT folded into gc (no local_updated below): the suspicious
     // value stops here instead of propagating device- and network-wide —
@@ -486,10 +489,10 @@ void PortLogic::handle_beacon(const Message& m, std::int64_t rx_tick, bool join)
     // tree, because a downstream detector only ever counts jumps an
     // upstream port actually forwarded.
     set_state(PortState::kFaulty);
-    faulted_at_ = agent_.simulator().now();
+    faulted_at_ = hot_.agent.simulator().now();
     return;
   }
-  agent_.local_updated(index_, rx_tick, join);
+  hot_.agent.local_updated(hot_.index, rx_tick, join);
 }
 
 void PortLogic::handle_msb(const Message& m, std::int64_t) {
@@ -500,27 +503,28 @@ void PortLogic::handle_msb(const Message& m, std::int64_t) {
 void PortLogic::handle_log(const Message& m, std::int64_t rx_tick, fs_t rx_time) {
   ++stats_.logs_received;
   if (on_log_received) {
-    const WideCounter t2 = agent_.global_at_tick(rx_tick);
+    const WideCounter t2 = hot_.agent.global_at_tick(rx_tick);
     on_log_received(m.payload, t2, rx_time);
   }
 }
 
 void PortLogic::send_log(std::uint64_t sw_payload) {
-  port_.request_control_slot([this, sw_payload](fs_t tx_time, std::int64_t tx_tick) {
-    const WideCounter t1 = agent_.global_at_tick(tx_tick);
+  hot_.port.request_control_slot([this, sw_payload](fs_t tx_time, std::int64_t tx_tick) {
+    const WideCounter t1 = hot_.agent.global_at_tick(tx_tick);
     ++stats_.logs_sent;
     if (on_log_sent) on_log_sent(sw_payload, t1, tx_time);
-    return encode_bits({MessageType::kLog, t1.lsb53()}, agent_.params().parity);
+    return encode_bits({MessageType::kLog, t1.lsb53()}, hot_.agent.params().parity);
   });
 }
 
 void PortLogic::send_join() {
   ++stats_.joins_sent;
   if (auto* tr = obs_hub_ != nullptr ? obs_hub_->trace() : nullptr)
-    tr->instant(obs_track_, agent_.simulator().now(), "JOIN tx");
-  port_.request_control_slot([this](fs_t, std::int64_t tx_tick) {
+    tr->instant(obs_track_, hot_.agent.simulator().now(), "JOIN tx");
+  hot_.port.request_control_slot([this](fs_t, std::int64_t tx_tick) {
     const WideCounter gc = tx_global(tx_tick);
-    return encode_bits({MessageType::kBeaconJoin, gc.lsb53()}, agent_.params().parity);
+    return encode_bits({MessageType::kBeaconJoin, gc.lsb53()},
+                       hot_.agent.params().parity);
   });
 }
 

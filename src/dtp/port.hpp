@@ -20,6 +20,7 @@
 /// the faulty-peer detector of Section 3.2, and the LOG message the
 /// evaluation harness uses (Section 6.2).
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -49,27 +50,30 @@ enum class PortState : std::uint8_t {
 
 const char* to_string(PortState s);
 
-/// Per-port protocol counters (diagnostics and tests).
+/// Per-port protocol counters (diagnostics and tests). The five a quiet
+/// beacon bumps come first, so they share one cache line right behind
+/// PortLogic's hot block.
 struct PortStats {
-  std::uint64_t inits_sent = 0;
-  std::uint64_t init_acks_sent = 0;
   std::uint64_t beacons_sent = 0;
   std::uint64_t beacons_received = 0;
+  std::uint64_t adjustments = 0;      ///< positive lc fast-forwards
+  std::uint64_t max_adjustment = 0;   ///< largest single fast-forward (units)
+  std::uint64_t filtered_range = 0;   ///< beacons dropped by the +-8 filter
+  std::uint64_t inits_sent = 0;
+  std::uint64_t init_acks_sent = 0;
   std::uint64_t joins_sent = 0;
   std::uint64_t joins_received = 0;
   std::uint64_t msbs_sent = 0;
   std::uint64_t msbs_received = 0;
   std::uint64_t logs_sent = 0;
   std::uint64_t logs_received = 0;
-  std::uint64_t filtered_range = 0;   ///< beacons dropped by the +-8 filter
   std::uint64_t filtered_parity = 0;  ///< messages dropped by parity (decode)
-  std::uint64_t adjustments = 0;      ///< positive lc fast-forwards
-  std::uint64_t max_adjustment = 0;   ///< largest single fast-forward (units)
   std::uint64_t state_transitions = 0;  ///< PortState changes (obs/diagnostics)
 };
 
-/// Algorithm 1 state machine for one port.
-class PortLogic {
+/// Algorithm 1 state machine for one port. Cache-line aligned: the state a
+/// beacon reads fills three whole lines (see Hot).
+class alignas(64) PortLogic {
  public:
   /// \param agent  owning device agent (Algorithm 2); must outlive this
   /// \param port   the PHY port to speak through; must outlive this
@@ -86,19 +90,19 @@ class PortLogic {
   /// Begin the protocol (T0) if the link is up; otherwise waits for link-up.
   void start();
 
-  PortState state() const { return state_; }
-  std::size_t index() const { return index_; }
+  PortState state() const { return hot_.state; }
+  std::size_t index() const { return hot_.index; }
 
   /// Measured one-way delay in counter units; nullopt before T2 completes.
-  std::optional<std::int64_t> measured_owd() const { return owd_units_; }
+  std::optional<std::int64_t> measured_owd() const { return hot_.owd_units; }
 
   /// The port-local counter (lc).
-  const TickCounter& local() const { return local_; }
+  const TickCounter& local() const { return hot_.local; }
   /// lc at an absolute simulated time.
   WideCounter local_at(fs_t t) const;
 
   const PortStats& stats() const { return stats_; }
-  phy::PhyPort& phy_port() { return port_; }
+  phy::PhyPort& phy_port() { return hot_.port; }
 
   /// Send a LOG message carrying the device global counter stamped at the
   /// moment of transmission (t1 of Section 6.2). `sw_payload` is ignored by
@@ -134,7 +138,7 @@ class PortLogic {
   /// stale outliers are both visible to the watchdog. Only staleness counts;
   /// positive surprises are the max-discipline working (see handle_beacon).
   void set_plausibility_gate(std::int64_t units) {
-    plausibility_gate_units_ = units;
+    hot_.plausibility_gate_units = units;
   }
   /// Cumulative gate events (the watchdog differences these per window).
   std::uint64_t wd_gate_events() const { return wd_gate_events_; }
@@ -146,7 +150,7 @@ class PortLogic {
   /// that otherwise lives. Unfreezing resumes counting from the latched
   /// value, leaving the port as far behind as the freeze lasted.
   void set_counter_frozen(bool frozen);
-  bool counter_frozen() const { return counter_frozen_; }
+  bool counter_frozen() const { return hot_.counter_frozen; }
 
   /// Watchdog remediation: quarantine this port (kFaulty, stops beaconing
   /// and ignores received beacons) without tripping the jump detector.
@@ -207,29 +211,41 @@ class PortLogic {
   void local_set(std::int64_t tick, const WideCounter& v);
   unsigned __int128 local_fast_forward(std::int64_t tick, const WideCounter& v);
 
-  Agent& agent_;
-  phy::PhyPort& port_;
-  std::size_t index_;
-  PortState state_ = PortState::kDown;
+  /// Quiet-path state: what every beacon this port sends or receives reads.
+  /// TX: bridge_fire_beacon, schedule_beacon and the beacon factory (through
+  /// tx_global); RX: handle_control and handle_beacon, then
+  /// Agent::local_updated reading lc. stats_ follows it with the counters a
+  /// beacon bumps in its first line, so a quiet beacon touches three lines;
+  /// the INIT, join, MSB, LOG, watchdog and chaos state sits behind them.
+  struct alignas(64) Hot {
+    TickCounter local;  ///< lc
+    Agent& agent;
+    phy::PhyPort& port;
+    std::optional<std::int64_t> owd_units{};  ///< measured d; nullopt before T2
+    sim::Simulator::BridgeToken beacon_step{};  ///< bridged-mode beacon timer
+    std::int64_t beacons_since_msb = 0;
+    std::int64_t consecutive_filtered = 0;
+    std::int64_t plausibility_gate_units = 0;  ///< watchdog gate; 0 = off
+    std::uint32_t index;
+    PortState state = PortState::kDown;
+    bool counter_frozen = false;  ///< chaos kFrozenCounter seam
+  };
+  static_assert(sizeof(Hot) == 128, "PortLogic::Hot must stay two cache lines");
+  static_assert(offsetof(PortStats, filtered_range) < 64,
+                "the counters a beacon bumps must share PortStats' first line");
+  Hot hot_;
+  PortStats stats_;
 
-  TickCounter local_;
-  std::optional<std::int64_t> owd_units_;
   std::optional<std::int64_t> prior_owd_;      ///< pre-reinit d, caps the remeasure
   std::optional<WideCounter> init_echo_wait_;  ///< lc value sent in our INIT
   std::uint64_t last_peer_msb_ = 0;
-  std::int64_t beacons_since_msb_ = 0;
   std::int64_t last_join_reply_tick_ = 0;
-  std::int64_t consecutive_filtered_ = 0;
   JumpDetector jump_detector_;
   fs_t faulted_at_ = 0;  ///< when the detector last tripped (cooldown anchor)
-  std::int64_t plausibility_gate_units_ = 0;  ///< watchdog gate; 0 = off
   std::uint64_t wd_gate_events_ = 0;          ///< |gdiff| > gate occurrences
-  bool counter_frozen_ = false;               ///< chaos kFrozenCounter seam
   std::optional<WideCounter> frozen_value_;   ///< lc latched at freeze
   std::optional<WideCounter> frozen_gc_;      ///< gc latched at freeze (tx)
-  PortStats stats_;
-  sim::EventHandle beacon_timer_;
-  sim::Simulator::BridgeToken beacon_step_;  ///< bridged-mode beacon timer
+  sim::EventHandle beacon_timer_;  ///< exact-engine beacon timer
   sim::EventHandle init_retry_;
   obs::Hub* obs_hub_ = nullptr;  ///< trace attachment; null in bare runs
   std::uint32_t obs_track_ = 0;

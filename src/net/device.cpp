@@ -6,10 +6,10 @@ namespace dtpsim::net {
 
 Device::Device(sim::Simulator& sim, std::string name, DeviceParams params)
     : sim_(sim),
-      name_(std::move(name)),
-      params_(params),
+      osc_(phy::nominal_period(params.rate), params.ppm, params.phase),
       node_(sim.register_node()),
-      osc_(phy::nominal_period(params.rate), params.ppm, params.phase) {}
+      name_(std::move(name)),
+      params_(params) {}
 
 phy::PhyPort& Device::add_port() {
   phy::PortParams pp = params_.port;

@@ -30,8 +30,9 @@ struct DeviceParams {
   MacParams mac{};
 };
 
-/// A device: one oscillator, N (port, MAC) pairs.
-class Device {
+/// A device: one oscillator, N (port, MAC) pairs. Cache-line aligned, so
+/// the members every beacon reads share one line (see sim_ below).
+class alignas(64) Device {
  public:
   Device(sim::Simulator& sim, std::string name, DeviceParams params);
   virtual ~Device() = default;
@@ -77,11 +78,14 @@ class Device {
   /// Move the frame out of the pool and free its index.
   Frame unpark_frame(std::uint32_t index);
 
+  // The simulator, oscillator and node id come first: every beacon a port
+  // of this device sends or receives reads them (PortLogic reaches them
+  // through its Agent), so they share the object's first cache line.
   sim::Simulator& sim_;
+  phy::Oscillator osc_;
+  std::int32_t node_ = -1;
   std::string name_;
   DeviceParams params_;
-  std::int32_t node_ = -1;
-  phy::Oscillator osc_;
   std::optional<phy::DriftProcess> drift_;
   std::vector<std::unique_ptr<phy::PhyPort>> ports_;
   std::vector<std::unique_ptr<Mac>> macs_;

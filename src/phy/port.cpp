@@ -8,120 +8,124 @@
 namespace dtpsim::phy {
 
 PhyPort::PhyPort(sim::Simulator& sim, Oscillator& osc, PortParams params, std::string name)
-    : sim_(sim),
-      osc_(osc),
+    : hot_{.sim = sim,
+           .osc = osc,
+           .fifo = SyncFifo(params.fifo,
+                            sim.fork_rng(std::hash<std::string>{}(name) | 1))},
       params_(params),
-      name_(std::move(name)),
-      fifo_(params.fifo, sim.fork_rng(std::hash<std::string>{}(name_) | 1)) {}
+      name_(std::move(name)) {}
 
-fs_t PhyPort::propagation_delay() const {
-  if (!cable_) throw std::logic_error("PhyPort: no cable attached");
-  return cable_->propagation_delay();
+PhyPort* PhyPort::peer() {
+  return hot_.cable != nullptr ? &hot_.cable->other_side(*this) : nullptr;
 }
 
-void PhyPort::link_established(Cable* cable, PhyPort* peer) {
-  if (cable_) throw std::logic_error("PhyPort: already connected");
+fs_t PhyPort::propagation_delay() const {
+  if (!hot_.cable) throw std::logic_error("PhyPort: no cable attached");
+  return hot_.cable->propagation_delay();
+}
+
+void PhyPort::link_established(Cable* cable) {
+  if (hot_.cable) throw std::logic_error("PhyPort: already connected");
   // Cables attach from setup or chaos code (global context); everything the
   // hooks schedule belongs to this port's device.
-  sim::ScopedAffinity aff(node_);
-  cable_ = cable;
-  peer_ = peer;
-  line_free_ = std::max(line_free_, sim_.now());
-  frame_allowed_ = std::max(frame_allowed_, sim_.now());
-  last_link_up_at_ = sim_.now();
+  sim::ScopedAffinity aff(hot_.node);
+  hot_.cable = cable;
+  hot_.line_free = std::max(hot_.line_free, hot_.sim.now());
+  frame_allowed_ = std::max(frame_allowed_, hot_.sim.now());
+  last_link_up_at_ = hot_.sim.now();
   if (on_link_up) on_link_up();
   // Control requests queued while the link was down get slots now.
   schedule_control_service();
 }
 
 void PhyPort::link_lost() {
-  sim::ScopedAffinity aff(node_);
-  cable_ = nullptr;
-  peer_ = nullptr;
+  sim::ScopedAffinity aff(hot_.node);
+  hot_.cable = nullptr;
   if (on_link_down) on_link_down();
 }
 
 void PhyPort::request_control_slot(ControlFactory factory) {
   if (!factory) throw std::invalid_argument("PhyPort: empty control factory");
-  control_queue_.push_back(std::move(factory));
+  hot_.control_queue.push_back(std::move(factory));
   schedule_control_service();
 }
 
 void PhyPort::schedule_control_service() {
-  if (control_queue_.empty() || !link_up()) return;
-  sim::ScopedAffinity aff(node_);
+  if (hot_.control_queue.empty() || !link_up()) return;
+  sim::ScopedAffinity aff(hot_.node);
 
-  const fs_t slot = osc_.next_edge_at_or_after(std::max(sim_.now(), line_free_));
-  if (control_service_scheduled_) {
+  const fs_t slot =
+      hot_.osc.next_edge_at_or_after(std::max(hot_.sim.now(), hot_.line_free));
+  if (hot_.control_service_scheduled) {
     if (slot == control_service_at_) return;  // armed for the right slot already
     // The line was claimed by a frame (or the edge lattice moved) since we
     // armed: move the event to the new earliest slot. Firing at the stale
     // slot just to discover the line is busy would burn one event per frame
     // on a saturated link.
-    sim_.cancel(control_service_event_);
+    hot_.sim.cancel(control_service_event_);
   }
-  control_service_scheduled_ = true;
+  hot_.control_service_scheduled = true;
   control_service_at_ = slot;
-  control_service_event_ = sim_.schedule_at(
+  control_service_event_ = hot_.sim.schedule_at(
       slot,
       [this] {
-        control_service_scheduled_ = false;
-        if (control_queue_.empty() || !link_up()) return;
+        hot_.control_service_scheduled = false;
+        if (hot_.control_queue.empty() || !link_up()) return;
         // Defensive: send_frame re-aims the service event whenever it claims
         // the line, so these retries should not trigger; they keep the port
         // correct if a future caller mutates the line without re-aiming.
-        if (line_free_ > sim_.now()) {
+        if (hot_.line_free > hot_.sim.now()) {
           schedule_control_service();
           return;
         }
-        const fs_t tx_start = osc_.next_edge_at_or_after(sim_.now());
-        if (tx_start > sim_.now()) {
+        const fs_t tx_start = hot_.osc.next_edge_at_or_after(hot_.sim.now());
+        if (tx_start > hot_.sim.now()) {
           // Drifted off the edge lattice (period change); realign.
           schedule_control_service();
           return;
         }
-        const std::int64_t tx_tick = osc_.tick_at(tx_start);
-        ControlFactory factory = std::move(control_queue_.front());
-        control_queue_.pop_front();
+        const std::int64_t tx_tick = hot_.osc.tick_at(tx_start);
+        ControlFactory factory = std::move(hot_.control_queue.front());
+        hot_.control_queue.erase(hot_.control_queue.begin());
         const std::uint64_t bits = factory(tx_start, tx_tick);
         if (probe_control_tx) probe_control_tx(bits, tx_start);
-        const fs_t tx_end = osc_.edge_of_tick(tx_tick + 1);
-        line_free_ = tx_end;
-        ++control_sent_;
-        cable_->transmit_control(*this, bits, tx_end);
+        const fs_t tx_end = hot_.osc.edge_of_tick(tx_tick + 1);
+        hot_.line_free = tx_end;
+        ++hot_.control_sent;
+        hot_.cable->transmit_control(*this, bits, tx_end);
         schedule_control_service();
       },
       sim::EventCategory::kFrame);
 }
 
 bool PhyPort::control_slot_fusible(const void* tx_client) const {
-  if (!link_up() || !control_queue_.empty() || control_service_scheduled_)
+  if (!link_up() || !hot_.control_queue.empty() || hot_.control_service_scheduled)
     return false;
-  const fs_t now = sim_.now();
-  if (line_free_ > now) return false;
+  const fs_t now = hot_.sim.now();
+  if (hot_.line_free > now) return false;
   // Off the edge lattice (a period change landed between edges): the exact
   // engine would arm the service for a later slot, so fall back to it.
-  if (osc_.next_edge_at_or_after(now) != now) return false;
+  if (hot_.osc.next_edge_at_or_after(now) != now) return false;
   // A same-instant event ahead of the would-be service key (a global fault,
   // this node's applies, a second chain on this port) could interleave in
   // the exact engine; the fused path must yield to it.
-  return sim_.bridge_tx_fusible(node_, tx_client);
+  return hot_.sim.bridge_tx_fusible(hot_.node, tx_client);
 }
 
-void PhyPort::fuse_reserve_control() { sim_.bridge_virtual_schedule(node_); }
+void PhyPort::fuse_reserve_control() { hot_.sim.bridge_virtual_schedule(hot_.node); }
 
 void PhyPort::fuse_fire_control(const ControlFactory& factory) {
   // Mirrors the service event body under control_slot_fusible()'s
   // preconditions: tx_start == now (on-lattice), queue empty, line free.
-  const fs_t tx_start = sim_.now();
-  sim_.bridge_virtual_fire(node_, sim::EventCategory::kFrame, tx_start);
-  const std::int64_t tx_tick = osc_.tick_at(tx_start);
+  const fs_t tx_start = hot_.sim.now();
+  hot_.sim.bridge_virtual_fire(hot_.node, sim::EventCategory::kFrame, tx_start);
+  const std::int64_t tx_tick = hot_.osc.tick_at(tx_start);
   const std::uint64_t bits = factory(tx_start, tx_tick);
   if (probe_control_tx) probe_control_tx(bits, tx_start);
-  const fs_t tx_end = osc_.edge_of_tick(tx_tick + 1);
-  line_free_ = tx_end;
-  ++control_sent_;
-  cable_->transmit_control(*this, bits, tx_end);
+  const fs_t tx_end = hot_.osc.edge_of_tick(tx_tick + 1);
+  hot_.line_free = tx_end;
+  ++hot_.control_sent;
+  hot_.cable->transmit_control(*this, bits, tx_end);
   // The exact body ends with schedule_control_service(); keep it for the
   // case where the factory itself queued a follow-up request.
   schedule_control_service();
@@ -137,12 +141,12 @@ void PhyPort::bridge_arrival(std::uint64_t bits56, fs_t wire_arrival, bool corru
   // instant, then visibility is armed for the crossing's edge. When nothing
   // can fire in between — and the edge is inside the active run horizon —
   // the visibility event is fused inline instead of re-entering the heap.
-  const CrossingResult crossing = fifo_.cross(osc_, wire_arrival);
-  ++fifo_crossings_;
-  fifo_extra_cycles_ += static_cast<std::uint64_t>(crossing.random_extra);
-  if (sim_.bridge_fusible_at(node_, crossing.visible_time)) {
-    sim_.bridge_virtual_schedule(node_);
-    sim_.bridge_virtual_fire(node_, sim::EventCategory::kFrame,
+  const CrossingResult crossing = hot_.fifo.cross(hot_.osc, wire_arrival);
+  ++hot_.fifo_crossings;
+  hot_.fifo_extra_cycles += static_cast<std::uint64_t>(crossing.random_extra);
+  if (hot_.sim.bridge_fusible_at(hot_.node, crossing.visible_time)) {
+    hot_.sim.bridge_virtual_schedule(hot_.node);
+    hot_.sim.bridge_virtual_fire(hot_.node, sim::EventCategory::kFrame,
                              crossing.visible_time);
     apply_control(ControlRx{bits56, wire_arrival, crossing, corrupted});
     return;
@@ -154,10 +158,10 @@ void PhyPort::bridge_arrival(std::uint64_t bits56, fs_t wire_arrival, bool corru
   step.b = wire_arrival;
   step.c = crossing.visible_tick;
   step.d = (crossing.random_extra & 1) | (corrupted ? 2 : 0);
-  step.node = node_;
+  step.node = hot_.node;
   step.cat = sim::EventCategory::kFrame;
   step.kind = sim::EventQueue::BridgeKind::kApply;
-  sim_.bridge_schedule(node_, crossing.visible_time, step);
+  hot_.sim.bridge_schedule(hot_.node, crossing.visible_time, step);
 }
 
 void PhyPort::bridge_apply_step(void* client, const sim::EventQueue::BridgeStep& s,
@@ -173,21 +177,22 @@ void PhyPort::apply_control(const ControlRx& rx) {
 }
 
 fs_t PhyPort::frame_clear_time() const {
-  return std::max(frame_allowed_, line_free_);
+  return std::max(frame_allowed_, hot_.line_free);
 }
 
 PhyPort::TxTiming PhyPort::send_frame(std::uint32_t wire_bytes,
                                       std::shared_ptr<const void> payload) {
   if (!link_up()) throw std::logic_error("PhyPort: send_frame with link down");
-  sim::ScopedAffinity aff(node_);
-  const fs_t start = osc_.next_edge_at_or_after(std::max(sim_.now(), frame_clear_time()));
-  const std::int64_t start_tick = osc_.tick_at(start);
+  sim::ScopedAffinity aff(hot_.node);
+  const fs_t start =
+      hot_.osc.next_edge_at_or_after(std::max(hot_.sim.now(), frame_clear_time()));
+  const std::int64_t start_tick = hot_.osc.tick_at(start);
   const std::int64_t blocks = blocks_for_frame(wire_bytes);
-  const fs_t end = osc_.edge_of_tick(start_tick + blocks);
-  line_free_ = end;
-  frame_allowed_ = osc_.edge_of_tick(start_tick + blocks + kIpgBlocks);
+  const fs_t end = hot_.osc.edge_of_tick(start_tick + blocks);
+  hot_.line_free = end;
+  frame_allowed_ = hot_.osc.edge_of_tick(start_tick + blocks + kIpgBlocks);
   ++frames_sent_;
-  cable_->transmit_frame(*this, wire_bytes, std::move(payload), end);
+  hot_.cable->transmit_frame(*this, wire_bytes, std::move(payload), end);
   // A control request queued mid-frame gets the IPG slot right after `end`.
   schedule_control_service();
   return TxTiming{start, end, frame_allowed_};
@@ -195,19 +200,19 @@ PhyPort::TxTiming PhyPort::send_frame(std::uint32_t wire_bytes,
 
 void PhyPort::deliver_control(std::uint64_t bits56, fs_t tx_end, bool corrupted) {
   const fs_t wire_arrival = tx_end;  // propagation already applied by cable
-  const CrossingResult crossing = fifo_.cross(osc_, wire_arrival);
-  ++fifo_crossings_;
-  fifo_extra_cycles_ += static_cast<std::uint64_t>(crossing.random_extra);
-  sim::ScopedAffinity aff(node_);
+  const CrossingResult crossing = hot_.fifo.cross(hot_.osc, wire_arrival);
+  ++hot_.fifo_crossings;
+  hot_.fifo_extra_cycles += static_cast<std::uint64_t>(crossing.random_extra);
+  sim::ScopedAffinity aff(hot_.node);
   // The capture packs the crossing as the bridged apply step does, so it
   // fits Callback's inline buffer: the event fires at the visible edge, so
   // that time is now() at fire, and d = bit0 random_extra | bit1 corrupted.
   const std::int64_t visible_tick = crossing.visible_tick;
   const std::int32_t d = (crossing.random_extra & 1) | (corrupted ? 2 : 0);
-  sim_.schedule_at(
+  hot_.sim.schedule_at(
       crossing.visible_time,
       [this, bits56, wire_arrival, visible_tick, d] {
-        const CrossingResult c{visible_tick, sim_.now(), d & 1};
+        const CrossingResult c{visible_tick, hot_.sim.now(), d & 1};
         apply_control(ControlRx{bits56, wire_arrival, c, (d & 2) != 0});
       },
       sim::EventCategory::kFrame);
@@ -218,29 +223,30 @@ void PhyPort::deliver_frame(FrameRx rx) {
 }
 
 Cable::Cable(sim::Simulator& sim, PhyPort& a, PhyPort& b, Params params)
-    : sim_(sim),
-      a_(a),
-      b_(b),
-      params_(params),
+    : hot_{.sim = sim,
+           .a = a,
+           .b = b,
+           .propagation_delay = params.propagation_delay,
+           .dir_id = {sim.alloc_link_dir_id(), sim.alloc_link_dir_id()},
+           .ber = params.ber},
       rng_ab_(sim.fork_rng(0xCAB1E)),
-      rng_ba_(rng_ab_.fork(1)),
-      dir_id_{sim.alloc_link_dir_id(), sim.alloc_link_dir_id()} {
+      rng_ba_(rng_ab_.fork(1)) {
   if (&a == &b) throw std::invalid_argument("Cable: cannot connect a port to itself");
-  if (params_.propagation_delay < 0) throw std::invalid_argument("Cable: negative delay");
-  sim_.register_edge(a_.node(), b_.node(), params_.propagation_delay);
+  if (hot_.propagation_delay < 0) throw std::invalid_argument("Cable: negative delay");
+  hot_.sim.register_edge(hot_.a.node(), hot_.b.node(), hot_.propagation_delay);
   // Size the in-flight ring for the natural depth: one delivery per block
   // time of propagation, both directions, plus headroom for frames.
   std::size_t cap = 16;
-  const fs_t block = std::min(a_.oscillator().nominal_period(),
-                              b_.oscillator().nominal_period());
+  const fs_t block = std::min(hot_.a.oscillator().nominal_period(),
+                              hot_.b.oscillator().nominal_period());
   if (block > 0) {
     const auto depth = static_cast<std::uint64_t>(
-        2 * (params_.propagation_delay / block + 8));
+        2 * (hot_.propagation_delay / block + 8));
     while (cap < depth && cap < 8192) cap <<= 1;
   }
   ring_.assign(cap, sim::EventHandle{});
-  a_.link_established(this, &b_);
-  b_.link_established(this, &a_);
+  hot_.a.link_established(this);
+  hot_.b.link_established(this);
 }
 
 void Cable::disconnect() {
@@ -252,14 +258,14 @@ void Cable::disconnect() {
   // link-down port (upper layers have already torn down their expectations).
   const std::size_t mask = ring_.size() - 1;
   for (std::size_t i = 0; i < ring_count_; ++i)
-    sim_.cancel(ring_[(ring_head_ + i) & mask]);
+    hot_.sim.cancel(ring_[(ring_head_ + i) & mask]);
   ring_head_ = ring_count_ = 0;
   // Cross-shard deliveries went through mailboxes, and bridged arrivals are
   // POD steps; neither has a handle. Both are tagged with this cable and
   // purged directly from the queues.
-  if (sim_.parallel() || sim_.bridged()) sim_.purge_deliveries(this);
-  a_.link_lost();
-  b_.link_lost();
+  if (hot_.sim.parallel() || hot_.sim.bridged()) hot_.sim.purge_deliveries(this);
+  hot_.a.link_lost();
+  hot_.b.link_lost();
 }
 
 void Cable::track(sim::EventHandle h) {
@@ -268,7 +274,7 @@ void Cable::track(sim::EventHandle h) {
     // The ring wrapped: the head holds the oldest deliveries, which under
     // steady traffic have long since fired. Drop those before growing.
     const std::size_t mask = ring_.size() - 1;
-    while (ring_count_ > 0 && !sim_.pending(ring_[ring_head_ & mask])) {
+    while (ring_count_ > 0 && !hot_.sim.pending(ring_[ring_head_ & mask])) {
       ring_head_ = (ring_head_ + 1) & mask;
       --ring_count_;
     }
@@ -287,7 +293,9 @@ void Cable::grow_ring() {
   ring_head_ = 0;
 }
 
-PhyPort& Cable::other_side(const PhyPort& from) { return &from == &a_ ? b_ : a_; }
+PhyPort& Cable::other_side(const PhyPort& from) {
+  return &from == &hot_.a ? hot_.b : hot_.a;
+}
 
 int Cable::check_dir(int dir) {
   if (dir != 0 && dir != 1)
@@ -297,42 +305,42 @@ int Cable::check_dir(int dir) {
 
 void Cable::set_extra_delay(int dir, fs_t extra) {
   if (extra < 0) throw std::invalid_argument("Cable: negative extra delay");
-  extra_delay_[check_dir(dir)] = extra;
+  hot_.extra_delay[check_dir(dir)] = extra;
 }
 
 void Cable::set_tx_stall(int dir, double prob, fs_t stall) {
   if (prob < 0.0 || prob > 1.0 || stall < 0)
     throw std::invalid_argument("Cable: tx stall needs prob in [0,1], stall >= 0");
-  stall_prob_[check_dir(dir)] = prob;
+  hot_.stall_prob[check_dir(dir)] = prob;
   stall_[dir] = stall;
 }
 
 void Cable::set_silent_corrupt(int dir, double prob) {
   if (prob < 0.0 || prob > 1.0)
     throw std::invalid_argument("Cable: silent-corrupt prob must be in [0,1]");
-  silent_corrupt_[check_dir(dir)] = prob;
+  hot_.silent_corrupt[check_dir(dir)] = prob;
 }
 
 void Cable::transmit_control(PhyPort& from, std::uint64_t bits56, fs_t tx_end) {
   const int dir = direction_of(from);
   Rng& rng = dir == 0 ? rng_ab_ : rng_ba_;
-  if (control_drop_ > 0.0 && rng.bernoulli(control_drop_)) {
+  if (hot_.control_drop > 0.0 && rng.bernoulli(hot_.control_drop)) {
     // Swallowed whole (loss-of-block-lock window): the receiver never sees
     // a block at all, as opposed to the BER path's corrupted-but-present.
     ++dropped_control_[dir];
     return;
   }
   bool corrupted = false;
-  if (params_.ber > 0.0) {
+  if (hot_.ber > 0.0) {
     // One 66-bit block of exposure.
-    const double p_block = 1.0 - std::pow(1.0 - params_.ber, 66.0);
+    const double p_block = 1.0 - std::pow(1.0 - hot_.ber, 66.0);
     if (rng.bernoulli(p_block)) {
       corrupted = true;
       ++corrupted_control_[dir];
       bits56 ^= (1ULL << rng.uniform(56));  // flip one payload bit
     }
   }
-  if (silent_corrupt_[dir] > 0.0 && rng.bernoulli(silent_corrupt_[dir])) {
+  if (hot_.silent_corrupt[dir] > 0.0 && rng.bernoulli(hot_.silent_corrupt[dir])) {
     // Gray fault: flip one low counter bit (payload bits sit at [55:3], so
     // bits 5..6 are counter bits 2..3 — a +-4/+-8 tick lie). Deliberately
     // does NOT set `corrupted`: the damage survives framing, so the DTP
@@ -340,17 +348,17 @@ void Cable::transmit_control(PhyPort& from, std::uint64_t bits56, fs_t tx_end) {
     bits56 ^= (1ULL << (5 + rng.uniform(2)));
   }
   PhyPort& to = other_side(from);
-  fs_t arrival = tx_end + params_.propagation_delay + extra_delay_[dir];
-  if (stall_prob_[dir] > 0.0 && rng.bernoulli(stall_prob_[dir]))
+  fs_t arrival = tx_end + hot_.propagation_delay + hot_.extra_delay[dir];
+  if (hot_.stall_prob[dir] > 0.0 && rng.bernoulli(hot_.stall_prob[dir]))
     arrival += stall_[dir];
   // The lane is FIFO: a stalled block holds its successors behind it, so a
   // later block never overtakes an earlier one. No-op when the seams are off
   // (serialization already makes per-direction arrivals monotone).
-  if (arrival < last_control_arrival_[dir]) arrival = last_control_arrival_[dir];
-  last_control_arrival_[dir] = arrival;
+  if (arrival < hot_.last_control_arrival[dir]) arrival = hot_.last_control_arrival[dir];
+  hot_.last_control_arrival[dir] = arrival;
   const std::uint64_t key =
-      (static_cast<std::uint64_t>(dir_id_[dir]) << 32) | tx_seq_[dir]++;
-  if (sim_.bridged()) {
+      (static_cast<std::uint64_t>(hot_.dir_id[dir]) << 32) | hot_.tx_seq[dir]++;
+  if (hot_.sim.bridged()) {
     // POD arrival step on the destination queue at the same (time, link key)
     // the exact delivery event would occupy. Cross-shard sends from a worker
     // still take the exact mailbox path below.
@@ -363,9 +371,9 @@ void Cable::transmit_control(PhyPort& from, std::uint64_t bits56, fs_t tx_end) {
     step.node = to.node();
     step.cat = sim::EventCategory::kFrame;
     step.kind = sim::EventQueue::BridgeKind::kArrival;
-    if (sim_.bridge_deliver_link(to.node(), arrival, key, step)) return;
+    if (hot_.sim.bridge_deliver_link(to.node(), arrival, key, step)) return;
   }
-  track(sim_.deliver_link(
+  track(hot_.sim.deliver_link(
       from.node(), to.node(), arrival,
       [&to, bits56, arrival, corrupted] { to.deliver_control(bits56, arrival, corrupted); },
       sim::EventCategory::kFrame, this, key));
@@ -375,20 +383,20 @@ void Cable::transmit_frame(PhyPort& from, std::uint32_t wire_bytes,
                            std::shared_ptr<const void> payload, fs_t tx_end) {
   const int dir = direction_of(from);
   bool fcs_ok = true;
-  if (params_.ber > 0.0) {
+  if (hot_.ber > 0.0) {
     Rng& rng = dir == 0 ? rng_ab_ : rng_ba_;
     const double bits = static_cast<double>(wire_bytes) * 8.0;
-    const double p_frame = 1.0 - std::pow(1.0 - params_.ber, bits);
+    const double p_frame = 1.0 - std::pow(1.0 - hot_.ber, bits);
     if (rng.bernoulli(p_frame)) {
       fcs_ok = false;
       ++corrupted_frames_[dir];
     }
   }
   PhyPort& to = other_side(from);
-  const fs_t arrival = tx_end + params_.propagation_delay;
+  const fs_t arrival = tx_end + hot_.propagation_delay;
   const std::uint64_t key =
-      (static_cast<std::uint64_t>(dir_id_[dir]) << 32) | tx_seq_[dir]++;
-  track(sim_.deliver_link(
+      (static_cast<std::uint64_t>(hot_.dir_id[dir]) << 32) | hot_.tx_seq[dir]++;
+  track(hot_.sim.deliver_link(
       from.node(), to.node(), arrival,
       [&to, payload = std::move(payload), wire_bytes, fcs_ok, arrival] {
         to.deliver_frame(FrameRx{payload, wire_bytes, fcs_ok, arrival});

@@ -26,7 +26,6 @@
 /// control payloads and frames (Section 3.2 "Handling failures").
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
@@ -69,7 +68,9 @@ struct PortParams {
 };
 
 /// One physical port: TX serialization, RX delivery, DTP idle-block slots.
-class PhyPort {
+/// Cache-line aligned: its quiet-path state fills the first four lines (see
+/// Hot), so a port never shares those lines with a neighbour's cold state.
+class alignas(64) PhyPort {
  public:
   /// Invoked when an idle-block slot is granted; returns the 56 bits to
   /// send. `tx_time`/`tx_tick` identify the local tick whose block carries
@@ -84,19 +85,20 @@ class PhyPort {
   PhyPort& operator=(const PhyPort&) = delete;
 
   const std::string& name() const { return name_; }
-  Oscillator& oscillator() { return osc_; }
-  const Oscillator& oscillator() const { return osc_; }
+  Oscillator& oscillator() { return hot_.osc; }
+  const Oscillator& oscillator() const { return hot_.osc; }
   const RateSpec& rate() const { return rate_spec(params_.rate); }
   const PortParams& params() const { return params_; }
 
   /// Device-graph node this port belongs to (-1 until a Device adopts it).
   /// Drives event affinity: everything the port schedules runs on the
   /// owning device's shard in parallel mode.
-  std::int32_t node() const { return node_; }
-  void set_node(std::int32_t node) { node_ = node; }
+  std::int32_t node() const { return hot_.node; }
+  void set_node(std::int32_t node) { hot_.node = node; }
 
-  bool link_up() const { return peer_ != nullptr; }
-  PhyPort* peer() { return peer_; }
+  bool link_up() const { return hot_.cable != nullptr; }
+  /// The port at the cable's far end; null while the link is down.
+  PhyPort* peer();
   /// One-way propagation delay of the attached cable; requires link_up().
   fs_t propagation_delay() const;
 
@@ -131,13 +133,13 @@ class PhyPort {
   void fuse_fire_control(const ControlFactory& factory);
 
   /// Number of factories waiting for an idle block.
-  std::size_t pending_control() const { return control_queue_.size(); }
+  std::size_t pending_control() const { return hot_.control_queue.size(); }
 
   /// Discard every queued control factory. Required when the layer that
   /// queued them is being destroyed (the factories capture it): an agent
   /// torn down mid-run (node crash) must not leave callbacks into freed
   /// protocol state waiting for an idle block.
-  void clear_pending_control() { control_queue_.clear(); }
+  void clear_pending_control() { hot_.control_queue.clear(); }
 
   /// Earliest time a new frame may start serializing (IPG respected).
   fs_t frame_clear_time() const;
@@ -156,40 +158,23 @@ class PhyPort {
   /// Total frames / control blocks this port transmitted (diagnostics; the
   /// zero-overhead claim is `frames_sent` unchanged by enabling DTP).
   std::uint64_t frames_sent() const { return frames_sent_; }
-  std::uint64_t control_blocks_sent() const { return control_sent_; }
+  std::uint64_t control_blocks_sent() const { return hot_.control_sent; }
 
   /// CDC observability: control blocks that crossed this port's SyncFifo
   /// into the local clock domain, and how many of those crossings drew the
   /// metastability penalty cycle (the paper's only nondeterminism source).
   /// Single-writer (the port's shard); sampled at obs snapshot sync points.
-  std::uint64_t fifo_crossings() const { return fifo_crossings_; }
-  std::uint64_t fifo_extra_cycles() const { return fifo_extra_cycles_; }
+  std::uint64_t fifo_crossings() const { return hot_.fifo_crossings; }
+  std::uint64_t fifo_extra_cycles() const { return hot_.fifo_extra_cycles; }
 
   /// When the current (or most recent) cable attached — the anchor for the
   /// MAC's post-link-training data hold-off.
   fs_t last_link_up_at() const { return last_link_up_at_; }
 
-  // Upper-layer hooks. All optional; unset hooks drop the event.
-  std::function<void()> on_link_up;                  ///< fired when cable attaches
-  std::function<void()> on_link_down;                ///< fired when cable detaches
-  std::function<void(const ControlRx&)> on_control;  ///< DTP sublayer input
-  std::function<void(const FrameRx&)> on_frame;      ///< MAC input
-
-  // Observation probes (check::Sentinel). Pure observers, distinct from the
-  // protocol hooks above: they must not schedule events or mutate port
-  // state. Fired on the port's shard thread in parallel mode, so a probe
-  // shared across ports must synchronize its own state.
-  /// Fired as a control block is serialized, before the cable sees it:
-  /// the 56-bit payload and the tick edge it occupies.
-  std::function<void(std::uint64_t bits56, fs_t tx_start)> probe_control_tx;
-  /// Fired when a control block becomes visible in the local clock domain,
-  /// just before `on_control`.
-  std::function<void(const ControlRx&)> probe_control_rx;
-
  private:
   friend class Cable;
 
-  void link_established(Cable* cable, PhyPort* peer);
+  void link_established(Cable* cable);
   void link_lost();
   void deliver_control(std::uint64_t bits56, fs_t tx_end, bool corrupted);
   void deliver_frame(FrameRx rx);
@@ -208,31 +193,67 @@ class PhyPort {
   /// The visibility event's body in both engines: probe, then on_control.
   void apply_control(const ControlRx& rx);
 
-  sim::Simulator& sim_;
-  Oscillator& osc_;
-  PortParams params_;
-  std::string name_;
-  std::int32_t node_ = -1;
-  Cable* cable_ = nullptr;
-  PhyPort* peer_ = nullptr;
-  SyncFifo fifo_;
+  /// Quiet-path state: everything a control block this port sends or
+  /// receives reads, packed ahead of the rest of the object. TX reads it in
+  /// control_slot_fusible, fuse_reserve_control, fuse_fire_control and
+  /// schedule_control_service; RX in bridge_arrival; Cable::transmit_control
+  /// reads the far port's node. The three quiet-path hooks follow it, so
+  /// block plus hooks fill the first four cache lines; a member added here
+  /// must fail the size check, not push those hooks onto a fifth line.
+  struct Hot {
+    sim::Simulator& sim;
+    Oscillator& osc;           ///< the TX clock domain (the device's)
+    Cable* cable = nullptr;    ///< null while the link is down
+    fs_t line_free = 0;        ///< end of the last serialized block
+    /// Factories waiting for an idle block, oldest first. Rarely more than
+    /// one deep, so a vector popped from the front: a std::deque would
+    /// allocate a 576-byte map and block per port at construction.
+    std::vector<ControlFactory> control_queue{};
+    std::int32_t node = -1;
+    bool control_service_scheduled = false;
+    std::uint64_t control_sent = 0;
+    std::uint64_t fifo_crossings = 0;
+    std::uint64_t fifo_extra_cycles = 0;
+    SyncFifo fifo;  ///< RX CDC model; its RNG is drawn near an edge only
+  };
+  static_assert(sizeof(Hot) == 160, "PhyPort::Hot must stay 2.5 cache lines");
+  Hot hot_;
 
-  fs_t line_free_ = 0;      ///< end of the last serialized block
-  fs_t frame_allowed_ = 0;  ///< line_free_ plus any outstanding IPG
-  fs_t last_link_up_at_ = 0;
-  std::deque<ControlFactory> control_queue_;
-  bool control_service_scheduled_ = false;
+ public:
+  // Upper-layer hooks. All optional; unset hooks drop the event. The first
+  // three are tested (and on_control called) for every control block, so
+  // they sit right behind hot_; the link and frame hooks come after them.
+  std::function<void(const ControlRx&)> on_control;  ///< DTP sublayer input
+
+  // Observation probes (check::Sentinel). Pure observers, distinct from the
+  // protocol hooks: they must not schedule events or mutate port state.
+  // Fired on the port's shard thread in parallel mode, so a probe shared
+  // across ports must synchronize its own state.
+  /// Fired as a control block is serialized, before the cable sees it:
+  /// the 56-bit payload and the tick edge it occupies.
+  std::function<void(std::uint64_t bits56, fs_t tx_start)> probe_control_tx;
+  /// Fired when a control block becomes visible in the local clock domain,
+  /// just before `on_control`.
+  std::function<void(const ControlRx&)> probe_control_rx;
+
+  std::function<void()> on_link_up;                  ///< fired when cable attaches
+  std::function<void()> on_link_down;                ///< fired when cable detaches
+  std::function<void(const FrameRx&)> on_frame;      ///< MAC input
+
+ private:
+  // Cold: the frame path, the exact engine's service event, and identity.
+  fs_t frame_allowed_ = 0;  ///< line_free plus any outstanding IPG
+  std::uint64_t frames_sent_ = 0;
   fs_t control_service_at_ = 0;             ///< slot the service event is armed for
   sim::EventHandle control_service_event_;  ///< so a busied line can move it
-
-  std::uint64_t frames_sent_ = 0;
-  std::uint64_t control_sent_ = 0;
-  std::uint64_t fifo_crossings_ = 0;
-  std::uint64_t fifo_extra_cycles_ = 0;
+  fs_t last_link_up_at_ = 0;
+  PortParams params_;
+  std::string name_;
 };
 
-/// Full-duplex point-to-point cable between two ports.
-class Cable {
+/// Full-duplex point-to-point cable between two ports. Cache-line aligned:
+/// both directions' quiet-path state fills the first two lines (see Hot).
+class alignas(64) Cable {
  public:
   struct Params {
     fs_t propagation_delay = from_ns(50);  ///< ~10 m of fiber/twinax
@@ -253,20 +274,20 @@ class Cable {
   void disconnect();
   bool connected() const { return connected_; }
 
-  PhyPort& port_a() { return a_; }
-  PhyPort& port_b() { return b_; }
+  PhyPort& port_a() { return hot_.a; }
+  PhyPort& port_b() { return hot_.b; }
 
-  fs_t propagation_delay() const { return params_.propagation_delay; }
-  double ber() const { return params_.ber; }
+  fs_t propagation_delay() const { return hot_.propagation_delay; }
+  double ber() const { return hot_.ber; }
 
   /// Change the bit-error rate mid-run (fault injection: BER bursts).
-  void set_ber(double ber) { params_.ber = ber; }
+  void set_ber(double ber) { hot_.ber = ber; }
 
   /// Probability that a control block is silently swallowed (fault
   /// injection: beacon-loss windows — models momentary loss of block lock
   /// where the receiver PCS discards /E/ blocks without seeing bit flips).
-  void set_control_drop(double p) { control_drop_ = p; }
-  double control_drop() const { return control_drop_; }
+  void set_control_drop(double p) { hot_.control_drop = p; }
+  double control_drop() const { return hot_.control_drop; }
 
   // --- Gray-failure seams (chaos: asymmetric_delay / limping_port /
   // silent_corruption). All are per-direction (0 = a->b, 1 = b->a) and act
@@ -278,7 +299,7 @@ class Cable {
   /// One direction of the cable gains constant extra latency, silently
   /// biasing the symmetric-propagation assumption behind measured OWD.
   void set_extra_delay(int dir, fs_t extra);
-  fs_t extra_delay(int dir) const { return extra_delay_[check_dir(dir)]; }
+  fs_t extra_delay(int dir) const { return hot_.extra_delay[check_dir(dir)]; }
 
   /// Intermittent TX stalls: with probability `prob`, a control block is
   /// held for `stall` before it starts propagating (a limping serializer).
@@ -310,7 +331,7 @@ class Cable {
   /// 0 for a->b, 1 for b->a. Each direction has its own RNG stream, error
   /// counters, and (edge, message) key sequence, so the two endpoints can
   /// transmit concurrently from their own shards.
-  int direction_of(const PhyPort& from) const { return &from == &a_ ? 0 : 1; }
+  int direction_of(const PhyPort& from) const { return &from == &hot_.a ? 0 : 1; }
   static int check_dir(int dir);
   /// Move one control block across; applies BER and schedules delivery.
   void transmit_control(PhyPort& from, std::uint64_t bits56, fs_t tx_end);
@@ -327,21 +348,33 @@ class Cable {
   void track(sim::EventHandle h);
   void grow_ring();
 
-  sim::Simulator& sim_;
-  PhyPort& a_;
-  PhyPort& b_;
-  Params params_;
+  /// Quiet-path state of both directions, read by transmit_control for
+  /// every control block and by transmit_frame for every frame. The first
+  /// line is the delivery itself (ends, delay, FIFO clamp, tie key); the
+  /// second holds the fault seams' switches, which each block tests even
+  /// while all are off. What a seam reads once it is on (stall lengths, the
+  /// RNG streams) and the counters sit behind, in cold lines.
+  struct Hot {
+    sim::Simulator& sim;
+    PhyPort& a;
+    PhyPort& b;
+    fs_t propagation_delay;
+    fs_t last_control_arrival[2] = {};  ///< FIFO clamp under stalls/delay
+    std::uint32_t dir_id[2];            ///< globally unique edge-direction ids
+    std::uint32_t tx_seq[2] = {};       ///< per-direction message index (key low bits)
+    double ber;                         ///< per-bit error probability
+    double control_drop = 0.0;
+    fs_t extra_delay[2] = {};       ///< gray: constant one-way delay bias
+    double stall_prob[2] = {};      ///< gray: limping-port stall probability
+    double silent_corrupt[2] = {};  ///< gray: unflagged counter-bit flips
+  };
+  static_assert(sizeof(Hot) == 128, "Cable::Hot must stay two cache lines");
+  Hot hot_;
+
   Rng rng_ab_;  ///< a->b direction stream
   Rng rng_ba_;  ///< b->a direction stream
-  std::uint32_t dir_id_[2];        ///< globally unique edge-direction ids
-  std::uint32_t tx_seq_[2] = {};   ///< per-direction message index (key low bits)
+  fs_t stall_[2] = {};  ///< gray: per-stall hold time
   bool connected_ = true;
-  double control_drop_ = 0.0;
-  fs_t extra_delay_[2] = {};          ///< gray: constant one-way delay bias
-  double stall_prob_[2] = {};         ///< gray: limping-port stall probability
-  fs_t stall_[2] = {};                ///< gray: per-stall hold time
-  double silent_corrupt_[2] = {};     ///< gray: unflagged counter-bit flips
-  fs_t last_control_arrival_[2] = {};  ///< FIFO clamp under stalls/delay
   std::vector<sim::EventHandle> ring_;  ///< in-flight deliveries (power-of-two)
   std::size_t ring_head_ = 0;
   std::size_t ring_count_ = 0;

@@ -202,7 +202,6 @@ std::uint64_t EventQueue::bridge_insert(fs_t t, std::uint64_t key,
   }
   BridgeSlot& s = bridge_slots_[idx];
   s.step = step;
-  s.token = ++bridge_next_token_;
   if (step.node >= 0) {
     if (static_cast<std::size_t>(step.node) >= node_pending_.size())
       node_pending_.resize(static_cast<std::size_t>(step.node) + 1);
@@ -213,23 +212,20 @@ std::uint64_t EventQueue::bridge_insert(fs_t t, std::uint64_t key,
   bheap_push(BridgeEntry{t, key, idx});
   const std::size_t depth = heap_.size() + bheap_.size();
   if (depth > peak_pending_) peak_pending_ = depth;
-  return s.token;
+  return (static_cast<std::uint64_t>(s.gen) << 32) | idx;
 }
 
 bool EventQueue::bridge_cancel(std::uint64_t token) {
-  if (token == 0) return false;
-  // O(slab), but the slab only ever holds in-flight quiet-path steps and
-  // cancels are rare (link teardown).
-  for (std::uint32_t idx = 0; idx < bridge_slots_.size(); ++idx) {
-    BridgeSlot& s = bridge_slots_[idx];
-    if (s.heap_pos != kNoHeapPos && s.token == token) {
-      bheap_remove(s.heap_pos);
-      bridge_release(idx);
-      ++cancelled_;
-      return true;
-    }
-  }
-  return false;
+  const auto idx = static_cast<std::uint32_t>(token);
+  const auto gen = static_cast<std::uint32_t>(token >> 32);
+  // gen 0 never names an arming, so token 0 falls out here too.
+  if (gen == 0 || idx >= bridge_slots_.size()) return false;
+  BridgeSlot& s = bridge_slots_[idx];
+  if (s.gen != gen || s.heap_pos == kNoHeapPos) return false;
+  bheap_remove(s.heap_pos);
+  bridge_release(idx);
+  ++cancelled_;
+  return true;
 }
 
 std::uint64_t EventQueue::bridge_virtual_schedule() {
@@ -306,8 +302,8 @@ void EventQueue::bridge_release(std::uint32_t idx) {
     v.pop_back();
   }
   s.step = BridgeStep{};
-  s.token = 0;
   s.heap_pos = kNoHeapPos;
+  if (++s.gen == 0) ++s.gen;  // generation 0 is reserved: token 0 is invalid
   bridge_free_.push_back(idx);
 }
 

@@ -209,9 +209,9 @@ class EventQueue {
 
   /// Arm a node-class step: consumes the next sequence number and counts as
   /// scheduled, exactly like schedule() would for the event it replaces.
-  /// Returns a cancellation token (monotonic per queue, never reused; 0 is
-  /// reserved invalid). Token semantics mirror Handle generations: a token
-  /// for a fired step silently no-ops in bridge_cancel.
+  /// Returns a cancellation token, (slot generation << 32 | slab index); 0
+  /// is never a token. Like a Handle, a token for a fired or cancelled step
+  /// no-ops in bridge_cancel, even once its slab entry is reused.
   std::uint64_t bridge_schedule(fs_t t, const BridgeStep& step);
 
   /// Arm a link-class step with an explicit delivery subkey, like
@@ -219,8 +219,8 @@ class EventQueue {
   std::uint64_t bridge_schedule_link(fs_t t, std::uint64_t link_sub,
                                      const BridgeStep& step);
 
-  /// Cancel a pending step by token; counts as cancelled. Stale tokens
-  /// (fired or already cancelled) return false.
+  /// Cancel a pending step by token in O(log n); counts as cancelled. Stale
+  /// tokens (fired or already cancelled) return false.
   bool bridge_cancel(std::uint64_t token);
 
   /// Account for an event that is fused inline and never enters any heap:
@@ -359,11 +359,13 @@ class EventQueue {
   }
 
   /// Slab entry for a bridged step; `heap_pos` == kNoHeapPos marks free.
-  /// `node_pos` is the step's index in its node's `node_pending_` vector,
-  /// so releasing a step swap-removes it there in O(1).
+  /// `gen` advances every time the entry is released, so a token names one
+  /// arming of it (as Slot::gen does for a Handle). `node_pos` is the step's
+  /// index in its node's `node_pending_` vector, so releasing a step
+  /// swap-removes it there in O(1).
   struct BridgeSlot {
     BridgeStep step{};
-    std::uint64_t token = 0;
+    std::uint32_t gen = 1;
     std::uint32_t heap_pos = kNoHeapPos;
     std::uint32_t node_pos = 0;
   };
@@ -448,7 +450,6 @@ class EventQueue {
   std::vector<std::uint32_t> bridge_free_;
   std::vector<BridgeEntry> bheap_;
   std::vector<std::vector<NodePending>> node_pending_;  ///< by node id
-  std::uint64_t bridge_next_token_ = 0;
   std::uint64_t fused_ = 0;  ///< virtual fires (events that skipped the heap)
   bool running_ = false;       ///< inside run(); gates future-instant fusion
   fs_t run_horizon_ = 0;       ///< active run() horizon

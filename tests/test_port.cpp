@@ -84,6 +84,35 @@ TEST_F(LinkFixture, ControlMessagesSerializeOnePerBlock) {
   EXPECT_EQ(arrivals[2] - arrivals[1], osc_a.period());
 }
 
+// The control queue is FIFO: distinct factories requested back to back, on
+// an idle line and behind a frame, go out in request order, one block apart.
+TEST_F(LinkFixture, QueuedControlFactoriesSerializeInRequestOrder) {
+  Cable cable(sim, a, b, {});
+  std::vector<std::uint64_t> payloads;
+  std::vector<fs_t> arrivals;
+  b.on_control = [&](const ControlRx& rx) {
+    payloads.push_back(rx.bits56);
+    arrivals.push_back(rx.wire_arrival);
+  };
+  auto request = [&](std::uint64_t payload) {
+    a.request_control_slot([payload](fs_t, std::int64_t) { return payload; });
+  };
+  for (std::uint64_t v : {0x11ULL, 0x22ULL, 0x33ULL}) request(v);
+  sim.run_until(1_us);
+  const auto frame = a.send_frame(1530, nullptr);
+  for (std::uint64_t v : {0x44ULL, 0x55ULL, 0x66ULL}) request(v);
+  EXPECT_EQ(a.pending_control(), 3u);
+  sim.run_until(100_us);
+
+  ASSERT_EQ(payloads,
+            (std::vector<std::uint64_t>{0x11, 0x22, 0x33, 0x44, 0x55, 0x66}));
+  for (std::size_t i : {1, 2, 4, 5})
+    EXPECT_EQ(arrivals[i] - arrivals[i - 1], osc_a.period()) << "block " << i;
+  // The second batch waited for the frame: its first block ends one block
+  // after the frame's last bit, then propagates.
+  EXPECT_EQ(arrivals[3], frame.end + osc_a.period() + cable.propagation_delay());
+}
+
 TEST_F(LinkFixture, FrameDelivered) {
   Cable cable(sim, a, b, {from_ns(50), 0.0});
   std::uint32_t got_bytes = 0;

@@ -145,6 +145,80 @@ TEST(Simulator, CancelOwnHandleInsideCallbackIsNoop) {
   EXPECT_EQ(sim.events_pending(), 0u);
 }
 
+// A bridged step's token must behave like an EventHandle: the three handle
+// tests above, through bridge_schedule / bridge_cancel.
+struct CountingStep {
+  int fired = 0;
+  static void fire(void* client, const EventQueue::BridgeStep&, fs_t) {
+    ++static_cast<CountingStep*>(client)->fired;
+  }
+  EventQueue::BridgeStep step() {
+    EventQueue::BridgeStep s;
+    s.fire = &CountingStep::fire;
+    s.client = this;
+    s.node = 0;
+    s.kind = EventQueue::BridgeKind::kTx;
+    return s;
+  }
+};
+
+/// The slab index a token names (its low word).
+std::uint32_t token_slot(Simulator::BridgeToken tok) {
+  return static_cast<std::uint32_t>(tok.token);
+}
+
+TEST(SimulatorBridge, CancelAfterFireReturnsFalseAndRecordsNothing) {
+  Simulator sim;
+  CountingStep c;
+  const auto tok = sim.bridge_schedule(0, 10_ns, c.step());
+  ASSERT_TRUE(tok.valid());
+  sim.run();
+  EXPECT_EQ(c.fired, 1);
+  EXPECT_FALSE(sim.bridge_cancel(tok));
+  EXPECT_FALSE(sim.bridge_cancel(tok));
+  EXPECT_EQ(sim.events_pending(), 0u);
+  EXPECT_EQ(sim.stats().cancelled, 0u);
+}
+
+TEST(SimulatorBridge, CancelTwiceSecondIsNoop) {
+  Simulator sim;
+  CountingStep c;
+  const auto tok = sim.bridge_schedule(0, 10_ns, c.step());
+  EXPECT_TRUE(sim.bridge_cancel(tok));
+  EXPECT_FALSE(sim.bridge_cancel(tok));
+  EXPECT_EQ(sim.events_pending(), 0u);
+  EXPECT_EQ(sim.stats().cancelled, 1u);
+  sim.run();
+  EXPECT_EQ(c.fired, 0);
+  EXPECT_EQ(sim.stats().cancelled, 1u);
+}
+
+TEST(SimulatorBridge, StaleTokenCannotCancelReusedSlot) {
+  Simulator sim;
+  CountingStep cancelled, fired, fresh;
+  const auto stale = sim.bridge_schedule(0, 10_ns, cancelled.step());
+  EXPECT_TRUE(sim.bridge_cancel(stale));
+  const auto reused = sim.bridge_schedule(0, 10_ns, fresh.step());
+  ASSERT_EQ(token_slot(reused), token_slot(stale)) << "the freed entry is reused";
+  EXPECT_FALSE(sim.bridge_cancel(stale));
+  EXPECT_EQ(sim.events_pending(), 1u);
+  sim.run();
+  EXPECT_EQ(fresh.fired, 1);
+
+  // The same after a fire instead of a cancel.
+  const auto spent = sim.bridge_schedule(0, 20_ns, fired.step());
+  sim.run();
+  EXPECT_EQ(fired.fired, 1);
+  const auto again = sim.bridge_schedule(0, 30_ns, fresh.step());
+  ASSERT_EQ(token_slot(again), token_slot(spent));
+  EXPECT_FALSE(sim.bridge_cancel(spent));
+  EXPECT_EQ(sim.events_pending(), 1u);
+  sim.run();
+  EXPECT_EQ(fresh.fired, 2);
+  EXPECT_EQ(cancelled.fired, 0);
+  EXPECT_EQ(sim.stats().cancelled, 1u);
+}
+
 TEST(Simulator, EventsPendingIsExactUnderChurn) {
   Simulator sim;
   std::vector<EventHandle> handles;
