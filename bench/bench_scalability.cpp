@@ -156,6 +156,10 @@ struct FtResult {
   double worst_ticks = 0;
   double wall_seconds = 0;
   std::uint64_t events = 0;
+  /// Events and run_until wall time after the settle window: the quiet
+  /// beacon cycle alone, without set-up, INIT or the offset probes.
+  std::uint64_t quiet_events = 0;
+  double quiet_wall_seconds = 0;
   double cp_speedup = 0;  ///< 0 when run serially
   long rss_mb = 0;
   check::RunDigest digest;  ///< see run_fat_tree
@@ -181,8 +185,12 @@ FtResult run_fat_tree(const net::FatTreeParams& fp, unsigned threads, fs_t settl
   r.synced = dtp.all_synced();
   const std::vector<net::Device*> devices = net.devices();
   const dtp::Agent* ref = dtp.agent_of(devices.front());
+  const std::uint64_t settled_events = sim.events_executed();
   while (sim.now() < settle + duration) {
+    const auto slice0 = std::chrono::steady_clock::now();
     sim.run_until(sim.now() + from_us(100));
+    r.quiet_wall_seconds +=
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - slice0).count();
     r.worst_ticks = std::max(r.worst_ticks, dtp.max_pairwise_offset_ticks(sim.now()));
     for (const net::Device* d : devices) {
       const dtp::Agent* a = dtp.agent_of(d);
@@ -192,6 +200,7 @@ FtResult run_fat_tree(const net::FatTreeParams& fp, unsigned threads, fs_t settl
     }
   }
   r.events = sim.events_executed();
+  r.quiet_events = r.events - settled_events;
   r.digest.mix(r.events);
   r.digest.mix(sim.stats().scheduled);
   for (net::Device* d : devices)
@@ -262,7 +271,7 @@ int main(int argc, char** argv) {
       flags.get_double("k32-seconds", 0.0001) * static_cast<double>(kFsPerSec));
 
   Table ft({"k", "hosts", "devices", "worst (ticks)", "bound 4D+1", "events",
-            "Mev/s", "cp speedup", "rss (MB)", "wall (s)"});
+            "Mev/s", "quiet ns/ev", "cp speedup", "rss (MB)", "wall (s)"});
   bool ft_ok = true;
   bool ft_synced = true;
   std::string sweep = "[";
@@ -281,11 +290,14 @@ int main(int argc, char** argv) {
     const double eps = r.wall_seconds > 0
                            ? static_cast<double>(r.events) / r.wall_seconds
                            : 0;
+    const double quiet_ns = r.quiet_events > 0 ? r.quiet_wall_seconds * 1e9 /
+                                                     static_cast<double>(r.quiet_events)
+                                               : 0;
     ft.add_row({Table::cell("%d", c.k), Table::cell("%zu", r.hosts),
                 Table::cell("%zu", r.devices), Table::cell("%.2f", r.worst_ticks),
                 Table::cell("%.0f", bound),
                 Table::cell("%llu", static_cast<unsigned long long>(r.events)),
-                Table::cell("%.2f", eps / 1e6),
+                Table::cell("%.2f", eps / 1e6), Table::cell("%.0f", quiet_ns),
                 r.cp_speedup > 0 ? Table::cell("%.2fx", r.cp_speedup) : "serial",
                 Table::cell("%ld", r.rss_mb), Table::cell("%.2f", r.wall_seconds)});
     ft_ok &= r.worst_ticks <= bound;
@@ -296,11 +308,11 @@ int main(int argc, char** argv) {
                   "%s{\"k\": %d, \"hosts\": %zu, \"devices\": %zu, "
                   "\"diameter_hops\": %zu, \"worst_ticks\": %.6g, "
                   "\"bound_ticks\": %.6g, \"events\": %llu, "
-                  "\"events_per_sec\": %.6g, \"cp_speedup\": %.6g, "
-                  "\"peak_rss_mb\": %ld, \"wall_seconds\": %.6g}",
+                  "\"events_per_sec\": %.6g, \"quiet_ns_per_event\": %.6g, "
+                  "\"cp_speedup\": %.6g, \"peak_rss_mb\": %ld, \"wall_seconds\": %.6g}",
                   sweep.size() > 1 ? ", " : "", c.k, r.hosts, r.devices, r.diameter,
                   r.worst_ticks, bound, static_cast<unsigned long long>(r.events),
-                  eps, r.cp_speedup, r.rss_mb, r.wall_seconds);
+                  eps, quiet_ns, r.cp_speedup, r.rss_mb, r.wall_seconds);
     sweep += entry;
     if (c.k == 32) {
       k32 = r;

@@ -10,7 +10,8 @@ Agent::Agent(net::Device& dev, DtpParams params)
            .global = TickCounter(params.counter_delta,
                                  dev.oscillator().tick_at(dev.simulator().now()))} {
   for (std::size_t i = 0; i < hot_.dev.port_count(); ++i) {
-    hot_.ports.push_back(std::make_unique<PortLogic>(*this, hot_.dev.port(i), i));
+    hot_.ports.push_back(
+        hot_.dev.simulator().arena().make<PortLogic>(*this, hot_.dev.port(i), i));
   }
   for (auto& p : hot_.ports) p->start();
 }

@@ -141,7 +141,7 @@ class alignas(64) Agent {
     net::Device& dev;
     DtpParams params;
     TickCounter global;  ///< gc
-    std::vector<std::unique_ptr<PortLogic>> ports{};
+    std::vector<sim::ArenaPtr<PortLogic>> ports{};  ///< in the simulator's arena
     std::uint64_t global_adjustments = 0;
   };
   static_assert(sizeof(Hot) == 192, "Agent::Hot must stay three cache lines");

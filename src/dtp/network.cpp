@@ -52,14 +52,14 @@ bool DtpNetwork::remove_agent(const net::Device& dev) {
   Agent* doomed = it->second;
   by_device_.erase(it);
   std::erase_if(agents_,
-                [doomed](const std::unique_ptr<Agent>& a) { return a.get() == doomed; });
+                [doomed](const sim::ArenaPtr<Agent>& a) { return a.get() == doomed; });
   return true;
 }
 
 Agent& DtpNetwork::attach_agent(net::Device& dev) {
   if (by_device_.count(&dev))
     throw std::logic_error("DtpNetwork: device already has an agent");
-  agents_.push_back(std::make_unique<Agent>(dev, params_));
+  agents_.push_back(dev.simulator().arena().make<Agent>(dev, params_));
   by_device_[&dev] = agents_.back().get();
   return *agents_.back();
 }
@@ -106,7 +106,7 @@ DtpNetwork enable_dtp(net::Network& net, DtpParams params) {
   DtpNetwork out;
   out.params_ = params;
   for (net::Device* dev : net.devices()) {
-    out.agents_.push_back(std::make_unique<Agent>(*dev, params));
+    out.agents_.push_back(dev->simulator().arena().make<Agent>(*dev, params));
     out.by_device_[dev] = out.agents_.back().get();
   }
   return out;

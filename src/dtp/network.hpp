@@ -58,7 +58,7 @@ class DtpNetwork {
   friend DtpNetwork enable_dtp(net::Network& net, DtpParams params);
 
   DtpParams params_;
-  std::vector<std::unique_ptr<Agent>> agents_;
+  std::vector<sim::ArenaPtr<Agent>> agents_;  ///< in the simulator's arena
   std::unordered_map<const net::Device*, Agent*> by_device_;
 };
 

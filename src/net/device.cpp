@@ -15,7 +15,7 @@ phy::PhyPort& Device::add_port() {
   phy::PortParams pp = params_.port;
   pp.rate = params_.rate;
   const auto index = ports_.size();
-  ports_.push_back(std::make_unique<phy::PhyPort>(
+  ports_.push_back(sim_.arena().make<phy::PhyPort>(
       sim_, osc_, pp, name_ + ":p" + std::to_string(index)));
   ports_.back()->set_node(node_);
   sim_.note_node_port(node_);

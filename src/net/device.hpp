@@ -87,7 +87,7 @@ class alignas(64) Device {
   std::string name_;
   DeviceParams params_;
   std::optional<phy::DriftProcess> drift_;
-  std::vector<std::unique_ptr<phy::PhyPort>> ports_;
+  std::vector<sim::ArenaPtr<phy::PhyPort>> ports_;  ///< in the simulator's arena
   std::vector<std::unique_ptr<Mac>> macs_;
 
  private:

@@ -29,8 +29,8 @@ DeviceParams Network::make_device_params(double ppm) {
 Host& Network::add_host(const std::string& name) { return add_host(name, sample_ppm()); }
 
 Host& Network::add_host(const std::string& name, double ppm) {
-  auto host = std::make_unique<Host>(sim_, name, MacAddr{next_mac_++},
-                                     make_device_params(ppm));
+  auto host = sim_.arena().make<Host>(sim_, name, MacAddr{next_mac_++},
+                                      make_device_params(ppm));
   if (params_.enable_drift) host->enable_drift(params_.drift);
   hosts_.push_back(host.get());
   by_name_.emplace(name, host.get());
@@ -41,8 +41,8 @@ Host& Network::add_host(const std::string& name, double ppm) {
 Switch& Network::add_switch(const std::string& name) { return add_switch(name, sample_ppm()); }
 
 Switch& Network::add_switch(const std::string& name, double ppm) {
-  auto sw = std::make_unique<Switch>(sim_, name, make_device_params(ppm),
-                                     params_.switch_params);
+  auto sw = sim_.arena().make<Switch>(sim_, name, make_device_params(ppm),
+                                      params_.switch_params);
   if (params_.enable_drift) sw->enable_drift(params_.drift);
   switches_.push_back(sw.get());
   by_name_.emplace(name, sw.get());
@@ -65,7 +65,7 @@ phy::Cable& Network::connect(Device& a, Device& b) {
 }
 
 phy::Cable& Network::connect_ports(phy::PhyPort& a, phy::PhyPort& b) {
-  cables_.push_back(std::make_unique<phy::Cable>(sim_, a, b, params_.cable));
+  cables_.push_back(sim_.arena().make<phy::Cable>(sim_, a, b, params_.cable));
   return *cables_.back();
 }
 

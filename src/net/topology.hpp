@@ -74,7 +74,7 @@ class Network {
 
   const std::vector<Host*>& hosts() const { return hosts_; }
   const std::vector<Switch*>& switches() const { return switches_; }
-  const std::vector<std::unique_ptr<phy::Cable>>& cables() const { return cables_; }
+  const std::vector<sim::ArenaPtr<phy::Cable>>& cables() const { return cables_; }
   std::vector<Device*> devices() const;
 
   /// Look a device up by name (the repro-file key: every builder assigns
@@ -95,10 +95,12 @@ class Network {
   NetworkParams params_;
   Rng rng_;
   std::uint64_t next_mac_ = 0x02'00'00'00'00'01ULL;  // locally administered
-  std::vector<std::unique_ptr<Device>> devices_;
+  // Devices and cables live in the simulator's arena, in construction
+  // order (sim/arena.hpp).
+  std::vector<sim::ArenaPtr<Device>> devices_;
   std::vector<Host*> hosts_;
   std::vector<Switch*> switches_;
-  std::vector<std::unique_ptr<phy::Cable>> cables_;
+  std::vector<sim::ArenaPtr<phy::Cable>> cables_;
   std::vector<std::unique_ptr<TrafficGenerator>> traffic_;
   std::unordered_map<std::string, Device*> by_name_;  ///< find_device index
 };

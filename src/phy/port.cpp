@@ -263,7 +263,7 @@ void Cable::disconnect() {
   // Cross-shard deliveries went through mailboxes, and bridged arrivals are
   // POD steps; neither has a handle. Both are tagged with this cable and
   // purged directly from the queues.
-  if (hot_.sim.parallel() || hot_.sim.bridged()) hot_.sim.purge_deliveries(this);
+  hot_.sim.purge_deliveries(this, hot_.a.node(), hot_.b.node());
   hot_.a.link_lost();
   hot_.b.link_lost();
 }

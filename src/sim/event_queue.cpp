@@ -50,8 +50,8 @@ EventQueue::Handle EventQueue::insert(fs_t t, Callback fn, EventCategory cat,
   s.node = node;
   owners_[slot] = owner;
   heap_push(HeapEntry{t, key, slot});
-  if (heap_.size() + bheap_.size() > peak_pending_)
-    peak_pending_ = heap_.size() + bheap_.size();
+  if (heap_.size() + bridge_count_ > peak_pending_)
+    peak_pending_ = heap_.size() + bridge_count_;
   return Handle{slot, s.gen};
 }
 
@@ -82,15 +82,27 @@ std::size_t EventQueue::purge_owner(const void* owner) {
       ++purged;
     }
   }
-  for (std::uint32_t idx = 0; idx < bridge_slots_.size(); ++idx) {
-    BridgeSlot& s = bridge_slots_[idx];
-    if (s.heap_pos != kNoHeapPos && s.step.owner == owner) {
-      bheap_remove(s.heap_pos);
-      bridge_release(idx);
-      ++cancelled_;
-      ++purged;
-    }
-  }
+  return purged;
+}
+
+std::size_t EventQueue::bridge_purge(std::int32_t node, const void* owner) {
+  const std::uint32_t n = node_index(node);
+  if (owner == nullptr || n >= nodes_.size()) return 0;
+  NodeSteps& ns = nodes_[n];
+  const auto first = ns.steps.begin() + ns.head;
+  // remove_if applies the predicate exactly once per entry, in order, so
+  // each purged step's slab entry is released exactly once.
+  const auto kept = std::remove_if(first, ns.steps.end(), [&](const BridgeEntry& e) {
+    if (bridge_slots_[e.idx].step.owner != owner) return false;
+    bridge_release(e.idx);
+    return true;
+  });
+  const auto purged = static_cast<std::size_t>(ns.steps.end() - kept);
+  if (purged == 0) return 0;
+  ns.steps.erase(kept, ns.steps.end());
+  bridge_count_ -= purged;
+  cancelled_ += purged;
+  node_reseat(n);
   return purged;
 }
 
@@ -108,7 +120,7 @@ std::uint64_t EventQueue::run(fs_t horizon, bool inclusive) {
     const bool bfirst = bridge_first();
     fs_t t;
     if (bfirst) {
-      t = bheap_.front().time;
+      t = nheap_.front().time;
     } else if (!heap_.empty()) {
       t = heap_.front().time;
     } else {
@@ -130,7 +142,7 @@ std::uint64_t EventQueue::run(fs_t horizon, bool inclusive) {
 }
 
 bool EventQueue::fire_one() {
-  if (heap_.empty() && bheap_.empty()) return false;
+  if (empty()) return false;
   EventQueue* const prev_queue = detail::tls_queue;
   detail::tls_queue = this;
   if (bridge_first()) {
@@ -162,7 +174,33 @@ void EventQueue::fire_top() {
 }
 
 void EventQueue::fire_bridge_top() {
-  const BridgeEntry top = bheap_pop_top();
+  // The heap's front node holds the globally earliest step at the front of
+  // its array: pop it, then re-key the node by its next step (a later key,
+  // so the root only sifts down) or drop it from the heap.
+  const std::uint32_t n = nheap_.front().node;
+  NodeSteps& ns = nodes_[n];
+  const BridgeEntry top = ns.steps[ns.head++];
+  --bridge_count_;
+  if (ns.head == ns.steps.size()) {
+    ns.steps.clear();
+    ns.head = 0;
+    nheap_remove(0);
+  } else {
+    const BridgeEntry& next = ns.steps[ns.head];
+    nsift_down(0, NodeFront{next.time, next.key, n});
+  }
+  if (!nheap_.empty()) {
+    // The next bridged step is known now: start loading its slab entry and
+    // the first four lines of its client (a port's hot block and the hooks
+    // behind it, DESIGN.md §14), so those loads overlap this step's body.
+    // On the k=16 fat-tree they are rarely still cached. Kept inline: in a
+    // helper of its own, GCC judged the prefetch-only call pure and dropped it.
+    const NodeSteps& nx = nodes_[nheap_.front().node];
+    const BridgeEntry& f = nx.steps[nx.head];
+    __builtin_prefetch(&bridge_slots_[f.idx]);
+    const char* client = static_cast<const char*>(f.client);
+    for (int line = 0; line < 4; ++line) __builtin_prefetch(client + 64 * line);
+  }
   // Copy the POD out and free the slab entry before invoking, mirroring
   // fire_top: the step may arm its successor into the freed entry.
   const BridgeStep step = bridge_slots_[top.idx].step;
@@ -198,34 +236,52 @@ std::uint64_t EventQueue::bridge_insert(fs_t t, std::uint64_t key,
     bridge_free_.pop_back();
   } else {
     bridge_slots_.emplace_back();
+    bridge_gens_.push_back(1);
     idx = static_cast<std::uint32_t>(bridge_slots_.size() - 1);
   }
-  BridgeSlot& s = bridge_slots_[idx];
-  s.step = step;
-  if (step.node >= 0) {
-    if (static_cast<std::size_t>(step.node) >= node_pending_.size())
-      node_pending_.resize(static_cast<std::size_t>(step.node) + 1);
-    std::vector<NodePending>& v = node_pending_[static_cast<std::size_t>(step.node)];
-    s.node_pos = static_cast<std::uint32_t>(v.size());
-    v.push_back(NodePending{t, step.client, idx, step.kind});
+  bridge_slots_[idx].step = step;
+  const std::uint32_t n = node_index(step.node);
+  if (n >= nodes_.size()) nodes_.resize(n + 1);
+  NodeSteps& ns = nodes_[n];
+  std::vector<BridgeEntry>& v = ns.steps;
+  if (ns.head > 0 && v.size() == v.capacity()) {
+    v.erase(v.begin(), v.begin() + ns.head);  // reuse the popped prefix
+    ns.head = 0;
   }
-  bheap_push(BridgeEntry{t, key, idx});
-  const std::size_t depth = heap_.size() + bheap_.size();
+  // A timer lands at the back; an arrival or an apply usually lands ahead
+  // of the device's sibling timers.
+  const BridgeEntry e{t, key, step.client, idx, step.kind};
+  const auto pos = std::upper_bound(v.begin() + ns.head, v.end(), e, bearlier);
+  const bool front = pos == v.begin() + ns.head;
+  v.insert(pos, e);
+  ++bridge_count_;
+  if (front) node_reseat(n);
+  const std::size_t depth = heap_.size() + bridge_count_;
   if (depth > peak_pending_) peak_pending_ = depth;
-  return (static_cast<std::uint64_t>(s.gen) << 32) | idx;
+  return (static_cast<std::uint64_t>(bridge_gens_[idx]) << 32) | idx;
 }
 
 bool EventQueue::bridge_cancel(std::uint64_t token) {
   const auto idx = static_cast<std::uint32_t>(token);
   const auto gen = static_cast<std::uint32_t>(token >> 32);
   // gen 0 never names an arming, so token 0 falls out here too.
-  if (gen == 0 || idx >= bridge_slots_.size()) return false;
-  BridgeSlot& s = bridge_slots_[idx];
-  if (s.gen != gen || s.heap_pos == kNoHeapPos) return false;
-  bheap_remove(s.heap_pos);
-  bridge_release(idx);
-  ++cancelled_;
-  return true;
+  if (gen == 0 || idx >= bridge_slots_.size() || bridge_gens_[idx] != gen) return false;
+  const std::uint32_t n = node_index(bridge_slots_[idx].step.node);
+  NodeSteps& ns = nodes_[n];
+  for (std::size_t pos = ns.head; pos < ns.steps.size(); ++pos) {
+    if (ns.steps[pos].idx != idx) continue;
+    bridge_release(idx);
+    --bridge_count_;
+    ++cancelled_;
+    if (pos == ns.head) {
+      ++ns.head;
+      node_reseat(n);
+    } else {
+      ns.steps.erase(ns.steps.begin() + static_cast<std::ptrdiff_t>(pos));
+    }
+    return true;
+  }
+  return false;
 }
 
 std::uint64_t EventQueue::bridge_virtual_schedule() {
@@ -248,25 +304,28 @@ bool EventQueue::bridge_tx_fusible(std::int32_t node, const void* tx_client) con
     const HeapEntry& f = heap_.front();
     if (f.time < now_ || (f.time == now_ && f.key < k)) return false;
   }
-  if (node >= 0 && static_cast<std::size_t>(node) < node_pending_.size()) {
-    for (const NodePending& p : node_pending_[node]) {
-      if (p.time > now_) continue;
-      if (p.time < now_) return false;  // cannot happen mid-fire; be safe
-      switch (p.kind) {
-        case BridgeKind::kTx:
-          // Sibling ports of one device share its oscillator, so their
-          // beacon timers land on the same instants; a timer body touches
-          // only its own port and cable, so fusing ahead of it is
-          // unobservable. The one exception is a second chain on the SAME
-          // port (a re-arm raced a not-yet-cancelled step): the exact
-          // engine fires both services, so the fused path must not.
-          if (p.client == tx_client) return false;
-          break;
-        case BridgeKind::kArrival:
-          break;  // link-class key: fires after any node-class event anyway
-        default:
-          return false;  // an apply (or unclassified step) must go first
-      }
+  const std::uint32_t n = node_index(node);
+  if (node < 0 || n >= nodes_.size()) return true;
+  // The array is sorted, so only its prefix at this instant can matter.
+  const NodeSteps& ns = nodes_[n];
+  for (std::size_t i = ns.head; i < ns.steps.size(); ++i) {
+    const BridgeEntry& p = ns.steps[i];
+    if (p.time > now_) break;
+    if (p.time < now_) return false;  // cannot happen mid-fire; be safe
+    switch (p.kind) {
+      case BridgeKind::kTx:
+        // Sibling ports of one device share its oscillator, so their
+        // beacon timers land on the same instants; a timer body touches
+        // only its own port and cable, so fusing ahead of it is
+        // unobservable. The one exception is a second chain on the SAME
+        // port (a re-arm raced a not-yet-cancelled step): the exact
+        // engine fires both services, so the fused path must not.
+        if (p.client == tx_client) return false;
+        break;
+      case BridgeKind::kArrival:
+        break;  // link-class key: fires after any node-class event anyway
+      default:
+        return false;  // an apply (or unclassified step) must go first
     }
   }
   return true;
@@ -278,85 +337,87 @@ bool EventQueue::bridge_apply_fusible(std::int32_t node, fs_t t) const {
     const HeapEntry& f = heap_.front();
     if (f.time < t || (f.time == t && f.key < k)) return false;
   }
-  if (node >= 0 && static_cast<std::size_t>(node) < node_pending_.size()) {
-    for (const NodePending& p : node_pending_[node]) {
-      if (p.time < t) return false;
-      // Same-instant: pending timers and applies carry node-class keys
-      // allocated before ours, so the exact engine fires them first and
-      // they touch the agent state this apply is about to update. Arrivals
-      // sort behind every node-class key and commute.
-      if (p.time == t && p.kind != BridgeKind::kArrival) return false;
-    }
+  const std::uint32_t n = node_index(node);
+  if (node < 0 || n >= nodes_.size()) return true;
+  const NodeSteps& ns = nodes_[n];
+  for (std::size_t i = ns.head; i < ns.steps.size(); ++i) {
+    const BridgeEntry& p = ns.steps[i];
+    if (p.time > t) break;
+    if (p.time < t) return false;
+    // Same-instant: pending timers and applies carry node-class keys
+    // allocated before ours, so the exact engine fires them first and
+    // they touch the agent state this apply is about to update. Arrivals
+    // sort behind every node-class key and commute.
+    if (p.kind != BridgeKind::kArrival) return false;
   }
   return true;
 }
 
 void EventQueue::bridge_release(std::uint32_t idx) {
-  BridgeSlot& s = bridge_slots_[idx];
-  if (s.step.node >= 0) {
-    // Swap-remove: the node's last entry takes this step's place, and its
-    // slot learns the new position.
-    std::vector<NodePending>& v = node_pending_[static_cast<std::size_t>(s.step.node)];
-    v[s.node_pos] = v.back();
-    bridge_slots_[v[s.node_pos].idx].node_pos = s.node_pos;
-    v.pop_back();
-  }
-  s.step = BridgeStep{};
-  s.heap_pos = kNoHeapPos;
-  if (++s.gen == 0) ++s.gen;  // generation 0 is reserved: token 0 is invalid
+  std::uint32_t& gen = bridge_gens_[idx];
+  if (++gen == 0) ++gen;  // generation 0 is reserved: token 0 is invalid
   bridge_free_.push_back(idx);
 }
 
-void EventQueue::bheap_push(BridgeEntry e) {
-  bheap_.emplace_back();  // make room; bsift_up fills it
-  bsift_up(bheap_.size() - 1, e);
-}
-
-EventQueue::BridgeEntry EventQueue::bheap_pop_top() {
-  const BridgeEntry top = bheap_.front();
-  bridge_slots_[top.idx].heap_pos = kNoHeapPos;
-  const BridgeEntry last = bheap_.back();
-  bheap_.pop_back();
-  if (!bheap_.empty()) bsift_down(0, last);
-  return top;
-}
-
-void EventQueue::bheap_remove(std::uint32_t pos) {
-  bridge_slots_[bheap_[pos].idx].heap_pos = kNoHeapPos;
-  const BridgeEntry last = bheap_.back();
-  bheap_.pop_back();
-  if (pos == bheap_.size()) return;  // removed the tail
-  if (pos > 0 && bearlier(last, bheap_[(pos - 1) / kArity])) {
-    bsift_up(pos, last);
+void EventQueue::node_reseat(std::uint32_t n) {
+  NodeSteps& ns = nodes_[n];
+  if (ns.head == ns.steps.size()) {
+    ns.steps.clear();
+    ns.head = 0;
+    if (ns.heap_pos != kNoHeapPos) nheap_remove(ns.heap_pos);
+    return;
+  }
+  const BridgeEntry& f = ns.steps[ns.head];
+  const NodeFront e{f.time, f.key, n};
+  if (ns.heap_pos == kNoHeapPos) {
+    nheap_.emplace_back();  // make room; nsift_up fills it
+    nsift_up(nheap_.size() - 1, e);
+    return;
+  }
+  const std::size_t pos = ns.heap_pos;
+  if (pos > 0 && nearlier(e, nheap_[(pos - 1) / kArity])) {
+    nsift_up(pos, e);
   } else {
-    bsift_down(pos, last);
+    nsift_down(pos, e);
   }
 }
 
-void EventQueue::bsift_up(std::size_t pos, BridgeEntry e) {
+void EventQueue::nheap_remove(std::uint32_t pos) {
+  nodes_[nheap_[pos].node].heap_pos = kNoHeapPos;
+  const NodeFront last = nheap_.back();
+  nheap_.pop_back();
+  if (pos == nheap_.size()) return;  // removed the tail
+  if (pos > 0 && nearlier(last, nheap_[(pos - 1) / kArity])) {
+    nsift_up(pos, last);
+  } else {
+    nsift_down(pos, last);
+  }
+}
+
+void EventQueue::nsift_up(std::size_t pos, NodeFront e) {
   while (pos > 0) {
     const std::size_t parent = (pos - 1) / kArity;
-    if (!bearlier(e, bheap_[parent])) break;
-    bplace(pos, bheap_[parent]);
+    if (!nearlier(e, nheap_[parent])) break;
+    nplace(pos, nheap_[parent]);
     pos = parent;
   }
-  bplace(pos, e);
+  nplace(pos, e);
 }
 
-void EventQueue::bsift_down(std::size_t pos, BridgeEntry e) {
-  const std::size_t n = bheap_.size();
+void EventQueue::nsift_down(std::size_t pos, NodeFront e) {
+  const std::size_t n = nheap_.size();
   for (;;) {
     const std::size_t first_child = pos * kArity + 1;
     if (first_child >= n) break;
     const std::size_t last_child = std::min(first_child + kArity, n);
     std::size_t best = first_child;
     for (std::size_t c = first_child + 1; c < last_child; ++c)
-      if (bearlier(bheap_[c], bheap_[best])) best = c;
-    if (!bearlier(bheap_[best], e)) break;
-    bplace(pos, bheap_[best]);
+      if (nearlier(nheap_[c], nheap_[best])) best = c;
+    if (!nearlier(nheap_[best], e)) break;
+    nplace(pos, nheap_[best]);
     pos = best;
   }
-  bplace(pos, e);
+  nplace(pos, e);
 }
 
 std::vector<EventQueue::Extracted> EventQueue::extract_node_events() {
@@ -398,7 +459,7 @@ void EventQueue::accumulate(SimStats& st) const {
   st.cancelled += cancelled_;
   for (std::size_t i = 0; i < kEventCategoryCount; ++i)
     st.executed_by_category[i] += executed_by_category_[i];
-  st.pending += heap_.size() + bheap_.size();
+  st.pending += heap_.size() + bridge_count_;
   st.peak_pending += peak_pending_;
   st.fused += fused_;
   st.callback_spills += callback_spills_;

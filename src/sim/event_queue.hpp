@@ -2,7 +2,8 @@
 
 /// \file event_queue.hpp
 /// One event queue: a slab of generation-counted slots addressed by an
-/// indexed 4-ary min-heap.
+/// indexed 4-ary min-heap, plus the bridged steps of DESIGN.md §12, kept in
+/// one sorted array per node under a 4-ary heap of the arrays' fronts.
 ///
 /// The serial simulator owns exactly one of these; the parallel engine owns
 /// one per shard plus the coordinator's global queue (see parallel.hpp). A
@@ -123,11 +124,11 @@ class EventQueue {
   void advance_now(fs_t t) {
     if (t > now_) now_ = t;
   }
-  bool empty() const { return heap_.empty() && bheap_.empty(); }
-  std::size_t size() const { return heap_.size() + bheap_.size(); }
+  bool empty() const { return heap_.empty() && bridge_count_ == 0; }
+  std::size_t size() const { return heap_.size() + bridge_count_; }
   fs_t next_time() const {
     fs_t t = heap_.empty() ? kNoEventTime : heap_.front().time;
-    if (!bheap_.empty() && bheap_.front().time < t) t = bheap_.front().time;
+    if (!nheap_.empty() && nheap_.front().time < t) t = nheap_.front().time;
     return t;
   }
 
@@ -156,9 +157,9 @@ class EventQueue {
     return s.gen == h.gen && s.heap_pos != kNoHeapPos;
   }
 
-  /// Remove (and count as cancelled) every pending event tagged with
-  /// `owner`. O(slab). Used by Cable::disconnect for mailbox-routed
-  /// deliveries that returned no handle.
+  /// Remove (and count as cancelled) every pending exact event tagged with
+  /// `owner`. O(slab). Used by Cable::disconnect in parallel runs, for
+  /// mailbox-routed deliveries that returned no handle.
   std::size_t purge_owner(const void* owner);
 
   /// Fire events in key order while the front's time is < horizon (or <=
@@ -197,7 +198,7 @@ class EventQueue {
   struct BridgeStep {
     void (*fire)(void* client, const BridgeStep& step, fs_t t) = nullptr;
     void* client = nullptr;
-    const void* owner = nullptr;  ///< purge_owner tag (cable deliveries)
+    const void* owner = nullptr;  ///< bridge_purge tag (cable deliveries)
     std::uint64_t a = 0;          ///< payload word (e.g. 56-bit idle block)
     fs_t b = 0;                   ///< payload time (e.g. wire arrival)
     std::int64_t c = 0;           ///< payload index (e.g. visible tick)
@@ -219,9 +220,15 @@ class EventQueue {
   std::uint64_t bridge_schedule_link(fs_t t, std::uint64_t link_sub,
                                      const BridgeStep& step);
 
-  /// Cancel a pending step by token in O(log n); counts as cancelled. Stale
-  /// tokens (fired or already cancelled) return false.
+  /// Cancel a pending step by token; counts as cancelled. Stale tokens
+  /// (fired or already cancelled) return false. Costs a scan of the step's
+  /// node array plus O(log nodes).
   bool bridge_cancel(std::uint64_t token);
+
+  /// Remove (and count as cancelled) every pending step of `node` tagged
+  /// with `owner`: a cable's bridged arrivals sit in its two end nodes'
+  /// arrays, so an unplug purges those two instead of the whole slab.
+  std::size_t bridge_purge(std::int32_t node, const void* owner);
 
   /// Account for an event that is fused inline and never enters any heap:
   /// consume a sequence number and count a schedule. Must be called at the
@@ -255,7 +262,7 @@ class EventQueue {
     return running_ && (run_inclusive_ ? t <= run_horizon_ : t < run_horizon_);
   }
 
-  std::size_t bridge_pending() const { return bheap_.size(); }
+  std::size_t bridge_pending() const { return bridge_count_; }
 
   // --- Sharding support (Simulator::set_threads) ---------------------------
 
@@ -291,10 +298,10 @@ class EventQueue {
   }
   std::uint64_t next_seq() const { return next_seq_; }
 
-  /// Pre-size the per-node registry for a topology of known device count
-  /// (reached through Simulator::reserve_graph), so a 10k-device build does
-  /// not grow it one resize at a time.
-  void reserve_nodes(std::size_t nodes) { node_pending_.reserve(nodes); }
+  /// Pre-size the per-node step arrays for a topology of known device
+  /// count (reached through Simulator::reserve_graph), so a 10k-device build
+  /// does not grow them one resize at a time.
+  void reserve_nodes(std::size_t nodes) { nodes_.reserve(nodes + 1); }
 
   // --- Instrumentation ------------------------------------------------------
   std::uint64_t executed() const { return executed_; }
@@ -358,43 +365,60 @@ class EventQueue {
     return a.key < b.key;
   }
 
-  /// Slab entry for a bridged step; `heap_pos` == kNoHeapPos marks free.
-  /// `gen` advances every time the entry is released, so a token names one
-  /// arming of it (as Slot::gen does for a Handle). `node_pos` is the step's
-  /// index in its node's `node_pending_` vector, so releasing a step
-  /// swap-removes it there in O(1).
-  struct BridgeSlot {
-    BridgeStep step{};
-    std::uint32_t gen = 1;
-    std::uint32_t heap_pos = kNoHeapPos;
-    std::uint32_t node_pos = 0;
+  /// Slab entry for a bridged step: one cache line, which a fire reads
+  /// whole. Its generation lives apart, in `bridge_gens_`, and advances
+  /// every time the entry is released, so a token names one arming of it
+  /// (as Slot::gen does for a Handle): a free entry's generation was never
+  /// handed out, so a token whose generation matches names a pending step.
+  struct alignas(64) BridgeSlot {
+    BridgeStep step;
   };
+  static_assert(sizeof(BridgeSlot) == 64, "bridge slot must stay one cache line");
 
-  /// Bridge heap entry: same (time, key) order as HeapEntry, indexing the
-  /// bridge slab. Kept as a second heap so the exact hot path never pays for
-  /// the bridge when it is empty.
+  /// A pending step in its node's array: the sort key, the slab index, and
+  /// the two fields the fusion gates test, so a gate never reads the slab.
   struct BridgeEntry {
     fs_t time;
-    std::uint64_t key;
-    std::uint32_t idx;
+    std::uint64_t key;  // same (class, subkey) order as HeapEntry
+    const void* client;
+    std::uint32_t idx;  ///< bridge slab index
+    BridgeKind kind;
   };
+  static_assert(sizeof(BridgeEntry) == 32, "two bridge entries per cache line");
 
   static bool bearlier(const BridgeEntry& a, const BridgeEntry& b) {
     if (a.time != b.time) return a.time < b.time;
     return a.key < b.key;
   }
 
-  /// Per-node view of pending bridge steps, so the fusion gates can answer
-  /// "is anything of *this node* pending at or before t" without scanning a
-  /// heap whose front is usually some other node's step. A node has at most
-  /// a handful of pendings (one timer per port, in-flight deliveries), so a
-  /// small vector with swap-remove beats any ordered structure.
-  struct NodePending {
-    fs_t time;
-    const void* client;
-    std::uint32_t idx;  ///< bridge slab index; its BridgeSlot::node_pos points back
-    BridgeKind kind;
+  /// One node's pending steps, sorted by (time, key) from `head` on. A
+  /// node's steps fire in global order, so a fire pops the front by
+  /// advancing `head`; an insert that finds the array full first drops the
+  /// popped prefix. `heap_pos` is the node's place in `nheap_`, kNoHeapPos
+  /// while it has nothing pending. Index 0 holds the steps of node -1 (bare
+  /// ports), node n sits at n + 1.
+  struct NodeSteps {
+    std::vector<BridgeEntry> steps;
+    std::uint32_t head = 0;
+    std::uint32_t heap_pos = kNoHeapPos;
   };
+
+  /// Node heap entry: a copy of the node's front key, so sift comparisons
+  /// never leave the heap array.
+  struct NodeFront {
+    fs_t time;
+    std::uint64_t key;
+    std::uint32_t node;  ///< index into nodes_
+  };
+
+  static bool nearlier(const NodeFront& a, const NodeFront& b) {
+    if (a.time != b.time) return a.time < b.time;
+    return a.key < b.key;
+  }
+
+  static std::uint32_t node_index(std::int32_t node) {
+    return node < 0 ? 0 : static_cast<std::uint32_t>(node) + 1;
+  }
 
   Handle insert(fs_t t, Callback fn, EventCategory cat, std::int32_t node,
                 const void* owner, std::uint64_t key);
@@ -413,21 +437,22 @@ class EventQueue {
 
   std::uint64_t bridge_insert(fs_t t, std::uint64_t key, const BridgeStep& step);
   void bridge_release(std::uint32_t idx);
-  void bheap_push(BridgeEntry e);
-  BridgeEntry bheap_pop_top();
-  void bheap_remove(std::uint32_t pos);
-  void bsift_up(std::size_t pos, BridgeEntry e);
-  void bsift_down(std::size_t pos, BridgeEntry e);
-  void bplace(std::size_t pos, BridgeEntry e) {
-    bheap_[pos] = e;
-    bridge_slots_[e.idx].heap_pos = static_cast<std::uint32_t>(pos);
+  /// Re-key node `n` in the node heap after its front changed (or its
+  /// array emptied).
+  void node_reseat(std::uint32_t n);
+  void nheap_remove(std::uint32_t pos);
+  void nsift_up(std::size_t pos, NodeFront e);
+  void nsift_down(std::size_t pos, NodeFront e);
+  void nplace(std::size_t pos, NodeFront e) {
+    nheap_[pos] = e;
+    nodes_[e.node].heap_pos = static_cast<std::uint32_t>(pos);
   }
   void fire_bridge_top();
   /// True when the bridge front sorts before the real-heap front.
   bool bridge_first() const {
-    if (bheap_.empty()) return false;
+    if (nheap_.empty()) return false;
     if (heap_.empty()) return true;
-    const BridgeEntry& b = bheap_.front();
+    const NodeFront& b = nheap_.front();
     const HeapEntry& h = heap_.front();
     return b.time != h.time ? b.time < h.time : b.key < h.key;
   }
@@ -447,9 +472,11 @@ class EventQueue {
   std::vector<HeapEntry> heap_;
   std::unordered_map<std::uint32_t, Forward> forwards_;
   std::vector<BridgeSlot> bridge_slots_;
+  std::vector<std::uint32_t> bridge_gens_;  ///< per slab entry; 0 never used
   std::vector<std::uint32_t> bridge_free_;
-  std::vector<BridgeEntry> bheap_;
-  std::vector<std::vector<NodePending>> node_pending_;  ///< by node id
+  std::vector<NodeSteps> nodes_;   ///< pending steps by node_index
+  std::vector<NodeFront> nheap_;   ///< nodes with pending steps, by front
+  std::size_t bridge_count_ = 0;   ///< steps pending over all nodes
   std::uint64_t fused_ = 0;  ///< virtual fires (events that skipped the heap)
   bool running_ = false;       ///< inside run(); gates future-instant fusion
   fs_t run_horizon_ = 0;       ///< active run() horizon

@@ -121,8 +121,14 @@ void Simulator::run_until_parallel(fs_t t_end) {
         // Nothing pending before the horizon: fall through to the sync
         // point, where process_instant fires events at exactly `horizon`.
       } else {
-        const fs_t slice_end =
-            std::min(horizon, t + engine_->lookahead() * kEpochsPerSlice);
+        // A partition that cuts no cable has lookahead kNoEventTime: the
+        // slice is then the whole horizon, not an overflowed product.
+        fs_t span = 0;
+        fs_t end = 0;
+        const bool fits =
+            !__builtin_mul_overflow(engine_->lookahead(), kEpochsPerSlice, &span) &&
+            !__builtin_add_overflow(t, span, &end);
+        const fs_t slice_end = fits ? std::min(horizon, end) : horizon;
         {
           obs::WallScope scope(obs_ ? &obs_->wall() : nullptr,
                                obs::WallPhase::kParallelSegment);
@@ -429,11 +435,19 @@ bool Simulator::bridge_fusible_at(std::int32_t node, fs_t t) const {
   return q.bridge_within_horizon(t) && q.bridge_apply_fusible(node, t);
 }
 
-std::size_t Simulator::purge_deliveries(const void* owner) {
+std::size_t Simulator::purge_deliveries(const void* owner, std::int32_t a,
+                                        std::int32_t b) {
   if (detail::tls_shard != nullptr)
     throw std::logic_error("Simulator::purge_deliveries: coordinator-only");
-  std::size_t n = global_q_.purge_owner(owner);
-  if (engine_) n += engine_->purge_owner(owner);
+  // Bridged arrivals land on the destination node's queue (bridge_deliver_
+  // link), and bare ports (node -1) share the global queue's array.
+  auto node_queue = [this](std::int32_t node) -> EventQueue& {
+    if (!engine_ || node < 0) return global_q_;
+    return engine_->shard_queue(engine_->shard_of(node));
+  };
+  std::size_t n = node_queue(a).bridge_purge(a, owner);
+  n += node_queue(b).bridge_purge(b, owner);  // a no-op when b shares a's array
+  if (engine_) n += global_q_.purge_owner(owner) + engine_->purge_owner(owner);
   return n;
 }
 

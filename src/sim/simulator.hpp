@@ -32,6 +32,7 @@
 
 #include "common/rng.hpp"
 #include "common/time_units.hpp"
+#include "sim/arena.hpp"
 #include "sim/callback.hpp"
 #include "sim/event_queue.hpp"
 
@@ -184,6 +185,11 @@ class Simulator {
   /// Root seed the simulator was constructed with.
   std::uint64_t seed() const { return seed_; }
 
+  /// Where the network's devices, ports, cables, agents and port logics
+  /// live (arena.hpp): construction order, freed with the simulator.
+  /// Coordinator-only, like building the network.
+  Arena& arena() { return arena_; }
+
   // --- Device graph registration (parallel partitioning input) -------------
 
   /// Register a device; returns its node id. Weight starts at 1 and grows
@@ -293,9 +299,12 @@ class Simulator {
                            fs_t arrival, Callback fn, EventCategory cat,
                            const void* owner, std::uint64_t link_key);
 
-  /// Cancel every pending delivery tagged with `owner` across all queues
-  /// (coordinator-only; used by Cable::disconnect). Returns how many.
-  std::size_t purge_deliveries(const void* owner);
+  /// Cancel every pending delivery tagged with `owner`, a cable between
+  /// nodes `a` and `b` (coordinator-only; used by Cable::disconnect). Its
+  /// bridged arrivals sit in the two end nodes' step arrays; only a
+  /// parallel run also scans the exact slabs, for mailbox-routed deliveries
+  /// that returned no handle. Returns how many.
+  std::size_t purge_deliveries(const void* owner, std::int32_t a, std::int32_t b);
 
   // --- Observability --------------------------------------------------------
 
@@ -327,6 +336,9 @@ class Simulator {
   /// fixpoint. Coordinator-only.
   void process_instant(fs_t t);
 
+  // First member, so the arena outlives the queues and the worker threads
+  // whose pending work may still point into it.
+  Arena arena_;
   std::uint64_t seed_;
   Rng root_rng_;
   EngineMode engine_mode_ = EngineMode::kBridged;

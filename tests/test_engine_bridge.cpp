@@ -56,6 +56,41 @@ struct RunConfig {
   bool chaos = true;    ///< link flap + BER burst mid-run
 };
 
+/// Fills the part of a RunResult that every topology shares: engine
+/// counters, per-port PHY counters, agent counters and chaos verdicts.
+void collect(const Simulator& sim, const net::Network& net, const dtp::DtpNetwork& dtp,
+             const chaos::ChaosEngine& chaos_eng, RunResult& r) {
+  const SimStats st = sim.stats();
+  r.scheduled = st.scheduled;
+  r.executed = st.executed;
+  r.cancelled = st.cancelled;
+  r.by_category.assign(st.executed_by_category,
+                       st.executed_by_category + kEventCategoryCount);
+  for (net::Device* d : net.devices()) {
+    for (std::size_t p = 0; p < d->port_count(); ++p) {
+      r.frames_sent.push_back(d->port(p).frames_sent());
+      r.control_sent.push_back(d->port(p).control_blocks_sent());
+      r.fifo_crossings.push_back(d->port(p).fifo_crossings());
+      r.fifo_extra.push_back(d->port(p).fifo_extra_cycles());
+    }
+  }
+  for (std::size_t i = 0; i < dtp.size(); ++i) {
+    r.adjustments.push_back(dtp.agent(i).global_adjustments());
+    r.resets.push_back(dtp.agent(i).counter_resets());
+  }
+  for (const chaos::ProbeResult& pr : chaos_eng.report().results())
+    r.verdicts.emplace_back(pr.fault_class, pr.converged, pr.reconverged_at);
+}
+
+/// Appends one row of true counter offsets against agent 0.
+void sample_offsets(const Simulator& sim, const dtp::DtpNetwork& dtp, RunResult& r) {
+  std::vector<long long> row;
+  for (std::size_t i = 1; i < dtp.size(); ++i)
+    row.push_back(static_cast<long long>(
+        dtp::true_offset_units(dtp.agent(0), dtp.agent(i), sim.now())));
+  r.offsets.push_back(std::move(row));
+}
+
 RunResult run_fig5(const RunConfig& cfg, std::uint64_t* fused_out = nullptr) {
   Simulator sim(42);
   sim.set_engine(cfg.mode);
@@ -95,34 +130,41 @@ RunResult run_fig5(const RunConfig& cfg, std::uint64_t* fused_out = nullptr) {
   const fs_t t_end = cfg.traffic ? from_ms(3) : from_ms(6);
   while (sim.now() < t_end) {
     sim.run_until(sim.now() + from_us(100));
-    std::vector<long long> row;
-    for (std::size_t i = 1; i < dtp.size(); ++i)
-      row.push_back(static_cast<long long>(
-          dtp::true_offset_units(dtp.agent(0), dtp.agent(i), sim.now())));
-    r.offsets.push_back(std::move(row));
+    sample_offsets(sim, dtp, r);
   }
+  collect(sim, net, dtp, chaos_eng, r);
+  if (fused_out != nullptr) *fused_out = sim.stats().fused;
+  return r;
+}
 
-  const SimStats st = sim.stats();
-  r.scheduled = st.scheduled;
-  r.executed = st.executed;
-  r.cancelled = st.cancelled;
-  r.by_category.assign(st.executed_by_category,
-                       st.executed_by_category + kEventCategoryCount);
-  for (net::Device* d : net.devices()) {
-    for (std::size_t p = 0; p < d->port_count(); ++p) {
-      r.frames_sent.push_back(d->port(p).frames_sent());
-      r.control_sent.push_back(d->port(p).control_blocks_sent());
-      r.fifo_crossings.push_back(d->port(p).fifo_crossings());
-      r.fifo_extra.push_back(d->port(p).fifo_extra_cycles());
-    }
+/// A k=8 fat-tree (4 hosts per edge switch, 208 devices, 8 ports per
+/// switch) with a link flap mid-run. Unlike the Fig. 5 tree, whose switches
+/// have at most 4 ports, each switch here fires 8 sibling beacon timers on
+/// one instant (the kTx case of bridge_tx_fusible) and keeps a couple of
+/// dozen steps in its node array. No traffic: fat-tree switches flood
+/// frames around the fabric's loops.
+RunResult run_fat_tree(const RunConfig& cfg, std::uint64_t* fused_out = nullptr,
+                       int* shards_out = nullptr) {
+  Simulator sim(43);
+  sim.set_engine(cfg.mode);
+  net::Network net(sim);
+  const net::FatTreeTopology ft = net::build_fat_tree(net, 8, 4);
+  dtp::DtpNetwork dtp = dtp::enable_dtp(net);
+  chaos::ChaosEngine chaos_eng(net, dtp);
+  chaos::FaultPlan plan;
+  plan.add(chaos::FaultSpec::link_flap(*ft.edge[0], *ft.agg[1], from_us(150),
+                                       from_us(50)));
+  chaos_eng.schedule(plan);
+  if (cfg.threads > 1) sim.set_threads(cfg.threads);
+  if (shards_out != nullptr) *shards_out = sim.shard_count();
+
+  RunResult r;
+  while (sim.now() < from_us(400)) {
+    sim.run_until(sim.now() + from_us(100));
+    sample_offsets(sim, dtp, r);
   }
-  for (std::size_t i = 0; i < dtp.size(); ++i) {
-    r.adjustments.push_back(dtp.agent(i).global_adjustments());
-    r.resets.push_back(dtp.agent(i).counter_resets());
-  }
-  for (const chaos::ProbeResult& pr : chaos_eng.report().results())
-    r.verdicts.emplace_back(pr.fault_class, pr.converged, pr.reconverged_at);
-  if (fused_out != nullptr) *fused_out = st.fused;
+  collect(sim, net, dtp, chaos_eng, r);
+  if (fused_out != nullptr) *fused_out = sim.stats().fused;
   return r;
 }
 
@@ -181,6 +223,23 @@ TEST_F(EngineBridge, QuietRunFusesMostControlTraffic) {
   EXPECT_EQ(b, e);
   EXPECT_GT(fused, b.executed / 4)
       << "quiet workload should fuse a large fraction of events";
+}
+
+TEST(EngineBridgeFatTree, BridgedSerialAndTwoThreadsMatchExact) {
+  std::uint64_t fused = 0;
+  int shards = 0;
+  const RunResult exact = run_fat_tree({});
+  ASSERT_EQ(exact.verdicts.size(), 1u);
+  EXPECT_GT(exact.executed, 100000u);
+
+  RunConfig bridged;
+  bridged.mode = Simulator::EngineMode::kBridged;
+  EXPECT_EQ(run_fat_tree(bridged, &fused), exact);
+  EXPECT_GT(fused, exact.executed / 10) << "bridge barely engaged; test is vacuous";
+
+  bridged.threads = 2;
+  EXPECT_EQ(run_fat_tree(bridged, nullptr, &shards), exact);
+  EXPECT_EQ(shards, 2) << "the fat-tree did not shard";
 }
 
 TEST_F(EngineBridge, SetThreadsWithPendingBridgeStepsThrows) {

@@ -65,6 +65,35 @@ TEST(PhyUnplug, ControlBlockInFlightIsDroppedByDisconnect) {
   EXPECT_EQ(control_at_b, 0) << "a control block crossed a dead cable";
 }
 
+TEST(PhyUnplug, BridgedControlBlockBetweenDevicesIsDroppedByDisconnect) {
+  // The same unplug on the bridged engine, with each port on a device of
+  // its own: the block in flight is a bridged arrival in the far device's
+  // step array, which is where the unplug must find it.
+  TwoPorts tp;
+  ASSERT_TRUE(tp.sim.bridged());
+  tp.a.set_node(tp.sim.register_node());
+  tp.b.set_node(tp.sim.register_node());
+  Cable cable(tp.sim, tp.a, tp.b, {});
+
+  int control_at_b = 0;
+  tp.b.on_control = [&](const ControlRx&) { ++control_at_b; };
+
+  bool sent = false;
+  tp.a.request_control_slot([&](fs_t, std::int64_t) {
+    sent = true;
+    return std::uint64_t{0xABCD};
+  });
+  tp.sim.run_until(tp.sim.now() + 20_ns);
+  ASSERT_TRUE(sent);
+  ASSERT_EQ(tp.sim.events_pending(), 1u) << "the block should be on the wire";
+  cable.disconnect();
+  EXPECT_EQ(tp.sim.events_pending(), 0u);
+  EXPECT_EQ(tp.sim.stats().cancelled, 1u);
+  tp.sim.run();
+
+  EXPECT_EQ(control_at_b, 0) << "a control block crossed a dead cable";
+}
+
 TEST(PhyUnplug, ReconnectAfterUnplugDeliversCleanly) {
   TwoPorts tp;
   auto cable = std::make_unique<Cable>(tp.sim, tp.a, tp.b, Cable::Params{});

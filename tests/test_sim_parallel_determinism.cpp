@@ -151,5 +151,37 @@ TEST_F(ParallelDeterminism, ParallelRunsAreStableAcrossRepeats) {
   EXPECT_EQ(run_fig5(4), run_fig5(4));
 }
 
+/// Two switches with two hosts each and no cable between them: a partition
+/// that cuts no cable, whose lookahead is unbounded. Returns the events
+/// fired by `run_until(50 us)`.
+std::uint64_t run_islands(unsigned threads, ParallelStats* ps = nullptr) {
+  Simulator sim(9);
+  net::Network net(sim);
+  for (int i = 0; i < 2; ++i) {
+    net::Switch& sw = net.add_switch("s" + std::to_string(i));
+    for (int h = 0; h < 2; ++h)
+      net.connect(sw, net.add_host("h" + std::to_string(i) + std::to_string(h)));
+  }
+  dtp::DtpNetwork dtp = dtp::enable_dtp(net);
+  if (threads > 1) sim.set_threads(threads);
+  sim.run_until(50_us);
+  EXPECT_EQ(sim.now(), 50_us);
+  if (ps != nullptr) *ps = sim.parallel_stats();
+  return sim.events_executed();
+}
+
+TEST(ParallelIslands, UncutPartitionRunsToTheHorizonLikeSerial) {
+  // The unbounded lookahead times a slice's epoch count overflows fs_t;
+  // the slice must then end at the horizon, or run_until never returns
+  // (this binary's ctest TIMEOUT turns such a hang into a failure).
+  ParallelStats ps;
+  const std::uint64_t serial = run_islands(1);
+  const std::uint64_t sharded = run_islands(2, &ps);
+  ASSERT_EQ(ps.shards, 2) << "the islands did not split; the test is vacuous";
+  EXPECT_EQ(ps.lookahead, 0) << "a cut cable bounds the lookahead";
+  EXPECT_GT(serial, 0u);
+  EXPECT_EQ(sharded, serial);
+}
+
 }  // namespace
 }  // namespace dtpsim::sim
