@@ -275,22 +275,22 @@ struct QuietBridgeChain {
   QuietResult* r;
   fs_t horizon;
   std::int32_t node;
+  std::uint32_t index;  ///< the steps' port field: this chain in `chains`
 
-  static void fire_thunk(void* client, const sim::EventQueue::BridgeStep&, fs_t t) {
-    static_cast<QuietBridgeChain*>(client)->fire(t);
+  /// Fires a chain's step; `ctx` is the deque of chains.
+  static void fire_step(void* ctx, const sim::EventQueue::BridgeStep& s) {
+    (*static_cast<std::deque<QuietBridgeChain>*>(ctx))[s.port].fire(s.time);
   }
 
   void arm(fs_t at) {
     sim::EventQueue::BridgeStep step;
-    step.fire = &QuietBridgeChain::fire_thunk;
-    step.client = this;
-    step.node = node;
+    step.port = index;
     step.kind = sim::EventQueue::BridgeKind::kTx;
     sim->bridge_schedule(node, at, step);
   }
 
   void fire(fs_t t) {
-    if (sim->bridge_tx_fusible(node, this)) {
+    if (sim->bridge_tx_fusible(node, index)) {
       sim->bridge_virtual_schedule(node);
       if (r->trace.size() < kQuietTraceLimit) r->trace.push_back(t);
       sim->bridge_virtual_fire(node, sim::EventCategory::kGeneric, t);
@@ -308,8 +308,11 @@ QuietResult run_quiet_bridged(sim::Simulator& sim, fs_t horizon) {
   sim.set_engine(sim::Simulator::EngineMode::kBridged);
   QuietResult r;
   std::deque<QuietBridgeChain> chains;
+  sim.set_bridge_handler(sim::EventQueue::BridgeKind::kTx,
+                         {&QuietBridgeChain::fire_step, &chains});
   for (int i = 0; i < kQuietChains; ++i) {
-    chains.push_back(QuietBridgeChain{&sim, &r, horizon, sim.register_node()});
+    chains.push_back(QuietBridgeChain{&sim, &r, horizon, sim.register_node(),
+                                      static_cast<std::uint32_t>(i)});
     chains.back().arm(1 + i * (kQuietPeriod / kQuietChains));
   }
   const auto t0 = std::chrono::steady_clock::now();

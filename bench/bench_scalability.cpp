@@ -12,6 +12,7 @@
 /// serial compare. Emits BENCH_scalability.json with the sweep as a JSON
 /// array ("k_sweep"), one entry per point.
 
+#include <algorithm>
 #include <bit>
 #include <chrono>
 #include <cstdio>
@@ -160,6 +161,7 @@ struct FtResult {
   /// beacon cycle alone, without set-up, INIT or the offset probes.
   std::uint64_t quiet_events = 0;
   double quiet_wall_seconds = 0;
+  std::uint64_t quiet_fused = 0;  ///< of quiet_events, fused inline (SimStats::fused)
   double cp_speedup = 0;  ///< 0 when run serially
   long rss_mb = 0;
   check::RunDigest digest;  ///< see run_fat_tree
@@ -186,6 +188,7 @@ FtResult run_fat_tree(const net::FatTreeParams& fp, unsigned threads, fs_t settl
   const std::vector<net::Device*> devices = net.devices();
   const dtp::Agent* ref = dtp.agent_of(devices.front());
   const std::uint64_t settled_events = sim.events_executed();
+  const std::uint64_t settled_fused = sim.stats().fused;
   while (sim.now() < settle + duration) {
     const auto slice0 = std::chrono::steady_clock::now();
     sim.run_until(sim.now() + from_us(100));
@@ -201,6 +204,7 @@ FtResult run_fat_tree(const net::FatTreeParams& fp, unsigned threads, fs_t settl
   }
   r.events = sim.events_executed();
   r.quiet_events = r.events - settled_events;
+  r.quiet_fused = sim.stats().fused - settled_fused;
   r.digest.mix(r.events);
   r.digest.mix(sim.stats().scheduled);
   for (net::Device* d : devices)
@@ -214,6 +218,82 @@ FtResult run_fat_tree(const net::FatTreeParams& fp, unsigned threads, fs_t settl
   r.rss_mb = peak_rss_mb();
   r.diameter = net::hop_diameter(net);  // after the timed run: all-pairs BFS
   return r;
+}
+
+/// How tightly the beacons arriving at one switch bunch up, after settle.
+struct ArrivalSpread {
+  std::size_t ports = 0;
+  std::size_t rounds = 0;        ///< bunches of arrivals seen
+  double median_size = 0;        ///< arrivals per bunch
+  double median_spread_ns = 0;   ///< first to last arrival of a bunch
+  double max_spread_ns = 0;
+  double tight_share = 0;        ///< bunches no wider than one CDC crossing
+  double median_gap_ns = 0;      ///< between consecutive arrivals of a bunch
+  double close_gap_share = 0;    ///< gaps shorter than one CDC crossing
+};
+
+/// Records every control block's wire arrival at the ports of the first
+/// aggregation switch over `window` after `settle`, and groups them into
+/// bunches: an arrival more than half a beacon interval after the bunch's
+/// first starts the next one. Beacon chains that run in phase give one
+/// bunch per interval, one arrival per port, a few ticks wide; chains at
+/// random phases give bunches half an interval wide. A CDC crossing spans
+/// the phase wait plus the pipeline (pipeline_cycles + 1 ticks).
+ArrivalSpread beacon_arrival_spread(const net::FatTreeParams& fp, fs_t settle,
+                                    fs_t window, std::uint64_t seed) {
+  sim::Simulator sim(seed);
+  net::Network net(sim);
+  const net::FatTreeTopology topo = net::build_fat_tree(net, fp);
+  dtp::DtpNetwork dtp = dtp::enable_dtp(net);
+  sim.run_until(settle);
+  net::Device& sw = *topo.agg.front();
+  std::vector<fs_t> arrivals;
+  for (std::size_t p = 0; p < sw.port_count(); ++p)
+    sw.port(p).set_probe_control_rx(
+        [&arrivals](const phy::ControlRx& rx) { arrivals.push_back(rx.wire_arrival); });
+  sim.run_until(settle + window);
+  for (std::size_t p = 0; p < sw.port_count(); ++p) sw.port(p).set_probe_control_rx(nullptr);
+
+  std::sort(arrivals.begin(), arrivals.end());
+  const fs_t tick = sw.oscillator().nominal_period();
+  const fs_t half_interval = dtp.params().beacon_interval_ticks * tick / 2;
+  const fs_t crossing =
+      (sw.port(0).params().fifo.pipeline_cycles + 1) * tick;
+  std::vector<double> sizes, spreads, gaps;
+  std::size_t tight = 0, close = 0;
+  for (std::size_t i = 0; i < arrivals.size();) {
+    std::size_t j = i;
+    while (j < arrivals.size() && arrivals[j] - arrivals[i] <= half_interval) {
+      if (j > i) {
+        gaps.push_back(to_ns_f(arrivals[j] - arrivals[j - 1]));
+        if (arrivals[j] - arrivals[j - 1] < crossing) ++close;
+      }
+      ++j;
+    }
+    const fs_t spread = arrivals[j - 1] - arrivals[i];
+    sizes.push_back(static_cast<double>(j - i));
+    spreads.push_back(to_ns_f(spread));
+    if (spread <= crossing) ++tight;
+    i = j;
+  }
+  ArrivalSpread a;
+  a.ports = sw.port_count();
+  a.rounds = spreads.size();
+  if (a.rounds == 0) return a;
+  auto median = [](std::vector<double> v) {
+    std::nth_element(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(v.size() / 2),
+                     v.end());
+    return v[v.size() / 2];
+  };
+  a.median_size = median(sizes);
+  a.median_spread_ns = median(spreads);
+  a.max_spread_ns = *std::max_element(spreads.begin(), spreads.end());
+  a.tight_share = static_cast<double>(tight) / static_cast<double>(a.rounds);
+  if (!gaps.empty()) {
+    a.median_gap_ns = median(gaps);
+    a.close_gap_share = static_cast<double>(close) / static_cast<double>(gaps.size());
+  }
+  return a;
 }
 
 }  // namespace
@@ -271,7 +351,7 @@ int main(int argc, char** argv) {
       flags.get_double("k32-seconds", 0.0001) * static_cast<double>(kFsPerSec));
 
   Table ft({"k", "hosts", "devices", "worst (ticks)", "bound 4D+1", "events",
-            "Mev/s", "quiet ns/ev", "cp speedup", "rss (MB)", "wall (s)"});
+            "Mev/s", "quiet ns/ev", "quiet fused", "cp speedup", "rss (MB)", "wall (s)"});
   bool ft_ok = true;
   bool ft_synced = true;
   std::string sweep = "[";
@@ -293,11 +373,16 @@ int main(int argc, char** argv) {
     const double quiet_ns = r.quiet_events > 0 ? r.quiet_wall_seconds * 1e9 /
                                                      static_cast<double>(r.quiet_events)
                                                : 0;
+    const double fused_share = r.quiet_events > 0
+                                   ? static_cast<double>(r.quiet_fused) /
+                                         static_cast<double>(r.quiet_events)
+                                   : 0;
     ft.add_row({Table::cell("%d", c.k), Table::cell("%zu", r.hosts),
                 Table::cell("%zu", r.devices), Table::cell("%.2f", r.worst_ticks),
                 Table::cell("%.0f", bound),
                 Table::cell("%llu", static_cast<unsigned long long>(r.events)),
                 Table::cell("%.2f", eps / 1e6), Table::cell("%.0f", quiet_ns),
+                Table::cell("%.3f", fused_share),
                 r.cp_speedup > 0 ? Table::cell("%.2fx", r.cp_speedup) : "serial",
                 Table::cell("%ld", r.rss_mb), Table::cell("%.2f", r.wall_seconds)});
     ft_ok &= r.worst_ticks <= bound;
@@ -309,10 +394,11 @@ int main(int argc, char** argv) {
                   "\"diameter_hops\": %zu, \"worst_ticks\": %.6g, "
                   "\"bound_ticks\": %.6g, \"events\": %llu, "
                   "\"events_per_sec\": %.6g, \"quiet_ns_per_event\": %.6g, "
+                  "\"quiet_fused_share\": %.6g, "
                   "\"cp_speedup\": %.6g, \"peak_rss_mb\": %ld, \"wall_seconds\": %.6g}",
                   sweep.size() > 1 ? ", " : "", c.k, r.hosts, r.devices, r.diameter,
                   r.worst_ticks, bound, static_cast<unsigned long long>(r.events),
-                  eps, quiet_ns, r.cp_speedup, r.rss_mb, r.wall_seconds);
+                  eps, quiet_ns, fused_share, r.cp_speedup, r.rss_mb, r.wall_seconds);
     sweep += entry;
     if (c.k == 32) {
       k32 = r;
@@ -324,6 +410,28 @@ int main(int argc, char** argv) {
   json.add_raw("k_sweep", sweep);
   json.add("quick", quick);
   std::printf("\n%s\n", ft.render().c_str());
+
+  // Why few CDC visibility events fuse at k=16 (DESIGN.md §12): the apply
+  // gate yields to a same-node arrival pending before the visible edge, and
+  // that is common exactly when a switch's beacons arrive bunched.
+  {
+    net::FatTreeParams fp;
+    fp.k = 16;
+    fp.hosts_per_edge = 4;
+    const ArrivalSpread a = beacon_arrival_spread(fp, from_ms(1), from_us(100), seed);
+    std::printf("beacon arrivals at one k=16 aggregation switch (%zu ports, 100 us after a "
+                "1 ms settle): %zu bunches, median %.0f arrivals spread %.1f ns (max "
+                "%.1f ns); %.0f%% of bunches within one CDC crossing; median gap "
+                "between arrivals %.1f ns, %.0f%% of gaps shorter than a crossing\n\n",
+                a.ports, a.rounds, a.median_size, a.median_spread_ns, a.max_spread_ns,
+                100.0 * a.tight_share, a.median_gap_ns, 100.0 * a.close_gap_share);
+    json.add("k16_arrival_bunch_median_size", a.median_size);
+    json.add("k16_arrival_bunch_median_spread_ns", a.median_spread_ns);
+    json.add("k16_arrival_bunch_max_spread_ns", a.max_spread_ns);
+    json.add("k16_arrival_bunch_tight_share", a.tight_share);
+    json.add("k16_arrival_median_gap_ns", a.median_gap_ns);
+    json.add("k16_arrival_close_gap_share", a.close_gap_share);
+  }
 
   // Datacenter-scale determinism: the 8192-host point, re-run serially with
   // the same seed, must produce the identical observable-output digest —

@@ -69,8 +69,10 @@ class Flags {
     if (v.empty()) return fallback;
     try {
       return parse_duration(v);
-    } catch (const std::invalid_argument&) {
-      die_malformed(key, v, "a duration with a unit suffix (ns|us|ms|s)");
+    } catch (const std::invalid_argument& e) {
+      const std::string want =
+          std::string("a duration with a unit suffix (ns|us|ms|s): ") + e.what();
+      die_malformed(key, v, want.c_str());
     }
   }
   std::string get_string(const std::string& key, const std::string& fallback) const {

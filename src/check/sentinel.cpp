@@ -100,7 +100,7 @@ Sentinel::Sentinel(net::Network& net, dtp::DtpNetwork& dtp, SentinelParams param
       // Idle-restore / zero-overhead egress probe: a DTP message must fit
       // the 56-bit idle field exactly — a 57th bit would clobber the block
       // type byte and leak protocol bits into MAC-visible bytes.
-      m->port->probe_control_tx = [m](std::uint64_t bits56, fs_t tx_start) {
+      m->port->set_probe_control_tx([m](std::uint64_t bits56, fs_t tx_start) {
         ++m->tx_checks;
         if (bits56 >> 56 != 0) {
           m->owner->record(Violation{
@@ -108,11 +108,11 @@ Sentinel::Sentinel(net::Network& net, dtp::DtpNetwork& dtp, SentinelParams param
               static_cast<double>(bits56 >> 56), 0.0,
               "control payload spilled past the 56-bit idle field"});
         }
-      };
+      });
 
       // SyncFifo crossing envelope: visibility strictly after arrival and
       // within (pipeline + phase-wait + metastability + slack) periods.
-      m->port->probe_control_rx = [m](const phy::ControlRx& rx) {
+      m->port->set_probe_control_rx([m](const phy::ControlRx& rx) {
         ++m->fifo_checks;
         const fs_t dt = rx.crossing.visible_time - rx.wire_arrival;
         const fs_t period = m->port->oscillator().period();
@@ -126,7 +126,7 @@ Sentinel::Sentinel(net::Network& net, dtp::DtpNetwork& dtp, SentinelParams param
                                      static_cast<double>(dt), static_cast<double>(bound),
                                      "CDC crossing delay outside the SyncFifo envelope"});
         }
-      };
+      });
 
       port_mons_.push_back(std::move(mon));
     }
@@ -141,8 +141,8 @@ Sentinel::Sentinel(net::Network& net, dtp::DtpNetwork& dtp, SentinelParams param
 Sentinel::~Sentinel() {
   sampler_->stop();
   for (auto& m : port_mons_) {
-    m->port->probe_control_tx = nullptr;
-    m->port->probe_control_rx = nullptr;
+    m->port->set_probe_control_tx(nullptr);
+    m->port->set_probe_control_rx(nullptr);
   }
 }
 

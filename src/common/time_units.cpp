@@ -39,7 +39,12 @@ fs_t parse_duration(const std::string& text) {
                                 "' needs a duration unit suffix (ns|us|ms|s)");
   if (!(x > 0))
     throw std::invalid_argument("duration '" + text + "' must be positive");
-  return to_fs_checked(x, unit);
+  const fs_t out = to_fs_checked(x, unit);
+  // A positive value below one femtosecond would silently become 0: an
+  // empty horizon, or a period the consumer replaces with its default.
+  if (out == 0)
+    throw std::invalid_argument("duration '" + text + "' rounds to 0 fs");
+  return out;
 }
 
 std::string format_duration(fs_t t) {

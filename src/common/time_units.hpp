@@ -79,8 +79,9 @@ fs_t to_fs_checked(double value, fs_t unit, fs_t offset = 0);
 
 /// Strictly parse a positive duration with a required unit suffix: "50us",
 /// "1.5ms", "2s". The whole string must be consumed — "2,5ms", "50", a
-/// non-positive value, or one past the fs_t range throw
-/// std::invalid_argument, so a typo can never run a different experiment.
+/// non-positive value, one that rounds to 0 fs, or one past the fs_t range
+/// throw std::invalid_argument, so a typo can never run a different
+/// experiment.
 /// This is the single parser behind every CLI / bench duration flag
 /// (--metrics-interval, --holdover-ceiling, the watchdog knobs).
 fs_t parse_duration(const std::string& text);

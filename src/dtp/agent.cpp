@@ -59,8 +59,8 @@ void Agent::sync_locals_to_global(std::int64_t k) {
   for (auto& port : hot_.ports) port->local_fast_forward(k, gc);
 }
 
-void Agent::local_updated(std::size_t port_index, std::int64_t k, bool join) {
-  const WideCounter lc = hot_.ports[port_index]->local().at_tick(k);
+void Agent::local_updated(std::uint32_t port, std::int64_t k, bool join,
+                          const WideCounter& lc) {
   const unsigned __int128 jump = hot_.global.fast_forward(k, lc);  // T5
   if (jump > 0) ++hot_.global_adjustments;
   if (join && jump > 0) {
@@ -68,9 +68,9 @@ void Agent::local_updated(std::size_t port_index, std::int64_t k, bool join) {
     sync_locals_to_global(k);
     // A join-sized move: announce the new counter on every other port so the
     // whole connected component converges in one propagation wave.
-    for (std::size_t i = 0; i < hot_.ports.size(); ++i) {
-      if (i == port_index) continue;
-      if (hot_.ports[i]->state() == PortState::kSynced) hot_.ports[i]->send_join();
+    for (auto& p : hot_.ports) {
+      if (p->id() == port) continue;
+      if (p->state() == PortState::kSynced) p->send_join();
     }
   }
 }

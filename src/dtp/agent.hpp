@@ -110,9 +110,10 @@ class alignas(64) Agent {
  private:
   friend class PortLogic;
 
-  /// A port's lc was fast-forwarded at tick `k`; fold into gc (T5) and, for
-  /// join-sized moves, announce on the other ports.
-  void local_updated(std::size_t port_index, std::int64_t k, bool join);
+  /// Port `port`'s (a PortRecords id) lc was fast-forwarded to `lc` at
+  /// tick `k`; fold into gc (T5) and, for join-sized moves, announce on the
+  /// other ports.
+  void local_updated(std::uint32_t port, std::int64_t k, bool join, const WideCounter& lc);
 
   /// Fast-forward every port's lc to the current gc (join adoption).
   void sync_locals_to_global(std::int64_t k);
@@ -132,11 +133,10 @@ class alignas(64) Agent {
   void port_went_down(std::size_t port_index);
 
   /// Quiet-path state: what a beacon on any of this device's ports reads.
-  /// PortLogic's bridge_fire_beacon, schedule_beacon and handle_beacon read
-  /// the device (its simulator and oscillator), the parameters and gc;
-  /// local_updated folds an adjusted lc into gc through the port table.
-  /// Join bookkeeping, the master-tree parent and the lifetime token are
-  /// cold and sit behind it.
+  /// PortLogic's beacon step and handle_beacon read the parameters and gc
+  /// (reaching the agent through their port records); local_updated folds
+  /// an adjusted lc into gc. Join bookkeeping, the master-tree parent and
+  /// the lifetime token are cold and sit behind it.
   struct Hot {
     net::Device& dev;
     DtpParams params;

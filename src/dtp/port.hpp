@@ -23,6 +23,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <new>
 #include <optional>
 
 #include "common/wide_counter.hpp"
@@ -50,9 +51,9 @@ enum class PortState : std::uint8_t {
 
 const char* to_string(PortState s);
 
-/// Per-port protocol counters (diagnostics and tests). The five a quiet
-/// beacon bumps come first, so they share one cache line right behind
-/// PortLogic's hot block.
+/// Per-port protocol counters (diagnostics and tests). The four a quiet
+/// beacon bumps (beacons sent and received, adjustments and their maximum)
+/// live in the port's record; PortLogic::stats() assembles the whole set.
 struct PortStats {
   std::uint64_t beacons_sent = 0;
   std::uint64_t beacons_received = 0;
@@ -71,17 +72,19 @@ struct PortStats {
   std::uint64_t state_transitions = 0;  ///< PortState changes (obs/diagnostics)
 };
 
-/// Algorithm 1 state machine for one port. Cache-line aligned: the state a
-/// beacon reads fills three whole lines (see Hot).
-class alignas(64) PortLogic {
+/// Algorithm 1 state machine for one port. What a quiet beacon reads sits
+/// in the DTP half of the port's record (see Hot); the object keeps the
+/// INIT, join, MSB, LOG, watchdog and chaos state.
+class PortLogic {
  public:
   /// \param agent  owning device agent (Algorithm 2); must outlive this
   /// \param port   the PHY port to speak through; must outlive this
   PortLogic(Agent& agent, phy::PhyPort& port, std::size_t index);
 
   /// Detaches cleanly from the PHY port: clears the hooks and queued control
-  /// factories that capture `this` and cancels pending timers, so an agent
-  /// can be destroyed mid-run (node crash) while peers keep transmitting.
+  /// factories that capture `this`, cancels pending timers and retires the
+  /// record half, so an agent can be destroyed mid-run (node crash) while
+  /// peers keep transmitting.
   ~PortLogic();
 
   PortLogic(const PortLogic&) = delete;
@@ -90,19 +93,23 @@ class alignas(64) PortLogic {
   /// Begin the protocol (T0) if the link is up; otherwise waits for link-up.
   void start();
 
-  PortState state() const { return hot_.state; }
-  std::size_t index() const { return hot_.index; }
+  PortState state() const { return hot().state; }
+  std::size_t index() const { return index_; }
+  /// The port's id in the simulator's PortRecords (its PHY port's id).
+  std::uint32_t id() const { return id_; }
 
   /// Measured one-way delay in counter units; nullopt before T2 completes.
-  std::optional<std::int64_t> measured_owd() const { return hot_.owd_units; }
+  std::optional<std::int64_t> measured_owd() const {
+    if (hot().owd_units < 0) return std::nullopt;
+    return hot().owd_units;
+  }
 
-  /// The port-local counter (lc).
-  const TickCounter& local() const { return hot_.local; }
   /// lc at an absolute simulated time.
   WideCounter local_at(fs_t t) const;
 
-  const PortStats& stats() const { return stats_; }
-  phy::PhyPort& phy_port() { return hot_.port; }
+  /// All protocol counters, the record's and the object's.
+  PortStats stats() const;
+  phy::PhyPort& phy_port() { return port_; }
 
   /// Send a LOG message carrying the device global counter stamped at the
   /// moment of transmission (t1 of Section 6.2). `sw_payload` is ignored by
@@ -137,9 +144,7 @@ class alignas(64) PortLogic {
   /// and the monotonicity clamp, so sub-threshold lies and range-filtered
   /// stale outliers are both visible to the watchdog. Only staleness counts;
   /// positive surprises are the max-discipline working (see handle_beacon).
-  void set_plausibility_gate(std::int64_t units) {
-    hot_.plausibility_gate_units = units;
-  }
+  void set_plausibility_gate(std::int64_t units);
   /// Cumulative gate events (the watchdog differences these per window).
   std::uint64_t wd_gate_events() const { return wd_gate_events_; }
 
@@ -150,7 +155,7 @@ class alignas(64) PortLogic {
   /// that otherwise lives. Unfreezing resumes counting from the latched
   /// value, leaving the port as far behind as the freeze lasted.
   void set_counter_frozen(bool frozen);
-  bool counter_frozen() const { return hot_.counter_frozen; }
+  bool counter_frozen() const { return (hot().bits & Hot::kFrozen) != 0; }
 
   /// Watchdog remediation: quarantine this port (kFaulty, stops beaconing
   /// and ignores received beacons) without tripping the jump detector.
@@ -175,25 +180,74 @@ class alignas(64) PortLogic {
  private:
   friend class Agent;
 
-  void handle_control(const phy::ControlRx& rx);
+  /// The DTP half of the port's record (sim::PortRecords, DESIGN.md §14):
+  /// what every beacon this port sends or receives reads. The first line is
+  /// the receive side (T4: lc, d and the counters an applied beacon bumps);
+  /// the second, which the record shares with the PHY's per-step state, is
+  /// the beacon timer's (T3) and the state both sides test.
+  struct Hot {
+    enum : std::uint8_t {
+      kFrozen = 1 << 0,  ///< chaos kFrozenCounter seam
+      kGate = 1 << 1,    ///< the watchdog's plausibility gate is on
+    };
+    // First line: the receive side.
+    CounterAnchor local;         ///< lc; its delta is the agent's
+    std::int64_t owd_units = -1;  ///< measured d; -1 before T2
+    std::uint64_t beacons_received = 0;
+    std::uint64_t adjustments = 0;
+    std::uint64_t max_adjustment = 0;
+    std::uint8_t consecutive_filtered = 0;  ///< range-filtered in a row (< 16)
+    // Second line: the beacon timer's side and the shared state.
+    Agent* agent;
+    std::uint64_t beacon_key = 0;  ///< bridged beacon timer's token
+    std::uint64_t beacons_sent = 0;
+    std::int64_t beacons_since_msb = 0;
+    PortState state = PortState::kDown;
+    std::uint8_t bits = 0;
+  };
+  static_assert(sizeof(Hot) <= sim::PortRecords::kUpperBytes,
+                "the DTP half must fit the record's first 104 bytes");
+  static_assert(offsetof(Hot, agent) == 64, "the beacon timer's side starts line two");
+
+  static Hot& hot(sim::Simulator& sim, std::uint32_t port) {
+    return *std::launder(reinterpret_cast<Hot*>(sim.port_records().upper(port)));
+  }
+  Hot& hot() { return *hot_; }
+  const Hot& hot() const { return *hot_; }
+  static PortLogic& owner(sim::Simulator& sim, std::uint32_t port) {
+    return *static_cast<PortLogic*>(sim.port_records().upper_owner(port));
+  }
+
   void handle_link_up();
   void handle_link_down();
   void handle_init(const Message& m, std::int64_t rx_tick);
   void handle_init_ack(const Message& m, std::int64_t rx_tick);
-  void handle_beacon(const Message& m, std::int64_t rx_tick, bool join);
   void handle_msb(const Message& m, std::int64_t rx_tick);
   void handle_log(const Message& m, std::int64_t rx_tick, fs_t rx_time);
 
-  void send_init();
-  void arm_init_retry();
-  void schedule_beacon();
-  void send_beacon();
+  // The quiet cycle, on the record alone: the phy::PhyPort::ControlSink
+  // (every control block of a port with a live DTP half, both engines),
+  // T4, and the bridged beacon timer's handler with its re-arm.
+  static void handle_control(sim::Simulator& sim, std::uint32_t port,
+                             const phy::ControlRx& rx);
+  static void handle_beacon(sim::Simulator& sim, std::uint32_t port, const Message& m,
+                            std::int64_t rx_tick, bool join);
   /// Bridged replacement for the beacon timer event (T3): runs send_beacon's
   /// quiet path fused inline when nothing can interleave, and falls back to
   /// send_beacon() wholesale otherwise (MSB due, line busy, off-lattice,
   /// same-instant interloper). Fires at the exact (time, key) the timer
   /// event would have.
-  void bridge_fire_beacon();
+  static void bridge_beacon_step(void* sim, const sim::EventQueue::BridgeStep& s);
+  /// Arm the bridged beacon timer one interval after local tick `now_tick`
+  /// (the tick at the current instant).
+  static void arm_bridged_beacon(sim::Simulator& sim, std::uint32_t port,
+                                 std::int64_t now_tick);
+
+  void send_init();
+  void arm_init_retry();
+  void schedule_beacon();
+  void send_beacon();
+  void cancel_beacon();
 
   /// Single gate for every state change: counts the transition and emits a
   /// trace instant when observability is attached.
@@ -204,38 +258,22 @@ class alignas(64) PortLogic {
   WideCounter lc_at_tick(std::int64_t tick) const;
   /// gc value stamped into transmitted beacons/joins/MSBs — the latched gc
   /// while frozen, the live device counter otherwise.
-  WideCounter tx_global(std::int64_t tx_tick) const;
+  static WideCounter tx_global(sim::Simulator& sim, std::uint32_t port, std::int64_t tx_tick);
   /// Freeze-honoring lc writes; the Agent routes its device-wide counter
   /// pushes (sync_locals_to_global, force_global) through these instead of
-  /// touching local_ directly, so a frozen register stays frozen.
+  /// touching the record directly, so a frozen register stays frozen.
   void local_set(std::int64_t tick, const WideCounter& v);
   unsigned __int128 local_fast_forward(std::int64_t tick, const WideCounter& v);
+  std::uint32_t delta() const;
 
-  /// Quiet-path state: what every beacon this port sends or receives reads.
-  /// TX: bridge_fire_beacon, schedule_beacon and the beacon factory (through
-  /// tx_global); RX: handle_control and handle_beacon, then
-  /// Agent::local_updated reading lc. stats_ follows it with the counters a
-  /// beacon bumps in its first line, so a quiet beacon touches three lines;
-  /// the INIT, join, MSB, LOG, watchdog and chaos state sits behind them.
-  struct alignas(64) Hot {
-    TickCounter local;  ///< lc
-    Agent& agent;
-    phy::PhyPort& port;
-    std::optional<std::int64_t> owd_units{};  ///< measured d; nullopt before T2
-    sim::Simulator::BridgeToken beacon_step{};  ///< bridged-mode beacon timer
-    std::int64_t beacons_since_msb = 0;
-    std::int64_t consecutive_filtered = 0;
-    std::int64_t plausibility_gate_units = 0;  ///< watchdog gate; 0 = off
-    std::uint32_t index;
-    PortState state = PortState::kDown;
-    bool counter_frozen = false;  ///< chaos kFrozenCounter seam
-  };
-  static_assert(sizeof(Hot) == 128, "PortLogic::Hot must stay two cache lines");
-  static_assert(offsetof(PortStats, filtered_range) < 64,
-                "the counters a beacon bumps must share PortStats' first line");
-  Hot hot_;
-  PortStats stats_;
-
+  sim::Simulator& sim_;
+  Agent& agent_;
+  phy::PhyPort& port_;
+  std::uint32_t id_;
+  std::uint32_t index_;
+  Hot* hot_;         ///< this port's DTP half of its record
+  PortStats stats_;  ///< all but the record's four quiet counters
+  std::int64_t plausibility_gate_units_ = 0;  ///< watchdog gate; 0 = off
   std::optional<std::int64_t> prior_owd_;      ///< pre-reinit d, caps the remeasure
   std::optional<WideCounter> init_echo_wait_;  ///< lc value sent in our INIT
   std::uint64_t last_peer_msb_ = 0;

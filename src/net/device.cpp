@@ -1,5 +1,6 @@
 #include "net/device.hpp"
 
+#include <algorithm>
 #include <utility>
 
 namespace dtpsim::net {
@@ -15,13 +16,24 @@ phy::PhyPort& Device::add_port() {
   phy::PortParams pp = params_.port;
   pp.rate = params_.rate;
   const auto index = ports_.size();
+  const std::uint32_t id =
+      run_next_ < run_end_ ? run_next_++ : sim::PortRecords::kNoPort;
   ports_.push_back(sim_.arena().make<phy::PhyPort>(
-      sim_, osc_, pp, name_ + ":p" + std::to_string(index)));
+      sim_, osc_, pp, name_ + ":p" + std::to_string(index), id));
   ports_.back()->set_node(node_);
   sim_.note_node_port(node_);
   macs_.push_back(std::make_unique<Mac>(sim_, *ports_.back(), params_.mac));
   on_port_added(index);
   return *ports_.back();
+}
+
+void Device::reserve_ports(std::size_t n) {
+  n = std::min<std::size_t>(n, sim::PortRecords::kMaxRun);
+  if (n == 0) return;
+  run_next_ = sim_.port_records().allocate(static_cast<std::uint32_t>(n));
+  run_end_ = run_next_ + static_cast<std::uint32_t>(n);
+  ports_.reserve(ports_.size() + n);
+  macs_.reserve(macs_.size() + n);
 }
 
 std::uint32_t Device::park_frame(Frame frame) {

@@ -51,6 +51,13 @@ class alignas(64) Device {
   /// Create one more port (and its MAC) on this device.
   phy::PhyPort& add_port();
 
+  /// Reserve records for the next `n` ports this device adds, as one run:
+  /// the quiet beacon cycle reads a device's ports at the same instants, so
+  /// their records should be contiguous (sim::PortRecords). A builder that
+  /// knows a device's port count calls this before cabling; ports past the
+  /// reservation get records of their own.
+  void reserve_ports(std::size_t n);
+
   std::size_t port_count() const { return ports_.size(); }
   phy::PhyPort& port(std::size_t i) { return *ports_.at(i); }
   Mac& mac(std::size_t i) { return *macs_.at(i); }
@@ -91,6 +98,8 @@ class alignas(64) Device {
   std::vector<std::unique_ptr<Mac>> macs_;
 
  private:
+  std::uint32_t run_next_ = 0;  ///< next reserved port record
+  std::uint32_t run_end_ = 0;   ///< one past the reservation
   std::vector<Frame> parked_;
   std::vector<std::uint32_t> parked_free_;
 };

@@ -218,13 +218,18 @@ FatTreeTopology build_fat_tree(Network& net, const FatTreeParams& params) {
   topo.hosts.reserve(n_hosts);
 
   auto& sim = net.simulator();
-  for (int i = 0; i < half * half; ++i)
+  // Each switch reserves its ports' records as one run (Device::
+  // reserve_ports), so the records sit in device order.
+  for (int i = 0; i < half * half; ++i) {
     topo.core.push_back(&net.add_switch("core" + std::to_string(i)));
+    topo.core.back()->reserve_ports(static_cast<std::size_t>(pods));
+  }
 
   for (int pod = 0; pod < pods; ++pod) {
     for (int a = 0; a < half; ++a) {
       Switch& agg = net.add_switch("pod" + std::to_string(pod) + "-agg" + std::to_string(a));
       sim.set_node_pod(agg.node(), pod);
+      agg.reserve_ports(static_cast<std::size_t>(2 * half));
       topo.agg.push_back(&agg);
       // Aggregation switch `a` of each pod connects to core group `a`.
       for (int c = 0; c < half; ++c)
@@ -233,6 +238,7 @@ FatTreeTopology build_fat_tree(Network& net, const FatTreeParams& params) {
     for (int e = 0; e < half; ++e) {
       Switch& edge = net.add_switch("pod" + std::to_string(pod) + "-edge" + std::to_string(e));
       sim.set_node_pod(edge.node(), pod);
+      edge.reserve_ports(static_cast<std::size_t>(half + hosts_per_edge));
       topo.edge.push_back(&edge);
       for (int a = 0; a < half; ++a)
         net.connect(edge, *topo.agg[static_cast<std::size_t>(pod * half + a)]);

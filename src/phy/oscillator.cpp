@@ -14,15 +14,6 @@ double ppm_of_period(fs_t nominal_period, fs_t period) {
   return (static_cast<double>(nominal_period) / static_cast<double>(period) - 1.0) * 1e6;
 }
 
-/// Widened result checked back into the femtosecond range. Bridged
-/// fast-forward legitimately asks for edges near the int64 horizon
-/// (~2.5 simulated hours); wrapping there would silently reorder events.
-fs_t narrow_or_throw(__int128 t, const char* what) {
-  if (t > std::numeric_limits<fs_t>::max() || t < std::numeric_limits<fs_t>::min())
-    throw std::overflow_error(what);
-  return static_cast<fs_t>(t);
-}
-
 }  // namespace
 
 fs_t period_from_ppm(fs_t nominal_period, double ppm) {
@@ -59,45 +50,9 @@ double Oscillator::ppm() const {
   return (static_cast<double>(nominal_period_) / static_cast<double>(period_) - 1.0) * 1e6;
 }
 
-void Oscillator::check_time(fs_t t) const {
-  if (t < anchor_time_) throw std::logic_error("Oscillator: query before anchor time");
-}
+void Oscillator::throw_before_anchor(const char* what) { throw std::logic_error(what); }
 
-std::int64_t Oscillator::tick_at(fs_t t) const {
-  check_time(t);
-  // t >= anchor_time_, so the difference only overflows when the anchor
-  // phase is negative and t sits within |anchor| of the horizon.
-  if (anchor_time_ < 0 && t > std::numeric_limits<fs_t>::max() + anchor_time_)
-    throw std::overflow_error("Oscillator: tick_at past the femtosecond horizon");
-  return anchor_tick_ + (t - anchor_time_) / period_;
-}
-
-fs_t Oscillator::edge_of_tick(std::int64_t k) const {
-  if (k < anchor_tick_) throw std::logic_error("Oscillator: tick before anchor");
-  const __int128 e = static_cast<__int128>(anchor_time_) +
-                     static_cast<__int128>(k - anchor_tick_) * period_;
-  return narrow_or_throw(e, "Oscillator: edge_of_tick past the femtosecond horizon");
-}
-
-fs_t Oscillator::next_edge_at_or_after(fs_t t) const {
-  check_time(t);
-  if (anchor_time_ < 0 && t > std::numeric_limits<fs_t>::max() + anchor_time_)
-    throw std::overflow_error("Oscillator: next_edge past the femtosecond horizon");
-  const fs_t since = t - anchor_time_;
-  // Ceil division without forming since + period - 1 (which wraps near the
-  // horizon): round up exactly when t is off-lattice.
-  const fs_t k = since / period_ + (since % period_ != 0 ? 1 : 0);
-  const __int128 e =
-      static_cast<__int128>(anchor_time_) + static_cast<__int128>(k) * period_;
-  return narrow_or_throw(e, "Oscillator: next_edge past the femtosecond horizon");
-}
-
-fs_t Oscillator::next_edge_after(fs_t t) const {
-  const fs_t e = next_edge_at_or_after(t);
-  if (e > t) return e;
-  return narrow_or_throw(static_cast<__int128>(e) + period_,
-                         "Oscillator: next_edge past the femtosecond horizon");
-}
+void Oscillator::throw_overflow(const char* what) { throw std::overflow_error(what); }
 
 void Oscillator::set_period_at(fs_t t, fs_t new_period) {
   if (new_period <= 0) throw std::invalid_argument("Oscillator: non-positive period");

@@ -25,9 +25,12 @@
 /// (Section 3.1's assumption) and an optional bit-error rate that corrupts
 /// control payloads and frames (Section 3.2 "Handling failures").
 
+#include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -67,36 +70,96 @@ struct PortParams {
   SyncFifoParams fifo{};     ///< CDC model parameters
 };
 
+/// The PHY half of a port's record (sim::PortRecords, DESIGN.md §14): what
+/// a control block the port sends or receives reads, including the transmit
+/// direction of its cable. It sits behind the DTP half, so its first 24
+/// bytes share the record's middle line with the DTP state a beacon timer
+/// reads, and the rest is the record's last line.
+struct PortRecordPhy {
+  /// Flag bits: the state every control block tests, one byte.
+  enum : std::uint8_t {
+    kLinkUp = 1 << 0,        ///< a cable is attached
+    kQueued = 1 << 1,        ///< control factories wait for an idle block
+    kServiceArmed = 1 << 2,  ///< the exact engine's service event is armed
+    kSeams = 1 << 3,         ///< a fault seam of the transmit direction is on
+    kProbeTx = 1 << 4,       ///< probe_control_tx is set
+    kProbeRx = 1 << 5,       ///< probe_control_rx is set
+    kUpper = 1 << 6,         ///< a live DTP half takes this port's blocks
+  };
+
+  // Middle line: what every step of this port reads.
+  Oscillator* osc;           ///< the TX clock domain (the device's)
+  fs_t line_free = 0;        ///< end of the last serialized block
+  std::int32_t node = -1;
+  std::uint8_t flags = 0;
+  std::int16_t fifo_pipeline = 0;  ///< SyncFifoParams::pipeline_cycles
+  // Last line: the transmit path and the CDC crossing.
+  std::uint32_t peer = sim::PortRecords::kNoPort;  ///< far port while linked
+  std::int32_t peer_node = -1;
+  std::uint64_t control_sent = 0;
+  fs_t tx_delay = 0;          ///< propagation plus the direction's extra delay
+  fs_t tx_last_arrival = 0;   ///< FIFO clamp under stalls and delay changes
+  std::uint32_t tx_dir = 0;   ///< the direction's globally unique id
+  std::uint32_t tx_seq = 0;   ///< per-direction message index (key low bits)
+  std::uint64_t fifo_crossings = 0;
+  std::uint64_t fifo_extra_cycles = 0;
+  double fifo_window = 0;     ///< SyncFifoParams::metastability_window
+};
+static_assert(sizeof(PortRecordPhy) == sim::PortRecords::kPhyBytes,
+              "the PHY half must fill the record's last 88 bytes");
+static_assert(offsetof(PortRecordPhy, peer) + sim::PortRecords::kUpperBytes == 128,
+              "the transmit path must start the record's last line");
+
 /// One physical port: TX serialization, RX delivery, DTP idle-block slots.
-/// Cache-line aligned: its quiet-path state fills the first four lines (see
-/// Hot), so a port never shares those lines with a neighbour's cold state.
-class alignas(64) PhyPort {
+/// The quiet path's state lives in the port's record; the object keeps the
+/// hooks, the frame path, the exact engine's service event and identity.
+class PhyPort {
  public:
   /// Invoked when an idle-block slot is granted; returns the 56 bits to
   /// send. `tx_time`/`tx_tick` identify the local tick whose block carries
   /// the message.
   using ControlFactory = std::function<std::uint64_t(fs_t tx_time, std::int64_t tx_tick)>;
 
+  /// Where a port with a live DTP half delivers its control blocks, instead
+  /// of `on_control`: registered by the layer above (dtp::PortLogic), one
+  /// function for the whole program.
+  using ControlSink = void (*)(sim::Simulator& sim, std::uint32_t port,
+                               const ControlRx& rx);
+  static void set_control_sink(ControlSink sink) {
+    control_sink_.store(sink, std::memory_order_relaxed);
+  }
+
   /// \param sim  simulator (must outlive the port)
   /// \param osc  local oscillator — the TX clock domain (must outlive)
-  PhyPort(sim::Simulator& sim, Oscillator& osc, PortParams params, std::string name);
+  /// \param id   the port's record, from a run its device reserved;
+  ///             kNoPort allocates one of its own
+  PhyPort(sim::Simulator& sim, Oscillator& osc, PortParams params, std::string name,
+          std::uint32_t id = sim::PortRecords::kNoPort);
+  ~PhyPort();
 
   PhyPort(const PhyPort&) = delete;
   PhyPort& operator=(const PhyPort&) = delete;
 
   const std::string& name() const { return name_; }
-  Oscillator& oscillator() { return hot_.osc; }
-  const Oscillator& oscillator() const { return hot_.osc; }
+  Oscillator& oscillator() { return *rec().osc; }
+  const Oscillator& oscillator() const { return *rec().osc; }
   const RateSpec& rate() const { return rate_spec(params_.rate); }
   const PortParams& params() const { return params_; }
+
+  /// The port's id in the simulator's PortRecords.
+  std::uint32_t id() const { return id_; }
+  /// This port's record half (see PortRecordPhy).
+  static PortRecordPhy& record(sim::Simulator& sim, std::uint32_t id) {
+    return *std::launder(reinterpret_cast<PortRecordPhy*>(sim.port_records().phy(id)));
+  }
 
   /// Device-graph node this port belongs to (-1 until a Device adopts it).
   /// Drives event affinity: everything the port schedules runs on the
   /// owning device's shard in parallel mode.
-  std::int32_t node() const { return hot_.node; }
-  void set_node(std::int32_t node) { hot_.node = node; }
+  std::int32_t node() const { return rec().node; }
+  void set_node(std::int32_t node);
 
-  bool link_up() const { return hot_.cable != nullptr; }
+  bool link_up() const { return (rec().flags & PortRecordPhy::kLinkUp) != 0; }
   /// The port at the cable's far end; null while the link is down.
   PhyPort* peer();
   /// One-way propagation delay of the attached cable; requires link_up().
@@ -113,33 +176,46 @@ class alignas(64) PhyPort {
   // runs that service inline — same sequence-number positions, same counter
   // bumps — skipping the event machinery entirely. Callers must check
   // fusibility, reserve (at the position request_control_slot would consume
-  // the service's sequence number), then fire.
+  // the service's sequence number), then fire. All three act on the record
+  // of port `port` alone.
 
   /// True iff a slot requested right now would be serviced at this exact
   /// instant with nothing able to interleave: link up, no queued factories,
   /// no armed service event, line free, on a tick edge, and no same-instant
-  /// event pending ahead of the would-be service key. `tx_client` identifies
-  /// the caller's beacon chain (its bridge-step client pointer) so the gate
-  /// can ignore sibling ports' benign timers while still refusing to run
-  /// ahead of a second chain on the same port.
-  bool control_slot_fusible(const void* tx_client) const;
+  /// event pending ahead of the would-be service key. The gate ignores
+  /// sibling ports' benign timers while still refusing to run ahead of a
+  /// second beacon chain on the same port. On true, `tick` is the local
+  /// tick whose edge is now.
+  static bool control_slot_fusible(sim::Simulator& sim, std::uint32_t port,
+                                   std::int64_t& tick);
 
   /// Account for the fused service event's schedule (consumes its sequence
   /// number). Must run exactly where request_control_slot would have armed.
-  void fuse_reserve_control();
+  static void fuse_reserve_control(sim::Simulator& sim, std::uint32_t port) {
+    sim.bridge_virtual_schedule(record(sim, port).node);
+  }
 
-  /// Run the fused service inline: fire accounting, factory at (now, tick),
-  /// TX probe, line bookkeeping, and cable transmission.
-  void fuse_fire_control(const ControlFactory& factory);
+  /// Run the fused service inline: fire accounting, factory at (now,
+  /// tx_tick), TX probe, line bookkeeping, and cable transmission.
+  /// `tx_tick` is the tick control_slot_fusible() reported.
+  template <typename Factory>
+  static void fuse_fire_control(sim::Simulator& sim, std::uint32_t port,
+                                std::int64_t tx_tick, Factory&& factory) {
+    // Mirrors the service event body under control_slot_fusible()'s
+    // preconditions: tx_start == now (on-lattice), queue empty, line free.
+    const fs_t tx_start = sim.now();
+    sim.bridge_virtual_fire(record(sim, port).node, sim::EventCategory::kFrame, tx_start);
+    finish_control_tx(sim, port, factory(tx_start, tx_tick), tx_start, tx_tick);
+  }
 
   /// Number of factories waiting for an idle block.
-  std::size_t pending_control() const { return hot_.control_queue.size(); }
+  std::size_t pending_control() const { return control_queue_.size(); }
 
   /// Discard every queued control factory. Required when the layer that
   /// queued them is being destroyed (the factories capture it): an agent
   /// torn down mid-run (node crash) must not leave callbacks into freed
   /// protocol state waiting for an idle block.
-  void clear_pending_control() { hot_.control_queue.clear(); }
+  void clear_pending_control();
 
   /// Earliest time a new frame may start serializing (IPG respected).
   fs_t frame_clear_time() const;
@@ -158,90 +234,88 @@ class alignas(64) PhyPort {
   /// Total frames / control blocks this port transmitted (diagnostics; the
   /// zero-overhead claim is `frames_sent` unchanged by enabling DTP).
   std::uint64_t frames_sent() const { return frames_sent_; }
-  std::uint64_t control_blocks_sent() const { return hot_.control_sent; }
+  std::uint64_t control_blocks_sent() const { return rec().control_sent; }
 
   /// CDC observability: control blocks that crossed this port's SyncFifo
   /// into the local clock domain, and how many of those crossings drew the
   /// metastability penalty cycle (the paper's only nondeterminism source).
   /// Single-writer (the port's shard); sampled at obs snapshot sync points.
-  std::uint64_t fifo_crossings() const { return hot_.fifo_crossings; }
-  std::uint64_t fifo_extra_cycles() const { return hot_.fifo_extra_cycles; }
+  std::uint64_t fifo_crossings() const { return rec().fifo_crossings; }
+  std::uint64_t fifo_extra_cycles() const { return rec().fifo_extra_cycles; }
 
   /// When the current (or most recent) cable attached — the anchor for the
   /// MAC's post-link-training data hold-off.
   fs_t last_link_up_at() const { return last_link_up_at_; }
 
+  /// Observation probes (check::Sentinel). Pure observers, distinct from
+  /// the protocol hooks: they must not schedule events or mutate port
+  /// state. Fired on the port's shard thread in parallel mode, so a probe
+  /// shared across ports must synchronize its own state. The TX probe fires
+  /// as a control block is serialized, before the cable sees it, with the
+  /// 56-bit payload and the tick edge it occupies; the RX probe when a
+  /// control block becomes visible in the local clock domain, just before
+  /// it is delivered. An empty function detaches a probe.
+  void set_probe_control_tx(std::function<void(std::uint64_t bits56, fs_t tx_start)> probe);
+  void set_probe_control_rx(std::function<void(const ControlRx&)> probe);
+
+  // Upper-layer hooks. All optional; unset hooks drop the event. A port
+  // with a live DTP half delivers control blocks to the ControlSink instead
+  // of on_control.
+  std::function<void(const ControlRx&)> on_control;  ///< DTP sublayer input
+  std::function<void()> on_link_up;                  ///< fired when cable attaches
+  std::function<void()> on_link_down;                ///< fired when cable detaches
+  std::function<void(const FrameRx&)> on_frame;      ///< MAC input
+
  private:
   friend class Cable;
+
+  PortRecordPhy& rec() { return *rec_; }
+  const PortRecordPhy& rec() const { return *rec_; }
+  static PhyPort& owner(sim::Simulator& sim, std::uint32_t port) {
+    return *static_cast<PhyPort*>(sim.port_records().phy_owner(port));
+  }
 
   void link_established(Cable* cable);
   void link_lost();
   void deliver_control(std::uint64_t bits56, fs_t tx_end, bool corrupted);
   void deliver_frame(FrameRx rx);
   void schedule_control_service();
+  void set_flag(std::uint8_t bit, bool on);
 
-  // Bridged-step trampolines and bodies. The arrival step replaces the link
+  /// The service event's body after the factory: TX probe, line
+  /// bookkeeping, transmission, and a re-arm if more factories wait. Shared
+  /// by the exact service event and the fused path.
+  static void finish_control_tx(sim::Simulator& sim, std::uint32_t port,
+                                std::uint64_t bits, fs_t tx_start, std::int64_t tx_tick);
+  /// Move one control block across the cable (Cable::transmit_control's
+  /// quiet path on the record; faults and the exact delivery through the
+  /// cable): applies the seams and arms the delivery.
+  static void transmit_control(sim::Simulator& sim, std::uint32_t port,
+                               std::uint64_t bits56, fs_t tx_end);
+
+  // Bridged-step handlers and bodies. The arrival step replaces the link
   // delivery event (CDC crossing at the wire-arrival instant); the apply
-  // step replaces the visibility event (probe + on_control at the crossing's
-  // visible edge). Payload packing: a = bits56, b = wire arrival, c =
-  // visible tick, d = bit0 random_extra | bit1 corrupted.
-  static void bridge_arrival_step(void* client,
-                                  const sim::EventQueue::BridgeStep& s, fs_t t);
-  static void bridge_apply_step(void* client,
-                                const sim::EventQueue::BridgeStep& s, fs_t t);
-  void bridge_arrival(std::uint64_t bits56, fs_t wire_arrival, bool corrupted);
-  /// The visibility event's body in both engines: probe, then on_control.
-  void apply_control(const ControlRx& rx);
+  // step replaces the visibility event (probe + delivery at the crossing's
+  // visible edge). Payload packing: a = bits56 | corrupted << 56 (| random
+  // extra << 57 on an apply), b = wire arrival, c = visible tick.
+  static void bridge_arrival_step(void* sim, const sim::EventQueue::BridgeStep& s);
+  static void bridge_apply_step(void* sim, const sim::EventQueue::BridgeStep& s);
+  /// The visibility event's body in both engines: probe, then delivery.
+  static void apply_control(sim::Simulator& sim, std::uint32_t port, const ControlRx& rx);
 
-  /// Quiet-path state: everything a control block this port sends or
-  /// receives reads, packed ahead of the rest of the object. TX reads it in
-  /// control_slot_fusible, fuse_reserve_control, fuse_fire_control and
-  /// schedule_control_service; RX in bridge_arrival; Cable::transmit_control
-  /// reads the far port's node. The three quiet-path hooks follow it, so
-  /// block plus hooks fill the first four cache lines; a member added here
-  /// must fail the size check, not push those hooks onto a fifth line.
-  struct Hot {
-    sim::Simulator& sim;
-    Oscillator& osc;           ///< the TX clock domain (the device's)
-    Cable* cable = nullptr;    ///< null while the link is down
-    fs_t line_free = 0;        ///< end of the last serialized block
-    /// Factories waiting for an idle block, oldest first. Rarely more than
-    /// one deep, so a vector popped from the front: a std::deque would
-    /// allocate a 576-byte map and block per port at construction.
-    std::vector<ControlFactory> control_queue{};
-    std::int32_t node = -1;
-    bool control_service_scheduled = false;
-    std::uint64_t control_sent = 0;
-    std::uint64_t fifo_crossings = 0;
-    std::uint64_t fifo_extra_cycles = 0;
-    SyncFifo fifo;  ///< RX CDC model; its RNG is drawn near an edge only
-  };
-  static_assert(sizeof(Hot) == 160, "PhyPort::Hot must stay 2.5 cache lines");
-  Hot hot_;
+  static inline std::atomic<ControlSink> control_sink_{nullptr};
 
- public:
-  // Upper-layer hooks. All optional; unset hooks drop the event. The first
-  // three are tested (and on_control called) for every control block, so
-  // they sit right behind hot_; the link and frame hooks come after them.
-  std::function<void(const ControlRx&)> on_control;  ///< DTP sublayer input
-
-  // Observation probes (check::Sentinel). Pure observers, distinct from the
-  // protocol hooks: they must not schedule events or mutate port state.
-  // Fired on the port's shard thread in parallel mode, so a probe shared
-  // across ports must synchronize its own state.
-  /// Fired as a control block is serialized, before the cable sees it:
-  /// the 56-bit payload and the tick edge it occupies.
-  std::function<void(std::uint64_t bits56, fs_t tx_start)> probe_control_tx;
-  /// Fired when a control block becomes visible in the local clock domain,
-  /// just before `on_control`.
-  std::function<void(const ControlRx&)> probe_control_rx;
-
-  std::function<void()> on_link_up;                  ///< fired when cable attaches
-  std::function<void()> on_link_down;                ///< fired when cable detaches
-  std::function<void(const FrameRx&)> on_frame;      ///< MAC input
-
- private:
-  // Cold: the frame path, the exact engine's service event, and identity.
+  sim::Simulator& sim_;
+  std::uint32_t id_;
+  PortRecordPhy* rec_;      ///< this port's half of its record
+  Cable* cable_ = nullptr;  ///< null while the link is down
+  /// Factories waiting for an idle block, oldest first. Rarely more than
+  /// one deep, so a vector popped from the front: a std::deque would
+  /// allocate a 576-byte map and block per port at construction.
+  std::vector<ControlFactory> control_queue_;
+  SyncFifo fifo_;  ///< RX CDC parameters and RNG (drawn near an edge only)
+  std::function<void(std::uint64_t, fs_t)> probe_control_tx_;
+  std::function<void(const ControlRx&)> probe_control_rx_;
   fs_t frame_allowed_ = 0;  ///< line_free plus any outstanding IPG
   std::uint64_t frames_sent_ = 0;
   fs_t control_service_at_ = 0;             ///< slot the service event is armed for
@@ -251,9 +325,11 @@ class alignas(64) PhyPort {
   std::string name_;
 };
 
-/// Full-duplex point-to-point cable between two ports. Cache-line aligned:
-/// both directions' quiet-path state fills the first two lines (see Hot).
-class alignas(64) Cable {
+/// Full-duplex point-to-point cable between two ports. A direction's quiet
+/// path (delay, FIFO clamp, key sequence, whether any seam is on) lives in
+/// the record of the port that transmits on it; the cable keeps the seams'
+/// values, the RNG streams and the counters.
+class Cable {
  public:
   struct Params {
     fs_t propagation_delay = from_ns(50);  ///< ~10 m of fiber/twinax
@@ -274,20 +350,20 @@ class alignas(64) Cable {
   void disconnect();
   bool connected() const { return connected_; }
 
-  PhyPort& port_a() { return hot_.a; }
-  PhyPort& port_b() { return hot_.b; }
+  PhyPort& port_a() { return a_; }
+  PhyPort& port_b() { return b_; }
 
-  fs_t propagation_delay() const { return hot_.propagation_delay; }
-  double ber() const { return hot_.ber; }
+  fs_t propagation_delay() const { return propagation_delay_; }
+  double ber() const { return ber_; }
 
   /// Change the bit-error rate mid-run (fault injection: BER bursts).
-  void set_ber(double ber) { hot_.ber = ber; }
+  void set_ber(double ber);
 
   /// Probability that a control block is silently swallowed (fault
   /// injection: beacon-loss windows — models momentary loss of block lock
   /// where the receiver PCS discards /E/ blocks without seeing bit flips).
-  void set_control_drop(double p) { hot_.control_drop = p; }
-  double control_drop() const { return hot_.control_drop; }
+  void set_control_drop(double p);
+  double control_drop() const { return control_drop_; }
 
   // --- Gray-failure seams (chaos: asymmetric_delay / limping_port /
   // silent_corruption). All are per-direction (0 = a->b, 1 = b->a) and act
@@ -299,7 +375,7 @@ class alignas(64) Cable {
   /// One direction of the cable gains constant extra latency, silently
   /// biasing the symmetric-propagation assumption behind measured OWD.
   void set_extra_delay(int dir, fs_t extra);
-  fs_t extra_delay(int dir) const { return hot_.extra_delay[check_dir(dir)]; }
+  fs_t extra_delay(int dir) const { return extra_delay_[check_dir(dir)]; }
 
   /// Intermittent TX stalls: with probability `prob`, a control block is
   /// held for `stall` before it starts propagating (a limping serializer).
@@ -331,10 +407,15 @@ class alignas(64) Cable {
   /// 0 for a->b, 1 for b->a. Each direction has its own RNG stream, error
   /// counters, and (edge, message) key sequence, so the two endpoints can
   /// transmit concurrently from their own shards.
-  int direction_of(const PhyPort& from) const { return &from == &hot_.a ? 0 : 1; }
+  int direction_of(const PhyPort& from) const { return &from == &a_ ? 0 : 1; }
   static int check_dir(int dir);
-  /// Move one control block across; applies BER and schedules delivery.
-  void transmit_control(PhyPort& from, std::uint64_t bits56, fs_t tx_end);
+  /// Copy direction `dir`'s delay and seam switch into its sender's record
+  /// (while connected).
+  void refresh_direction(int dir);
+  /// The control path's seams in their fixed draw order: drop, BER, silent
+  /// corruption, stall. Returns false if the block is dropped; otherwise
+  /// may flip `bits`, sets `corrupted`, and returns any stall in `stall`.
+  bool draw_control_seams(int dir, std::uint64_t& bits, bool& corrupted, fs_t& stall);
   /// Move one frame across; applies BER and schedules delivery.
   void transmit_frame(PhyPort& from, std::uint32_t wire_bytes,
                       std::shared_ptr<const void> payload, fs_t tx_end);
@@ -348,32 +429,19 @@ class alignas(64) Cable {
   void track(sim::EventHandle h);
   void grow_ring();
 
-  /// Quiet-path state of both directions, read by transmit_control for
-  /// every control block and by transmit_frame for every frame. The first
-  /// line is the delivery itself (ends, delay, FIFO clamp, tie key); the
-  /// second holds the fault seams' switches, which each block tests even
-  /// while all are off. What a seam reads once it is on (stall lengths, the
-  /// RNG streams) and the counters sit behind, in cold lines.
-  struct Hot {
-    sim::Simulator& sim;
-    PhyPort& a;
-    PhyPort& b;
-    fs_t propagation_delay;
-    fs_t last_control_arrival[2] = {};  ///< FIFO clamp under stalls/delay
-    std::uint32_t dir_id[2];            ///< globally unique edge-direction ids
-    std::uint32_t tx_seq[2] = {};       ///< per-direction message index (key low bits)
-    double ber;                         ///< per-bit error probability
-    double control_drop = 0.0;
-    fs_t extra_delay[2] = {};       ///< gray: constant one-way delay bias
-    double stall_prob[2] = {};      ///< gray: limping-port stall probability
-    double silent_corrupt[2] = {};  ///< gray: unflagged counter-bit flips
-  };
-  static_assert(sizeof(Hot) == 128, "Cable::Hot must stay two cache lines");
-  Hot hot_;
-
+  sim::Simulator& sim_;
+  PhyPort& a_;
+  PhyPort& b_;
+  fs_t propagation_delay_;
+  std::uint32_t dir_id_[2];  ///< globally unique edge-direction ids
+  double ber_;               ///< per-bit error probability
+  double control_drop_ = 0.0;
+  fs_t extra_delay_[2] = {};       ///< gray: constant one-way delay bias
+  double stall_prob_[2] = {};      ///< gray: limping-port stall probability
+  fs_t stall_[2] = {};             ///< gray: per-stall hold time
+  double silent_corrupt_[2] = {};  ///< gray: unflagged counter-bit flips
   Rng rng_ab_;  ///< a->b direction stream
   Rng rng_ba_;  ///< b->a direction stream
-  fs_t stall_[2] = {};  ///< gray: per-stall hold time
   bool connected_ = true;
   std::vector<sim::EventHandle> ring_;  ///< in-flight deliveries (power-of-two)
   std::size_t ring_head_ = 0;

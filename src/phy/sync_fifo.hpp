@@ -49,6 +49,34 @@ struct CrossingResult {
   int random_extra;           ///< 0 or 1: the metastability cycle actually added
 };
 
+/// The crossing arithmetic: when a message arriving on the wire at
+/// `arrival` becomes visible to logic clocked by `local`, with the guard
+/// flop's metastability window given as a fraction of the local period.
+/// `draw_extra()` is asked for the flop's coin only when the arrival lands
+/// inside that window. SyncFifo::cross is this with its own parameters and
+/// RNG; phy::PhyPort calls it with the window and pipeline its port record
+/// keeps beside the rest of the CDC state.
+template <typename DrawExtra>
+CrossingResult cdc_cross(const Oscillator& local, fs_t arrival, double window_frac,
+                         int pipeline_cycles, DrawExtra&& draw_extra) {
+  // Phase quantization: wait for the next local edge strictly after arrival
+  // (a bit landing exactly on an edge cannot be captured by that edge): the
+  // edge of the tick after the one the arrival falls in.
+  std::int64_t tick = local.tick_at(arrival) + 1;
+  const fs_t first_edge = local.edge_of_tick(tick);
+
+  // The capture flop only behaves nondeterministically when the data
+  // transition lands within the metastability window of the edge; elsewhere
+  // the crossing is a pure function of phase.
+  const fs_t window =
+      static_cast<fs_t>(window_frac * static_cast<double>(local.period()));
+  const bool near_edge = (first_edge - arrival) <= window;
+  const int extra = (near_edge && draw_extra()) ? 1 : 0;
+  tick += extra + pipeline_cycles;
+
+  return CrossingResult{tick, local.edge_of_tick(tick), extra};
+}
+
 /// Models one synchronization FIFO between the recovered RX clock and a
 /// local oscillator's domain.
 class SyncFifo {
@@ -57,7 +85,13 @@ class SyncFifo {
 
   /// Compute when a message arriving on the wire at `arrival` becomes
   /// visible to logic clocked by `local`.
-  CrossingResult cross(const Oscillator& local, fs_t arrival);
+  CrossingResult cross(const Oscillator& local, fs_t arrival) {
+    return cdc_cross(local, arrival, params_.metastability_window,
+                     params_.pipeline_cycles, [this] { return draw_extra(); });
+  }
+
+  /// The guard flop's coin for an arrival inside the metastability window.
+  bool draw_extra() { return rng_.bernoulli(params_.extra_cycle_prob); }
 
   const SyncFifoParams& params() const { return params_; }
 

@@ -85,18 +85,15 @@ std::size_t EventQueue::purge_owner(const void* owner) {
   return purged;
 }
 
-std::size_t EventQueue::bridge_purge(std::int32_t node, const void* owner) {
+std::size_t EventQueue::bridge_purge(std::int32_t node, std::uint32_t a,
+                                     std::uint32_t b) {
   const std::uint32_t n = node_index(node);
-  if (owner == nullptr || n >= nodes_.size()) return 0;
+  if (n >= nodes_.size()) return 0;
   NodeSteps& ns = nodes_[n];
-  const auto first = ns.steps.begin() + ns.head;
-  // remove_if applies the predicate exactly once per entry, in order, so
-  // each purged step's slab entry is released exactly once.
-  const auto kept = std::remove_if(first, ns.steps.end(), [&](const BridgeEntry& e) {
-    if (bridge_slots_[e.idx].step.owner != owner) return false;
-    bridge_release(e.idx);
-    return true;
-  });
+  const auto kept = std::remove_if(
+      ns.steps.begin() + ns.head, ns.steps.end(), [&](const BridgeStep& e) {
+        return e.kind == BridgeKind::kArrival && (e.port == a || e.port == b);
+      });
   const auto purged = static_cast<std::size_t>(ns.steps.end() - kept);
   if (purged == 0) return 0;
   ns.steps.erase(kept, ns.steps.end());
@@ -176,101 +173,95 @@ void EventQueue::fire_top() {
 void EventQueue::fire_bridge_top() {
   // The heap's front node holds the globally earliest step at the front of
   // its array: pop it, then re-key the node by its next step (a later key,
-  // so the root only sifts down) or drop it from the heap.
+  // so the root only sifts down) or drop it from the heap. The step is
+  // copied out before it fires: it may arm a successor into this array.
   const std::uint32_t n = nheap_.front().node;
   NodeSteps& ns = nodes_[n];
-  const BridgeEntry top = ns.steps[ns.head++];
+  const BridgeStep top = ns.steps[ns.head++];
   --bridge_count_;
   if (ns.head == ns.steps.size()) {
     ns.steps.clear();
     ns.head = 0;
     nheap_remove(0);
   } else {
-    const BridgeEntry& next = ns.steps[ns.head];
-    nsift_down(0, NodeFront{next.time, next.key, n});
+    const BridgeStep& next = ns.steps[ns.head];
+    nsift_down(0, NodeFront{next.time, next.key, n, next.port});
   }
   if (!nheap_.empty()) {
-    // The next bridged step is known now: start loading its slab entry and
-    // the first four lines of its client (a port's hot block and the hooks
-    // behind it, DESIGN.md §14), so those loads overlap this step's body.
-    // On the k=16 fat-tree they are rarely still cached. Kept inline: in a
-    // helper of its own, GCC judged the prefetch-only call pure and dropped it.
-    const NodeSteps& nx = nodes_[nheap_.front().node];
-    const BridgeEntry& f = nx.steps[nx.head];
-    __builtin_prefetch(&bridge_slots_[f.idx]);
-    const char* client = static_cast<const char*>(f.client);
-    for (int line = 0; line < 4; ++line) __builtin_prefetch(client + 64 * line);
+    // The next bridged step is known now: start loading its entry and its
+    // port's record (DESIGN.md §14), so those loads overlap this step's
+    // body. On the k=16 fat-tree they are rarely still cached. The node
+    // heap carries the front step's port, so the record's address needs no
+    // load from the step array. Kept inline: in a helper of its own, GCC
+    // judged the prefetch-only call pure and dropped it.
+    const NodeFront& f = nheap_.front();
+    const NodeSteps& nx = nodes_[f.node];
+    __builtin_prefetch(nx.steps.data() + nx.head);
+    if (records_ != nullptr && f.port < records_->size()) {
+      const std::byte* rec = records_->record(f.port);
+      __builtin_prefetch(rec);
+      __builtin_prefetch(rec + 64);
+      __builtin_prefetch(rec + 128);
+    }
   }
-  // Copy the POD out and free the slab entry before invoking, mirroring
-  // fire_top: the step may arm its successor into the freed entry.
-  const BridgeStep step = bridge_slots_[top.idx].step;
-  bridge_release(top.idx);
   now_ = top.time;
   ++executed_;
-  ++executed_by_category_[static_cast<std::size_t>(step.cat)];
+  ++executed_by_category_[static_cast<std::size_t>(bridge_category(top.kind))];
   const std::int32_t prev_affinity = detail::tls_affinity;
-  detail::tls_affinity = step.node;
-  step.fire(step.client, step, top.time);
+  detail::tls_affinity = static_cast<std::int32_t>(n) - 1;
+  const BridgeHandler& h = handlers_[static_cast<std::size_t>(top.kind)];
+  h.fire(h.ctx, top);
   detail::tls_affinity = prev_affinity;
 }
 
-std::uint64_t EventQueue::bridge_schedule(fs_t t, const BridgeStep& step) {
+std::uint64_t EventQueue::bridge_schedule(fs_t t, std::int32_t node, BridgeStep step) {
   ++scheduled_;
-  return bridge_insert(t, node_class_key(next_seq_++, true), step);
+  return bridge_insert(t, node_class_key(next_seq_++, true), node, step);
 }
 
-std::uint64_t EventQueue::bridge_schedule_link(fs_t t, std::uint64_t link_sub,
-                                               const BridgeStep& step) {
+void EventQueue::bridge_schedule_link(fs_t t, std::uint64_t link_sub, std::int32_t node,
+                                      BridgeStep step) {
   ++scheduled_;
-  return bridge_insert(t, link_class_key(link_sub), step);
+  bridge_insert(t, link_class_key(link_sub), node, step);
 }
 
-std::uint64_t EventQueue::bridge_insert(fs_t t, std::uint64_t key,
-                                        const BridgeStep& step) {
+std::uint64_t EventQueue::bridge_insert(fs_t t, std::uint64_t key, std::int32_t node,
+                                        BridgeStep step) {
   if (t < now_) throw std::logic_error("EventQueue: bridged step into the past");
-  if (step.fire == nullptr)
-    throw std::invalid_argument("EventQueue: bridged step without a fire fn");
-  std::uint32_t idx;
-  if (!bridge_free_.empty()) {
-    idx = bridge_free_.back();
-    bridge_free_.pop_back();
-  } else {
-    bridge_slots_.emplace_back();
-    bridge_gens_.push_back(1);
-    idx = static_cast<std::uint32_t>(bridge_slots_.size() - 1);
-  }
-  bridge_slots_[idx].step = step;
-  const std::uint32_t n = node_index(step.node);
+  const auto kind = static_cast<std::size_t>(step.kind);
+  if (handlers_ == nullptr || kind >= kBridgeKinds || handlers_[kind].fire == nullptr)
+    throw std::invalid_argument("EventQueue: bridged step of a kind with no handler");
+  step.time = t;
+  step.key = key;
+  const std::uint32_t n = node_index(node);
   if (n >= nodes_.size()) nodes_.resize(n + 1);
   NodeSteps& ns = nodes_[n];
-  std::vector<BridgeEntry>& v = ns.steps;
+  std::vector<BridgeStep>& v = ns.steps;
   if (ns.head > 0 && v.size() == v.capacity()) {
     v.erase(v.begin(), v.begin() + ns.head);  // reuse the popped prefix
     ns.head = 0;
   }
-  // A timer lands at the back; an arrival or an apply usually lands ahead
-  // of the device's sibling timers.
-  const BridgeEntry e{t, key, step.client, idx, step.kind};
-  const auto pos = std::upper_bound(v.begin() + ns.head, v.end(), e, bearlier);
-  const bool front = pos == v.begin() + ns.head;
-  v.insert(pos, e);
+  // A timer lands at the back, behind its siblings' at the same instant (its
+  // key is the newest); an arrival or an apply usually lands ahead of them.
+  const auto first = v.begin() + ns.head;
+  const auto pos = first == v.end() || !bearlier(step, v.back())
+                       ? v.end()
+                       : std::upper_bound(first, v.end(), step, bearlier);
+  const bool front = pos == first;
+  v.insert(pos, step);
   ++bridge_count_;
   if (front) node_reseat(n);
   const std::size_t depth = heap_.size() + bridge_count_;
   if (depth > peak_pending_) peak_pending_ = depth;
-  return (static_cast<std::uint64_t>(bridge_gens_[idx]) << 32) | idx;
+  return key;
 }
 
-bool EventQueue::bridge_cancel(std::uint64_t token) {
-  const auto idx = static_cast<std::uint32_t>(token);
-  const auto gen = static_cast<std::uint32_t>(token >> 32);
-  // gen 0 never names an arming, so token 0 falls out here too.
-  if (gen == 0 || idx >= bridge_slots_.size() || bridge_gens_[idx] != gen) return false;
-  const std::uint32_t n = node_index(bridge_slots_[idx].step.node);
+bool EventQueue::bridge_cancel(std::int32_t node, std::uint64_t token) {
+  const std::uint32_t n = node_index(node);
+  if (token == 0 || n >= nodes_.size()) return false;
   NodeSteps& ns = nodes_[n];
   for (std::size_t pos = ns.head; pos < ns.steps.size(); ++pos) {
-    if (ns.steps[pos].idx != idx) continue;
-    bridge_release(idx);
+    if (ns.steps[pos].key != token) continue;
     --bridge_count_;
     ++cancelled_;
     if (pos == ns.head) {
@@ -296,7 +287,7 @@ void EventQueue::bridge_virtual_fire(EventCategory cat, fs_t t) {
   ++fused_;
 }
 
-bool EventQueue::bridge_tx_fusible(std::int32_t node, const void* tx_client) const {
+bool EventQueue::bridge_tx_fusible(std::int32_t node, std::uint32_t port) const {
   // Exact-heap events at this instant (global faults, fallback services on
   // any node — rare in quiet spans) fire in key order; yield to them.
   const std::uint64_t k = node_class_key(next_seq_, true);
@@ -309,7 +300,7 @@ bool EventQueue::bridge_tx_fusible(std::int32_t node, const void* tx_client) con
   // The array is sorted, so only its prefix at this instant can matter.
   const NodeSteps& ns = nodes_[n];
   for (std::size_t i = ns.head; i < ns.steps.size(); ++i) {
-    const BridgeEntry& p = ns.steps[i];
+    const BridgeStep& p = ns.steps[i];
     if (p.time > now_) break;
     if (p.time < now_) return false;  // cannot happen mid-fire; be safe
     switch (p.kind) {
@@ -320,7 +311,7 @@ bool EventQueue::bridge_tx_fusible(std::int32_t node, const void* tx_client) con
         // unobservable. The one exception is a second chain on the SAME
         // port (a re-arm raced a not-yet-cancelled step): the exact
         // engine fires both services, so the fused path must not.
-        if (p.client == tx_client) return false;
+        if (p.port == port) return false;
         break;
       case BridgeKind::kArrival:
         break;  // link-class key: fires after any node-class event anyway
@@ -341,7 +332,7 @@ bool EventQueue::bridge_apply_fusible(std::int32_t node, fs_t t) const {
   if (node < 0 || n >= nodes_.size()) return true;
   const NodeSteps& ns = nodes_[n];
   for (std::size_t i = ns.head; i < ns.steps.size(); ++i) {
-    const BridgeEntry& p = ns.steps[i];
+    const BridgeStep& p = ns.steps[i];
     if (p.time > t) break;
     if (p.time < t) return false;
     // Same-instant: pending timers and applies carry node-class keys
@@ -353,12 +344,6 @@ bool EventQueue::bridge_apply_fusible(std::int32_t node, fs_t t) const {
   return true;
 }
 
-void EventQueue::bridge_release(std::uint32_t idx) {
-  std::uint32_t& gen = bridge_gens_[idx];
-  if (++gen == 0) ++gen;  // generation 0 is reserved: token 0 is invalid
-  bridge_free_.push_back(idx);
-}
-
 void EventQueue::node_reseat(std::uint32_t n) {
   NodeSteps& ns = nodes_[n];
   if (ns.head == ns.steps.size()) {
@@ -367,8 +352,8 @@ void EventQueue::node_reseat(std::uint32_t n) {
     if (ns.heap_pos != kNoHeapPos) nheap_remove(ns.heap_pos);
     return;
   }
-  const BridgeEntry& f = ns.steps[ns.head];
-  const NodeFront e{f.time, f.key, n};
+  const BridgeStep& f = ns.steps[ns.head];
+  const NodeFront e{f.time, f.key, n, f.port};
   if (ns.heap_pos == kNoHeapPos) {
     nheap_.emplace_back();  // make room; nsift_up fills it
     nsift_up(nheap_.size() - 1, e);

@@ -36,6 +36,7 @@
 
 #include "common/time_units.hpp"
 #include "sim/callback.hpp"
+#include "sim/port_records.hpp"
 
 namespace dtpsim::sim {
 
@@ -173,62 +174,92 @@ class EventQueue {
   // --- Bridged fast-forward steps (DESIGN.md §12) ---------------------------
   //
   // A bridged step is a POD replacement for one quiet-path event: instead of
-  // a generation-counted slot holding a Callback closure, the step stores a
-  // bare function pointer plus a few payload words in its own slab, merged
-  // with the real heap by (time, key). Because a step is armed at the exact
-  // call position where the event it replaces would have consumed a sequence
-  // number — and fires at the same (time, key) — every counter, RNG draw
-  // position, and tie order is bit-identical to the cycle-exact engine.
+  // a generation-counted slot holding a Callback closure, the step is a
+  // 48-byte record (sort key, port id, kind, payload) stored by value in its
+  // node's sorted array, merged with the real heap by (time, key). Because a
+  // step is armed at the exact call position where the event it replaces
+  // would have consumed a sequence number — and fires at the same (time,
+  // key) — every counter, RNG draw position, and tie order is bit-identical
+  // to the cycle-exact engine.
 
   /// What a bridged step does to its node's state. The fusion gates use this
   /// to decide which *pending* steps a fused event may run ahead of: steps on
   /// other nodes are state-disjoint by construction (each node's state is
   /// only touched by its own events), so only same-node pendings matter, and
   /// among those the kind tells the gate whether firing order is observable.
+  /// The kind also picks the handler that fires the step.
   enum class BridgeKind : std::uint8_t {
     kOther = 0,  ///< unclassified: gates treat it as blocking
     kTx,         ///< beacon timer: reads/writes only its own port + cable
     kArrival,    ///< cable delivery: link-class key, fires after node events
     kApply,      ///< CDC visibility: delivers control, mutates agent counters
   };
+  static constexpr std::size_t kBridgeKinds = 4;
 
-  /// One bridged step. `fire(client, step, t)` runs when the step's (time,
-  /// key) reaches the front; `t` is the step's time (== now() by then). The
-  /// payload words a/b/c/d are opaque to the queue.
+  /// The category a step of `kind` is counted under when it fires.
+  static constexpr EventCategory bridge_category(BridgeKind kind) {
+    switch (kind) {
+      case BridgeKind::kTx: return EventCategory::kBeacon;
+      case BridgeKind::kArrival:
+      case BridgeKind::kApply: return EventCategory::kFrame;
+      case BridgeKind::kOther: break;
+    }
+    return EventCategory::kGeneric;
+  }
+
+  /// One pending bridged step, by value in its node's array. The queue sets
+  /// `time` and `key`; the arming layer sets the rest. `port` is the
+  /// sim::PortRecords id the step acts on, and a/b/c are a payload opaque to
+  /// the queue. A step has no cancellation slot: its key, unique within the
+  /// queue, is its token.
   struct BridgeStep {
-    void (*fire)(void* client, const BridgeStep& step, fs_t t) = nullptr;
-    void* client = nullptr;
-    const void* owner = nullptr;  ///< bridge_purge tag (cable deliveries)
-    std::uint64_t a = 0;          ///< payload word (e.g. 56-bit idle block)
-    fs_t b = 0;                   ///< payload time (e.g. wire arrival)
-    std::int64_t c = 0;           ///< payload index (e.g. visible tick)
-    std::int32_t d = 0;           ///< payload flags (e.g. extra | corrupted)
-    std::int32_t node = -1;       ///< affinity the fire runs under
-    EventCategory cat = EventCategory::kGeneric;
+    fs_t time = 0;
+    std::uint64_t key = 0;    ///< (class, subkey), as HeapEntry::key
+    std::uint64_t a = 0;      ///< payload word (e.g. 56-bit idle block + flags)
+    fs_t b = 0;               ///< payload time (e.g. wire arrival)
+    std::int64_t c = 0;       ///< payload index (e.g. visible tick)
+    std::uint32_t port = 0;   ///< port record id
     BridgeKind kind = BridgeKind::kOther;
   };
+  static_assert(sizeof(BridgeStep) == 48, "a pending bridged step is 48 bytes");
 
-  /// Arm a node-class step: consumes the next sequence number and counts as
-  /// scheduled, exactly like schedule() would for the event it replaces.
-  /// Returns a cancellation token, (slot generation << 32 | slab index); 0
-  /// is never a token. Like a Handle, a token for a fired or cancelled step
-  /// no-ops in bridge_cancel, even once its slab entry is reused.
-  std::uint64_t bridge_schedule(fs_t t, const BridgeStep& step);
+  /// Fires the steps of one kind. The layer that arms steps of a kind
+  /// registers its handler with the Simulator; the step fires with the clock
+  /// at its time and the affinity of its node.
+  struct BridgeHandler {
+    void (*fire)(void* ctx, const BridgeStep& step) = nullptr;
+    void* ctx = nullptr;
+  };
 
-  /// Arm a link-class step with an explicit delivery subkey, like
+  /// Point the queue at its simulator's handler table (kBridgeKinds
+  /// entries) and port records (prefetched at fire time). Both outlive it.
+  void bind_bridge(const BridgeHandler* handlers, const PortRecords* records) {
+    handlers_ = handlers;
+    records_ = records;
+  }
+
+  /// Arm a node-class step for `node`: consumes the next sequence number and
+  /// counts as scheduled, exactly like schedule() would for the event it
+  /// replaces. Returns the step's key, its cancellation token (never 0).
+  /// Like a Handle, a token for a fired or cancelled step no-ops in
+  /// bridge_cancel: keys are never reused.
+  std::uint64_t bridge_schedule(fs_t t, std::int32_t node, BridgeStep step);
+
+  /// Arm a link-class step for `node` with an explicit delivery subkey, like
   /// schedule_link.
-  std::uint64_t bridge_schedule_link(fs_t t, std::uint64_t link_sub,
-                                     const BridgeStep& step);
+  void bridge_schedule_link(fs_t t, std::uint64_t link_sub, std::int32_t node,
+                            BridgeStep step);
 
-  /// Cancel a pending step by token; counts as cancelled. Stale tokens
-  /// (fired or already cancelled) return false. Costs a scan of the step's
-  /// node array plus O(log nodes).
-  bool bridge_cancel(std::uint64_t token);
+  /// Cancel `node`'s pending step with key `token`; counts as cancelled.
+  /// Stale tokens (fired or already cancelled) return false. Costs a scan of
+  /// the node's array plus O(log nodes).
+  bool bridge_cancel(std::int32_t node, std::uint64_t token);
 
-  /// Remove (and count as cancelled) every pending step of `node` tagged
-  /// with `owner`: a cable's bridged arrivals sit in its two end nodes'
-  /// arrays, so an unplug purges those two instead of the whole slab.
-  std::size_t bridge_purge(std::int32_t node, const void* owner);
+  /// Remove (and count as cancelled) every pending arrival of `node` into
+  /// port `a` or `b`: an unplug purges its cable's in-flight blocks from its
+  /// two end nodes' arrays. All of them are that cable's, since every
+  /// earlier cable of either port purged its own when it went.
+  std::size_t bridge_purge(std::int32_t node, std::uint32_t a, std::uint32_t b);
 
   /// Account for an event that is fused inline and never enters any heap:
   /// consume a sequence number and count a schedule. Must be called at the
@@ -239,12 +270,12 @@ class EventQueue {
   void bridge_virtual_fire(EventCategory cat, fs_t t);
 
   /// True when a control-service event fused inline *right now* by the
-  /// beacon timer of `tx_client` (a PortLogic) on `node` cannot be observed
-  /// firing out of order. Exact-heap events at this instant block (global
-  /// faults, fallback services); among same-node pending bridge steps only
-  /// another port's beacon timer is benign — a timer body touches nothing
-  /// outside its own port and cable, so the fused service commutes with it.
-  bool bridge_tx_fusible(std::int32_t node, const void* tx_client) const;
+  /// beacon timer of `port` on `node` cannot be observed firing out of
+  /// order. Exact-heap events at this instant block (global faults, fallback
+  /// services); among same-node pending bridge steps only another port's
+  /// beacon timer is benign — a timer body touches nothing outside its own
+  /// port and cable, so the fused service commutes with it.
+  bool bridge_tx_fusible(std::int32_t node, std::uint32_t port) const;
 
   /// True when a CDC visibility event for `node` fused inline for instant
   /// `t` (>= now) cannot be observed firing out of order: nothing in the
@@ -365,28 +396,7 @@ class EventQueue {
     return a.key < b.key;
   }
 
-  /// Slab entry for a bridged step: one cache line, which a fire reads
-  /// whole. Its generation lives apart, in `bridge_gens_`, and advances
-  /// every time the entry is released, so a token names one arming of it
-  /// (as Slot::gen does for a Handle): a free entry's generation was never
-  /// handed out, so a token whose generation matches names a pending step.
-  struct alignas(64) BridgeSlot {
-    BridgeStep step;
-  };
-  static_assert(sizeof(BridgeSlot) == 64, "bridge slot must stay one cache line");
-
-  /// A pending step in its node's array: the sort key, the slab index, and
-  /// the two fields the fusion gates test, so a gate never reads the slab.
-  struct BridgeEntry {
-    fs_t time;
-    std::uint64_t key;  // same (class, subkey) order as HeapEntry
-    const void* client;
-    std::uint32_t idx;  ///< bridge slab index
-    BridgeKind kind;
-  };
-  static_assert(sizeof(BridgeEntry) == 32, "two bridge entries per cache line");
-
-  static bool bearlier(const BridgeEntry& a, const BridgeEntry& b) {
+  static bool bearlier(const BridgeStep& a, const BridgeStep& b) {
     if (a.time != b.time) return a.time < b.time;
     return a.key < b.key;
   }
@@ -398,7 +408,7 @@ class EventQueue {
   /// while it has nothing pending. Index 0 holds the steps of node -1 (bare
   /// ports), node n sits at n + 1.
   struct NodeSteps {
-    std::vector<BridgeEntry> steps;
+    std::vector<BridgeStep> steps;
     std::uint32_t head = 0;
     std::uint32_t heap_pos = kNoHeapPos;
   };
@@ -409,7 +419,9 @@ class EventQueue {
     fs_t time;
     std::uint64_t key;
     std::uint32_t node;  ///< index into nodes_
+    std::uint32_t port;  ///< the front step's port, to prefetch its record
   };
+  static_assert(sizeof(NodeFront) == 24, "the port rides in the entry's padding");
 
   static bool nearlier(const NodeFront& a, const NodeFront& b) {
     if (a.time != b.time) return a.time < b.time;
@@ -435,8 +447,8 @@ class EventQueue {
   }
   void fire_top();
 
-  std::uint64_t bridge_insert(fs_t t, std::uint64_t key, const BridgeStep& step);
-  void bridge_release(std::uint32_t idx);
+  std::uint64_t bridge_insert(fs_t t, std::uint64_t key, std::int32_t node,
+                              BridgeStep step);
   /// Re-key node `n` in the node heap after its front changed (or its
   /// array emptied).
   void node_reseat(std::uint32_t n);
@@ -471,9 +483,8 @@ class EventQueue {
   std::vector<std::uint32_t> free_slots_;
   std::vector<HeapEntry> heap_;
   std::unordered_map<std::uint32_t, Forward> forwards_;
-  std::vector<BridgeSlot> bridge_slots_;
-  std::vector<std::uint32_t> bridge_gens_;  ///< per slab entry; 0 never used
-  std::vector<std::uint32_t> bridge_free_;
+  const BridgeHandler* handlers_ = nullptr;  ///< kBridgeKinds entries
+  const PortRecords* records_ = nullptr;     ///< prefetched at fire time
   std::vector<NodeSteps> nodes_;   ///< pending steps by node_index
   std::vector<NodeFront> nheap_;   ///< nodes with pending steps, by front
   std::size_t bridge_count_ = 0;   ///< steps pending over all nodes

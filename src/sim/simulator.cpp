@@ -10,7 +10,9 @@
 
 namespace dtpsim::sim {
 
-Simulator::Simulator(std::uint64_t seed) : seed_(seed), root_rng_(seed) {}
+Simulator::Simulator(std::uint64_t seed) : seed_(seed), root_rng_(seed) {
+  global_q_.bind_bridge(bridge_handlers_.data(), &records_);
+}
 
 Simulator::~Simulator() = default;
 
@@ -271,8 +273,7 @@ void Simulator::set_threads(unsigned threads) {
   if (global_q_.bridge_pending() > 0)
     throw std::logic_error(
         "Simulator::set_threads: bridged steps pending — shard before running "
-        "a bridged simulation (bridged steps carry raw pointers, not "
-        "migratable slots)");
+        "a bridged simulation");
   if (threads <= 1 || node_weights_.empty()) return;
   PartitionInput in;
   in.nodes = static_cast<std::int32_t>(node_weights_.size());
@@ -287,6 +288,8 @@ void Simulator::set_threads(unsigned threads) {
   PartitionResult part = partition_graph(in, static_cast<std::int32_t>(threads));
   if (part.shards <= 1) return;  // graph doesn't split; stay serial
   engine_ = std::make_unique<ParallelEngine>(in, std::move(part), global_q_.next_seq());
+  for (std::int32_t s = 0; s < engine_->shard_count(); ++s)
+    engine_->shard_queue(s).bind_bridge(bridge_handlers_.data(), &records_);
   if (obs_ != nullptr) engine_->set_wall_profile(&obs_->wall());
   migrate_pending();
   engine_->advance_all(global_q_.now());
@@ -364,8 +367,7 @@ EventQueue& Simulator::bridge_context_queue(std::int32_t node) {
   // event's own node would land (route_schedule invariants); outside one,
   // fall back to explicit routing.
   if (EventQueue* q = detail::tls_queue) return *q;
-  if (!engine_ || node < 0) return global_q_;
-  return engine_->shard_queue(engine_->shard_of(node));
+  return node_queue(node);
 }
 
 const EventQueue& Simulator::bridge_context_queue(std::int32_t node) const {
@@ -374,26 +376,25 @@ const EventQueue& Simulator::bridge_context_queue(std::int32_t node) const {
   return engine_->shard_queue(engine_->shard_of(node));
 }
 
+EventQueue& Simulator::node_queue(std::int32_t node) {
+  if (!engine_ || node < 0) return global_q_;
+  return engine_->shard_queue(engine_->shard_of(node));
+}
+
 Simulator::BridgeToken Simulator::bridge_schedule(std::int32_t node, fs_t t,
                                                   const EventQueue::BridgeStep& step) {
   // Mirrors route_schedule exactly, so the step consumes the same sequence
   // number from the same queue as the event it replaces.
-  if (!engine_) return BridgeToken{0, global_q_.bridge_schedule(t, step)};
   if (ShardRt* cur = detail::tls_shard) {
     if (node < 0 || engine_->shard_of(node) != cur->index)
       throw std::logic_error("Simulator: worker bridged step outside its shard");
-    return BridgeToken{static_cast<std::uint32_t>(1 + cur->index),
-                       cur->queue.bridge_schedule(t, step)};
   }
-  if (node < 0) return BridgeToken{0, global_q_.bridge_schedule(t, step)};
-  const std::int32_t s = engine_->shard_of(node);
-  return BridgeToken{static_cast<std::uint32_t>(1 + s),
-                     engine_->shard_queue(s).bridge_schedule(t, step)};
+  return BridgeToken{node, node_queue(node).bridge_schedule(t, node, step)};
 }
 
 bool Simulator::bridge_cancel(BridgeToken tok) {
   if (!tok.valid()) return false;
-  return queue_at(tok.queue).bridge_cancel(tok.token);
+  return node_queue(tok.node).bridge_cancel(tok.node, tok.key);
 }
 
 bool Simulator::bridge_deliver_link(std::int32_t dst_node, fs_t arrival,
@@ -401,21 +402,12 @@ bool Simulator::bridge_deliver_link(std::int32_t dst_node, fs_t arrival,
                                     const EventQueue::BridgeStep& step) {
   // Mirrors deliver_link's three-way routing; the cross-shard worker case
   // keeps the exact mailbox path (Callback hand-off), so it reports false.
-  if (!engine_ || dst_node < 0) {
-    global_q_.bridge_schedule_link(arrival, link_sub, step);
-    return true;
-  }
-  const std::int32_t dst_shard = engine_->shard_of(dst_node);
   ShardRt* cur = detail::tls_shard;
-  if (cur == nullptr) {
-    engine_->shard_queue(dst_shard).bridge_schedule_link(arrival, link_sub, step);
-    return true;
-  }
-  if (cur->index == dst_shard) {
-    cur->queue.bridge_schedule_link(arrival, link_sub, step);
-    return true;
-  }
-  return false;
+  if (engine_ && dst_node >= 0 && cur != nullptr &&
+      cur->index != engine_->shard_of(dst_node))
+    return false;
+  node_queue(dst_node).bridge_schedule_link(arrival, link_sub, dst_node, step);
+  return true;
 }
 
 std::uint64_t Simulator::bridge_virtual_schedule(std::int32_t node) {
@@ -426,8 +418,8 @@ void Simulator::bridge_virtual_fire(std::int32_t node, EventCategory cat, fs_t t
   bridge_context_queue(node).bridge_virtual_fire(cat, t);
 }
 
-bool Simulator::bridge_tx_fusible(std::int32_t node, const void* tx_client) const {
-  return bridge_context_queue(node).bridge_tx_fusible(node, tx_client);
+bool Simulator::bridge_tx_fusible(std::int32_t node, std::uint32_t port) const {
+  return bridge_context_queue(node).bridge_tx_fusible(node, port);
 }
 
 bool Simulator::bridge_fusible_at(std::int32_t node, fs_t t) const {
@@ -436,17 +428,14 @@ bool Simulator::bridge_fusible_at(std::int32_t node, fs_t t) const {
 }
 
 std::size_t Simulator::purge_deliveries(const void* owner, std::int32_t a,
-                                        std::int32_t b) {
+                                        std::int32_t b, std::uint32_t port_a,
+                                        std::uint32_t port_b) {
   if (detail::tls_shard != nullptr)
     throw std::logic_error("Simulator::purge_deliveries: coordinator-only");
   // Bridged arrivals land on the destination node's queue (bridge_deliver_
   // link), and bare ports (node -1) share the global queue's array.
-  auto node_queue = [this](std::int32_t node) -> EventQueue& {
-    if (!engine_ || node < 0) return global_q_;
-    return engine_->shard_queue(engine_->shard_of(node));
-  };
-  std::size_t n = node_queue(a).bridge_purge(a, owner);
-  n += node_queue(b).bridge_purge(b, owner);  // a no-op when b shares a's array
+  std::size_t n = node_queue(a).bridge_purge(a, port_a, port_b);
+  n += node_queue(b).bridge_purge(b, port_a, port_b);  // a no-op when b shares a's array
   if (engine_) n += global_q_.purge_owner(owner) + engine_->purge_owner(owner);
   return n;
 }

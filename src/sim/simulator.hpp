@@ -24,6 +24,7 @@
 /// coordinator thread between segments, so cross-layer code that samples
 /// many devices at once never races a worker.
 
+#include <array>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
@@ -35,6 +36,7 @@
 #include "sim/arena.hpp"
 #include "sim/callback.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/port_records.hpp"
 
 namespace dtpsim::obs {
 class Hub;
@@ -190,6 +192,11 @@ class Simulator {
   /// Coordinator-only, like building the network.
   Arena& arena() { return arena_; }
 
+  /// The per-port records of the quiet beacon cycle (port_records.hpp).
+  /// Coordinator-only to grow, like building the network.
+  PortRecords& port_records() { return records_; }
+  const PortRecords& port_records() const { return records_; }
+
   // --- Device graph registration (parallel partitioning input) -------------
 
   /// Register a device; returns its node id. Weight starts at 1 and grows
@@ -253,11 +260,19 @@ class Simulator {
   EngineMode engine_mode() const { return engine_mode_; }
   bool bridged() const { return engine_mode_ == EngineMode::kBridged; }
 
-  /// Cancellation token for a bridged step; (queue, per-queue token).
+  /// Register the handler that fires bridged steps of `kind`: the layer
+  /// that arms them does, when it builds its first object (phy::PhyPort
+  /// arrivals and applies, dtp::PortLogic beacon timers). Coordinator-only.
+  void set_bridge_handler(EventQueue::BridgeKind kind, EventQueue::BridgeHandler h) {
+    bridge_handlers_[static_cast<std::size_t>(kind)] = h;
+  }
+
+  /// Cancellation token for a bridged step: its node and its key. A node's
+  /// steps all sit in one queue, so the node names it.
   struct BridgeToken {
-    std::uint32_t queue = 0;
-    std::uint64_t token = 0;
-    bool valid() const { return token != 0; }
+    std::int32_t node = -1;
+    std::uint64_t key = 0;
+    bool valid() const { return key != 0; }
   };
 
   /// Arm a node-class bridged step for `node` at `t`, routed to the same
@@ -281,9 +296,9 @@ class Simulator {
   std::uint64_t bridge_virtual_schedule(std::int32_t node);
   void bridge_virtual_fire(std::int32_t node, EventCategory cat, fs_t t);
 
-  /// True when `tx_client`'s beacon timer on `node` may fuse its control
+  /// True when the beacon timer of `port` on `node` may fuse its control
   /// service inline at the current instant (see EventQueue::bridge_tx_fusible).
-  bool bridge_tx_fusible(std::int32_t node, const void* tx_client) const;
+  bool bridge_tx_fusible(std::int32_t node, std::uint32_t port) const;
 
   /// True when a CDC visibility event for `node` may be fused inline for the
   /// *future* instant `t`: nothing of this node fires before its slot, and
@@ -299,12 +314,14 @@ class Simulator {
                            fs_t arrival, Callback fn, EventCategory cat,
                            const void* owner, std::uint64_t link_key);
 
-  /// Cancel every pending delivery tagged with `owner`, a cable between
-  /// nodes `a` and `b` (coordinator-only; used by Cable::disconnect). Its
-  /// bridged arrivals sit in the two end nodes' step arrays; only a
-  /// parallel run also scans the exact slabs, for mailbox-routed deliveries
-  /// that returned no handle. Returns how many.
-  std::size_t purge_deliveries(const void* owner, std::int32_t a, std::int32_t b);
+  /// Cancel every pending delivery of a cable tagged `owner` that joins
+  /// port `port_a` on node `a` to port `port_b` on node `b` (coordinator-
+  /// only; used by Cable::disconnect). Its bridged arrivals into either
+  /// port sit in the two end nodes' step arrays; only a parallel run also
+  /// scans the exact slabs, for mailbox-routed deliveries that returned no
+  /// handle. Returns how many.
+  std::size_t purge_deliveries(const void* owner, std::int32_t a, std::int32_t b,
+                               std::uint32_t port_a, std::uint32_t port_b);
 
   // --- Observability --------------------------------------------------------
 
@@ -321,6 +338,8 @@ class Simulator {
   }
   EventQueue& queue_at(std::uint32_t q);
   const EventQueue& queue_at(std::uint32_t q) const;
+  /// The queue that holds `node`'s bridged steps.
+  EventQueue& node_queue(std::int32_t node);
   /// Queue the currently-executing event context owns for `node` — the
   /// bridge's fused accounting must hit the queue exact scheduling would.
   EventQueue& bridge_context_queue(std::int32_t node);
@@ -336,9 +355,11 @@ class Simulator {
   /// fixpoint. Coordinator-only.
   void process_instant(fs_t t);
 
-  // First member, so the arena outlives the queues and the worker threads
-  // whose pending work may still point into it.
+  // First members, so the arena and the port records outlive the queues and
+  // the worker threads whose pending work may still point into them.
   Arena arena_;
+  PortRecords records_;
+  std::array<EventQueue::BridgeHandler, EventQueue::kBridgeKinds> bridge_handlers_{};
   std::uint64_t seed_;
   Rng root_rng_;
   EngineMode engine_mode_ = EngineMode::kBridged;

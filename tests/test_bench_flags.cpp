@@ -114,6 +114,15 @@ TEST(BenchFlagsDeathTest, MalformedDurationExitsWithDiagnostic) {
               "--wd-backoff=200 is not a duration with a unit suffix");
 }
 
+TEST(BenchFlagsDeathTest, DurationThatRoundsToZeroExitsWithDiagnostic) {
+  // 1e-9 ns is positive but below one femtosecond: accepting it would make
+  // a zero check period, which the watchdog replaces with its 50 us default.
+  const Flags f = make_flags({"--wd-check-period=1e-9ns"});
+  EXPECT_EXIT(f.get_duration("wd-check-period", dtpsim::from_us(50)),
+              testing::ExitedWithCode(2),
+              "--wd-check-period=1e-9ns is not a duration .*rounds to 0 fs");
+}
+
 TEST(BenchFlagsDeathTest, MalformedDoubleExitsWithDiagnostic) {
   const Flags f = make_flags({"--seconds=2,5"});
   EXPECT_EXIT(f.get_double("seconds", 9.0), testing::ExitedWithCode(2),

@@ -17,6 +17,7 @@
 
 #include "chaos/engine.hpp"
 #include "chaos/plan.hpp"
+#include "check/sentinel.hpp"
 #include "dtp/network.hpp"
 #include "net/topology.hpp"
 #include "sim/simulator.hpp"
@@ -242,9 +243,106 @@ TEST(EngineBridgeFatTree, BridgedSerialAndTwoThreadsMatchExact) {
   EXPECT_EQ(shards, 2) << "the fat-tree did not shard";
 }
 
+/// Integer-only observables of the quiet k=8 fat-tree (no faults, seed 43,
+/// 400 us) folded into one digest: every agent's true offset against agent 0
+/// at each 100 us, the engine's schedule/fire/cancel totals, and every
+/// port's control-block and CDC counters.
+std::string quiet_fat_tree_digest(Simulator::EngineMode mode) {
+  Simulator sim(43);
+  sim.set_engine(mode);
+  net::Network net(sim);
+  net::build_fat_tree(net, 8, 4);
+  dtp::DtpNetwork dtp = dtp::enable_dtp(net);
+  check::RunDigest d;
+  for (int slice = 1; slice <= 4; ++slice) {
+    sim.run_until(from_us(100) * slice);
+    for (std::size_t i = 1; i < dtp.size(); ++i)
+      d.mix_i128(dtp::true_offset_units(dtp.agent(i), dtp.agent(0), sim.now()));
+  }
+  const SimStats st = sim.stats();
+  d.mix(st.scheduled);
+  d.mix(st.executed);
+  d.mix(st.cancelled);
+  for (net::Device* dev : net.devices())
+    for (std::size_t p = 0; p < dev->port_count(); ++p) {
+      d.mix(dev->port(p).control_blocks_sent());
+      d.mix(dev->port(p).fifo_crossings());
+      d.mix(dev->port(p).fifo_extra_cycles());
+    }
+  return d.hex();
+}
+
+TEST(EngineBridgeFatTree, QuietRunMatchesPinnedDigest) {
+  // The exact-vs-bridged differential cannot see a change in code both
+  // engines share — the port records, the counter arithmetic, the CDC
+  // crossing. This constant was recorded before the per-port records
+  // replaced the per-object hot blocks, and every layout change since must
+  // reproduce it.
+  constexpr const char* kPinned = "277ee52721306375";
+  EXPECT_EQ(quiet_fat_tree_digest(Simulator::EngineMode::kBridged), kPinned);
+  EXPECT_EQ(quiet_fat_tree_digest(Simulator::EngineMode::kExact), kPinned);
+}
+
+TEST(PortRecordLayout, FatTreeDevicesOwnContiguousRunsOfWholeLines) {
+  // A device's records are one run in port order (the fat-tree builder
+  // reserves them), every record is three whole lines, so no line holds two
+  // ports' state — let alone two devices', which may sit on two shards.
+  Simulator sim(43);
+  net::Network net(sim);
+  net::build_fat_tree(net, 8, 4);
+  const PortRecords& records = sim.port_records();
+  std::uint32_t next_id = 0;
+  for (net::Device* dev : net.devices()) {
+    ASSERT_GT(dev->port_count(), 0u);
+    const std::uint32_t first = dev->port(0).id();
+    EXPECT_GE(first, next_id) << dev->name() << " starts inside an earlier device's run";
+    for (std::size_t p = 0; p < dev->port_count(); ++p) {
+      const std::uint32_t id = dev->port(p).id();
+      EXPECT_EQ(id, first + p) << dev->name() << " port " << p;
+      const auto addr = reinterpret_cast<std::uintptr_t>(records.record(id));
+      EXPECT_EQ(addr % 64, 0u) << dev->name() << " port " << p;
+      if (p > 0) {
+        EXPECT_EQ(addr - reinterpret_cast<std::uintptr_t>(records.record(id - 1)),
+                  PortRecords::kBytes)
+            << dev->name() << " port " << p;
+      }
+    }
+    next_id = first + static_cast<std::uint32_t>(dev->port_count());
+  }
+}
+
+#if defined(__SANITIZE_ADDRESS__)
+TEST(PortRecordLifetimeDeathTest, CrashedAgentsRecordHalvesArePoisoned) {
+  // A node crash destroys the agent mid-run; its port logics' record halves
+  // go out of use with it. A stale read of that state must fault under
+  // AddressSanitizer, as a heap use-after-free did before the records, and
+  // a restarted agent's halves must be readable again.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Simulator sim(7);
+  net::Network net(sim);
+  net::PaperTreeTopology topo = net::build_paper_tree(net);
+  dtp::DtpNetwork dtp = dtp::enable_dtp(net);
+  sim.run_until(from_us(200));
+  net::Device& victim = *topo.aggs[1];
+  const std::uint32_t id = victim.port(0).id();
+  const volatile std::byte* upper = sim.port_records().upper(id);
+  const volatile std::byte* phy = sim.port_records().phy(id);
+  ASSERT_TRUE(dtp.remove_agent(victim));
+  EXPECT_DEATH((void)upper[0], "use-after-poison");
+  EXPECT_DEATH((void)upper[PortRecords::kUpperBytes - 1], "use-after-poison");
+  (void)phy[0];  // the PHY half lives on with the device
+  dtp::Agent& restarted = dtp.attach_agent(victim);
+  (void)upper[0];
+  EXPECT_EQ(restarted.port_logic(0).id(), id);
+  sim.run_until(from_us(400));
+  EXPECT_EQ(restarted.port_logic(0).state(), dtp::PortState::kSynced);
+}
+#endif
+
 TEST_F(EngineBridge, SetThreadsWithPendingBridgeStepsThrows) {
-  // Sharding moves events between queues; bridge tokens name a queue, so
-  // re-sharding mid-flight is refused rather than silently misrouted.
+  // Sharding moves pending events between queues; pending bridged steps
+  // are not moved, so sharding mid-flight is refused rather than silently
+  // leaving them on the coordinator's queue.
   Simulator sim(7);
   sim.set_engine(Simulator::EngineMode::kBridged);
   net::NetworkParams np;

@@ -147,33 +147,29 @@ TEST(Simulator, CancelOwnHandleInsideCallbackIsNoop) {
 
 // A bridged step's token must behave like an EventHandle: the three handle
 // tests above, through bridge_schedule / bridge_cancel.
-struct CountingStep {
-  int fired = 0;
-  static void fire(void* client, const EventQueue::BridgeStep&, fs_t) {
-    ++static_cast<CountingStep*>(client)->fired;
+struct CountingSteps {
+  std::vector<int> fired;
+  CountingSteps(Simulator& sim, std::size_t n) : fired(n) {
+    sim.set_bridge_handler(EventQueue::BridgeKind::kTx, {&CountingSteps::fire, this});
   }
-  EventQueue::BridgeStep step() {
+  static void fire(void* ctx, const EventQueue::BridgeStep& s) {
+    ++static_cast<CountingSteps*>(ctx)->fired[s.port];
+  }
+  static EventQueue::BridgeStep step(std::uint32_t i) {
     EventQueue::BridgeStep s;
-    s.fire = &CountingStep::fire;
-    s.client = this;
-    s.node = 0;
+    s.port = i;
     s.kind = EventQueue::BridgeKind::kTx;
     return s;
   }
 };
 
-/// The slab index a token names (its low word).
-std::uint32_t token_slot(Simulator::BridgeToken tok) {
-  return static_cast<std::uint32_t>(tok.token);
-}
-
 TEST(SimulatorBridge, CancelAfterFireReturnsFalseAndRecordsNothing) {
   Simulator sim;
-  CountingStep c;
-  const auto tok = sim.bridge_schedule(0, 10_ns, c.step());
+  CountingSteps c(sim, 1);
+  const auto tok = sim.bridge_schedule(0, 10_ns, CountingSteps::step(0));
   ASSERT_TRUE(tok.valid());
   sim.run();
-  EXPECT_EQ(c.fired, 1);
+  EXPECT_EQ(c.fired[0], 1);
   EXPECT_FALSE(sim.bridge_cancel(tok));
   EXPECT_FALSE(sim.bridge_cancel(tok));
   EXPECT_EQ(sim.events_pending(), 0u);
@@ -182,40 +178,42 @@ TEST(SimulatorBridge, CancelAfterFireReturnsFalseAndRecordsNothing) {
 
 TEST(SimulatorBridge, CancelTwiceSecondIsNoop) {
   Simulator sim;
-  CountingStep c;
-  const auto tok = sim.bridge_schedule(0, 10_ns, c.step());
+  CountingSteps c(sim, 1);
+  const auto tok = sim.bridge_schedule(0, 10_ns, CountingSteps::step(0));
   EXPECT_TRUE(sim.bridge_cancel(tok));
   EXPECT_FALSE(sim.bridge_cancel(tok));
   EXPECT_EQ(sim.events_pending(), 0u);
   EXPECT_EQ(sim.stats().cancelled, 1u);
   sim.run();
-  EXPECT_EQ(c.fired, 0);
+  EXPECT_EQ(c.fired[0], 0);
   EXPECT_EQ(sim.stats().cancelled, 1u);
 }
 
+// A token is the step's key, and keys are never reused: a stale token
+// cannot cancel a later step of the same node at the same instant.
 TEST(SimulatorBridge, StaleTokenCannotCancelReusedSlot) {
   Simulator sim;
-  CountingStep cancelled, fired, fresh;
-  const auto stale = sim.bridge_schedule(0, 10_ns, cancelled.step());
+  CountingSteps c(sim, 3);  // 0 cancelled, 1 fired, 2 fresh
+  const auto stale = sim.bridge_schedule(0, 10_ns, CountingSteps::step(0));
   EXPECT_TRUE(sim.bridge_cancel(stale));
-  const auto reused = sim.bridge_schedule(0, 10_ns, fresh.step());
-  ASSERT_EQ(token_slot(reused), token_slot(stale)) << "the freed entry is reused";
+  const auto reused = sim.bridge_schedule(0, 10_ns, CountingSteps::step(2));
+  ASSERT_NE(reused.key, stale.key) << "keys are never reused";
   EXPECT_FALSE(sim.bridge_cancel(stale));
   EXPECT_EQ(sim.events_pending(), 1u);
   sim.run();
-  EXPECT_EQ(fresh.fired, 1);
+  EXPECT_EQ(c.fired[2], 1);
 
   // The same after a fire instead of a cancel.
-  const auto spent = sim.bridge_schedule(0, 20_ns, fired.step());
+  const auto spent = sim.bridge_schedule(0, 20_ns, CountingSteps::step(1));
   sim.run();
-  EXPECT_EQ(fired.fired, 1);
-  const auto again = sim.bridge_schedule(0, 30_ns, fresh.step());
-  ASSERT_EQ(token_slot(again), token_slot(spent));
+  EXPECT_EQ(c.fired[1], 1);
+  const auto again = sim.bridge_schedule(0, 30_ns, CountingSteps::step(2));
+  ASSERT_NE(again.key, spent.key);
   EXPECT_FALSE(sim.bridge_cancel(spent));
   EXPECT_EQ(sim.events_pending(), 1u);
   sim.run();
-  EXPECT_EQ(fresh.fired, 2);
-  EXPECT_EQ(cancelled.fired, 0);
+  EXPECT_EQ(c.fired[2], 2);
+  EXPECT_EQ(c.fired[0], 0);
   EXPECT_EQ(sim.stats().cancelled, 1u);
 }
 

@@ -95,5 +95,16 @@ TEST(TimeUnits, CheckedConversionRejectsWhatTheCastCannotHold) {
   EXPECT_THROW(to_fs_checked(9223.37, kFsPerSec, from_sec(8)), std::invalid_argument);
 }
 
+TEST(TimeUnits, ParseDurationRejectsWhatRoundsToZero) {
+  // Positive, but below one femtosecond: the conversion truncates to 0, and
+  // a zero period or horizon would silently become the consumer's default
+  // (or an empty window that still prints a verdict).
+  EXPECT_THROW(parse_duration("1e-9ns"), std::invalid_argument);
+  EXPECT_THROW(parse_duration("1e-20s"), std::invalid_argument);
+  // One femtosecond is the smallest duration there is.
+  EXPECT_EQ(parse_duration("1e-6ns"), 1);
+  EXPECT_EQ(parse_duration("0.000001ns"), 1);
+}
+
 }  // namespace
 }  // namespace dtpsim

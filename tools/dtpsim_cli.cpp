@@ -455,6 +455,8 @@ Options parse(int argc, char** argv) {
     } catch (const std::invalid_argument& e) {
       throw UsageError(std::string("--seconds: ") + e.what());
     }
+    // A verdict over an empty window would claim a horizon that never ran.
+    if (o.duration <= 0) throw UsageError("--seconds: the duration rounds to 0 fs");
   }
   return o;
 }
@@ -923,8 +925,9 @@ int run(const Options& o) {
     sim.run_until(settle);
     start_load();
     double worst_ticks = 0;
+    // Sample every 100 us; the last slice ends at the horizon itself.
     while (sim.now() < settle + duration) {
-      sim.run_until(sim.now() + from_us(100));
+      sim.run_until(std::min(sim.now() + from_us(100), settle + duration));
       worst_ticks = std::max(worst_ticks, dtp.max_pairwise_offset_ticks(sim.now()));
     }
     finish_obs(session.get(), o);
