@@ -5,9 +5,11 @@
 #
 # Runs every case in GOLDEN_DIR/cases.txt and compares its exit status,
 # stdout and stderr (plus the file named by --json-out, when the case passes
-# one) with GOLDEN_DIR/<case>.txt. The only masked field is the wall-clock
-# "N.NN Mevents/s" rate on the events line. With -DUPDATE=ON the golden
-# files are rewritten from the current binary instead; review the diff.
+# one) with GOLDEN_DIR/<case>.txt, and a --metrics file named
+# <case>.metrics.json with the golden file of that name. The only masked
+# field is the wall-clock "N.NN Mevents/s" rate on the events line. With
+# -DUPDATE=ON the golden files are rewritten from the current binary
+# instead; review the diff.
 
 foreach(var DTPSIM GOLDEN_DIR WORK_DIR)
   if(NOT DEFINED ${var})
@@ -47,10 +49,33 @@ foreach(line IN LISTS lines)
   endif()
   math(EXPR count "${count} + 1")
 
+  # A --metrics file named after its case is pinned too, in its own golden
+  # file GOLDEN_DIR/<name>.metrics.json.
+  set(metrics_file "${name}.metrics.json")
+  string(FIND "${flags}" "--metrics=${metrics_file}" metrics_pos)
+  set(metrics "<missing>")
+  if(metrics_pos GREATER -1 AND EXISTS "${WORK_DIR}/${metrics_file}")
+    file(READ "${WORK_DIR}/${metrics_file}" metrics)
+  endif()
+
   set(golden_file "${GOLDEN_DIR}/${name}.txt")
   if(UPDATE)
     file(WRITE "${golden_file}" "${actual}")
+    if(metrics_pos GREATER -1)
+      file(WRITE "${GOLDEN_DIR}/${metrics_file}" "${metrics}")
+    endif()
     continue()
+  endif()
+  if(metrics_pos GREATER -1)
+    set(expected_metrics "")
+    if(EXISTS "${GOLDEN_DIR}/${metrics_file}")
+      file(READ "${GOLDEN_DIR}/${metrics_file}" expected_metrics)
+    endif()
+    if(NOT metrics STREQUAL expected_metrics)
+      message("MISMATCH ${name}: diff ${GOLDEN_DIR}/${metrics_file} ${WORK_DIR}/${metrics_file}")
+      list(APPEND failed "${name}")
+      continue()
+    endif()
   endif()
   set(expected "")
   if(EXISTS "${golden_file}")
