@@ -17,6 +17,8 @@ OffsetProbe::OffsetProbe(sim::Simulator& sim, Agent& sender, std::size_t sender_
   if (s_port.peer() != &r_port)
     throw std::invalid_argument("OffsetProbe: ports are not cabled together");
 
+  // Runs inside the receiver's event, so it reads the receiver alone
+  // (DESIGN.md §12): the sender may already have applied steps past rx_time.
   receiver_.port_logic(receiver_port_).on_log_received =
       [this](std::uint64_t t1_lsb, WideCounter t2, fs_t rx_time) {
         const int bits = receiver_.params().parity ? kParityPayloadBits : kDtpPayloadBits;
@@ -27,13 +29,14 @@ OffsetProbe::OffsetProbe(sim::Simulator& sim, Agent& sender, std::size_t sender_
         const double ticks = static_cast<double>(static_cast<long long>(offset_units)) /
                              static_cast<double>(receiver_.params().counter_delta);
         hw_series_.add(to_sec_f(rx_time), ticks);
-        true_series_.add(to_sec_f(rx_time),
-                         true_offset_fractional(receiver_, sender_, rx_time) /
-                             static_cast<double>(receiver_.params().counter_delta));
       };
 }
 
 void OffsetProbe::fire() {
+  // A global event: every node stands at now(), so both counters can be read.
+  const fs_t now = sim_.now();
+  true_series_.add(to_sec_f(now), true_offset_fractional(receiver_, sender_, now) /
+                                      static_cast<double>(receiver_.params().counter_delta));
   sender_.port_logic(sender_port_).send_log(0);
 }
 

@@ -12,9 +12,9 @@
 /// estimates the clock offset between the two devices, including the
 /// sync-FIFO nondeterminism — i.e. it measures exactly what the authors
 /// measured, biases included. `OffsetProbe` reproduces that harness for one
-/// directed link; it simultaneously records the ground-truth offset
-/// (directly comparing the two global counters), which only a simulator can
-/// see.
+/// directed link; it also records the ground-truth offset (directly
+/// comparing the two global counters), which only a simulator can see, each
+/// time it sends a LOG message.
 
 #include <functional>
 
@@ -42,7 +42,7 @@ class OffsetProbe {
   /// offset_hw samples, in *ticks* (counter units / delta), vs time.
   const TimeSeries& hw_series() const { return hw_series_; }
   /// Ground-truth offsets (receiver gc - sender gc, fractional ticks),
-  /// sampled at the same instants the LOG messages are received.
+  /// sampled in the probe's own global event, as each LOG message is sent.
   const TimeSeries& true_series() const { return true_series_; }
 
   std::size_t samples() const { return hw_series_.points().size(); }

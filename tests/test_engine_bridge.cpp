@@ -9,16 +9,22 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
+#include "chaos/campaign.hpp"
 #include "chaos/engine.hpp"
 #include "chaos/plan.hpp"
 #include "check/sentinel.hpp"
 #include "dtp/network.hpp"
+#include "dtp/probe.hpp"
+#include "net/frame.hpp"
 #include "net/topology.hpp"
 #include "sim/simulator.hpp"
 #include "stress/campaign.hpp"
@@ -430,6 +436,63 @@ TEST(EngineDefault, SaturatedTreeSchedulesNoSpilledCallbacks) {
               100000u);
     EXPECT_EQ(st.callback_spills, 0u)
         << (mode == Simulator::EngineMode::kExact ? "exact" : "bridged");
+  }
+}
+
+/// Every (time, value) point of a series, for exact comparison.
+std::vector<std::pair<double, double>> points_of(const TimeSeries& s) {
+  std::vector<std::pair<double, double>> out;
+  for (const TimeSeries::Point& p : s.points()) out.emplace_back(p.t_sec, p.value);
+  return out;
+}
+
+/// The Fig. 6a measurement: an OffsetProbe across every link of the Fig. 5
+/// tree, in both directions, under the MTU load. Returns each probe's
+/// offset_hw series followed by its ground-truth series.
+std::vector<std::vector<std::pair<double, double>>> fig6a_probe_series(
+    Simulator::EngineMode mode) {
+  stress::Scenario s;
+  s.net.enable_drift = true;
+  s.horizon = from_ms(16);
+  stress::Campaign c(s, {6001, 1, mode == Simulator::EngineMode::kBridged});
+  dtp::DtpNetwork& dtp = c.dtp();
+  std::vector<std::unique_ptr<dtp::OffsetProbe>> probes;
+  for (std::size_t i = 0; i < dtp.size(); ++i)
+    for (std::size_t p = 0; p < dtp.agent(i).port_count(); ++p)
+      for (std::size_t j = 0; j < dtp.size(); ++j)
+        for (std::size_t q = 0; q < dtp.agent(j).port_count(); ++q)
+          if (dtp.agent(i).port_logic(p).phy_port().peer() ==
+              &dtp.agent(j).port_logic(q).phy_port())
+            probes.push_back(std::make_unique<dtp::OffsetProbe>(
+                c.sim(), dtp.agent(i), p, dtp.agent(j), q, from_us(10)));
+  c.sim().run_until(from_ms(2));
+  chaos::CanonicalCampaign::start_heavy_load(c.net(), c.tree(), net::kMtuFrameBytes);
+  c.sim().run_until(from_ms(4));
+  for (auto& probe : probes) probe->start();
+  c.sim().run_until(s.horizon);
+
+  std::vector<std::vector<std::pair<double, double>>> out;
+  for (const auto& probe : probes) out.push_back(points_of(probe->hw_series()));
+  for (const auto& probe : probes) out.push_back(points_of(probe->true_series()));
+  return out;
+}
+
+TEST(EngineBridgeProbe, OffsetProbesUnderMtuLoadMatchExact) {
+  // A probe's receive hook runs inside the receiver's apply step, which the
+  // bridged engine may fuse while the sender's next apply is already done.
+  // The hook reads the receiver alone and the ground truth is sampled in
+  // the probe's global event, so both engines record the same series.
+  const auto exact = fig6a_probe_series(Simulator::EngineMode::kExact);
+  const auto bridged = fig6a_probe_series(Simulator::EngineMode::kBridged);
+  ASSERT_EQ(exact.size(), 44u);  // 11 links, both directions, two series each
+  ASSERT_EQ(bridged.size(), exact.size());
+  for (std::size_t i = 0; i < exact.size(); ++i) {
+    EXPECT_GT(exact[i].size(), 1000u);
+    ASSERT_EQ(bridged[i].size(), exact[i].size()) << "series " << i;
+    const auto diff = std::mismatch(exact[i].begin(), exact[i].end(), bridged[i].begin());
+    EXPECT_TRUE(diff.first == exact[i].end())
+        << "series " << i << " first differs at t=" << diff.first->first
+        << " s: exact " << diff.first->second << ", bridged " << diff.second->second;
   }
 }
 
