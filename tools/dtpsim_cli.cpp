@@ -219,11 +219,13 @@ fs_t parse_duration_flag(const std::string& key, const std::string& v) {
 }
 
 /// Strict parse of "k=K,hosts=H[,pods=P]" (the part after "fat-tree:").
-/// Anything malformed — unknown key, missing k/hosts, odd k, a host count
-/// that doesn't spread evenly over the edge switches — is a UsageError, so
-/// a typo exits 2 instead of silently building a different fabric.
+/// Anything malformed — unknown or repeated key, missing k/hosts, odd k, a
+/// host count that doesn't spread evenly over the edge switches — is a
+/// UsageError, so a typo exits 2 instead of silently building a different
+/// fabric.
 void parse_fat_tree_spec(const std::string& spec, Options& o) {
   int k = -1, hosts = -1, pods = -1;
+  std::vector<std::string> seen;
   if (spec.empty())
     throw UsageError("--topology=fat-tree: needs k=K,hosts=H");
   std::size_t start = 0;
@@ -236,13 +238,15 @@ void parse_fat_tree_spec(const std::string& spec, Options& o) {
       throw UsageError("--topology=fat-tree: bad item '" + item + "' (want key=value)");
     const std::string sk = item.substr(0, eq);
     const std::string sv = item.substr(eq + 1);
-    const int n = parse_int<int>("topology", sv);
-    if (sk == "k") k = n;
-    else if (sk == "hosts") hosts = n;
-    else if (sk == "pods") pods = n;
-    else
+    const int n = parse_int<int>("topology=fat-tree:" + sk, sv);
+    int* slot = sk == "k" ? &k : sk == "hosts" ? &hosts : sk == "pods" ? &pods : nullptr;
+    if (slot == nullptr)
       throw UsageError("--topology=fat-tree: unknown key '" + sk +
                        "' (want k, hosts, pods)");
+    if (contains(seen, sk))
+      throw UsageError("--topology=fat-tree: key '" + sk + "' is given more than once");
+    seen.push_back(sk);
+    *slot = n;
     if (comma == std::string::npos) break;
     start = comma + 1;
   }
@@ -331,6 +335,8 @@ Options parse(int argc, char** argv) {
                       "holdover-ceiling", "wd-check-period", "wd-backoff"}))
       throw UsageError("unknown flag '--" + key + "'");
     if (key == "help") continue;  // handled in main() before parsing
+    // The last of a repeated flag would silently win.
+    if (contains(o.given, key)) throw UsageError("--" + key + " is given more than once");
     o.given.push_back(key);
     if (key == "drift") {
       if (has_value && value != "true" && value != "false")
