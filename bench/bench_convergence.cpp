@@ -82,9 +82,9 @@ int main(int argc, char** argv) {
   std::printf("\nPTP-to-DTP convergence ratio: %.0fx\n", ratio);
 
   const bool pass =
-      check("DTP converges within ~2 beacon intervals (+ slot/propagation)",
-            dtp_converged_at >= 0 && dtp_converged_at < 8 * 200 * 6'400'000LL) &
-      check("PTP takes several orders of magnitude longer", ratio > 1'000.0);
+      benchutil::check("DTP converges within ~2 beacon intervals (+ slot/propagation)",
+                       dtp_converged_at >= 0 && dtp_converged_at < 8 * 200 * 6'400'000LL) &
+      benchutil::check("PTP takes several orders of magnitude longer", ratio > 1'000.0);
   BenchJson json;
   json.add("bench", std::string("convergence"));
   json.add("dtp_converged_ns", to_ns_f(dtp_converged_at >= 0 ? dtp_converged_at : 0));

@@ -50,7 +50,7 @@ int main(int argc, char** argv) {
   BenchJson json;
   json.add("seed", ro.seed);
   json.add("beacon_interval_ticks",
-           static_cast<std::uint64_t>(c.scenario().dtp.beacon_interval_ticks));
+           static_cast<std::uint64_t>(c.scenario().dtp->beacon_interval_ticks));
   for (const auto& [cls, s] : report.by_class()) {
     json.add(cls + "_n", static_cast<std::uint64_t>(s.n));
     json.add(cls + "_converged", static_cast<std::uint64_t>(s.converged));

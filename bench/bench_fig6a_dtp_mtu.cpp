@@ -27,9 +27,7 @@ int main(int argc, char** argv) {
   DtpTreeExperiment exp(seed, params);
 
   // Converge, then load, then measure (links established before apps).
-  exp.sim.run_until(from_ms(2));
-  exp.start_heavy_load(net::kMtuFrameBytes);
-  exp.sim.run_until(from_ms(4));
+  exp.converge_then_load(net::kMtuFrameBytes);
   exp.start_probes();
   const auto counter_offsets = exp.measure_link_offsets(from_ms(4) + duration);
 
@@ -56,10 +54,10 @@ int main(int argc, char** argv) {
   std::printf("worst counter offset across all pairs: %.2f ticks (%.1f ns)\n", worst,
               worst * 6.4);
   const bool pass =
-      check("pair counter offsets within 4TD = 4 ticks (+1 tick instantaneous-\n         sampling quantum the paper's 2-per-second probe cannot observe)",
-            all_ok) &
-      check("network actually under load",
-            exp.tree.leaves[0]->nic().stats().tx_frames > 10'000);
+      benchutil::check("pair counter offsets within 4TD = 4 ticks (+1 tick instantaneous-\n         sampling quantum the paper's 2-per-second probe cannot observe)",
+                       all_ok) &
+      benchutil::check("network actually under load",
+                       exp.tree.leaves[0]->nic().stats().tx_frames > 10'000);
   BenchJson json;
   json.add("bench", std::string("fig6a_dtp_mtu"));
   json.add("worst_ticks", worst);

@@ -24,9 +24,7 @@ int main(int argc, char** argv) {
   params.beacon_interval_ticks = 1200;
   DtpTreeExperiment exp(seed, params);
 
-  exp.sim.run_until(from_ms(2));
-  exp.start_heavy_load(net::kJumboFrameBytes);
-  exp.sim.run_until(from_ms(4));
+  exp.converge_then_load(net::kJumboFrameBytes);
   exp.start_probes();
   const auto counter_offsets = exp.measure_link_offsets(from_ms(4) + duration);
 
@@ -55,8 +53,9 @@ int main(int argc, char** argv) {
               worst * 6.4);
 
   const bool pass =
-      check("pair counter offsets within 4TD = 4 ticks (+1 sampling quantum)", all_ok) &
-      check("beacon interval ~1200 ticks", interval_ticks > 1100 && interval_ticks < 1500);
+      benchutil::check("pair counter offsets within 4TD = 4 ticks (+1 sampling quantum)", all_ok) &
+      benchutil::check("beacon interval ~1200 ticks",
+                       interval_ticks > 1100 && interval_ticks < 1500);
   BenchJson json;
   json.add("bench", std::string("fig6b_dtp_jumbo"));
   json.add("worst_ticks", worst);

@@ -26,9 +26,7 @@ int main(int argc, char** argv) {
   params.beacon_interval_ticks = 1200;
   DtpTreeExperiment exp(seed, params);
 
-  exp.sim.run_until(from_ms(2));
-  exp.start_heavy_load(net::kJumboFrameBytes);
-  exp.sim.run_until(from_ms(4));
+  exp.converge_then_load(net::kJumboFrameBytes);
   exp.start_probes();
   exp.sim.run_until(from_ms(4) + duration);
 
@@ -65,7 +63,7 @@ int main(int argc, char** argv) {
     concentrated &= *hist.max_seen() - *hist.min_seen() <= 6;  // paper: -2..4
   }
 
-  const bool pass = check(
+  const bool pass = benchutil::check(
       "S3 offset_hw concentrated on a few adjacent ticks, span <= 6 (paper: Fig. 6c)",
       concentrated);
   BenchJson json;

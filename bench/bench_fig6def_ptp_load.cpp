@@ -73,22 +73,23 @@ int main(int argc, char** argv) {
   bool pass = true;
   if (which == "all" || which == "idle") {
     idle = run_condition("idle", duration, time_scale, seed);
-    pass &= check("idle PTP at sub-microsecond (hundreds of ns; paper: Fig. 6d)",
-                  idle.max_ns < 2'000.0 && idle.max_ns > 10.0);
+    pass &= benchutil::check("idle PTP at sub-microsecond (hundreds of ns; paper: Fig. 6d)",
+                             idle.max_ns < 2'000.0 && idle.max_ns > 10.0);
   }
   if (which == "all" || which == "medium") {
     medium = run_condition("medium", duration, time_scale, seed + 1);
-    pass &= check("medium load pushes PTP to tens of microseconds (paper: Fig. 6e)",
-                  medium.max_ns > 3'000.0 && medium.max_ns < 400'000.0);
+    pass &= benchutil::check("medium load pushes PTP to tens of microseconds (paper: Fig. 6e)",
+                             medium.max_ns > 3'000.0 && medium.max_ns < 400'000.0);
   }
   if (which == "all" || which == "heavy") {
     heavy = run_condition("heavy", duration, time_scale, seed + 2);
-    pass &= check("heavy load pushes PTP to ~hundred-microsecond errors (paper: Fig. 6f)",
-                  heavy.max_ns > 20'000.0);
+    pass &= benchutil::check(
+        "heavy load pushes PTP to ~hundred-microsecond errors (paper: Fig. 6f)",
+        heavy.max_ns > 20'000.0);
   }
   if (which == "all") {
-    pass &= check("degradation is monotone in load (idle < medium < heavy)",
-                  idle.max_ns < medium.max_ns && medium.max_ns < heavy.max_ns);
+    pass &= benchutil::check("degradation is monotone in load (idle < medium < heavy)",
+                             idle.max_ns < medium.max_ns && medium.max_ns < heavy.max_ns);
     std::printf(
         "\nsummary: idle %.0f ns -> medium %.0f ns -> heavy %.0f ns; DTP stays at\n"
         "25.6 ns regardless of load (bench_fig6a/6b) — the paper's core contrast.\n",

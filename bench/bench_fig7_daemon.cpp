@@ -80,9 +80,9 @@ int main(int argc, char** argv) {
   print_series(daemons[0]->smoothed_series(), 10, "ticks");
 
   const bool pass =
-      check("raw offset_sw usually within 16 ticks (paper: Fig. 7a)", raw_ok) &
-      check("smoothed offset_sw usually within 4 ticks (paper: Fig. 7b)", smooth_ok) &
-      check("smoothing reduces spread (aggregate stddev)", smooth_sd_sum < raw_sd_sum);
+      benchutil::check("raw offset_sw usually within 16 ticks (paper: Fig. 7a)", raw_ok) &
+      benchutil::check("smoothed offset_sw usually within 4 ticks (paper: Fig. 7b)", smooth_ok) &
+      benchutil::check("smoothing reduces spread (aggregate stddev)", smooth_sd_sum < raw_sd_sum);
   BenchJson json;
   json.add("bench", std::string("fig7_daemon"));
   json.add("raw_sd_sum", raw_sd_sum);

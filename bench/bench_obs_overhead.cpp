@@ -42,9 +42,7 @@ Outcome run_fig6a(std::uint64_t seed, fs_t duration, bool with_obs) {
   // Converge, then load — same phasing as bench_sentinel_overhead. The
   // session attaches before the measured window so its probe registration
   // and snapshot scheduling cost is on the clock too.
-  exp.sim.run_until(from_ms(2));
-  exp.start_heavy_load(net::kMtuFrameBytes);
-  exp.sim.run_until(from_ms(4));
+  exp.converge_then_load(net::kMtuFrameBytes);
 
   const fs_t end = from_ms(4) + duration;
   std::unique_ptr<obs::Session> session;

@@ -37,9 +37,7 @@ Outcome run_fig6a(std::uint64_t seed, fs_t duration, bool with_sentinel) {
   // Converge, then load — same phasing as bench_fig6a_dtp_mtu. The sentinel
   // attaches before the measured window so its settle/arm cost is on the
   // clock too.
-  exp.sim.run_until(from_ms(2));
-  exp.start_heavy_load(net::kMtuFrameBytes);
-  exp.sim.run_until(from_ms(4));
+  exp.converge_then_load(net::kMtuFrameBytes);
 
   std::unique_ptr<check::Sentinel> sentinel;
   if (with_sentinel)

@@ -31,25 +31,20 @@ struct ProtoResult {
 };
 
 ProtoResult run_ntp(fs_t duration, std::uint64_t seed) {
-  sim::Simulator sim(seed);
-  net::Network net(sim);
-  auto star = net::build_star(net, 3);
-  ntp::NtpServer server(sim, *star.hosts[0]);
-  ntp::NtpClientParams cp;
-  cp.poll_interval = from_ms(250);
-  std::vector<std::unique_ptr<ntp::NtpClient>> clients;
-  for (int i = 1; i <= 2; ++i) {
-    clients.push_back(std::make_unique<ntp::NtpClient>(
-        sim, *star.hosts[static_cast<std::size_t>(i)], star.hosts[0]->addr(),
-        server.clock(), cp));
-    clients.back()->start();
-  }
-  sim.run_until(duration);
+  // A timeserver and two clients around one switch.
+  stress::Scenario s;
+  s.dtp.reset();
+  s.topology = [](net::Network& net) { return net::build_star(net, 3).hosts; };
+  s.ntp = ntp::NtpClientParams{};
+  s.ntp->poll_interval = from_ms(250);
+  s.horizon = duration;
+  stress::Campaign c(std::move(s), stress::RunOptions(seed));
+  c.run();
   double worst = 0;
   std::uint64_t pkts = 0;
-  for (auto& c : clients) {
-    worst = std::max(worst, tail_max_abs(c->true_series(), 0.4));
-    pkts += 2 * c->polls_sent();  // request + response
+  for (const auto& client : c.ntp_clients()) {
+    worst = std::max(worst, tail_max_abs(client->true_series(), 0.4));
+    pkts += 2 * client->polls_sent();  // request + response
   }
   return {worst, static_cast<double>(pkts) / to_sec_f(duration)};
 }
@@ -131,16 +126,16 @@ int main(int argc, char** argv) {
   std::printf("\n%s\n", t.render().c_str());
 
   const bool pass =
-      check("NTP lands at microsecond scale (paper: us)",
-            ntp.precision_ns > 1'000 && ntp.precision_ns < 1'000'000) &
-      check("PTP lands at sub-microsecond scale when idle (paper: sub-us)",
-            ptp.precision_ns > 10 && ptp.precision_ns < 2'000) &
-      check("GPS lands at nanosecond scale (paper: ns)", gps.precision_ns < 1'000) &
-      check("DTP lands at nanosecond scale (paper: ns)", dtp.precision_ns < 60.0) &
-      check("DTP sends zero packets", dtp.packets_per_sec == 0.0) &
-      check("GPS sends zero packets", gps.packets_per_sec == 0.0) &
-      check("NTP/PTP have real packet overhead",
-            ntp.packets_per_sec > 1 && ptp.packets_per_sec > 1);
+      benchutil::check("NTP lands at microsecond scale (paper: us)",
+                       ntp.precision_ns > 1'000 && ntp.precision_ns < 1'000'000) &
+      benchutil::check("PTP lands at sub-microsecond scale when idle (paper: sub-us)",
+                       ptp.precision_ns > 10 && ptp.precision_ns < 2'000) &
+      benchutil::check("GPS lands at nanosecond scale (paper: ns)", gps.precision_ns < 1'000) &
+      benchutil::check("DTP lands at nanosecond scale (paper: ns)", dtp.precision_ns < 60.0) &
+      benchutil::check("DTP sends zero packets", dtp.packets_per_sec == 0.0) &
+      benchutil::check("GPS sends zero packets", gps.packets_per_sec == 0.0) &
+      benchutil::check("NTP/PTP have real packet overhead",
+                       ntp.packets_per_sec > 1 && ptp.packets_per_sec > 1);
   BenchJson json;
   json.add("bench", std::string("table1_comparison"));
   json.add("ntp_precision_ns", ntp.precision_ns);

@@ -35,6 +35,7 @@
 #include "dtp/network.hpp"
 #include "dtp/timebase.hpp"
 #include "net/topology.hpp"
+#include "stress/campaign.hpp"
 
 namespace dtpsim {
 namespace {
@@ -121,37 +122,33 @@ struct FleetResult {
 
 /// Phase 2: the 64-host simulated fleet, serial or with worker threads.
 FleetResult run_fleet(std::uint64_t seed, fs_t window, unsigned threads) {
-  sim::Simulator sim(seed);
-  net::Network net(sim, {});
-  const net::FatTreeTopology ft = net::build_fat_tree(net, 4, /*hosts_per_edge=*/8);
-  dtp::DtpNetwork dtp = dtp::enable_dtp(net, {});
-
-  apps::AppHarnessParams hp;
-  hp.daemon.poll_period = from_ms(1);
-  hp.daemon.sample_period = 0;
-  hp.readers_per_host = 16;
-  hp.reader_period = from_us(50);
-  apps::AppHarness harness(sim, dtp, ft.hosts, hp);
-
-  check::Sentinel sentinel(net, dtp);
-  for (std::size_t i = 0; i < harness.size(); ++i)
-    sentinel.watch_timebase(&harness.daemon(i));
+  stress::Scenario s;
+  s.topology = [](net::Network& net) { return net::build_fat_tree(net, 4, 8).hosts; };
+  s.apps = [](stress::Campaign&) {
+    apps::AppHarnessParams hp;
+    hp.daemon.poll_period = from_ms(1);
+    hp.daemon.sample_period = 0;
+    hp.readers_per_host = 16;
+    hp.reader_period = from_us(50);
+    return hp;
+  };
   // Cold start is blacked out like a campaign fault window: for the first
   // couple of polls the fabric is still max-adopting counters across six
   // hops, and a 2-poll rate estimate cannot bound a join-time counter step.
   // The honesty gate judges steady-state serving.
-  sentinel.add_blackout(0, from_ms(4));
+  s.sentinel = check::SentinelParams{};
+  s.blackouts = {{0, from_ms(4)}};
+  s.horizon = window;
+  stress::Campaign c(std::move(s), {seed, threads});
+  c.run();
 
-  harness.start_daemons();
-  harness.start_apps(from_ms(3));
-  if (threads > 1) sim.set_threads(threads);
-  sim.run_until(window);
-
+  apps::ReaderFleet& fleet = *c.apps()->readers();
+  const check::Sentinel& sentinel = *c.sentinel();
   FleetResult out;
-  out.readers = harness.readers()->size();
-  out.total_reads = harness.readers()->total_reads();
-  out.stale_reads = harness.readers()->total_stale_reads();
-  out.fleet_digest = harness.readers()->digest().hex();
+  out.readers = fleet.size();
+  out.total_reads = fleet.total_reads();
+  out.stale_reads = fleet.total_stale_reads();
+  out.fleet_digest = fleet.digest().hex();
   out.sentinel_digest = sentinel.digest().hex();
   out.timebase_checks = sentinel.stats().timebase_checks;
   for (const auto& v : sentinel.violations()) {

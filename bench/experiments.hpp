@@ -2,7 +2,8 @@
 
 /// Reusable experiment setups mirroring the paper's two testbeds (Fig. 5):
 /// the DTP tree (S0 root, S1-S3 aggregation, S4-S11 leaves) and the PTP
-/// star (timeserver + clients through one cut-through switch).
+/// star (timeserver + clients through one cut-through switch). Both are
+/// campaign rows built by stress::Campaign; the benches drive the clock.
 
 #include <memory>
 #include <stdexcept>
@@ -13,31 +14,9 @@
 #include "dtp/network.hpp"
 #include "dtp/probe.hpp"
 #include "net/topology.hpp"
-#include "ptp/client.hpp"
-#include "ptp/grandmaster.hpp"
-#include "ptp/transparent.hpp"
-#include "sim/simulator.hpp"
+#include "stress/campaign.hpp"
 
 namespace dtpsim::benchutil {
-
-/// Find which port of `receiver` is cabled to some port of `sender`.
-inline std::size_t port_toward(dtp::Agent& receiver, dtp::Agent& sender) {
-  for (std::size_t r = 0; r < receiver.port_count(); ++r) {
-    auto* peer = receiver.port_logic(r).phy_port().peer();
-    for (std::size_t s = 0; s < sender.port_count(); ++s) {
-      if (peer == &sender.port_logic(s).phy_port()) return r;
-    }
-  }
-  throw std::logic_error("port_toward: agents are not adjacent");
-}
-
-inline std::size_t port_toward_device(dtp::Agent& receiver, dtp::Agent& sender,
-                                      std::size_t sender_port) {
-  auto* target = &sender.port_logic(sender_port).phy_port();
-  for (std::size_t r = 0; r < receiver.port_count(); ++r)
-    if (receiver.port_logic(r).phy_port().peer() == target) return r;
-  throw std::logic_error("port_toward_device: not adjacent");
-}
 
 /// Both testbeds run with the oscillators' thermal drift walk on.
 inline net::NetworkParams default_net_params() {
@@ -46,20 +25,32 @@ inline net::NetworkParams default_net_params() {
   return np;
 }
 
+/// The Fig. 5 tree running DTP with `params`, idle until a bench loads it.
+inline stress::Scenario dtp_tree_row(dtp::DtpParams params) {
+  stress::Scenario s;
+  s.net = default_net_params();
+  s.dtp = params;
+  return s;
+}
+
 /// The Fig. 5 DTP deployment with the paper's measurement probes.
 struct DtpTreeExperiment {
-  sim::Simulator sim;
-  net::Network net;
-  net::PaperTreeTopology tree;
-  dtp::DtpNetwork dtp;
+  stress::Campaign campaign;
+  sim::Simulator& sim;
+  net::Network& net;
+  const net::PaperTreeTopology& tree;
+  dtp::DtpNetwork& dtp;
   std::vector<std::string> probe_names;
   std::vector<std::unique_ptr<dtp::OffsetProbe>> probes;
   std::vector<std::pair<dtp::Agent*, dtp::Agent*>> probe_pairs;
 
-  DtpTreeExperiment(std::uint64_t seed, dtp::DtpParams params,
-                    net::NetworkParams net_params = default_net_params())
-      : sim(seed), net(sim, net_params), tree(net::build_paper_tree(net)) {
-    dtp = dtp::enable_dtp(net, params);
+  DtpTreeExperiment(std::uint64_t seed, dtp::DtpParams params)
+      : campaign(dtp_tree_row(params), stress::RunOptions(seed)),
+        sim(campaign.sim()),
+        net(campaign.net()),
+        tree(campaign.tree()),
+        dtp(campaign.dtp()) {
+    campaign.start();
     // The measured pairs of Fig. 6a/6b: leaf -> its aggregation switch, and
     // each aggregation switch -> root.
     add_probe("s1-s4", *tree.leaves[0], *tree.aggs[0]);
@@ -74,15 +65,20 @@ struct DtpTreeExperiment {
     add_probe("s3-s0", *tree.aggs[2], *tree.root);
   }
 
+  /// Probe the link between two adjacent devices, LOGs sent by `sender_dev`.
   void add_probe(const std::string& name, net::Device& sender_dev, net::Device& receiver_dev) {
     dtp::Agent* sender = dtp.agent_of(&sender_dev);
     dtp::Agent* receiver = dtp.agent_of(&receiver_dev);
-    const std::size_t s_port = port_toward(*sender, *receiver);
-    const std::size_t r_port = port_toward_device(*receiver, *sender, s_port);
-    probe_names.push_back(name);
-    probe_pairs.emplace_back(sender, receiver);
-    probes.push_back(std::make_unique<dtp::OffsetProbe>(sim, *sender, s_port, *receiver,
-                                                        r_port, from_us(10)));
+    for (std::size_t s = 0; s < sender->port_count(); ++s)
+      for (std::size_t r = 0; r < receiver->port_count(); ++r)
+        if (sender->port_logic(s).phy_port().peer() == &receiver->port_logic(r).phy_port()) {
+          probe_names.push_back(name);
+          probe_pairs.emplace_back(sender, receiver);
+          probes.push_back(
+              std::make_unique<dtp::OffsetProbe>(sim, *sender, s, *receiver, r, from_us(10)));
+          return;
+        }
+    throw std::logic_error("add_probe: " + name + " is not a link");
   }
 
   /// Largest |counter difference| (integer units — the quantity the paper's
@@ -106,42 +102,49 @@ struct DtpTreeExperiment {
     for (auto& p : probes) p->start();
   }
 
-  /// Cross-aggregation saturating flows loading every link with `bytes`
-  /// frames (the "heavily loaded" condition of Fig. 6a/6b).
-  void start_heavy_load(std::uint32_t frame_bytes) {
+  /// The Fig. 6 phasing: converge idle for 2 ms, then load every link with
+  /// cross-aggregation saturating flows of `frame_bytes` frames (the
+  /// "heavily loaded" condition of Fig. 6a/6b) and run to 4 ms, where the
+  /// measured window starts.
+  void converge_then_load(std::uint32_t frame_bytes) {
+    sim.run_until(from_ms(2));
     chaos::CanonicalCampaign::start_heavy_load(net, tree, frame_bytes);
+    sim.run_until(from_ms(4));
   }
 };
 
-/// The paper's PTP testbed: clients + timeserver around one cut-through
-/// switch configured as a transparent clock, Timekeeper-style smoothing.
-struct PtpStarExperiment {
-  sim::Simulator sim;
-  net::Network net;
-  net::StarTopology star;  ///< hosts[0] is the timeserver
-  std::unique_ptr<ptp::Grandmaster> gm;
-  std::vector<std::unique_ptr<ptp::PtpClient>> clients;
-  std::unique_ptr<ptp::TransparentClockAdapter> tc;
+/// The paper's PTP testbed as a campaign row: `n_clients` clients and a
+/// timeserver (the first host) around one cut-through switch configured as
+/// a transparent clock, Timekeeper-style smoothing, no DTP.
+/// \param time_scale  divides the paper's 1 s sync interval so shorter
+///                    simulations reach steady state (4 = 250 ms syncs)
+inline stress::Scenario ptp_star_row(std::size_t n_clients, int time_scale) {
+  stress::Scenario s;
+  s.net = default_net_params();
+  s.dtp.reset();
+  s.topology = [n_clients](net::Network& net) { return net::build_star(net, n_clients + 1).hosts; };
+  s.ptp = stress::PtpSetup{};
+  s.ptp->grandmaster.sync_interval = from_sec(1) / time_scale;
+  s.ptp->grandmaster.announce_interval = 2 * s.ptp->grandmaster.sync_interval;
+  s.ptp->client.delay_req_interval = from_ms(750) / time_scale;  // 2 per 1.5 s, scaled
+  return s;
+}
 
-  /// \param time_scale  divides the paper's 1 s sync interval so shorter
-  ///                    simulations reach steady state (4 = 250 ms syncs)
-  PtpStarExperiment(std::uint64_t seed, std::size_t n_clients, int time_scale = 4,
-                    ptp::TransparentClockParams tc_params = {})
-      : sim(seed),
-        net(sim, default_net_params()),
-        star(net::build_star(net, n_clients + 1)) {
-    ptp::GrandmasterParams gp;
-    gp.sync_interval = from_sec(1) / time_scale;
-    gp.announce_interval = 2 * gp.sync_interval;
-    gm = std::make_unique<ptp::Grandmaster>(sim, *star.hosts[0], gp);
-    ptp::PtpClientParams cp;
-    cp.delay_req_interval = from_ms(750) / time_scale;  // 2 per 1.5 s, scaled
-    for (std::size_t i = 1; i <= n_clients; ++i)
-      clients.push_back(std::make_unique<ptp::PtpClient>(sim, *star.hosts[i],
-                                                         gm->phc(), cp));
-    tc = std::make_unique<ptp::TransparentClockAdapter>(*star.hub, tc_params);
-    gm->start();
-    for (auto& c : clients) c->start();
+/// The PTP star testbed; `hosts[0]` is the timeserver.
+struct PtpStarExperiment {
+  stress::Campaign campaign;
+  sim::Simulator& sim;
+  const std::vector<net::Host*>& hosts;
+  ptp::Grandmaster* gm;
+  const std::vector<std::unique_ptr<ptp::PtpClient>>& clients;
+
+  PtpStarExperiment(std::uint64_t seed, std::size_t n_clients, int time_scale = 4)
+      : campaign(ptp_star_row(n_clients, time_scale), stress::RunOptions(seed)),
+        sim(campaign.sim()),
+        hosts(campaign.hosts()),
+        gm(campaign.grandmaster()),
+        clients(campaign.ptp_clients()) {
+    campaign.start();
   }
 
   /// Fig. 6e/6f load: `n` nodes send bursty traffic at `rate_bps` each,
@@ -156,9 +159,9 @@ struct PtpStarExperiment {
     tp.poisson = true;
     tp.burst_frames = burst_frames;
     for (std::size_t i = 0; i < n_senders; ++i) {
-      net::Host& src = *star.hosts[1 + i];
-      net.add_traffic(src, star.hosts[1 + (i + 1) % n_senders]->addr(), tp).start();
-      net.add_traffic(src, star.hosts[1 + (i + 2) % n_senders]->addr(), tp).start();
+      net::Host& src = *hosts[1 + i];
+      campaign.net().add_traffic(src, hosts[1 + (i + 1) % n_senders]->addr(), tp).start();
+      campaign.net().add_traffic(src, hosts[1 + (i + 2) % n_senders]->addr(), tp).start();
     }
   }
 };

@@ -4,14 +4,15 @@
 /// The campaign runner and the table of named fault campaigns (DESIGN.md
 /// §17).
 ///
-/// A `Scenario` says *what* a campaign is: network, DTP and chaos
-/// parameters, load, an optional time hierarchy or health watchdog, the
-/// fault plan, the horizon, the sentinel and its blackout windows, and the
-/// gates a run must pass. `Campaign` owns *how* it runs: it assembles those
-/// pieces in the one order they can legally be built in and keeps them alive
-/// for inspection after the run. `dtpsim --chaos`, the recovery benches, the
-/// campaign tests and the stress fuzzer (`run_campaign`) all go through it,
-/// so PASS means the same gates everywhere.
+/// A `Scenario` says *what* a campaign is: network and protocol parameters,
+/// load, the time services on the hosts (PTP, NTP or the app harness), an
+/// optional time hierarchy or health watchdog, the fault plan, the horizon,
+/// the sentinel and its blackout windows, and the gates a run must pass.
+/// `Campaign` owns *how* it runs: it assembles those pieces in the one order
+/// they can legally be built in and keeps them alive for inspection after
+/// the run. Every dtpsim mode, the Fig. 5 bench testbeds, the recovery
+/// benches, the campaign tests and the stress fuzzer (`run_campaign`) all
+/// go through it, so PASS means the same gates everywhere.
 
 #include <cstdint>
 #include <functional>
@@ -21,12 +22,17 @@
 #include <utility>
 #include <vector>
 
+#include "apps/harness.hpp"
 #include "chaos/engine.hpp"
 #include "check/sentinel.hpp"
 #include "dtp/hierarchy.hpp"
 #include "dtp/watchdog.hpp"
 #include "net/topology.hpp"
+#include "ntp/ntp.hpp"
 #include "obs/session.hpp"
+#include "ptp/client.hpp"
+#include "ptp/grandmaster.hpp"
+#include "ptp/transparent.hpp"
 #include "sim/simulator.hpp"
 
 namespace dtpsim::stress {
@@ -56,20 +62,34 @@ struct RunOptions {
   ObsOptions obs;
 };
 
+/// PTP as the paper's testbed runs it (§6.1): a grandmaster on the first
+/// host, a transparent clock in every switch, a client on every other host.
+struct PtpSetup {
+  ptp::GrandmasterParams grandmaster;
+  ptp::PtpClientParams client;
+};
+
 /// One campaign, as data. Hooks receive the campaign under assembly.
 struct Scenario {
-  std::string name;     ///< table key (`dtpsim --chaos=<name>`)
+  std::string name;     ///< table key (`dtpsim --chaos=<name>`) or protocol/app name
   std::string setting;  ///< report-header text after "on the Fig. 5 tree"
-  /// dtpsim flags this campaign reads beyond the ones every campaign reads
-  /// (see kCampaignFlags).
-  std::vector<std::string> flags;
+  std::vector<std::string> flags;  ///< every dtpsim flag this row reads
 
   net::NetworkParams net;
-  dtp::DtpParams dtp;
+  /// nullopt runs no DTP (the PTP and NTP rows). A kMasterTree mode roots
+  /// the master tree at the first device the topology builds: S0, the
+  /// star's hub, the chain's left host, the fat-tree's first core switch.
+  std::optional<dtp::DtpParams> dtp = dtp::DtpParams{};
   /// Builds the topology and returns its traffic hosts; empty = the Fig. 5
   /// tree (then `Campaign::tree()` is valid and the leaves are the hosts).
   std::function<std::vector<net::Host*>(net::Network&)> topology;
   std::function<void(Campaign&)> load;       ///< empty = idle
+  // Time services, built after the load. PTP and NTP start when built,
+  // before the obs session; the app harness starts in `Campaign::start()`.
+  std::optional<PtpSetup> ptp;  ///< empty = no PTP
+  std::optional<ntp::NtpClientParams> ntp;  ///< server on the first host; empty = none
+  /// The app harness over every host, its pages watched by the sentinel.
+  std::function<apps::AppHarnessParams(Campaign&)> apps;
   std::function<void(Campaign&)> hierarchy;  ///< adds sources/clients; empty = none
   fs_t holdover_ceiling = 0;  ///< applied to every hierarchy client; 0 = default
   std::optional<dtp::WatchdogParams> watchdog;  ///< seeded from the run seed
@@ -79,10 +99,6 @@ struct Scenario {
   std::vector<std::pair<fs_t, fs_t>> blackouts;   ///< sentinel [from, until)
   std::vector<Gate> gates;  ///< evaluated by callers after `Campaign::run()`
 };
-
-/// The dtpsim flags every named campaign reads.
-inline const std::vector<std::string> kCampaignFlags = {
-    "chaos", "protocol", "seed", "threads", "engine", "trace", "metrics", "metrics-interval"};
 
 /// The two-source time hierarchy both the `source` row and hierarchy stress
 /// specs run: a stratum-1 GPS source on host `gps`, a stratum-2
@@ -97,10 +113,11 @@ const std::vector<Scenario>& scenario_table();
 const Scenario* find_scenario(const std::string& name);
 
 /// A built campaign. The constructor assembles everything in order —
-/// simulator, network, DTP, load, hierarchy and watchdog, chaos engine and
-/// plan, sentinel with blackouts, observability — and `run()` schedules the
-/// plan, shards onto threads and runs to the horizon. Between the two,
-/// callers may attach instruments of their own or add faults to `plan()`.
+/// simulator, network, DTP, load, time services, hierarchy and watchdog,
+/// chaos engine and plan, sentinel with blackouts, observability — and
+/// `run()` starts it, runs to the horizon and finishes it. Before `run()`
+/// (or `start()`), callers may attach instruments of their own or add
+/// faults to `plan()`.
 class Campaign {
  public:
   Campaign(Scenario scenario, const RunOptions& options);
@@ -108,9 +125,15 @@ class Campaign {
   Campaign(const Campaign&) = delete;
   Campaign& operator=(const Campaign&) = delete;
 
-  /// Schedule the plan, start observability, engage threads, run to the
-  /// horizon, write the observability files (std::runtime_error on failure).
+  /// `start()`, run to the horizon, `finish()`.
   void run();
+  /// Schedule the plan, start observability and the app harness, and shard
+  /// onto threads: everything before the clock moves. A caller that drives
+  /// the clock itself (a settle phase, load started mid-run, sampling)
+  /// calls this, runs `sim()`, then `finish()`.
+  void start();
+  /// Write the observability files (std::runtime_error on failure).
+  void finish();
 
   const Scenario& scenario() const { return scenario_; }
   sim::Simulator& sim() { return sim_; }
@@ -118,8 +141,13 @@ class Campaign {
   const net::PaperTreeTopology& tree() const { return tree_; }
   const std::vector<net::Host*>& hosts() const { return hosts_; }
   dtp::DtpNetwork& dtp() { return dtp_; }
+  ptp::Grandmaster* grandmaster() { return grandmaster_.get(); }
+  const std::vector<std::unique_ptr<ptp::PtpClient>>& ptp_clients() { return ptp_clients_; }
+  const std::vector<std::unique_ptr<ntp::NtpClient>>& ntp_clients() { return ntp_clients_; }
+  apps::AppHarness* apps() { return apps_.get(); }
   dtp::TimeHierarchy& hierarchy() { return hierarchy_; }
   dtp::HealthWatchdog* watchdog() { return watchdog_.get(); }
+  /// The chaos engine exists only when the scenario has a plan.
   chaos::ChaosEngine& engine() { return *engine_; }
   const chaos::CampaignReport& report() const { return engine_->report(); }
   chaos::FaultPlan& plan() { return plan_; }
@@ -134,7 +162,14 @@ class Campaign {
   std::vector<net::Host*> hosts_;
   dtp::DtpNetwork dtp_;
   // Everything below holds pointers into what is above it; the obs session
-  // is declared before its users so the hub outlives every holder.
+  // is declared before its users so the hub outlives every holder, and the
+  // time services before the sentinel that watches their pages.
+  std::unique_ptr<ptp::Grandmaster> grandmaster_;
+  std::vector<std::unique_ptr<ptp::TransparentClockAdapter>> transparent_clocks_;
+  std::vector<std::unique_ptr<ptp::PtpClient>> ptp_clients_;
+  std::unique_ptr<ntp::NtpServer> ntp_server_;
+  std::vector<std::unique_ptr<ntp::NtpClient>> ntp_clients_;
+  std::unique_ptr<apps::AppHarness> apps_;
   dtp::TimeHierarchy hierarchy_;
   std::unique_ptr<obs::Session> session_;
   std::unique_ptr<dtp::HealthWatchdog> watchdog_;

@@ -83,7 +83,7 @@ Scenario resolve(const StressSpec& spec) {
   // INIT's delay measurement must not queue behind an in-flight data frame
   // right after a replug (see MacParams::data_holdoff).
   s.net.mac.data_holdoff = from_us(20);
-  s.dtp.beacon_interval_ticks = spec.beacon_interval_ticks;
+  s.dtp->beacon_interval_ticks = spec.beacon_interval_ticks;
 
   s.topology = [spec](net::Network& net) { return build_topology(net, spec); };
   s.load = [spec](Campaign& c) { start_traffic(c.net(), c.hosts(), spec); };

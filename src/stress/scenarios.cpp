@@ -23,6 +23,10 @@ constexpr fs_t kT0 = CanonicalCampaign::settle_time();
 /// Pairwise bound across the Fig. 5 tree: 4T per hop, D = 4 hops.
 constexpr double kTree4TdTicks = 16.0;
 
+/// The dtpsim flags every named campaign reads.
+const std::vector<std::string> kCampaignFlags = {
+    "chaos", "protocol", "seed", "threads", "engine", "trace", "metrics", "metrics-interval"};
+
 Gate probes_reported() {
   return {"every probe reported", [](Campaign& c) { return c.engine().all_probes_done(); }};
 }
@@ -93,6 +97,7 @@ Scenario canonical_row(std::string name, std::function<chaos::FaultPlan(Campaign
   Scenario s;
   s.name = std::move(name);
   s.setting = ", MTU-saturated";
+  s.flags = kCampaignFlags;
   s.net = CanonicalCampaign::net_params();
   s.dtp = CanonicalCampaign::dtp_params();
   s.load = [](Campaign& c) {
@@ -161,7 +166,7 @@ Scenario source_row() {
       },
       kT0 + from_ms(18));
   s.setting = " (stratum-1 GPS + stratum-2 island)";
-  s.flags = {"holdover-ceiling"};
+  s.flags.push_back("holdover-ceiling");
   s.load = nullptr;
   s.hierarchy = [](Campaign& c) { add_two_sources(c, 0, 3); };
   // The partition (plus DTP re-sync margin) disturbs the network layer, so
@@ -257,8 +262,8 @@ Scenario gray_row() {
         return plan;
       },
       kT0 + from_ms(20));
-  s.flags = {"wd-check-period", "wd-backoff"};
-  s.dtp.enable_jump_detector = false;
+  s.flags.insert(s.flags.end(), {"wd-check-period", "wd-backoff"});
+  s.dtp->enable_jump_detector = false;
   s.watchdog = dtp::WatchdogParams{};
   // Each fault window plus a remediation margin (backoff ladder, probation,
   // and the post-heal fast-forward that re-absorbs a biased OWD): offsets

@@ -11,10 +11,12 @@
 ///          [--threads=N] [--stress=N] [--repro=FILE] [--json-out=PATH]
 ///          [--trace=PATH] [--metrics=PATH] [--metrics-interval=DUR]
 ///
-/// Prints a synchronization report: per-device clock state, worst pairwise
-/// offsets over the run, protocol message counts, and (for DTP) the 4TD
-/// bound verdict. With --chaos, runs one row of the campaign table
-/// (stress/campaign.hpp) and prints the recovery report and its gates'
+/// Every --protocol, --app and --chaos run is one campaign row built and run
+/// by stress::Campaign (DESIGN.md §17): --chaos picks a row of the campaign
+/// table, --protocol and --app rows are made from the flags. A protocol run
+/// prints a synchronization report: worst offsets over the run, protocol
+/// message counts, and (for DTP) the 4TD bound verdict. An --app run prints
+/// each app's verdict, a --chaos run the recovery report and its gates'
 /// verdict. With --stress, runs N randomized invariant-checked campaigns
 /// from --seed and writes a shrunken repro file per failure; with --repro,
 /// replays one repro file deterministically and exits with the sentinel
@@ -32,7 +34,6 @@
 #include <initializer_list>
 #include <iostream>
 #include <limits>
-#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -47,9 +48,6 @@
 #include "ntp/ntp.hpp"
 #include "obs/json.hpp"
 #include "obs/session.hpp"
-#include "ptp/client.hpp"
-#include "ptp/grandmaster.hpp"
-#include "ptp/transparent.hpp"
 #include "sim/simulator.hpp"
 #include "stress/campaign.hpp"
 #include "stress/runner.hpp"
@@ -270,51 +268,182 @@ void parse_fat_tree_spec(const std::string& spec, Options& o) {
   o.topology = "fattree";
 }
 
+phy::LinkRate parse_rate(const std::string& s) {
+  if (s == "1g") return phy::LinkRate::k1G;
+  if (s == "40g") return phy::LinkRate::k40G;
+  if (s == "100g") return phy::LinkRate::k100G;
+  return phy::LinkRate::k10G;
+}
+
+/// Simulated settle time a protocol or --app run prepends to --seconds.
+fs_t settle_of(const Options& o) {
+  return (o.protocol == "ptp" || o.protocol == "ntp") ? from_sec(8) : from_ms(4);
+}
+
+/// Build the --topology shape into `net`; returns its hosts.
+std::vector<net::Host*> build_topology(net::Network& net, const Options& o) {
+  if (o.topology == "star") return net::build_star(net, o.nodes).hosts;
+  if (o.topology == "chain") {
+    auto chain = net::build_chain(net, o.hops > 0 ? o.hops - 1 : 0);
+    return {chain.left, chain.right};
+  }
+  if (o.topology == "fattree") {
+    net::FatTreeParams fp;
+    fp.k = o.ft_k;
+    fp.hosts_per_edge = o.ft_hosts_per_edge;
+    fp.pods = o.ft_pods;
+    return net::build_fat_tree(net, fp).hosts;
+  }
+  return net::build_paper_tree(net).leaves;  // tree (the paper's Fig. 5)
+}
+
+/// Saturating MTU flows from each of `hosts` to the next, in a ring.
+void saturate_ring(net::Network& net, const std::vector<net::Host*>& hosts) {
+  net::TrafficParams tp;
+  tp.saturate = true;
+  for (std::size_t i = 0; i < hosts.size(); ++i)
+    net.add_traffic(*hosts[i], hosts[(i + 1) % hosts.size()]->addr(), tp).start();
+}
+
+std::size_t readers_per_host(const Options& o) {
+  return o.readers >= 0 ? static_cast<std::size_t>(o.readers) : 4;
+}
+
+/// --chaos=<name>: the campaign table's row, with the knobs it reads.
+stress::Scenario chaos_row(const Options& o) {
+  stress::Scenario s = *stress::find_scenario(o.chaos);
+  if (o.holdover_ceiling > 0) s.holdover_ceiling = o.holdover_ceiling;
+  if (s.watchdog && o.wd_check_period > 0) s.watchdog->check_period = o.wd_check_period;
+  if (s.watchdog && o.wd_backoff > 0) s.watchdog->reinit_backoff = o.wd_backoff;
+  return s;
+}
+
+/// --protocol=dtp|dtp-master|ptp|ntp on the --topology shape. The --load
+/// traffic is not part of the row: run_protocol() starts it once the
+/// settle time has passed.
+stress::Scenario protocol_row(const Options& o) {
+  stress::Scenario s;
+  s.name = o.protocol;
+  s.flags = {"protocol", "topology", "nodes", "hops", "seconds", "seed",
+             "load",     "rate",     "ber",   "threads", "engine"};
+  s.net.rate = parse_rate(o.rate);
+  s.net.cable.ber = o.ber;
+  s.net.enable_drift = o.drift;
+  s.topology = [o](net::Network& net) { return build_topology(net, o); };
+  if (o.protocol == "ptp") {
+    s.dtp.reset();
+    s.ptp = stress::PtpSetup{};
+    s.ptp->grandmaster.sync_interval = from_ms(250);
+  } else if (o.protocol == "ntp") {
+    s.dtp.reset();
+    s.ntp = ntp::NtpClientParams{};
+    s.ntp->poll_interval = from_ms(250);
+  } else {
+    s.dtp->beacon_interval_ticks = o.beacon;
+    s.dtp->counter_delta = phy::rate_spec(s.net.rate).counter_delta;
+    if (o.protocol == "dtp-master") s.dtp->mode = dtp::SyncMode::kMasterTree;
+    s.flags.push_back("beacon");  // PTP and NTP have no beacon
+  }
+  s.flags.insert(s.flags.end(), {"drift", "trace", "metrics", "metrics-interval"});
+  s.horizon = settle_of(o) + o.duration;
+  return s;
+}
+
+/// --app=owd|lww|tdma: the time-as-a-service demo (DESIGN.md §16). One
+/// daemon + timebase page per host, a lock-free reader fleet, and the chosen
+/// page-consuming workload, with the sentinel's honesty monitor armed on
+/// every page.
+stress::Scenario app_row(const Options& o) {
+  stress::Scenario s;
+  s.name = o.app;
+  // --app keeps the campaign's drift baseline.
+  s.flags = {"protocol", "topology", "nodes", "hops",   "seconds", "seed",
+             "load",     "rate",     "ber",   "threads", "engine",  "app",
+             "readers",  "beacon",   "trace", "metrics", "metrics-interval"};
+  // Serving apps under saturating load needs the campaign-hardened network
+  // and DTP parameters (MAC data holdoff, 800-tick beacons): the page is
+  // only as honest as the sync underneath it.
+  s.net = chaos::CanonicalCampaign::net_params();
+  s.net.rate = parse_rate(o.rate);
+  s.net.cable.ber = o.ber;
+  // Apps stamp priority-7 frames; the MAC needs its full strict-priority
+  // queue set so bulk load cannot starve them.
+  s.net.mac.priority_queues = 8;
+  // Keep the campaign's counter_delta = 1 (one unit = one tick at the link
+  // rate): every app parameter — slot and guard lengths, the 4TD network
+  // bound — is denominated in those units.
+  s.dtp = chaos::CanonicalCampaign::dtp_params();
+  if (contains(o.given, "beacon")) s.dtp->beacon_interval_ticks = o.beacon;  // else keep 800
+  s.topology = [o](net::Network& net) {
+    std::vector<net::Host*> hosts = build_topology(net, o);
+    if (o.app == "tdma" && hosts.size() < 3)
+      throw UsageError("--app=tdma needs a topology with >= 3 hosts");
+    return hosts;
+  };
+  // Heavy load saturates with MTU bulk, but never *from* a TDMA sender: a
+  // 1500 B frame already on the wire would hold the slot frame past its
+  // guard band no matter how good the clock is.
+  if (o.load == "heavy")
+    s.load = [o](stress::Campaign& c) {
+      const std::size_t first = o.app == "tdma" ? 1 : 0, stride = o.app == "tdma" ? 2 : 1;
+      std::vector<net::Host*> bulk;
+      for (std::size_t i = first; i < c.hosts().size(); i += stride) bulk.push_back(c.hosts()[i]);
+      if (bulk.size() < 2) {
+        std::printf("load: skipped (too few non-sender hosts for bulk traffic)\n");
+        return;
+      }
+      saturate_ring(c.net(), bulk);
+      std::printf("load: saturating MTU traffic on %zu host(s)\n", bulk.size());
+    };
+  s.apps = [o](stress::Campaign& c) {
+    const std::size_t n = c.hosts().size();
+    apps::AppHarnessParams hp;
+    hp.daemon.poll_period = from_ms(1);
+    hp.daemon.sample_period = 0;
+    hp.daemon.max_anchor_age = from_us(2500);
+    hp.readers_per_host = readers_per_host(o);
+    hp.reader_period = from_us(50);
+    if (o.app == "owd") {
+      // Cross-fabric pairs: each probe crosses the topology's full diameter.
+      for (std::size_t i = 0; i < n / 2; ++i) hp.owd_pairs.emplace_back(i, i + n / 2);
+    } else if (o.app == "lww") {
+      for (std::size_t i = 0; i < n; ++i) hp.lww_ring.push_back(i);
+    } else {  // tdma: even host indices send; odd ones are free for bulk load
+      for (std::size_t i = 0; i < n; i += 2) hp.tdma_senders.push_back(i);
+    }
+    return hp;
+  };
+  // Cold start is blacked out like a campaign fault window: the first page
+  // is published off a 2-poll rate estimate while the fabric may still be
+  // max-adopting counters. The honesty gate judges steady-state serving.
+  s.sentinel = check::SentinelParams{};
+  s.blackouts = {{0, settle_of(o)}};
+  s.horizon = settle_of(o) + o.duration;
+  return s;
+}
+
+/// The campaign row the flags select.
+stress::Scenario row_of(const Options& o) {
+  if (!o.chaos.empty()) return chaos_row(o);
+  return o.app.empty() ? protocol_row(o) : app_row(o);
+}
+
 /// What a run mode is called in messages, and the flags it reads.
 struct Mode {
   std::string name;
   std::vector<std::string> reads;
 };
 
-/// The mode parse()'s flags select (stress > repro > chaos > app > protocol,
-/// the order run() dispatches in) and the flags that mode reads.
+/// The mode parse()'s flags select (stress > repro > chaos > app >
+/// protocol, the order run() dispatches in) and the flags that mode reads.
 Mode mode_of(const Options& o) {
-  Mode m;
-  auto reads = [&m](std::initializer_list<const char*> keys) {
-    m.reads.insert(m.reads.end(), keys.begin(), keys.end());
-  };
-  if (!o.chaos.empty() && o.stress == 0 && o.repro.empty()) {
-    const stress::Scenario& row = *stress::find_scenario(o.chaos);
-    m.name = "--chaos=" + o.chaos;
-    m.reads = stress::kCampaignFlags;
-    m.reads.insert(m.reads.end(), row.flags.begin(), row.flags.end());
-    return m;
-  }
-  if (o.stress > 0) {
-    m.name = "--stress";
-    reads({"stress", "seed", "json-out"});
-  } else if (!o.repro.empty()) {
-    m.name = "--repro";
-    reads({"repro", "json-out"});
-  } else {
-    m.name = o.app.empty() ? "--protocol=" + o.protocol : "--app=" + o.app;
-    reads({"protocol", "topology", "nodes", "hops", "seconds", "seed", "load", "rate", "ber",
-           "threads", "engine"});
-    // --app keeps the campaign's drift baseline; PTP and NTP have no beacon.
-    if (!o.app.empty())
-      reads({"app", "readers", "beacon"});
-    else if (o.protocol == "dtp" || o.protocol == "dtp-master")
-      reads({"beacon", "drift"});
-    else
-      reads({"drift"});
-  }
-  reads({"trace", "metrics", "metrics-interval"});
-  return m;
-}
-
-/// Simulated settle time a protocol or --app run prepends to --seconds.
-fs_t settle_of(const Options& o) {
-  return (o.protocol == "ptp" || o.protocol == "ntp") ? from_sec(8) : from_ms(4);
+  if (o.stress > 0)
+    return {"--stress", {"stress", "seed", "json-out", "trace", "metrics", "metrics-interval"}};
+  if (!o.repro.empty())
+    return {"--repro", {"repro", "json-out", "trace", "metrics", "metrics-interval"}};
+  const stress::Scenario row = row_of(o);
+  const char* flag = !o.chaos.empty() ? "--chaos=" : !o.app.empty() ? "--app=" : "--protocol=";
+  return {flag + row.name, row.flags};
 }
 
 Options parse(int argc, char** argv) {
@@ -485,23 +614,6 @@ void report_obs_files(const Options& o) {
   if (!o.metrics.empty()) std::printf("metrics written to %s\n", o.metrics.c_str());
 }
 
-/// Write the configured observability files and report them. Throws on I/O
-/// failure: an asked-for trace must never go silently missing.
-void finish_obs(obs::Session* session, const Options& o) {
-  if (session == nullptr) return;
-  std::string err;
-  if (!session->finish(&err))
-    throw std::runtime_error("observability write failed: " + err);
-  report_obs_files(o);
-}
-
-phy::LinkRate parse_rate(const std::string& s) {
-  if (s == "1g") return phy::LinkRate::k1G;
-  if (s == "40g") return phy::LinkRate::k40G;
-  if (s == "100g") return phy::LinkRate::k100G;
-  return phy::LinkRate::k10G;
-}
-
 /// Say how --threads was honoured (nothing for serial runs).
 void report_threads(const sim::Simulator& sim, unsigned threads) {
   if (threads <= 1) return;
@@ -512,57 +624,28 @@ void report_threads(const sim::Simulator& sim, unsigned threads) {
     std::printf("parallel: topology does not shard; running serial\n");
 }
 
-/// Shard the simulation when --threads asks for it. Must run after every
-/// device, cable, and protocol agent exists: set_threads() partitions the
-/// realized device graph and migrates their pending events onto the shards.
-void engage_threads(sim::Simulator& sim, unsigned threads) {
-  if (threads > 1) sim.set_threads(threads);
-  report_threads(sim, threads);
-}
-
-/// The realized --topology, reduced to what the runners need: the host
-/// list and a root for master-tree mode.
-struct BuiltTopology {
-  std::vector<net::Host*> hosts;
-  net::Device* root = nullptr;
-};
-
-BuiltTopology build_topology(net::Network& net, const Options& o) {
-  BuiltTopology t;
-  if (o.topology == "star") {
-    auto star = net::build_star(net, o.nodes);
-    t.hosts = star.hosts;
-    t.root = star.hub;
-  } else if (o.topology == "chain") {
-    auto chain = net::build_chain(net, o.hops > 0 ? o.hops - 1 : 0);
-    t.hosts = {chain.left, chain.right};
-    t.root = chain.left;
-  } else if (o.topology == "fattree") {
-    net::FatTreeParams fp;
-    fp.k = o.ft_k;
-    fp.hosts_per_edge = o.ft_hosts_per_edge;
-    fp.pods = o.ft_pods;
-    auto ft = net::build_fat_tree(net, fp);
-    t.hosts = ft.hosts;
-    t.root = ft.core[0];
-  } else {  // tree (the paper's Fig. 5)
-    auto tree = net::build_paper_tree(net);
-    t.hosts = tree.leaves;
-    t.root = tree.root;
+/// The event-loop report printed after every protocol run.
+void print_stats(const sim::Simulator& sim) {
+  const sim::SimStats st = sim.stats();
+  std::printf("events: %llu executed (", static_cast<unsigned long long>(st.executed));
+  bool first = true;
+  for (std::size_t i = 0; i < sim::kEventCategoryCount; ++i) {
+    if (st.executed_by_category[i] == 0) continue;
+    std::printf("%s%s=%llu", first ? "" : " ",
+                sim::category_name(static_cast<sim::EventCategory>(i)),
+                static_cast<unsigned long long>(st.executed_by_category[i]));
+    first = false;
   }
-  return t;
+  std::printf("), %llu cancelled, queue peak=%zu now=%zu",
+              static_cast<unsigned long long>(st.cancelled), st.peak_pending, st.pending);
+  if (st.events_per_sec > 0) std::printf(", %.2f Mevents/s", st.events_per_sec / 1e6);
+  std::printf("\n");
 }
 
-/// --chaos=<name>: one row of the campaign table (DESIGN.md §17), built and
-/// gated by the shared runner. Prints the recovery report and exits 0 iff
+/// --chaos=<name>: runs the row and prints the recovery report; exits 0 iff
 /// every gate of the row held.
-int run_chaos(const Options& o) {
-  stress::Scenario s = *stress::find_scenario(o.chaos);
-  if (o.holdover_ceiling > 0) s.holdover_ceiling = o.holdover_ceiling;
-  if (s.watchdog && o.wd_check_period > 0) s.watchdog->check_period = o.wd_check_period;
-  if (s.watchdog && o.wd_backoff > 0) s.watchdog->reinit_backoff = o.wd_backoff;
-  stress::Campaign c(s, {o.seed, o.threads, o.bridged, obs_config(o)});
-
+int run_chaos(stress::Campaign& c, const Options& o) {
+  const stress::Scenario& s = c.scenario();
   std::printf("chaos plan=%s on the Fig. 5 tree%s, seed=%llu", s.name.c_str(),
               s.setting.c_str(), static_cast<unsigned long long>(o.seed));
   if (s.watchdog)
@@ -598,7 +681,7 @@ int run_chaos(const Options& o) {
     for (const auto& v : sentinel->violations())
       std::printf("  !! %s\n", v.to_string().c_str());
   std::string failed;
-  for (const stress::Gate& g : c.scenario().gates)
+  for (const stress::Gate& g : s.gates)
     if (!g.holds(c)) failed += (failed.empty() ? "" : "; ") + g.name;
   std::printf("verdict: %s\n", failed.empty() ? "PASS" : ("FAIL (" + failed + ")").c_str());
   return failed.empty() ? 0 : 1;
@@ -710,103 +793,21 @@ int run_repro(const Options& o) {
   return r.clean() ? 0 : 1;
 }
 
-/// --app=owd|lww|tdma: the time-as-a-service demo (DESIGN.md §16). One
-/// daemon + timebase page per host, a lock-free reader fleet, and the chosen
-/// page-consuming workload, with the sentinel's honesty monitor armed on
-/// every page. PASS requires zero app correctness failures and zero
-/// understated-uncertainty violations outside the cold-start blackout.
-int run_app(const Options& o) {
-  sim::Simulator sim(o.seed);
-  sim.set_engine(o.bridged ? sim::Simulator::EngineMode::kBridged
-                           : sim::Simulator::EngineMode::kExact);
-  // Serving apps under saturating load needs the campaign-hardened network
-  // and DTP parameters (MAC data holdoff, 800-tick beacons): the page is
-  // only as honest as the sync underneath it. --drift is already part of
-  // the campaign baseline.
-  net::NetworkParams np = chaos::CanonicalCampaign::net_params();
-  np.rate = parse_rate(o.rate);
-  np.cable.ber = o.ber;
-  // Apps stamp priority-7 frames; the MAC needs its full strict-priority
-  // queue set so bulk load cannot starve them.
-  np.mac.priority_queues = 8;
-  net::Network net(sim, np);
-  const BuiltTopology topo = build_topology(net, o);
-  const std::vector<net::Host*>& hosts = topo.hosts;
-  const std::size_t n = hosts.size();
-
-  // Keep the campaign's counter_delta = 1 (one unit = one tick at the link
-  // rate): every app parameter — slot and guard lengths, the 4TD network
-  // bound — is denominated in those units.
-  dtp::DtpParams dp = chaos::CanonicalCampaign::dtp_params();
-  if (contains(o.given, "beacon")) dp.beacon_interval_ticks = o.beacon;  // else keep 800
-  dtp::DtpNetwork dtp = dtp::enable_dtp(net, dp);
-
-  apps::AppHarnessParams hp;
-  hp.daemon.poll_period = from_ms(1);
-  hp.daemon.sample_period = 0;
-  hp.daemon.max_anchor_age = from_us(2500);
-  hp.readers_per_host = o.readers >= 0 ? static_cast<std::size_t>(o.readers) : 4;
-  hp.reader_period = from_us(50);
-  if (o.app == "owd") {
-    // Cross-fabric pairs: each probe crosses the topology's full diameter.
-    for (std::size_t i = 0; i < n / 2; ++i) hp.owd_pairs.emplace_back(i, i + n / 2);
-  } else if (o.app == "lww") {
-    for (std::size_t i = 0; i < n; ++i) hp.lww_ring.push_back(i);
-  } else {  // tdma: even host indices send; odd ones are free for bulk load
-    for (std::size_t i = 0; i < n; i += 2) hp.tdma_senders.push_back(i);
-    if (hp.tdma_senders.size() < 2)
-      throw UsageError("--app=tdma needs a topology with >= 3 hosts");
-  }
-
-  // Heavy load saturates with MTU bulk, but never *from* a TDMA sender: a
-  // 1500 B frame already on the wire would hold the slot frame past its
-  // guard band no matter how good the clock is.
-  if (o.load == "heavy") {
-    std::vector<net::Host*> bulk;
-    if (o.app == "tdma") {
-      for (std::size_t i = 1; i < n; i += 2) bulk.push_back(hosts[i]);
-    } else {
-      bulk = hosts;
-    }
-    if (bulk.size() >= 2) {
-      net::TrafficParams tp;
-      tp.saturate = true;
-      for (std::size_t i = 0; i < bulk.size(); ++i)
-        net.add_traffic(*bulk[i], bulk[(i + 1) % bulk.size()]->addr(), tp).start();
-      std::printf("load: saturating MTU traffic on %zu host(s)\n", bulk.size());
-    } else {
-      std::printf("load: skipped (too few non-sender hosts for bulk traffic)\n");
-    }
-  }
-
-  apps::AppHarness harness(sim, dtp, hosts, hp);
-  check::Sentinel sentinel(net, dtp);
-  for (std::size_t i = 0; i < harness.size(); ++i)
-    sentinel.watch_timebase(&harness.daemon(i));
-  // Cold start is blacked out like a campaign fault window: the first page
-  // is published off a 2-poll rate estimate while the fabric may still be
-  // max-adopting counters. The honesty gate judges steady-state serving.
-  const fs_t settle = settle_of(o);
-  sentinel.add_blackout(0, settle);
-
-  const fs_t until = settle + o.duration;
-  std::unique_ptr<obs::Session> session;
-  if (obs_requested(o)) {
-    session = std::make_unique<obs::Session>(net, &dtp, obs_config(o));
-    session->start(until);
-  }
-
-  std::printf("app=%s topology=%s hosts=%zu readers/host=%zu seed=%llu\n",
-              o.app.c_str(), o.topology.c_str(), n, hp.readers_per_host,
+/// --app=owd|lww|tdma: runs the row and prints each app's verdict. PASS
+/// requires zero app correctness failures and zero understated-uncertainty
+/// violations outside the cold-start blackout.
+int run_app(stress::Campaign& c, const Options& o) {
+  std::printf("app=%s topology=%s hosts=%zu readers/host=%zu seed=%llu\n", o.app.c_str(),
+              o.topology.c_str(), c.hosts().size(), readers_per_host(o),
               static_cast<unsigned long long>(o.seed));
-  harness.start_daemons();
-  harness.start_apps(from_ms(3));
-  engage_threads(sim, o.threads);
-  sim.run_until(until);
-  finish_obs(session.get(), o);
+  c.start();
+  report_threads(c.sim(), o.threads);
+  c.sim().run_until(c.scenario().horizon);
+  c.finish();
+  report_obs_files(o);
 
   bool ok = true;
-  for (const auto& v : harness.verdicts()) {
+  for (const auto& v : c.apps()->verdicts()) {
     std::printf("app %s: ops=%llu failures=%llu detected=%llu worst=%.1f ns (%s)\n",
                 v.app.c_str(), static_cast<unsigned long long>(v.ops),
                 static_cast<unsigned long long>(v.failures),
@@ -814,13 +815,14 @@ int run_app(const Options& o) {
                 v.detail.c_str());
     ok &= v.failures == 0 && v.ops > 0;
   }
-  if (apps::ReaderFleet* fleet = harness.readers()) {
+  if (apps::ReaderFleet* fleet = c.apps()->readers()) {
     std::printf("readers: %zu lock-free, %llu reads (%llu stale), digest=%s\n",
                 fleet->size(), static_cast<unsigned long long>(fleet->total_reads()),
                 static_cast<unsigned long long>(fleet->total_stale_reads()),
                 fleet->digest().hex().c_str());
     ok &= fleet->total_reads() > 0;
   }
+  const check::Sentinel& sentinel = *c.sentinel();
   std::uint64_t timebase_violations = 0;
   for (const auto& v : sentinel.violations()) {
     if (v.kind == check::InvariantKind::kTimebaseUncertainty) ++timebase_violations;
@@ -834,164 +836,86 @@ int run_app(const Options& o) {
   return ok ? 0 : 1;
 }
 
+/// Worst |offset| over the second half of every client's true-offset series.
+template <typename Clients>
+double worst_offset(const Clients& clients) {
+  double worst = 0;
+  for (const auto& c : clients) {
+    const auto& pts = c->true_series().points();
+    for (std::size_t i = pts.size() / 2; i < pts.size(); ++i)
+      worst = std::max(worst, std::abs(pts[i].value));
+  }
+  return worst;
+}
+
+/// --protocol=...: settle, start --load, run the measured window (DTP
+/// sampling its worst pairwise offset every 100 us), print the report. A
+/// DTP run exits 1 if the 4TD bound is violated.
+int run_protocol(stress::Campaign& c, const Options& o) {
+  sim::Simulator& sim = c.sim();
+  const std::vector<net::Host*>& hosts = c.hosts();
+  const std::size_t diameter = net::hop_diameter(c.net());
+  std::printf("topology=%s devices=%zu hosts=%zu diameter=%zu hops rate=%s\n",
+              o.topology.c_str(), c.net().devices().size(), hosts.size(), diameter,
+              o.rate.c_str());
+
+  const fs_t end = c.scenario().horizon;
+  c.start();
+  report_threads(sim, o.threads);
+  sim.run_until(settle_of(o));
+  if (o.load == "heavy" && hosts.size() >= 2) {
+    saturate_ring(c.net(), hosts);
+    std::printf("load: saturating MTU traffic between all hosts\n");
+  }
+  double worst_ticks = 0;
+  if (c.scenario().dtp) {
+    // Sample every 100 us; the last slice ends at the horizon itself.
+    while (sim.now() < end) {
+      sim.run_until(std::min(sim.now() + from_us(100), end));
+      worst_ticks = std::max(worst_ticks, c.dtp().max_pairwise_offset_ticks(sim.now()));
+    }
+  } else {
+    sim.run_until(end);
+  }
+  c.finish();
+  report_obs_files(o);
+
+  if (o.protocol == "ptp") {
+    std::printf("protocol=ptp clients=%zu worst offset=%.1f ns packets=%llu\n",
+                c.ptp_clients().size(), worst_offset(c.ptp_clients()),
+                static_cast<unsigned long long>(c.grandmaster()->packets_sent()));
+    print_stats(sim);
+    return 0;
+  }
+  if (o.protocol == "ntp") {
+    const double worst = worst_offset(c.ntp_clients());
+    std::printf("protocol=ntp clients=%zu worst offset=%.1f ns (%.2f us)\n",
+                c.ntp_clients().size(), worst, worst / 1000.0);
+    print_stats(sim);
+    return 0;
+  }
+  const double tick_ns = to_ns_f(phy::nominal_period(c.scenario().net.rate));
+  const double bound_ticks = 4.0 * static_cast<double>(diameter);
+  std::printf("protocol=%s beacon=%lld ticks all-synced=%s\n", o.protocol.c_str(),
+              static_cast<long long>(o.beacon), c.dtp().all_synced() ? "yes" : "NO");
+  std::printf("worst pairwise offset: %.2f ticks = %.1f ns\n", worst_ticks,
+              worst_ticks * tick_ns);
+  std::printf("4TD bound (D=%zu):      %.1f ticks = %.1f ns -> %s\n", diameter, bound_ticks,
+              bound_ticks * tick_ns, worst_ticks <= bound_ticks + 1 ? "HOLDS" : "VIOLATED");
+  std::uint64_t frames = 0;
+  for (auto* h : hosts) frames += h->nic().stats().tx_frames;
+  std::printf("protocol packet overhead: 0 (hosts sent %llu frames, all application)\n",
+              static_cast<unsigned long long>(frames));
+  print_stats(sim);
+  return worst_ticks <= bound_ticks + 1 ? 0 : 1;
+}
+
 int run(const Options& o) {
   if (o.stress > 0) return run_stress(o);
   if (!o.repro.empty()) return run_repro(o);
-  if (!o.chaos.empty()) return run_chaos(o);
-  if (!o.app.empty()) return run_app(o);
-
-  sim::Simulator sim(o.seed);
-  sim.set_engine(o.bridged ? sim::Simulator::EngineMode::kBridged
-                           : sim::Simulator::EngineMode::kExact);
-  net::NetworkParams np;
-  np.rate = parse_rate(o.rate);
-  np.cable.ber = o.ber;
-  np.enable_drift = o.drift;
-  net::Network net(sim, np);
-
-  // ---- Topology --------------------------------------------------------
-  const BuiltTopology topo = build_topology(net, o);
-  const std::vector<net::Host*>& hosts = topo.hosts;
-  net::Device* tree_root = topo.root;
-  const std::size_t diameter = net::hop_diameter(net);
-  std::printf("topology=%s devices=%zu hosts=%zu diameter=%zu hops rate=%s\n",
-              o.topology.c_str(), net.devices().size(), hosts.size(), diameter,
-              o.rate.c_str());
-
-  const fs_t settle = settle_of(o);
-  const fs_t duration = o.duration;
-
-  // ---- Event-loop report (printed after every protocol run) --------------
-  auto print_stats = [&sim] {
-    const sim::SimStats st = sim.stats();
-    std::printf("events: %llu executed (", static_cast<unsigned long long>(st.executed));
-    bool first = true;
-    for (std::size_t i = 0; i < sim::kEventCategoryCount; ++i) {
-      if (st.executed_by_category[i] == 0) continue;
-      std::printf("%s%s=%llu", first ? "" : " ",
-                  sim::category_name(static_cast<sim::EventCategory>(i)),
-                  static_cast<unsigned long long>(st.executed_by_category[i]));
-      first = false;
-    }
-    std::printf("), %llu cancelled, queue peak=%zu now=%zu",
-                static_cast<unsigned long long>(st.cancelled), st.peak_pending,
-                st.pending);
-    if (st.events_per_sec > 0) std::printf(", %.2f Mevents/s", st.events_per_sec / 1e6);
-    std::printf("\n");
-  };
-
-  // ---- Load ------------------------------------------------------------
-  auto start_load = [&] {
-    if (o.load != "heavy" || hosts.size() < 2) return;
-    net::TrafficParams tp;
-    tp.saturate = true;
-    for (std::size_t i = 0; i < hosts.size(); ++i)
-      net.add_traffic(*hosts[i], hosts[(i + 1) % hosts.size()]->addr(), tp).start();
-    std::printf("load: saturating MTU traffic between all hosts\n");
-  };
-
-  // ---- PTP / NTP: settle, load, measured window; then the worst |offset|
-  // over the second half of every client's true-offset series ------------
-  auto run_window = [&] {
-    std::unique_ptr<obs::Session> session;
-    if (obs_requested(o)) {
-      session = std::make_unique<obs::Session>(net, nullptr, obs_config(o));
-      session->start(settle + duration);
-    }
-    engage_threads(sim, o.threads);
-    sim.run_until(settle);
-    start_load();
-    sim.run_until(settle + duration);
-    finish_obs(session.get(), o);
-  };
-  auto worst_offset = [](const auto& clients) {
-    double worst = 0;
-    for (auto& c : clients) {
-      const auto& pts = c->true_series().points();
-      for (std::size_t i = pts.size() / 2; i < pts.size(); ++i)
-        worst = std::max(worst, std::abs(pts[i].value));
-    }
-    return worst;
-  };
-
-  // ---- Protocol + measurement -------------------------------------------
-  if (o.protocol == "dtp" || o.protocol == "dtp-master") {
-    dtp::DtpParams params;
-    params.beacon_interval_ticks = o.beacon;
-    params.counter_delta = phy::rate_spec(np.rate).counter_delta;
-    if (o.protocol == "dtp-master") params.mode = dtp::SyncMode::kMasterTree;
-    dtp::DtpNetwork dtp = dtp::enable_dtp(net, params);
-    if (o.protocol == "dtp-master") dtp::configure_master_tree(dtp, *tree_root);
-    std::unique_ptr<obs::Session> session;
-    if (obs_requested(o)) {
-      session = std::make_unique<obs::Session>(net, &dtp, obs_config(o));
-      session->start(settle + duration);
-    }
-    engage_threads(sim, o.threads);
-    sim.run_until(settle);
-    start_load();
-    double worst_ticks = 0;
-    // Sample every 100 us; the last slice ends at the horizon itself.
-    while (sim.now() < settle + duration) {
-      sim.run_until(std::min(sim.now() + from_us(100), settle + duration));
-      worst_ticks = std::max(worst_ticks, dtp.max_pairwise_offset_ticks(sim.now()));
-    }
-    finish_obs(session.get(), o);
-    const double tick_ns = to_ns_f(phy::nominal_period(np.rate));
-    const double bound_ticks = 4.0 * static_cast<double>(diameter);
-    std::printf("protocol=%s beacon=%lld ticks all-synced=%s\n", o.protocol.c_str(),
-                static_cast<long long>(o.beacon), dtp.all_synced() ? "yes" : "NO");
-    std::printf("worst pairwise offset: %.2f ticks = %.1f ns\n", worst_ticks,
-                worst_ticks * tick_ns);
-    std::printf("4TD bound (D=%zu):      %.1f ticks = %.1f ns -> %s\n", diameter,
-                bound_ticks, bound_ticks * tick_ns,
-                worst_ticks <= bound_ticks + 1 ? "HOLDS" : "VIOLATED");
-    std::uint64_t frames = 0;
-    for (auto* h : hosts) frames += h->nic().stats().tx_frames;
-    std::printf("protocol packet overhead: 0 (hosts sent %llu frames, all application)\n",
-                static_cast<unsigned long long>(frames));
-    print_stats();
-    return worst_ticks <= bound_ticks + 1 ? 0 : 1;
-  }
-
-  if (o.protocol == "ptp") {
-    ptp::GrandmasterParams gp;
-    gp.sync_interval = from_ms(250);
-    ptp::Grandmaster gm(sim, *hosts[0], gp);
-    ptp::TransparentClockParams tcp;
-    std::vector<std::unique_ptr<ptp::TransparentClockAdapter>> tcs;
-    for (auto* sw : net.switches())
-      tcs.push_back(std::make_unique<ptp::TransparentClockAdapter>(*sw, tcp));
-    std::vector<std::unique_ptr<ptp::PtpClient>> clients;
-    for (std::size_t i = 1; i < hosts.size(); ++i)
-      clients.push_back(std::make_unique<ptp::PtpClient>(sim, *hosts[i], gm.phc(),
-                                                         ptp::PtpClientParams{}));
-    gm.start();
-    for (auto& c : clients) c->start();
-    run_window();
-    std::printf("protocol=ptp clients=%zu worst offset=%.1f ns packets=%llu\n",
-                clients.size(), worst_offset(clients),
-                static_cast<unsigned long long>(gm.packets_sent()));
-    print_stats();
-    return 0;
-  }
-
-  // parse() restricts protocol values, so this is ntp.
-  ntp::NtpServer server(sim, *hosts[0]);
-  ntp::NtpClientParams cp;
-  cp.poll_interval = from_ms(250);
-  std::vector<std::unique_ptr<ntp::NtpClient>> clients;
-  for (std::size_t i = 1; i < hosts.size(); ++i) {
-    clients.push_back(std::make_unique<ntp::NtpClient>(sim, *hosts[i], hosts[0]->addr(),
-                                                       server.clock(), cp));
-    clients.back()->start();
-  }
-  run_window();
-  const double worst = worst_offset(clients);
-  std::printf("protocol=ntp clients=%zu worst offset=%.1f ns (%.2f us)\n",
-              clients.size(), worst, worst / 1000.0);
-  print_stats();
-  return 0;
+  stress::Campaign c(row_of(o), {o.seed, o.threads, o.bridged, obs_config(o)});
+  if (!o.chaos.empty()) return run_chaos(c, o);
+  return o.app.empty() ? run_protocol(c, o) : run_app(c, o);
 }
 
 }  // namespace
