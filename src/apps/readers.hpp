@@ -48,7 +48,6 @@ class ReaderFleet {
   void stop();
 
   std::size_t size() const { return readers_.size(); }
-  const ReaderStats& reader_stats(std::size_t i) const { return readers_.at(i)->stats; }
   std::uint64_t total_reads() const;
   std::uint64_t total_stale_reads() const;
 

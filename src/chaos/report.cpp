@@ -92,19 +92,4 @@ std::string CampaignReport::rows_json() const {
   return out + "]";
 }
 
-std::string CampaignReport::apps_json() const {
-  std::string out = "[";
-  for (std::size_t i = 0; i < app_verdicts_.size(); ++i) {
-    const AppVerdict& v = app_verdicts_[i];
-    if (i) out += ", ";
-    out += "{\"app\": \"" + obs::json_escape(v.app) + "\"";
-    out += ", \"ops\": " + std::to_string(v.ops);
-    out += ", \"failures\": " + std::to_string(v.failures);
-    out += ", \"detected\": " + std::to_string(v.detected);
-    out += ", \"worst_error_ns\": " + obs::json_double(v.worst_error_ns);
-    out += ", \"detail\": \"" + obs::json_escape(v.detail) + "\"}";
-  }
-  return out + "]";
-}
-
 }  // namespace dtpsim::chaos

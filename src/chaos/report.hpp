@@ -70,10 +70,6 @@ class CampaignReport {
   /// numbers, so any row can be replayed verbatim from the artifact.
   std::string rows_json() const;
 
-  /// JSON array with one row per app verdict (empty array when no
-  /// workloads ran).
-  std::string apps_json() const;
-
  private:
   std::vector<ProbeResult> results_;
   std::vector<AppVerdict> app_verdicts_;

@@ -23,14 +23,6 @@ const char* invariant_name(InvariantKind k) {
   return "unknown";
 }
 
-InvariantKind invariant_from_name(const std::string& name) {
-  for (int i = 0; i < kInvariantKindCount; ++i) {
-    const auto k = static_cast<InvariantKind>(i);
-    if (name == invariant_name(k)) return k;
-  }
-  throw std::invalid_argument("unknown invariant name: " + name);
-}
-
 std::string Violation::to_string() const {
   char buf[160];
   std::snprintf(buf, sizeof(buf), "[%s] t=%.3f us dev=%s observed=%.4g bound=%.4g",

@@ -40,9 +40,6 @@ inline constexpr int kInvariantKindCount = 12;
 /// Stable short name ("offset-bound", ...) used in reports and repro files.
 const char* invariant_name(InvariantKind k);
 
-/// Inverse of `invariant_name`; throws std::invalid_argument on unknown.
-InvariantKind invariant_from_name(const std::string& name);
-
 /// One broken invariant, with enough context to debug it from a log line.
 struct Violation {
   InvariantKind kind = InvariantKind::kClockMonotonic;

@@ -84,8 +84,6 @@ class alignas(64) Agent {
     return hot_.params.mode == SyncMode::kMasterTree && !parent_port_;
   }
   std::optional<std::size_t> parent_port() const { return parent_port_; }
-  /// True while the counter is currently stalled against its ceiling.
-  bool stalled_at(fs_t t) const { return hot_.global.capped_at(tick_at(t)); }
 
   /// Total positive gc fast-forwards (device-level jumps).
   std::uint64_t global_adjustments() const { return hot_.global_adjustments; }

@@ -33,25 +33,6 @@ constexpr double kBaseMarginNs = 25.0;
 constexpr double kMinServeRate = 0.5;
 }  // namespace
 
-const char* source_kind_name(SourceKind k) {
-  switch (k) {
-    case SourceKind::kUtc: return "utc";
-    case SourceKind::kUpstreamIsland: return "upstream_island";
-    case SourceKind::kFrequencyRef: return "frequency_ref";
-  }
-  return "?";
-}
-
-const char* hierarchy_status_name(HierarchyStatus s) {
-  switch (s) {
-    case HierarchyStatus::kAcquiring: return "acquiring";
-    case HierarchyStatus::kLocked: return "locked";
-    case HierarchyStatus::kHoldover: return "holdover";
-    case HierarchyStatus::kUnavailable: return "unavailable";
-  }
-  return "?";
-}
-
 TimeSourceParams TimeSourceParams::gps(std::uint32_t id, fs_t period) {
   TimeSourceParams p;
   p.source_id = id;

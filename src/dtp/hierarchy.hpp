@@ -61,8 +61,6 @@ enum class SourceKind : std::uint8_t {
   kFrequencyRef,    ///< SyncE-style frequency-only reference (no absolute time)
 };
 
-const char* source_kind_name(SourceKind k);
-
 /// A sync hardware-stamped with the server's DTP counter and UTC at the
 /// transmit instant (§5.2's DTP-assisted variant), plus the source's
 /// advertisement (id, kind, stratum, claimed accuracy).
@@ -160,8 +158,6 @@ enum class HierarchyStatus : std::uint8_t {
   kHoldover,     ///< all sources lost; free-running with growing uncertainty
   kUnavailable,  ///< holdover past the ceiling, or the host crashed; refusing
 };
-
-const char* hierarchy_status_name(HierarchyStatus s);
 
 /// One `serve()` result.
 struct ServedTime {

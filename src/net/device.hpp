@@ -65,7 +65,6 @@ class alignas(64) Device {
 
   /// Attach a temperature-drift random walk to this device's oscillator.
   void enable_drift(phy::DriftParams dp);
-  bool drift_enabled() const { return drift_.has_value(); }
 
   /// Stop the drift walk (fault injection: an oscillator forced out of the
   /// 802.3 envelope must not be pulled back by the thermal model).

@@ -54,7 +54,6 @@ class Session {
 
   Hub& hub() { return hub_; }
   bool enabled() const { return trace_on_ || metrics_on_; }
-  fs_t snapshot_interval() const { return interval_; }
 
   /// Register probes and start the snapshot process; `horizon` (the planned
   /// run end) sizes the default snapshot interval.

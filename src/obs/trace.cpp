@@ -111,11 +111,6 @@ std::uint64_t TraceSink::dropped() const {
   return dropped_;
 }
 
-std::size_t TraceSink::track_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return track_labels_.size();
-}
-
 void TraceSink::append_event_json(std::string& out, const Event& e) {
   out += "{\"name\": \"" + json_escape(e.name) + "\", \"ph\": \"";
   out += e.ph;

@@ -60,7 +60,6 @@ class TraceSink {
 
   std::size_t event_count() const;
   std::uint64_t dropped() const;
-  std::size_t track_count() const;
 
   /// Render the whole trace as a JSON array (Chrome trace "JSON Array
   /// Format": loaders accept a bare array of event objects).

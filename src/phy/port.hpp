@@ -363,7 +363,6 @@ class Cable {
   /// injection: beacon-loss windows — models momentary loss of block lock
   /// where the receiver PCS discards /E/ blocks without seeing bit flips).
   void set_control_drop(double p);
-  double control_drop() const { return control_drop_; }
 
   // --- Gray-failure seams (chaos: asymmetric_delay / limping_port /
   // silent_corruption). All are per-direction (0 = a->b, 1 = b->a) and act

@@ -39,9 +39,6 @@ class PiServo {
   /// interval of `dt_sec` since the previous update.
   ServoAction update(double offset_ns, double dt_sec);
 
-  /// Current integral state (ppb) — the servo's estimate of the oscillator
-  /// frequency error.
-  double drift_ppb() const { return integral_ppb_; }
 
   void reset();
 
