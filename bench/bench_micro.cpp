@@ -1,6 +1,5 @@
-/// Microbenchmarks (google-benchmark): throughput of the substrate pieces —
-/// PCS codec, scrambler, CRC, event engine, and the end-to-end event rate
-/// of a synchronized DTP pair.
+/// Microbenchmarks (google-benchmark): throughput of the event engine and
+/// the end-to-end event rate of a synchronized DTP pair.
 
 #include <benchmark/benchmark.h>
 
@@ -9,63 +8,13 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "common/rng.hpp"
 #include "dtp/agent.hpp"
-#include "net/crc32.hpp"
 #include "net/topology.hpp"
-#include "phy/pcs.hpp"
-#include "phy/scrambler.hpp"
 #include "sim/simulator.hpp"
 
 namespace {
 
 using namespace dtpsim;
-
-void BM_PcsEncodeMtu(benchmark::State& state) {
-  Rng rng(1);
-  std::vector<std::uint8_t> frame(1522);
-  for (auto& b : frame) b = static_cast<std::uint8_t>(rng.uniform(256));
-  for (auto _ : state) {
-    auto blocks = phy::encode_frame(frame);
-    benchmark::DoNotOptimize(blocks);
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * 1522);
-}
-BENCHMARK(BM_PcsEncodeMtu);
-
-void BM_PcsDecodeMtu(benchmark::State& state) {
-  Rng rng(2);
-  std::vector<std::uint8_t> frame(1522);
-  for (auto& b : frame) b = static_cast<std::uint8_t>(rng.uniform(256));
-  const auto blocks = phy::encode_frame(frame);
-  for (auto _ : state) {
-    phy::FrameDecoder dec;
-    for (const auto& b : blocks) dec.feed(b);
-    benchmark::DoNotOptimize(dec.take_frame());
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * 1522);
-}
-BENCHMARK(BM_PcsDecodeMtu);
-
-void BM_Scrambler(benchmark::State& state) {
-  phy::Scrambler s(0x5A5A);
-  std::uint64_t payload = 0x0123'4567'89AB'CDEFULL;
-  for (auto _ : state) {
-    payload = s.scramble(payload);
-    benchmark::DoNotOptimize(payload);
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * 8);
-}
-BENCHMARK(BM_Scrambler);
-
-void BM_Crc32Mtu(benchmark::State& state) {
-  Rng rng(3);
-  std::vector<std::uint8_t> frame(1522);
-  for (auto& b : frame) b = static_cast<std::uint8_t>(rng.uniform(256));
-  for (auto _ : state) benchmark::DoNotOptimize(net::crc32(frame.data(), frame.size()));
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * 1522);
-}
-BENCHMARK(BM_Crc32Mtu);
 
 void BM_EventQueueChurn(benchmark::State& state) {
   sim::Simulator sim(4);

@@ -59,20 +59,4 @@ std::optional<Message> decode_bits(std::uint64_t bits56, bool parity) {
   return m;
 }
 
-phy::Block encode_into_block(const Message& m, bool parity) {
-  phy::Block b = phy::make_idle_block();
-  b.set_idle_field(encode_bits(m, parity));
-  return b;
-}
-
-std::optional<Message> decode_from_block(const phy::Block& b, bool parity) {
-  if (!b.is_idle_frame()) return std::nullopt;
-  return decode_bits(b.idle_field(), parity);
-}
-
-phy::Block strip_to_idle(phy::Block b) {
-  if (b.is_idle_frame()) b.set_idle_field(0);
-  return b;
-}
-
 }  // namespace dtpsim::dtp

@@ -1,14 +1,16 @@
 #pragma once
 
 /// \file messages.hpp
-/// DTP protocol messages and their encoding into idle (/E/) blocks.
+/// DTP protocol messages and their 56-bit idle-field encoding.
 ///
 /// Section 4.4: an /E/ control block carries eight 7-bit idle characters =
 /// 56 usable bits. A DTP message is a 3-bit type plus a 53-bit payload (the
-/// low or high half of the 106-bit counter). Five types exist in the paper
-/// (INIT, INIT-ACK, BEACON, BEACON-JOIN, BEACON-MSB); we add LOG, the
-/// measurement message the evaluation section pushes through the DTP layer
-/// (Section 6.2), which the paper also carries in the PHY.
+/// low or high half of the 106-bit counter). Simulated ports carry exactly
+/// that 56-bit field; the block-level codec lives with the tests
+/// (tests/wire/dtp.hpp). Five types exist in the paper (INIT, INIT-ACK,
+/// BEACON, BEACON-JOIN, BEACON-MSB); we add LOG, the measurement message
+/// the evaluation section pushes through the DTP layer (Section 6.2), which
+/// the paper also carries in the PHY.
 ///
 /// An optional parity mode implements the bit-error hardening sketched in
 /// Section 3.2: one payload bit is sacrificed to carry the parity of the
@@ -19,7 +21,6 @@
 #include <string>
 
 #include "common/wide_counter.hpp"
-#include "phy/block.hpp"
 
 namespace dtpsim::dtp {
 
@@ -58,13 +59,5 @@ std::uint64_t encode_bits(const Message& m, bool parity = false);
 /// Decode a 56-bit idle field. Returns nullopt for kNone (plain idles) or,
 /// in parity mode, for messages failing the parity check.
 std::optional<Message> decode_bits(std::uint64_t bits56, bool parity = false);
-
-/// Convenience: stamp a message into an idle block / read it back.
-phy::Block encode_into_block(const Message& m, bool parity = false);
-std::optional<Message> decode_from_block(const phy::Block& b, bool parity = false);
-
-/// Restore a DTP-bearing idle block to plain idles (what the RX DTP sublayer
-/// does before handing the block to the MAC — Section 4.2).
-phy::Block strip_to_idle(phy::Block b);
 
 }  // namespace dtpsim::dtp

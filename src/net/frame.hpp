@@ -1,19 +1,17 @@
 #pragma once
 
 /// \file frame.hpp
-/// Ethernet frame model and byte-level codec.
+/// Ethernet frame model.
 ///
 /// The event simulation moves `Frame` objects (header fields + an opaque
-/// typed payload) and accounts for sizes exactly; a byte-level serializer
-/// (`serialize_frame`/`parse_frame`) exists so tests can push real frames
-/// through the real PCS codec and CRC.
+/// typed payload) and accounts for sizes exactly; the byte-level frame
+/// codec and CRC live with the tests (tests/wire/ethernet.hpp).
 
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
 #include <memory>
 #include <string>
-#include <vector>
 
 namespace dtpsim::net {
 
@@ -98,20 +96,5 @@ struct Frame {
   /// Bytes occupying the wire: frame plus preamble/SFD.
   std::uint32_t wire_bytes() const { return frame_bytes() + kPreambleBytes; }
 };
-
-/// Serialize header + dummy payload + real CRC into wire bytes (without
-/// preamble); `parse_frame` reverses it and verifies the CRC.
-std::vector<std::uint8_t> serialize_frame(const Frame& f,
-                                          const std::vector<std::uint8_t>& payload);
-
-/// Result of parsing a byte-level frame.
-struct ParsedFrame {
-  MacAddr dst;
-  MacAddr src;
-  std::uint16_t ethertype = 0;
-  std::vector<std::uint8_t> payload;
-  bool fcs_ok = false;
-};
-ParsedFrame parse_frame(const std::vector<std::uint8_t>& bytes);
 
 }  // namespace dtpsim::net

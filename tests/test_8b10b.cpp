@@ -1,9 +1,9 @@
-#include "phy/encoding_8b10b.hpp"
+#include "wire/encoding_8b10b.hpp"
 
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
-#include "dtp/messages_1g.hpp"
+#include "wire/dtp.hpp"
 
 namespace dtpsim::phy {
 namespace {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
+#include "wire/dtp.hpp"
 
 namespace dtpsim::dtp {
 namespace {

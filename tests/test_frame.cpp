@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
-#include "net/crc32.hpp"
+#include "wire/ethernet.hpp"
 
 namespace dtpsim::net {
 namespace {

@@ -1,11 +1,11 @@
-#include "phy/pcs.hpp"
+#include "wire/pcs.hpp"
 
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
-#include "phy/block.hpp"
 #include "phy/rates.hpp"
-#include "phy/scrambler.hpp"
+#include "wire/block.hpp"
+#include "wire/scrambler.hpp"
 
 namespace dtpsim::phy {
 namespace {

@@ -6,15 +6,23 @@
 ///     stripped back to plain idles before the MAC — higher layers cannot
 ///     tell DTP was ever there;
 ///   * Ethernet frames pass through the DTP sublayer bit-identically.
+/// FullChainRoundTrip runs the chain on random BEACONs and on every control
+/// block a simulated run sent.
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <utility>
+
+#include "chaos/campaign.hpp"
 #include "common/rng.hpp"
-#include "dtp/messages.hpp"
-#include "net/crc32.hpp"
-#include "net/frame.hpp"
-#include "phy/pcs.hpp"
-#include "phy/scrambler.hpp"
+#include "dtp/network.hpp"
+#include "net/topology.hpp"
+#include "sim/simulator.hpp"
+#include "wire/dtp.hpp"
+#include "wire/ethernet.hpp"
+#include "wire/pcs.hpp"
+#include "wire/scrambler.hpp"
 
 namespace dtpsim {
 namespace {
@@ -22,17 +30,15 @@ namespace {
 using dtp::Message;
 using dtp::MessageType;
 
-/// Build a realistic block stream: idles, a DTP beacon, a frame, more idles,
-/// another DTP message, another frame...
+/// Build a realistic block stream: idles, a DTP message, a frame, more
+/// idles, the next DTP message, another frame...
 std::vector<phy::Block> make_tx_stream(Rng& rng, std::vector<std::vector<std::uint8_t>>& frames,
-                                       std::vector<Message>& messages, int n_frames) {
+                                       const std::vector<Message>& messages) {
   std::vector<phy::Block> stream;
-  for (int f = 0; f < n_frames; ++f) {
+  for (const Message& m : messages) {
     // A few plain idles.
     for (int i = 0; i < 3; ++i) stream.push_back(phy::make_idle_block());
     // One DTP message in an idle block.
-    Message m{MessageType::kBeacon, rng() & kDtpPayloadMask};
-    messages.push_back(m);
     stream.push_back(dtp::encode_into_block(m));
     // One frame.
     std::vector<std::uint8_t> payload(64 + rng.uniform(1400));
@@ -45,35 +51,87 @@ std::vector<phy::Block> make_tx_stream(Rng& rng, std::vector<std::vector<std::ui
   return stream;
 }
 
+/// The same stream around `n_frames` random BEACONs, appended to `messages`.
+std::vector<phy::Block> make_tx_stream(Rng& rng, std::vector<std::vector<std::uint8_t>>& frames,
+                                       std::vector<Message>& messages, int n_frames) {
+  for (int f = 0; f < n_frames; ++f)
+    messages.push_back({MessageType::kBeacon, rng() & kDtpPayloadMask});
+  return make_tx_stream(rng, frames, std::as_const(messages));
+}
+
+/// Every control block a simulated run sent, as 56-bit idle fields in TX
+/// order, one list per port: the Fig. 5 tree on the default (bridged)
+/// engine under saturating MTU load for 1 ms.
+std::vector<std::vector<std::uint64_t>> simulated_control_tx() {
+  std::vector<std::vector<std::uint64_t>> sent;
+  sim::Simulator sim(501);
+  net::Network net(sim, chaos::CanonicalCampaign::net_params());
+  const net::PaperTreeTopology tree = net::build_paper_tree(net);
+  dtp::DtpNetwork dtp = dtp::enable_dtp(net);
+  for (net::Device* dev : net.devices())
+    for (std::size_t p = 0; p < dev->port_count(); ++p) {
+      const std::size_t i = sent.size();
+      sent.emplace_back();
+      dev->port(p).set_probe_control_tx(
+          [&sent, i](std::uint64_t bits56, fs_t) { sent[i].push_back(bits56); });
+    }
+  chaos::CanonicalCampaign::start_heavy_load(net, tree, net::kMtuFrameBytes);
+  sim.run_until(from_ms(1));
+  return sent;
+}
+
 TEST(PhyPipeline, FullChainRoundTrip) {
   Rng rng(501);
-  std::vector<std::vector<std::uint8_t>> tx_frames;
-  std::vector<Message> tx_messages;
-  const auto stream = make_tx_stream(rng, tx_frames, tx_messages, 10);
-
-  // TX: scramble everything (payloads only, as the hardware does).
-  phy::Scrambler scrambler(0xACE1);
-  std::vector<phy::Block> wire;
-  for (const auto& b : stream) wire.push_back(scrambler.scramble_block(b));
-
-  // RX: descramble, extract DTP, strip to idles, decode frames.
-  phy::Descrambler descrambler(0xACE1);
-  phy::FrameDecoder decoder;
-  std::vector<Message> rx_messages;
-  std::vector<std::vector<std::uint8_t>> rx_frames;
-  for (const auto& w : wire) {
-    phy::Block b = descrambler.descramble_block(w);
-    if (b.is_idle_frame()) {
-      if (auto msg = dtp::decode_from_block(b)) rx_messages.push_back(*msg);
-      b = dtp::strip_to_idle(b);
-      ASSERT_EQ(b, phy::make_idle_block()) << "MAC must see plain idles only";
-      continue;
+  // Ten random BEACONs, then each simulated port's messages in TX order.
+  std::vector<std::vector<Message>> inputs(1);
+  for (int i = 0; i < 10; ++i)
+    inputs[0].push_back({MessageType::kBeacon, rng() & kDtpPayloadMask});
+  std::size_t simulated_blocks = 0;
+  std::set<MessageType> simulated_types;
+  for (const auto& port : simulated_control_tx()) {
+    std::vector<Message>& messages = inputs.emplace_back();
+    for (const std::uint64_t bits56 : port) {
+      const auto m = dtp::decode_bits(bits56);
+      ASSERT_TRUE(m.has_value()) << "port sent a non-DTP idle field " << bits56;
+      // Section 4.4: the message fills the /E/ block's idle field exactly.
+      ASSERT_EQ(dtp::encode_into_block(*m).idle_field(), bits56);
+      messages.push_back(*m);
+      simulated_types.insert(m->type);
     }
-    if (decoder.feed(b)) rx_frames.push_back(decoder.take_frame());
+    simulated_blocks += port.size();
   }
+  EXPECT_GT(simulated_blocks, 10000u);
+  for (const MessageType t : {MessageType::kInit, MessageType::kInitAck, MessageType::kBeacon})
+    EXPECT_EQ(simulated_types.count(t), 1u) << "no " << dtp::to_string(t) << " sent";
 
-  EXPECT_EQ(rx_messages, tx_messages);
-  EXPECT_EQ(rx_frames, tx_frames);
+  for (const std::vector<Message>& tx_messages : inputs) {
+    std::vector<std::vector<std::uint8_t>> tx_frames;
+    const auto stream = make_tx_stream(rng, tx_frames, tx_messages);
+
+    // TX: scramble everything (payloads only, as the hardware does).
+    phy::Scrambler scrambler(0xACE1);
+    std::vector<phy::Block> wire;
+    for (const auto& b : stream) wire.push_back(scrambler.scramble_block(b));
+
+    // RX: descramble, extract DTP, strip to idles, decode frames.
+    phy::Descrambler descrambler(0xACE1);
+    phy::FrameDecoder decoder;
+    std::vector<Message> rx_messages;
+    std::vector<std::vector<std::uint8_t>> rx_frames;
+    for (const auto& w : wire) {
+      phy::Block b = descrambler.descramble_block(w);
+      if (b.is_idle_frame()) {
+        if (auto msg = dtp::decode_from_block(b)) rx_messages.push_back(*msg);
+        b = dtp::strip_to_idle(b);
+        ASSERT_EQ(b, phy::make_idle_block()) << "MAC must see plain idles only";
+        continue;
+      }
+      if (decoder.feed(b)) rx_frames.push_back(decoder.take_frame());
+    }
+
+    EXPECT_EQ(rx_messages, tx_messages);
+    EXPECT_EQ(rx_frames, tx_frames);
+  }
 }
 
 TEST(PhyPipeline, DtpPresenceIsInvisibleToFrames) {

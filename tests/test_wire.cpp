@@ -5,12 +5,12 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
-#include "net/frame.hpp"
-#include "net/wire.hpp"
-#include "ntp/wire.hpp"
-#include "phy/pcs.hpp"
-#include "phy/scrambler.hpp"
-#include "ptp/wire.hpp"
+#include "wire/ethernet.hpp"
+#include "wire/ntp.hpp"
+#include "wire/pcs.hpp"
+#include "wire/ptp.hpp"
+#include "wire/scrambler.hpp"
+#include "wire/udp.hpp"
 
 namespace dtpsim {
 namespace {
