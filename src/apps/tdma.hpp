@@ -67,9 +67,6 @@ class TdmaApp {
   /// Sum over senders (call after the run).
   TdmaSenderStats total() const;
 
-  /// Round length in counter units (slot * senders).
-  std::int64_t round_units() const { return round_units_; }
-
  private:
   void arm(std::size_t me);
   void fire(std::size_t me);

@@ -77,7 +77,6 @@ void TrafficGenerator::offer() {
   f.ethertype = kEtherTypeIpv4;
   f.payload_bytes = params_.frame_bytes - kMacHeaderBytes - kFcsBytes;
   f.id = next_id_++;
-  ++offered_;
   // Bulk traffic bypasses the latency-modeling app path: iperf saturates the
   // NIC queue; per-frame stack jitter is irrelevant to *its* role here.
   src_.send_hw(f);

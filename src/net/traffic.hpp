@@ -42,8 +42,6 @@ class TrafficGenerator {
   void stop();
   bool running() const { return running_; }
 
-  std::uint64_t frames_offered() const { return offered_; }
-
  private:
   void arm_next();
   void offer();
@@ -55,7 +53,6 @@ class TrafficGenerator {
   TrafficParams params_;
   Rng rng_;
   bool running_ = false;
-  std::uint64_t offered_ = 0;
   std::uint64_t next_id_;
 };
 

@@ -28,12 +28,6 @@ Session::~Session() {
   if (enabled()) sim_.set_obs(nullptr);
 }
 
-std::uint32_t Session::device_track(const net::Device* dev) const {
-  for (std::size_t i = 0; i < devices_.size(); ++i)
-    if (devices_[i] == dev) return i < tracks_.size() ? tracks_[i] : 0;
-  return 0;
-}
-
 void Session::wire_ports() {
   if (dtp_ == nullptr || !trace_on_) return;
   for (std::size_t i = 0; i < devices_.size(); ++i) {

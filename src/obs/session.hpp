@@ -63,9 +63,6 @@ class Session {
   /// Returns false + `*err` on I/O failure. Idempotent.
   bool finish(std::string* err = nullptr);
 
-  /// The trace track interned for `dev` (0 if tracing is off).
-  std::uint32_t device_track(const net::Device* dev) const;
-
  private:
   void wire_ports();  ///< (re)attach hub to every DTP port logic
   void take_snapshot();

@@ -464,7 +464,6 @@ bool Cable::draw_control_seams(int dir, std::uint64_t& bits, bool& corrupted,
   if (control_drop_ > 0.0 && rng.bernoulli(control_drop_)) {
     // Swallowed whole (loss-of-block-lock window): the receiver never sees
     // a block at all, as opposed to the BER path's corrupted-but-present.
-    ++dropped_control_[dir];
     return false;
   }
   if (ber_ > 0.0) {
@@ -495,10 +494,7 @@ void Cable::transmit_frame(PhyPort& from, std::uint32_t wire_bytes,
     Rng& rng = dir == 0 ? rng_ab_ : rng_ba_;
     const double bits = static_cast<double>(wire_bytes) * 8.0;
     const double p_frame = 1.0 - std::pow(1.0 - ber_, bits);
-    if (rng.bernoulli(p_frame)) {
-      fcs_ok = false;
-      ++corrupted_frames_[dir];
-    }
+    if (rng.bernoulli(p_frame)) fcs_ok = false;
   }
   PhyPort& to = other_side(from);
   const fs_t arrival = tx_end + propagation_delay_;

@@ -386,17 +386,11 @@ class Cable {
   /// the damage survives framing and reaches the DTP sublayer as truth.
   void set_silent_corrupt(int dir, double prob);
 
-  /// Cumulative corrupted / dropped transmissions (diagnostics; summed over
+  /// Cumulative BER-corrupted control blocks (diagnostics; summed over
   /// both directions — each direction keeps its own counter because the two
   /// endpoints may transmit from different worker threads).
   std::uint64_t corrupted_control() const {
     return corrupted_control_[0] + corrupted_control_[1];
-  }
-  std::uint64_t corrupted_frames() const {
-    return corrupted_frames_[0] + corrupted_frames_[1];
-  }
-  std::uint64_t dropped_control() const {
-    return dropped_control_[0] + dropped_control_[1];
   }
 
  private:
@@ -446,8 +440,6 @@ class Cable {
   std::size_t ring_head_ = 0;
   std::size_t ring_count_ = 0;
   std::uint64_t corrupted_control_[2] = {};
-  std::uint64_t corrupted_frames_[2] = {};
-  std::uint64_t dropped_control_[2] = {};
 };
 
 }  // namespace dtpsim::phy

@@ -67,13 +67,6 @@ constexpr std::int64_t blocks_for_frame(std::int64_t bytes) {
   return (bytes + 7) / 8 + 1;
 }
 
-/// Ticks the PCS is occupied by one frame at `rate` (one block per tick for
-/// 64b/66b widths used here; at 10G the PCS processes one 66-bit block per
-/// 6.4 ns cycle).
-constexpr std::int64_t ticks_for_frame(std::int64_t bytes) {
-  return blocks_for_frame(bytes);
-}
-
 /// IEEE 802.3 oscillator frequency tolerance: +-100 ppm.
 inline constexpr double kMaxPpm = 100.0;
 

@@ -29,7 +29,6 @@ void Grandmaster::send_sync() {
   auto msg = std::make_shared<PtpMessage>();
   msg->type = PtpType::kSync;
   msg->sequence = ++sync_seq_;
-  ++syncs_sent_;
   ++packets_sent_;
   net::Frame f = make_ptp_frame(host_.addr(), kPtpMulticast, msg);
   f.priority = params_.cos;

@@ -42,7 +42,6 @@ class Grandmaster {
   const HardwareClock& phc() const { return phc_; }
   net::MacAddr addr() const { return host_.addr(); }
 
-  std::uint64_t syncs_sent() const { return syncs_sent_; }
   std::uint64_t delay_reqs_answered() const { return dreqs_answered_; }
   /// Total PTP packets emitted (the protocol's network overhead).
   std::uint64_t packets_sent() const { return packets_sent_; }
@@ -59,7 +58,6 @@ class Grandmaster {
   HardwareClock phc_;
   std::uint16_t sync_seq_ = 0;
   std::uint16_t announce_seq_ = 0;
-  std::uint64_t syncs_sent_ = 0;
   std::uint64_t dreqs_answered_ = 0;
   std::uint64_t packets_sent_ = 0;
   sim::PeriodicProcess sync_proc_;

@@ -39,10 +39,8 @@ void TransparentClockAdapter::apply_egress(net::Frame& f, fs_t tx_start) {
   if (it == ingress_ts_ns_.end()) return;  // originated here, not transited
   const double residence = clock_.timestamp_ns(tx_start) - it->second;
   if (residence <= 0) return;
-  if (residence > params_.max_correctable_residence_ns) {
-    ++missed_;  // congested: the correction engine could not keep up ([52])
-    return;
-  }
+  // Past the cap the congested correction engine cannot keep up ([52]).
+  if (residence > params_.max_correctable_residence_ns) return;
   f.correction_ns += residence;
   ++corrections_;
 }

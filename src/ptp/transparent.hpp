@@ -42,8 +42,6 @@ class TransparentClockAdapter {
   explicit TransparentClockAdapter(net::Switch& sw, TransparentClockParams params = {});
 
   const TransparentClockParams& params() const { return params_; }
-  /// Corrections skipped because the residence exceeded the cap.
-  std::uint64_t corrections_missed() const { return missed_; }
 
   TransparentClockAdapter(const TransparentClockAdapter&) = delete;
   TransparentClockAdapter& operator=(const TransparentClockAdapter&) = delete;
@@ -59,7 +57,6 @@ class TransparentClockAdapter {
   net::Switch& sw_;
   TransparentClockParams params_;
   HardwareClock clock_;  ///< free-running switch clock (never servoed)
-  std::uint64_t missed_ = 0;
   /// Ingress hardware timestamps keyed by packet identity (flooded copies
   /// share one ingress record, each egress copy corrected independently).
   std::unordered_map<const void*, double> ingress_ts_ns_;

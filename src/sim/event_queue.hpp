@@ -336,8 +336,6 @@ class EventQueue {
 
   // --- Instrumentation ------------------------------------------------------
   std::uint64_t executed() const { return executed_; }
-  std::uint64_t scheduled_count() const { return scheduled_; }
-  std::uint64_t cancelled_count() const { return cancelled_; }
   void accumulate(SimStats& st) const;
 
  private:
