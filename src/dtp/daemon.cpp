@@ -199,12 +199,11 @@ void Daemon::publish_page() {
 }
 
 CounterReading Daemon::get_dtp_counter_split(fs_t now) const {
+  // A calibrated daemon has published its last accepted poll, so the page
+  // holds its current anchor and rate.
   if (!calibrated()) throw std::logic_error("Daemon: not calibrated yet");
-  CounterReading r;
-  TimebasePage::advance(anchor_units_, anchor_frac_,
-                        static_cast<double>(tsc_at(now) - last_tsc_) * counter_per_tsc_,
-                        &r.units, &r.frac);
-  return r;
+  const TimebaseSample s = timebase_sample(now);
+  return {s.units, s.frac};
 }
 
 double Daemon::get_dtp_counter(fs_t now) const {
@@ -219,14 +218,6 @@ double Daemon::get_time_ns(fs_t now) const {
       to_ns_f(agent_.device().oscillator().nominal_period()) /
       static_cast<double>(agent_.params().counter_delta);
   return r.value() * ns_per_unit;
-}
-
-double Daemon::uncertainty_units(fs_t now) const {
-  const fs_t age = anchor_age(now);
-  const double growth =
-      age > 0 ? static_cast<double>(age) * kUncDriftPpm * 1e-6 / unit_fs()
-              : 0.0;
-  return unc_base_units() + growth;
 }
 
 void Daemon::set_pcie_stress(fs_t extra_per_leg, double spike_prob, fs_t spike_mean) {

@@ -126,12 +126,6 @@ class Daemon {
   bool stale(fs_t now) const;
   fs_t max_anchor_age_effective() const;
 
-  /// Honest half-width error bound of the estimate, in counter units:
-  /// association bound from the accepted-RTT budget + recent blend
-  /// residual + fixed margin, growing with anchor age. The sentinel checks
-  /// this never understates the true error.
-  double uncertainty_units(fs_t now) const;
-
   /// The lock-free page this daemon publishes to on every accepted poll.
   const TimebasePage& timebase() const { return page_; }
 
