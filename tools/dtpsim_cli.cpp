@@ -624,7 +624,9 @@ void report_threads(const sim::Simulator& sim, unsigned threads) {
     std::printf("parallel: topology does not shard; running serial\n");
 }
 
-/// The event-loop report printed after every protocol run.
+/// The event-loop report printed after every protocol run. A sharded run's
+/// queue peak sums per-shard peaks that depend on mailbox timing, so only a
+/// serial run prints one.
 void print_stats(const sim::Simulator& sim) {
   const sim::SimStats st = sim.stats();
   std::printf("events: %llu executed (", static_cast<unsigned long long>(st.executed));
@@ -636,8 +638,9 @@ void print_stats(const sim::Simulator& sim) {
                 static_cast<unsigned long long>(st.executed_by_category[i]));
     first = false;
   }
-  std::printf("), %llu cancelled, queue peak=%zu now=%zu",
-              static_cast<unsigned long long>(st.cancelled), st.peak_pending, st.pending);
+  std::printf("), %llu cancelled, queue ", static_cast<unsigned long long>(st.cancelled));
+  if (!sim.parallel()) std::printf("peak=%zu ", st.peak_pending);
+  std::printf("now=%zu", st.pending);
   if (st.events_per_sec > 0) std::printf(", %.2f Mevents/s", st.events_per_sec / 1e6);
   std::printf("\n");
 }
