@@ -227,10 +227,10 @@ void PhyPort::transmit_control(sim::Simulator& sim, std::uint32_t port,
   }
   PhyPort& from = owner(sim, port);
   PhyPort* to = &owner(sim, r.peer);
-  from.cable_->track(sim.deliver_link(
+  sim.deliver_link(
       r.node, r.peer_node, arrival,
       [to, bits56, arrival, corrupted] { to->deliver_control(bits56, arrival, corrupted); },
-      sim::EventCategory::kFrame, from.cable_, key));
+      sim::EventCategory::kFrame, from.cable_, key);
 }
 
 void PhyPort::bridge_arrival_step(void* ctx, const sim::EventQueue::BridgeStep& s) {
@@ -272,12 +272,8 @@ void PhyPort::bridge_apply_step(void* ctx, const sim::EventQueue::BridgeStep& s)
 void PhyPort::apply_control(sim::Simulator& sim, std::uint32_t port, const ControlRx& rx) {
   const std::uint8_t flags = record(sim, port).flags;
   if (flags & PortRecordPhy::kProbeRx) owner(sim, port).probe_control_rx_(rx);
-  if (flags & PortRecordPhy::kUpper) {
+  if (flags & PortRecordPhy::kUpper)
     control_sink_.load(std::memory_order_relaxed)(sim, port, rx);
-    return;
-  }
-  PhyPort& self = owner(sim, port);
-  if (self.on_control) self.on_control(rx);
 }
 
 fs_t PhyPort::frame_clear_time() const {
@@ -342,17 +338,6 @@ Cable::Cable(sim::Simulator& sim, PhyPort& a, PhyPort& b, Params params)
   if (&a == &b) throw std::invalid_argument("Cable: cannot connect a port to itself");
   if (propagation_delay_ < 0) throw std::invalid_argument("Cable: negative delay");
   sim_.register_edge(a_.node(), b_.node(), propagation_delay_);
-  // Size the in-flight ring for the natural depth: one delivery per block
-  // time of propagation, both directions, plus headroom for frames.
-  std::size_t cap = 16;
-  const fs_t block = std::min(a_.oscillator().nominal_period(),
-                              b_.oscillator().nominal_period());
-  if (block > 0) {
-    const auto depth = static_cast<std::uint64_t>(
-        2 * (propagation_delay_ / block + 8));
-    while (cap < depth && cap < 8192) cap <<= 1;
-  }
-  ring_.assign(cap, sim::EventHandle{});
   a_.link_established(this);
   b_.link_established(this);
 }
@@ -364,42 +349,12 @@ void Cable::disconnect() {
   // a block that has not finished arriving never reaches the far PCS. Without
   // this, delivery events scheduled before the unplug would fire into a
   // link-down port (upper layers have already torn down their expectations).
-  const std::size_t mask = ring_.size() - 1;
-  for (std::size_t i = 0; i < ring_count_; ++i)
-    sim_.cancel(ring_[(ring_head_ + i) & mask]);
-  ring_head_ = ring_count_ = 0;
-  // Cross-shard deliveries went through mailboxes, and bridged arrivals are
-  // POD steps; neither has a handle. Both are purged directly from the
-  // queues: the mailbox ones by this cable's tag, the bridged ones as the
-  // arrivals into its two ports.
+  // Exact deliveries carry this cable as their owner tag and bridged
+  // arrivals are the POD steps into its two ports; both are purged from the
+  // queues directly.
   sim_.purge_deliveries(this, a_.node(), b_.node(), a_.id(), b_.id());
   a_.link_lost();
   b_.link_lost();
-}
-
-void Cable::track(sim::EventHandle h) {
-  if (!h.valid()) return;  // mailbox-routed: cancelled by owner purge
-  if (ring_count_ == ring_.size()) {
-    // The ring wrapped: the head holds the oldest deliveries, which under
-    // steady traffic have long since fired. Drop those before growing.
-    const std::size_t mask = ring_.size() - 1;
-    while (ring_count_ > 0 && !sim_.pending(ring_[ring_head_ & mask])) {
-      ring_head_ = (ring_head_ + 1) & mask;
-      --ring_count_;
-    }
-    if (ring_count_ == ring_.size()) grow_ring();
-  }
-  ring_[(ring_head_ + ring_count_) & (ring_.size() - 1)] = h;
-  ++ring_count_;
-}
-
-void Cable::grow_ring() {
-  std::vector<sim::EventHandle> bigger(ring_.size() * 2);
-  const std::size_t mask = ring_.size() - 1;
-  for (std::size_t i = 0; i < ring_count_; ++i)
-    bigger[i] = ring_[(ring_head_ + i) & mask];
-  ring_ = std::move(bigger);
-  ring_head_ = 0;
 }
 
 PhyPort& Cable::other_side(const PhyPort& from) {
@@ -500,12 +455,12 @@ void Cable::transmit_frame(PhyPort& from, std::uint32_t wire_bytes,
   const fs_t arrival = tx_end + propagation_delay_;
   PortRecordPhy& r = from.rec();
   const std::uint64_t key = (static_cast<std::uint64_t>(r.tx_dir) << 32) | r.tx_seq++;
-  track(sim_.deliver_link(
+  sim_.deliver_link(
       r.node, to.node(), arrival,
       [&to, payload = std::move(payload), wire_bytes, fcs_ok, arrival] {
         to.deliver_frame(FrameRx{payload, wire_bytes, fcs_ok, arrival});
       },
-      sim::EventCategory::kFrame, this, key));
+      sim::EventCategory::kFrame, this, key);
 }
 
 }  // namespace dtpsim::phy

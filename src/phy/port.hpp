@@ -120,9 +120,9 @@ class PhyPort {
   /// the message.
   using ControlFactory = std::function<std::uint64_t(fs_t tx_time, std::int64_t tx_tick)>;
 
-  /// Where a port with a live DTP half delivers its control blocks, instead
-  /// of `on_control`: registered by the layer above (dtp::PortLogic), one
-  /// function for the whole program.
+  /// Where a port with a live DTP half delivers its control blocks:
+  /// registered by the layer above (dtp::PortLogic), one function for the
+  /// whole program. A bare port drops them (observers use the RX probe).
   using ControlSink = void (*)(sim::Simulator& sim, std::uint32_t port,
                                const ControlRx& rx);
   static void set_control_sink(ControlSink sink) {
@@ -258,10 +258,8 @@ class PhyPort {
   void set_probe_control_tx(std::function<void(std::uint64_t bits56, fs_t tx_start)> probe);
   void set_probe_control_rx(std::function<void(const ControlRx&)> probe);
 
-  // Upper-layer hooks. All optional; unset hooks drop the event. A port
-  // with a live DTP half delivers control blocks to the ControlSink instead
-  // of on_control.
-  std::function<void(const ControlRx&)> on_control;  ///< DTP sublayer input
+  // Upper-layer hooks. All optional; unset hooks drop the event. Control
+  // blocks go to the ControlSink of a port with a live DTP half.
   std::function<void()> on_link_up;                  ///< fired when cable attaches
   std::function<void()> on_link_down;                ///< fired when cable detaches
   std::function<void(const FrameRx&)> on_frame;      ///< MAC input
@@ -413,15 +411,6 @@ class Cable {
   void transmit_frame(PhyPort& from, std::uint32_t wire_bytes,
                       std::shared_ptr<const void> payload, fs_t tx_end);
 
-  /// Remember a scheduled delivery so disconnect() can cancel it. Handles
-  /// live in a power-of-two ring sized for the natural in-flight depth
-  /// (propagation delay / block time); the head is pruned of already-fired
-  /// entries only when the ring wraps full, so steady-state tracking is O(1)
-  /// with no periodic scans. Mailbox-routed deliveries have no handle and
-  /// are cancelled by owner purge instead.
-  void track(sim::EventHandle h);
-  void grow_ring();
-
   sim::Simulator& sim_;
   PhyPort& a_;
   PhyPort& b_;
@@ -436,9 +425,6 @@ class Cable {
   Rng rng_ab_;  ///< a->b direction stream
   Rng rng_ba_;  ///< b->a direction stream
   bool connected_ = true;
-  std::vector<sim::EventHandle> ring_;  ///< in-flight deliveries (power-of-two)
-  std::size_t ring_head_ = 0;
-  std::size_t ring_count_ = 0;
   std::uint64_t corrupted_control_[2] = {};
 };
 

@@ -152,15 +152,9 @@ class EventQueue {
 
   bool cancel(Handle h);
 
-  bool is_pending(Handle h) const {
-    if (!h.valid() || h.slot >= slot_count_) return false;
-    const Slot& s = slot_at(h.slot);
-    return s.gen == h.gen && s.heap_pos != kNoHeapPos;
-  }
-
   /// Remove (and count as cancelled) every pending exact event tagged with
-  /// `owner`. O(slab). Used by Cable::disconnect in parallel runs, for
-  /// mailbox-routed deliveries that returned no handle.
+  /// `owner`. O(slab). Used by Cable::disconnect for its in-flight
+  /// deliveries.
   std::size_t purge_owner(const void* owner);
 
   /// Fire events in key order while the front's time is < horizon (or <=
@@ -316,8 +310,8 @@ class EventQueue {
   /// setup-scheduled events.
   std::vector<Extracted> extract_node_events();
 
-  /// Record where an extracted event went; cancel/is_pending on the old
-  /// handle follow the forward.
+  /// Record where an extracted event went; a cancel through the old handle
+  /// follows the forward.
   void set_forward(std::uint32_t slot, std::uint32_t queue, Handle h);
   const Forward* forward_of(std::uint32_t slot, std::uint32_t gen) const;
 

@@ -20,10 +20,6 @@ EventQueue& Simulator::queue_at(std::uint32_t q) {
   return q == 0 ? global_q_ : engine_->shard_queue(static_cast<std::int32_t>(q - 1));
 }
 
-const EventQueue& Simulator::queue_at(std::uint32_t q) const {
-  return q == 0 ? global_q_ : engine_->shard_queue(static_cast<std::int32_t>(q - 1));
-}
-
 EventHandle Simulator::schedule_at(fs_t t, Callback fn, EventCategory cat) {
   if (t < now()) throw std::logic_error("Simulator::schedule_at: time in the past");
   if (!fn) throw std::invalid_argument("Simulator::schedule_at: empty callback");
@@ -68,15 +64,6 @@ bool Simulator::cancel(EventHandle h) {
       return queue_at(fwd->queue).cancel(fwd->h);
   }
   return queue_at(h.queue_).cancel(EventQueue::Handle{h.slot_, h.gen_});
-}
-
-bool Simulator::pending(EventHandle h) const {
-  if (!h.valid()) return false;
-  if (engine_ && h.queue_ == 0) {
-    if (const EventQueue::Forward* fwd = global_q_.forward_of(h.slot_, h.gen_))
-      return queue_at(fwd->queue).is_pending(fwd->h);
-  }
-  return queue_at(h.queue_).is_pending(EventQueue::Handle{h.slot_, h.gen_});
 }
 
 void Simulator::run_until(fs_t t_end) {
@@ -336,30 +323,26 @@ ParallelStats Simulator::parallel_stats() const {
   return ps;
 }
 
-EventHandle Simulator::deliver_link(std::int32_t src_node, std::int32_t dst_node,
-                                    fs_t arrival, Callback fn, EventCategory cat,
-                                    const void* owner, std::uint64_t link_key) {
-  if (!engine_ || dst_node < 0)
-    return wrap(0, global_q_.schedule_link(arrival, std::move(fn), cat, dst_node,
-                                           owner, link_key));
+void Simulator::deliver_link(std::int32_t src_node, std::int32_t dst_node, fs_t arrival,
+                             Callback fn, EventCategory cat, const void* owner,
+                             std::uint64_t link_key) {
+  (void)src_node;
+  if (!engine_ || dst_node < 0) {
+    global_q_.schedule_link(arrival, std::move(fn), cat, dst_node, owner, link_key);
+    return;
+  }
   const std::int32_t dst_shard = engine_->shard_of(dst_node);
   ShardRt* cur = detail::tls_shard;
   if (cur == nullptr) {
     // Coordinator context (sync point): workers are parked, direct insert.
-    return wrap(static_cast<std::uint32_t>(1 + dst_shard),
-                engine_->shard_queue(dst_shard)
-                    .schedule_link(arrival, std::move(fn), cat, dst_node, owner,
-                                   link_key));
+    engine_->shard_queue(dst_shard).schedule_link(arrival, std::move(fn), cat, dst_node,
+                                                  owner, link_key);
+  } else if (cur->index == dst_shard) {
+    cur->queue.schedule_link(arrival, std::move(fn), cat, dst_node, owner, link_key);
+  } else {
+    engine_->push_cross(cur->index, dst_shard,
+                        CrossMsg{arrival, dst_node, cat, owner, link_key, std::move(fn)});
   }
-  if (cur->index == dst_shard)
-    return wrap(static_cast<std::uint32_t>(1 + dst_shard),
-                cur->queue.schedule_link(arrival, std::move(fn), cat, dst_node,
-                                         owner, link_key));
-  engine_->push_cross(cur->index, dst_shard,
-                      CrossMsg{arrival, dst_node, cat, owner, link_key,
-                               std::move(fn)});
-  (void)src_node;
-  return EventHandle();  // mailbox-routed: cancellation via purge_deliveries
 }
 
 EventQueue& Simulator::bridge_context_queue(std::int32_t node) {
@@ -436,7 +419,8 @@ std::size_t Simulator::purge_deliveries(const void* owner, std::int32_t a,
   // link), and bare ports (node -1) share the global queue's array.
   std::size_t n = node_queue(a).bridge_purge(a, port_a, port_b);
   n += node_queue(b).bridge_purge(b, port_a, port_b);  // a no-op when b shares a's array
-  if (engine_) n += global_q_.purge_owner(owner) + engine_->purge_owner(owner);
+  n += global_q_.purge_owner(owner);
+  if (engine_) n += engine_->purge_owner(owner);
   return n;
 }
 

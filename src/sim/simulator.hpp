@@ -152,12 +152,6 @@ class Simulator {
   /// is detected by generation mismatch and records nothing.
   bool cancel(EventHandle h);
 
-  /// True iff `h` refers to an event still waiting in a queue (i.e. a
-  /// cancel(h) right now would succeed). Lets holders of handle collections
-  /// (e.g. a cable tracking its in-flight deliveries) prune fired entries
-  /// without cancelling anything.
-  bool pending(EventHandle h) const;
-
   /// Run until the queue is empty or `t_end` is reached; the simulation clock
   /// lands exactly on `t_end` even if no event fires there.
   void run_until(fs_t t_end);
@@ -306,29 +300,28 @@ class Simulator {
   bool bridge_fusible_at(std::int32_t node, fs_t t) const;
 
   /// Schedule a link delivery from `src_node`'s port to `dst_node` at
-  /// `arrival`. `link_key` is the (edge direction << 32 | message index)
-  /// tie-break key; `owner` tags the event for purge_deliveries. Returns an
-  /// invalid handle when the delivery was routed through a cross-shard
-  /// mailbox (cancellation then goes through purge_deliveries).
-  EventHandle deliver_link(std::int32_t src_node, std::int32_t dst_node,
-                           fs_t arrival, Callback fn, EventCategory cat,
-                           const void* owner, std::uint64_t link_key);
+  /// `arrival`, directly or through a cross-shard mailbox. `link_key` is the
+  /// (edge direction << 32 | message index) tie-break key; `owner` tags the
+  /// event, so purge_deliveries cancels it.
+  void deliver_link(std::int32_t src_node, std::int32_t dst_node, fs_t arrival,
+                    Callback fn, EventCategory cat, const void* owner,
+                    std::uint64_t link_key);
 
   /// Cancel every pending delivery of a cable tagged `owner` that joins
   /// port `port_a` on node `a` to port `port_b` on node `b` (coordinator-
   /// only; used by Cable::disconnect). Its bridged arrivals into either
-  /// port sit in the two end nodes' step arrays; only a parallel run also
-  /// scans the exact slabs, for mailbox-routed deliveries that returned no
-  /// handle. Returns how many.
+  /// port sit in the two end nodes' step arrays, its exact deliveries in the
+  /// queues' slabs under its owner tag. Returns how many.
   std::size_t purge_deliveries(const void* owner, std::int32_t a, std::int32_t b,
                                std::uint32_t port_a, std::uint32_t port_b);
 
   // --- Observability --------------------------------------------------------
 
   /// Attach (or detach with nullptr) an observability hub. Coordinator-only,
-  /// workers parked. The hub is not owned and must outlive its attachment;
-  /// instrumented layers reach it through obs() with one pointer test, so a
-  /// run without a hub pays nothing (DESIGN.md §11).
+  /// workers parked, so worker threads may read obs() mid-epoch. The hub is
+  /// not owned and must outlive its attachment. obs() is the only way a
+  /// layer reaches it: each emit site asks with one pointer test, so a run
+  /// without a hub pays nothing (DESIGN.md §11).
   void set_obs(obs::Hub* hub);
   obs::Hub* obs() const { return obs_; }
 
@@ -337,7 +330,6 @@ class Simulator {
     return EventHandle(queue, h.slot, h.gen);
   }
   EventQueue& queue_at(std::uint32_t q);
-  const EventQueue& queue_at(std::uint32_t q) const;
   /// The queue that holds `node`'s bridged steps.
   EventQueue& node_queue(std::int32_t node);
   /// Queue the currently-executing event context owns for `node` — the

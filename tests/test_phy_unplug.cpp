@@ -48,7 +48,7 @@ TEST(PhyUnplug, ControlBlockInFlightIsDroppedByDisconnect) {
   Cable cable(tp.sim, tp.a, tp.b, {});
 
   int control_at_b = 0;
-  tp.b.on_control = [&](const ControlRx&) { ++control_at_b; };
+  tp.b.set_probe_control_rx([&](const ControlRx&) { ++control_at_b; });
 
   bool sent = false;
   tp.a.request_control_slot([&](fs_t, std::int64_t) {
@@ -76,7 +76,7 @@ TEST(PhyUnplug, BridgedControlBlockBetweenDevicesIsDroppedByDisconnect) {
   Cable cable(tp.sim, tp.a, tp.b, {});
 
   int control_at_b = 0;
-  tp.b.on_control = [&](const ControlRx&) { ++control_at_b; };
+  tp.b.set_probe_control_rx([&](const ControlRx&) { ++control_at_b; });
 
   bool sent = false;
   tp.a.request_control_slot([&](fs_t, std::int64_t) {

@@ -46,10 +46,10 @@ TEST_F(LinkFixture, ControlMessageDelivered) {
   Cable cable(sim, a, b, {from_ns(50), 0.0});
   std::uint64_t got = 0;
   fs_t visible = 0;
-  b.on_control = [&](const ControlRx& rx) {
+  b.set_probe_control_rx([&](const ControlRx& rx) {
     got = rx.bits56;
     visible = rx.crossing.visible_time;
-  };
+  });
   a.request_control_slot([](fs_t, std::int64_t) { return 0xABCDEFULL; });
   sim.run_until(1_us);
   EXPECT_EQ(got, 0xABCDEFULL);
@@ -75,7 +75,8 @@ TEST_F(LinkFixture, ControlFactoryStampedAtTxTick) {
 TEST_F(LinkFixture, ControlMessagesSerializeOnePerBlock) {
   Cable cable(sim, a, b, {});
   std::vector<fs_t> arrivals;
-  b.on_control = [&](const ControlRx& rx) { arrivals.push_back(rx.wire_arrival); };
+  b.set_probe_control_rx(
+      [&](const ControlRx& rx) { arrivals.push_back(rx.wire_arrival); });
   for (int i = 0; i < 3; ++i)
     a.request_control_slot([](fs_t, std::int64_t) { return 7ULL; });
   sim.run_until(1_us);
@@ -90,10 +91,10 @@ TEST_F(LinkFixture, QueuedControlFactoriesSerializeInRequestOrder) {
   Cable cable(sim, a, b, {});
   std::vector<std::uint64_t> payloads;
   std::vector<fs_t> arrivals;
-  b.on_control = [&](const ControlRx& rx) {
+  b.set_probe_control_rx([&](const ControlRx& rx) {
     payloads.push_back(rx.bits56);
     arrivals.push_back(rx.wire_arrival);
-  };
+  });
   auto request = [&](std::uint64_t payload) {
     a.request_control_slot([payload](fs_t, std::int64_t) { return payload; });
   };
@@ -255,10 +256,10 @@ TEST(BerTest, ControlCorruptionAtHighBer) {
   PhyPort a{sim, oa, {}, "a"}, b{sim, ob, {}, "b"};
   Cable cable(sim, a, b, {from_ns(5), 1e-4});  // absurd BER to force hits
   int corrupted = 0, total = 0;
-  b.on_control = [&](const ControlRx& rx) {
+  b.set_probe_control_rx([&](const ControlRx& rx) {
     ++total;
     corrupted += rx.corrupted;
-  };
+  });
   for (int i = 0; i < 2000; ++i)
     a.request_control_slot([](fs_t, std::int64_t) { return 0x15ULL; });
   sim.run_until(1_ms);
@@ -274,13 +275,13 @@ TEST(BerTest, CorruptionFlipsExactlyOneBit) {
   Oscillator oa(kT), ob(kT);
   PhyPort a{sim, oa, {}, "a"}, b{sim, ob, {}, "b"};
   Cable cable(sim, a, b, {from_ns(5), 1e-3});
-  b.on_control = [&](const ControlRx& rx) {
+  b.set_probe_control_rx([&](const ControlRx& rx) {
     if (rx.corrupted) {
       EXPECT_EQ(__builtin_popcountll(rx.bits56 ^ 0x15ULL), 1);
     } else {
       EXPECT_EQ(rx.bits56, 0x15ULL);
     }
-  };
+  });
   for (int i = 0; i < 500; ++i)
     a.request_control_slot([](fs_t, std::int64_t) { return 0x15ULL; });
   sim.run_until(1_ms);
