@@ -7,37 +7,6 @@
 
 namespace dtpsim {
 
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), bin_width_((hi - lo) / static_cast<double>(bins)), counts_(bins, 0) {
-  if (!(hi > lo) || bins == 0) throw std::invalid_argument("Histogram: bad range or bin count");
-}
-
-void Histogram::add(double x) { add(x, 1); }
-
-void Histogram::add(double x, std::uint64_t weight) {
-  total_ += weight;
-  if (x < lo_) {
-    underflow_ += weight;
-    return;
-  }
-  if (x >= hi_) {
-    overflow_ += weight;
-    return;
-  }
-  auto idx = static_cast<std::size_t>((x - lo_) / bin_width_);
-  idx = std::min(idx, counts_.size() - 1);
-  counts_[idx] += weight;
-}
-
-double Histogram::bin_center(std::size_t i) const {
-  return lo_ + (static_cast<double>(i) + 0.5) * bin_width_;
-}
-
-double Histogram::pdf(std::size_t i) const {
-  if (total_ == 0) return 0.0;
-  return static_cast<double>(counts_.at(i)) / static_cast<double>(total_);
-}
-
 namespace {
 std::string bar(std::uint64_t count, std::uint64_t max_count, std::size_t width) {
   if (max_count == 0) return "";
@@ -47,26 +16,6 @@ std::string bar(std::uint64_t count, std::uint64_t max_count, std::size_t width)
   return std::string(len, '#');
 }
 }  // namespace
-
-std::string Histogram::render(std::size_t width, bool show_empty) const {
-  const std::uint64_t max_count = counts_.empty() ? 0 : *std::max_element(counts_.begin(), counts_.end());
-  std::string out;
-  char line[192];
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    if (!show_empty && counts_[i] == 0) continue;
-    std::snprintf(line, sizeof(line), "%12.4g | %-10llu %s\n", bin_center(i),
-                  static_cast<unsigned long long>(counts_[i]),
-                  bar(counts_[i], max_count, width).c_str());
-    out += line;
-  }
-  if (underflow_ || overflow_) {
-    std::snprintf(line, sizeof(line), "   underflow=%llu overflow=%llu\n",
-                  static_cast<unsigned long long>(underflow_),
-                  static_cast<unsigned long long>(overflow_));
-    out += line;
-  }
-  return out;
-}
 
 IntHistogram::IntHistogram(std::int64_t lo, std::int64_t hi) : lo_(lo), hi_(hi) {
   if (hi < lo) throw std::invalid_argument("IntHistogram: hi < lo");

@@ -1,7 +1,7 @@
 #pragma once
 
 /// \file histogram.hpp
-/// Fixed-bin histogram with ASCII rendering. The evaluation harness uses it
+/// Integer histogram with ASCII rendering. The evaluation harness uses it
 /// to print distribution figures (e.g. Fig. 6c, the PDF of DTP offsets).
 
 #include <cstddef>
@@ -11,43 +11,6 @@
 #include <vector>
 
 namespace dtpsim {
-
-/// Histogram over [lo, hi) with `bins` equal-width bins plus underflow and
-/// overflow counters.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  /// Add one sample.
-  void add(double x);
-  /// Add a sample with an integral weight (e.g. pre-binned counts).
-  void add(double x, std::uint64_t weight);
-
-  std::size_t bins() const { return counts_.size(); }
-  double lo() const { return lo_; }
-  double hi() const { return hi_; }
-  std::uint64_t underflow() const { return underflow_; }
-  std::uint64_t overflow() const { return overflow_; }
-  std::uint64_t total() const { return total_; }
-  std::uint64_t count(std::size_t bin) const { return counts_.at(bin); }
-
-  /// Center of bin `i`.
-  double bin_center(std::size_t i) const;
-
-  /// Fraction of all samples falling in bin `i` (the "PDF" of Fig. 6c).
-  double pdf(std::size_t i) const;
-
-  /// Multi-line ASCII bar chart; `width` is the max bar width in characters.
-  /// Bins with zero count are printed only if `show_empty`.
-  std::string render(std::size_t width = 50, bool show_empty = true) const;
-
- private:
-  double lo_, hi_, bin_width_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t underflow_ = 0;
-  std::uint64_t overflow_ = 0;
-  std::uint64_t total_ = 0;
-};
 
 /// Histogram over integer values in [lo, hi] with one bin per integer —
 /// natural for tick-valued offsets.

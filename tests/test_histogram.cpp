@@ -7,62 +7,6 @@
 namespace dtpsim {
 namespace {
 
-TEST(Histogram, BinsSamplesCorrectly) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(0.5);
-  h.add(5.5);
-  h.add(9.999);
-  EXPECT_EQ(h.count(0), 1u);
-  EXPECT_EQ(h.count(5), 1u);
-  EXPECT_EQ(h.count(9), 1u);
-  EXPECT_EQ(h.total(), 3u);
-}
-
-TEST(Histogram, UnderOverflow) {
-  Histogram h(0.0, 1.0, 2);
-  h.add(-0.1);
-  h.add(1.0);  // hi edge is exclusive
-  h.add(2.0);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 2u);
-  EXPECT_EQ(h.total(), 3u);
-}
-
-TEST(Histogram, WeightedAdd) {
-  Histogram h(0.0, 4.0, 4);
-  h.add(1.5, 10);
-  EXPECT_EQ(h.count(1), 10u);
-  EXPECT_EQ(h.total(), 10u);
-}
-
-TEST(Histogram, PdfSumsToOneWithoutOverflow) {
-  Histogram h(0.0, 4.0, 4);
-  for (double x : {0.5, 1.5, 1.6, 2.5}) h.add(x);
-  double sum = 0;
-  for (std::size_t i = 0; i < h.bins(); ++i) sum += h.pdf(i);
-  EXPECT_DOUBLE_EQ(sum, 1.0);
-}
-
-TEST(Histogram, BinCenters) {
-  Histogram h(0.0, 10.0, 10);
-  EXPECT_DOUBLE_EQ(h.bin_center(0), 0.5);
-  EXPECT_DOUBLE_EQ(h.bin_center(9), 9.5);
-}
-
-TEST(Histogram, BadArgsThrow) {
-  EXPECT_THROW(Histogram(1.0, 1.0, 4), std::invalid_argument);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
-}
-
-TEST(Histogram, RenderContainsBars) {
-  Histogram h(0.0, 2.0, 2);
-  for (int i = 0; i < 5; ++i) h.add(0.5);
-  h.add(1.5);
-  const std::string out = h.render(10);
-  EXPECT_NE(out.find("##########"), std::string::npos);
-  EXPECT_NE(out.find("5"), std::string::npos);
-}
-
 TEST(IntHistogram, OneBinPerInteger) {
   IntHistogram h(-4, 4);
   h.add(-4);
@@ -100,13 +44,6 @@ TEST(IntHistogram, EmptyHistogramHasNoExtremes) {
 
 TEST(IntHistogram, EmptyPdfAndRenderAreSafe) {
   IntHistogram h(-2, 2);
-  EXPECT_DOUBLE_EQ(h.pdf(0), 0.0);                    // no divide-by-zero
-  EXPECT_NO_THROW({ (void)h.render(40, true); });
-  EXPECT_TRUE(h.render(40, false).empty());
-}
-
-TEST(Histogram, EmptyPdfAndRenderAreSafe) {
-  Histogram h(0.0, 1.0, 4);
   EXPECT_DOUBLE_EQ(h.pdf(0), 0.0);                    // no divide-by-zero
   EXPECT_NO_THROW({ (void)h.render(40, true); });
   EXPECT_TRUE(h.render(40, false).empty());
