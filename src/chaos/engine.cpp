@@ -65,20 +65,18 @@ ChaosEngine::Link* ChaosEngine::link_between(const net::Device& a, const net::De
 }
 
 void ChaosEngine::mark(const std::string& name) const {
-  if (auto* tr = hub_ != nullptr ? hub_->trace() : nullptr)
-    tr->instant_global(sim_.now(), name);
+  if (auto* tr = obs::trace_of(sim_.obs())) tr->instant_global(sim_.now(), name);
 }
 
 void ChaosEngine::record_result(const ProbeResult& r) {
   report_.add(r);
   --faults_pending_;
-  if (hub_ == nullptr) return;
-  if (auto* m = hub_->metrics()) {
+  if (auto* m = obs::metrics_of(sim_.obs())) {
     m->add(m->counter("chaos.faults_recovered"));
     if (r.converged)
       m->observe(m->histogram("chaos.reconverge_beacons"), r.reconverge_beacons);
   }
-  if (auto* tr = hub_->trace()) {
+  if (auto* tr = obs::trace_of(sim_.obs())) {
     std::string args = "\"reconverge_beacons\": " + obs::json_double(r.reconverge_beacons) +
                        ", \"residual_ticks\": " + obs::json_double(r.residual_ticks);
     tr->instant_global(sim_.now(),
@@ -263,8 +261,7 @@ void ChaosEngine::schedule(const FaultPlan& plan) {
 
 void ChaosEngine::schedule_fault(const FaultSpec& spec, const Target& t) {
   ++faults_pending_;
-  if (auto* m = hub_ != nullptr ? hub_->metrics() : nullptr)
-    m->add(m->counter("chaos.faults_injected"));
+  if (auto* m = obs::metrics_of(sim_.obs())) m->add(m->counter("chaos.faults_injected"));
   switch (spec.kind) {
     case FaultKind::kLinkFlap:
     case FaultKind::kPortFail: {
@@ -333,7 +330,22 @@ void ChaosEngine::schedule_fault(const FaultSpec& spec, const Target& t) {
         // frequency; a genuinely broken part stays broken.
         dev->disable_drift();
         dev->oscillator().set_ppm_at(sim_.now(), spec.magnitude);
-        watch_rogue(spec, dev);
+        // Once every live neighbor quarantined it: clear the collateral
+        // quarantines (ports that tripped on jumps the rogue's counter caused
+        // to *propagate*, before the direct neighbor cut it off) and measure
+        // the healthy remainder reconverging.
+        watch_rogue(
+            spec, probe_sample_period(), "rogue_isolated " + spec.a,
+            [this, dev] { return rogue_isolated(*dev); },
+            [this, spec, dev] {
+              remediate_collateral(*dev);
+              ProbeResult seed = make_seed(spec, sim_.now());
+              seed.peer_isolated = true;
+              std::vector<net::Device*> affected;
+              for (net::Device* d : net_.devices())
+                if (d != dev) affected.push_back(d);
+              start_probe(spec, std::move(seed), std::move(affected));
+            });
       });
       break;
     }
@@ -372,7 +384,20 @@ void ChaosEngine::schedule_fault(const FaultSpec& spec, const Target& t) {
       sim_.schedule_at(spec.at, [this, spec, srv] {
         mark("fault:rogue_grandmaster " + spec.a);
         srv->set_lie_ns(spec.magnitude);
-        watch_rogue_gm(spec, srv);
+        // Once every client is locked to a truthful source: fix the
+        // grandmaster and measure the hierarchy settling again (it may
+        // legitimately re-select the healed source — monotone serving covers
+        // the switch-back).
+        watch_rogue(
+            spec, srv->params().period / 8, "rogue_gm_deselected " + spec.a,
+            [this, srv] { return rogue_gm_deselected(srv->params().source_id); },
+            [this, spec, srv] {
+              mark("heal:rogue_gm_fixed " + spec.a);
+              srv->set_lie_ns(0.0);
+              ProbeResult seed = make_seed(spec, sim_.now());
+              seed.peer_isolated = true;
+              start_hierarchy_probe(spec, std::move(seed), srv->params().period, -1);
+            });
       });
       break;
     }
@@ -545,43 +570,6 @@ bool ChaosEngine::rogue_gm_deselected(std::uint32_t rogue_id) const {
   return any;
 }
 
-void ChaosEngine::watch_rogue_gm(const FaultSpec& spec, dtp::UtcSourceServer* srv) {
-  const fs_t deadline = spec.at + spec.duration;
-  sim_.schedule_at(sim_.now() + srv->params().period / 8,
-                   [this, spec, srv, deadline] { rogue_gm_poll(spec, srv, deadline); },
-                   sim::EventCategory::kProbe);
-}
-
-void ChaosEngine::rogue_gm_poll(const FaultSpec& spec, dtp::UtcSourceServer* srv,
-                                fs_t deadline) {
-  if (rogue_gm_deselected(srv->params().source_id)) {
-    mark("rogue_gm_deselected " + spec.a);
-    // Quarantine observed: every client is locked to a truthful source.
-    // After the operator reaction delay the grandmaster is fixed and the
-    // hierarchy must settle again (it may legitimately re-select the healed
-    // source — monotone serving covers the switch-back).
-    sim_.schedule_at(sim_.now() + spec.period, [this, spec, srv] {
-      mark("heal:rogue_gm_fixed " + spec.a);
-      srv->set_lie_ns(0.0);
-      ProbeResult seed = make_seed(spec, sim_.now());
-      seed.peer_isolated = true;
-      start_hierarchy_probe(spec, std::move(seed), srv->params().period, -1);
-    });
-    return;
-  }
-  if (sim_.now() >= deadline) {
-    // Detection failed — the lie went unnoticed; record the miss.
-    ProbeResult r = make_seed(spec, deadline);
-    r.peer_isolated = false;
-    r.converged = false;
-    record_result(r);
-    return;
-  }
-  sim_.schedule_at(sim_.now() + srv->params().period / 8,
-                   [this, spec, srv, deadline] { rogue_gm_poll(spec, srv, deadline); },
-                   sim::EventCategory::kProbe);
-}
-
 bool ChaosEngine::rogue_isolated(const net::Device& rogue) const {
   bool any = false;
   for (const Link& l : links_) {
@@ -596,41 +584,39 @@ bool ChaosEngine::rogue_isolated(const net::Device& rogue) const {
   return any;
 }
 
-void ChaosEngine::watch_rogue(const FaultSpec& spec, net::Device* rogue) {
-  const fs_t deadline = spec.at + spec.duration;
-  sim_.schedule_at(sim_.now() + probe_sample_period(),
-                   [this, spec, rogue, deadline] { rogue_poll(spec, rogue, deadline); },
+struct ChaosEngine::RogueWatch {
+  FaultSpec spec;
+  fs_t poll;
+  fs_t deadline;
+  std::string found;
+  std::function<bool()> detected;
+  std::function<void()> heal;
+};
+
+void ChaosEngine::watch_rogue(const FaultSpec& spec, fs_t poll, std::string found,
+                              std::function<bool()> detected, std::function<void()> heal) {
+  auto w = std::make_shared<const RogueWatch>(RogueWatch{
+      spec, poll, spec.at + spec.duration, std::move(found), std::move(detected),
+      std::move(heal)});
+  sim_.schedule_at(sim_.now() + poll, [this, w] { rogue_poll(w); },
                    sim::EventCategory::kProbe);
 }
 
-void ChaosEngine::rogue_poll(const FaultSpec& spec, net::Device* rogue, fs_t deadline) {
-  if (rogue_isolated(*rogue)) {
-    mark("rogue_isolated " + spec.a);
-    // Quarantine observed. After the operator reaction delay, clear the
-    // collateral quarantines (ports that tripped on jumps the rogue's
-    // counter caused to *propagate*, before the direct neighbor cut it
-    // off) and measure the healthy remainder reconverging.
-    sim_.schedule_at(sim_.now() + spec.period, [this, spec, rogue] {
-      remediate_collateral(*rogue);
-      ProbeResult seed = make_seed(spec, sim_.now());
-      seed.peer_isolated = true;
-      std::vector<net::Device*> affected;
-      for (net::Device* dev : net_.devices())
-        if (dev != rogue) affected.push_back(dev);
-      start_probe(spec, std::move(seed), std::move(affected));
-    });
+void ChaosEngine::rogue_poll(const std::shared_ptr<const RogueWatch>& w) {
+  if (w->detected()) {
+    mark(w->found);
+    sim_.schedule_at(sim_.now() + w->spec.period, [w] { w->heal(); });
     return;
   }
-  if (sim_.now() >= deadline) {
+  if (sim_.now() >= w->deadline) {
     // Detection failed — record the miss; nothing to recover toward.
-    ProbeResult r = make_seed(spec, deadline);
+    ProbeResult r = make_seed(w->spec, w->deadline);
     r.peer_isolated = false;
     r.converged = false;
     record_result(r);
     return;
   }
-  sim_.schedule_at(sim_.now() + probe_sample_period(),
-                   [this, spec, rogue, deadline] { rogue_poll(spec, rogue, deadline); },
+  sim_.schedule_at(sim_.now() + w->poll, [this, w] { rogue_poll(w); },
                    sim::EventCategory::kProbe);
 }
 

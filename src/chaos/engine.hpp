@@ -17,6 +17,7 @@
 /// Topology primitives (`take_link_down`, `crash_node`, ...) are public so
 /// tests can drive individual failures without writing a plan.
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -32,10 +33,6 @@ namespace dtpsim::dtp {
 class Daemon;
 class TimeHierarchy;
 class UtcSourceServer;
-}
-
-namespace dtpsim::obs {
-class Hub;
 }
 
 namespace dtpsim::chaos {
@@ -96,11 +93,6 @@ class ChaosEngine {
   fs_t probe_sample_period() const { return beacon_interval_ / 8; }
   fs_t probe_timeout() const { return 50 * beacon_interval_; }
 
-  /// Attach observability (null detaches): fault begin/end become global
-  /// trace instants, recoveries feed the chaos.* metrics. Coordinator-only —
-  /// every chaos injection and probe callback already runs as a global event.
-  void set_obs(obs::Hub* hub) { hub_ = hub; }
-
   /// Attach the time hierarchy (null detaches). Required before scheduling
   /// any source-level fault (kGpsLoss, kRogueGrandmaster, kIslandPartition,
   /// kStratumFlap); those faults target servers by hosting-device name and
@@ -129,8 +121,14 @@ class ChaosEngine {
   ProbeSample neighbor_offsets(const std::vector<net::Device*>& affected) const;
   net::Device* owner_of(const phy::PhyPort* port) const;
   dtp::PortLogic* port_logic_at(phy::PhyPort* port) const;
-  void watch_rogue(const FaultSpec& spec, net::Device* rogue);
-  void rogue_poll(const FaultSpec& spec, net::Device* rogue, fs_t deadline);
+  /// The rogue watchers' loop (a broken oscillator, a lying grandmaster):
+  /// poll `detected` every `poll`; once it holds, mark `found` and after the
+  /// operator reaction delay (spec.period) run `heal`, which starts the
+  /// recovery probe. At the fault's deadline a miss is recorded instead.
+  struct RogueWatch;
+  void watch_rogue(const FaultSpec& spec, fs_t poll, std::string found,
+                   std::function<bool()> detected, std::function<void()> heal);
+  void rogue_poll(const std::shared_ptr<const RogueWatch>& w);
   /// Operator remediation: clear every kFaulty port in the network except
   /// those facing the rogue device (which stays quarantined).
   void remediate_collateral(const net::Device& rogue);
@@ -142,12 +140,12 @@ class ChaosEngine {
   /// of `source_period` — the source layer's beacon.
   void start_hierarchy_probe(const FaultSpec& spec, ProbeResult seed,
                              fs_t source_period, int exclude_source);
-  /// Rogue-grandmaster watcher: true once no client selects `rogue_id`.
+  /// Rogue-grandmaster detection: true once no client selects `rogue_id`.
   bool rogue_gm_deselected(std::uint32_t rogue_id) const;
-  void watch_rogue_gm(const FaultSpec& spec, dtp::UtcSourceServer* srv);
-  void rogue_gm_poll(const FaultSpec& spec, dtp::UtcSourceServer* srv,
-                     fs_t deadline);
-  /// Global trace instant at sim-now (no-op without an attached hub).
+  /// Global trace instant at sim-now (no-op unless the simulator's hub
+  /// traces). Fault begin/end and every recovery verdict are marked, and
+  /// faults and recoveries feed the chaos.* metrics; all of it runs as
+  /// global events on the coordinator.
   void mark(const std::string& name) const;
   /// Single funnel for probe completion: report, bookkeeping, obs emission.
   void record_result(const ProbeResult& r);
@@ -161,7 +159,6 @@ class ChaosEngine {
   std::vector<std::unique_ptr<RecoveryProbe>> probes_;
   std::size_t faults_pending_ = 0;  ///< scheduled faults not yet reported
   CampaignReport report_;
-  obs::Hub* hub_ = nullptr;                    ///< see set_obs
   dtp::TimeHierarchy* hierarchy_ = nullptr;    ///< see set_hierarchy
 };
 

@@ -175,9 +175,10 @@ bool Sentinel::in_blackout(fs_t t) const {
 }
 
 void Sentinel::record(Violation v) {
-  // Trace first (its own lock): worker-thread probes report here too, and
-  // nesting the sink's mutex inside mu_ would create an avoidable ordering.
-  if (auto* tr = hub_ != nullptr ? hub_->trace() : nullptr)
+  // Every violation is also a global trace instant when a hub traces. Trace
+  // first (its own lock): worker-thread probes report here too, and nesting
+  // the sink's mutex inside mu_ would create an avoidable ordering.
+  if (auto* tr = obs::trace_of(net_.simulator().obs()))
     tr->instant_global(v.at, std::string("violation:") + invariant_name(v.kind) +
                                  (v.device.empty() ? "" : " " + v.device));
   std::lock_guard<std::mutex> lock(mu_);

@@ -28,10 +28,6 @@
 #include "net/topology.hpp"
 #include "sim/simulator.hpp"
 
-namespace dtpsim::obs {
-class Hub;
-}
-
 namespace dtpsim::dtp {
 class TimeHierarchy;
 class HierarchyClient;
@@ -125,11 +121,6 @@ class Sentinel {
   double offset_bound_ticks() const { return offset_bound_ticks_; }
   std::size_t diameter_hops() const { return diameter_hops_; }
 
-  /// Attach observability (null detaches): every recorded violation also
-  /// becomes a global trace instant. Safe with worker-thread probes — the
-  /// trace sink is internally locked.
-  void set_obs(obs::Hub* hub) { hub_ = hub; }
-
   /// Attach a time hierarchy (null detaches). Every sample then also serves
   /// each client and checks the paper-external claims the hierarchy makes:
   /// served UTC never steps backwards (never blacked out — a backward step
@@ -201,7 +192,6 @@ class Sentinel {
   mutable std::mutex mu_;
   std::vector<Violation> violations_;
   std::uint64_t violation_counts_[kInvariantKindCount] = {};
-  obs::Hub* hub_ = nullptr;  ///< see set_obs
 
   std::unique_ptr<sim::PeriodicProcess> sampler_;
 };

@@ -220,7 +220,7 @@ void HierarchyClient::observe_selection(const SourceTrack* best, fs_t now) {
   const int id = best != nullptr ? static_cast<int>(best->id) : -1;
   if (id == selected_id_) return;
   ++selection_changes_;
-  if (auto* tr = hub_ != nullptr ? hub_->trace() : nullptr)
+  if (auto* tr = obs::trace_of(host_.simulator().obs()))
     tr->instant_global(now, "hier:select " + host_.name() + " -> " +
                                 (id < 0 ? std::string("holdover")
                                         : "source" + std::to_string(id)));
@@ -281,7 +281,7 @@ void HierarchyClient::handle_sync(const net::Frame& f, fs_t hw_rx) {
       const fs_t until = hw_rx + kFalsetickerHolddown;
       if (until > t.quarantined_until) {
         if (t.quarantined_until <= hw_rx) {
-          if (auto* tr = hub_ != nullptr ? hub_->trace() : nullptr)
+          if (auto* tr = obs::trace_of(host_.simulator().obs()))
             tr->instant_global(hw_rx, "hier:quarantine " + host_.name() +
                                           " source" + std::to_string(t.id));
         }
@@ -403,24 +403,8 @@ HierarchyClient& TimeHierarchy::add_client(net::Host& host, Agent& agent,
 
 void TimeHierarchy::start() {
   for (auto& s : servers_) s->start();
-}
-
-UtcSourceServer* TimeHierarchy::server_on(const std::string& host_name) {
-  for (auto& s : servers_)
-    if (s->host().name() == host_name) return s.get();
-  return nullptr;
-}
-
-HierarchyClient* TimeHierarchy::client_on(const std::string& host_name) {
-  for (auto& c : clients_)
-    if (c->host().name() == host_name) return c.get();
-  return nullptr;
-}
-
-void TimeHierarchy::set_obs(obs::Hub* hub) {
-  for (auto& c : clients_) c->set_obs(hub);
-  if (hub == nullptr) return;
-  auto* m = hub->metrics();
+  if (clients_.empty()) return;
+  auto* m = obs::metrics_of(clients_.front()->host().simulator().obs());
   if (m == nullptr) return;
   // Pull probes: evaluated on the coordinator at snapshot time, reading
   // state the last serve()/receive left behind — no worker-side writes.
@@ -441,6 +425,18 @@ void TimeHierarchy::set_obs(obs::Hub* hub) {
       return static_cast<double>(static_cast<int>(cl->status()));
     });
   }
+}
+
+UtcSourceServer* TimeHierarchy::server_on(const std::string& host_name) {
+  for (auto& s : servers_)
+    if (s->host().name() == host_name) return s.get();
+  return nullptr;
+}
+
+HierarchyClient* TimeHierarchy::client_on(const std::string& host_name) {
+  for (auto& c : clients_)
+    if (c->host().name() == host_name) return c.get();
+  return nullptr;
 }
 
 }  // namespace dtpsim::dtp

@@ -48,10 +48,6 @@
 #include "net/host.hpp"
 #include "sim/simulator.hpp"
 
-namespace dtpsim::obs {
-class Hub;
-}
-
 namespace dtpsim::dtp {
 
 /// What kind of reference stands behind a source (the TimeSource taxonomy).
@@ -221,10 +217,6 @@ class HierarchyClient {
   const HierarchyParams& params() const { return params_; }
   void set_holdover_ceiling(fs_t c) { params_.holdover_ceiling = c; }
 
-  /// Attach observability (null detaches): selection changes become trace
-  /// instants (the sink is internally locked, safe from the receive path).
-  void set_obs(obs::Hub* hub) { hub_ = hub; }
-
  private:
   void handle_sync(const net::Frame& f, fs_t hw_rx);
   SourceTrack& track_for(const SourceSyncPacket& p);
@@ -239,6 +231,9 @@ class HierarchyClient {
   bool usable(const SourceTrack& t, fs_t now) const;
   /// BMCA-lite: best usable track, or nullptr.
   const SourceTrack* select(fs_t now) const;
+  /// Selection changes and quarantines become global trace instants when
+  /// the simulator's hub traces (the sink is internally locked, safe from
+  /// the receive path).
   void observe_selection(const SourceTrack* best, fs_t now);
 
   net::Host& host_;
@@ -257,8 +252,6 @@ class HierarchyClient {
   double served_utc_ = 0.0;
   fs_t served_at_ = 0;
   ServedTime last_{};
-
-  obs::Hub* hub_ = nullptr;
 };
 
 /// Container wiring servers and clients onto a built network, with name
@@ -274,7 +267,9 @@ class TimeHierarchy {
   HierarchyClient& add_client(net::Host& host, Agent& agent,
                               HierarchyParams params = {});
 
-  /// Start every server's broadcast process.
+  /// Start every server's broadcast process. When the simulator's hub keeps
+  /// metrics, also register the per-client pull probes (served uncertainty,
+  /// selected source, selection changes, status) as `hier.<host>.*`.
   void start();
 
   const std::vector<std::unique_ptr<UtcSourceServer>>& servers() const {
@@ -287,11 +282,6 @@ class TimeHierarchy {
   /// Lookup by the hosting device's name (the chaos serialization key).
   UtcSourceServer* server_on(const std::string& host_name);
   HierarchyClient* client_on(const std::string& host_name);
-
-  /// Attach observability: per-client holdover-uncertainty gauges,
-  /// selection-change counters (pull probes, coordinator-evaluated) and
-  /// selection-change trace instants.
-  void set_obs(obs::Hub* hub);
 
  private:
   std::vector<std::unique_ptr<UtcSourceServer>> servers_;

@@ -100,8 +100,14 @@ void PortLogic::set_state(PortState s) {
   if (s == hot().state) return;
   hot().state = s;
   ++stats_.state_transitions;
-  if (auto* tr = obs_hub_ != nullptr ? obs_hub_->trace() : nullptr)
-    tr->instant(obs_track_, sim_.now(), std::string("state:") + to_string(s));
+  trace_instant(sim_.now(), "state:", to_string(s));
+}
+
+void PortLogic::trace_instant(fs_t t, const char* what, const char* detail) const {
+  // The Session interned every device's track first, so this finds the id
+  // the offset counters use.
+  if (auto* tr = obs::trace_of(sim_.obs()))
+    tr->instant(tr->track(agent_.device().name()), t, std::string(what) + detail);
 }
 
 void PortLogic::handle_link_up() {
@@ -284,8 +290,7 @@ void PortLogic::handle_control(sim::Simulator& sim, std::uint32_t port,
       break;
     case MessageType::kBeaconJoin:
       ++self.stats_.joins_received;
-      if (auto* tr = self.obs_hub_ != nullptr ? self.obs_hub_->trace() : nullptr)
-        tr->instant(self.obs_track_, rx.crossing.visible_time, "JOIN rx");
+      self.trace_instant(rx.crossing.visible_time, "JOIN rx");
       handle_beacon(sim, port, *msg, rx_tick, /*join=*/true);
       break;
     case MessageType::kBeaconMsb:
@@ -575,8 +580,7 @@ void PortLogic::send_log(std::uint64_t sw_payload) {
 
 void PortLogic::send_join() {
   ++stats_.joins_sent;
-  if (auto* tr = obs_hub_ != nullptr ? obs_hub_->trace() : nullptr)
-    tr->instant(obs_track_, sim_.now(), "JOIN tx");
+  trace_instant(sim_.now(), "JOIN tx");
   port_.request_control_slot([this](fs_t, std::int64_t tx_tick) {
     const WideCounter gc = tx_global(sim_, id_, tx_tick);
     return encode_bits({MessageType::kBeaconJoin, gc.lsb53()}, agent_.params().parity);

@@ -33,10 +33,6 @@
 #include "dtp/messages.hpp"
 #include "phy/port.hpp"
 
-namespace dtpsim::obs {
-class Hub;
-}
-
 namespace dtpsim::dtp {
 
 class Agent;
@@ -169,14 +165,6 @@ class PortLogic {
   /// (asymmetric delay), which clear_fault deliberately preserves.
   void reinit();
 
-  /// Attach trace instrumentation (obs::Session wiring); null detaches.
-  /// `track` is the owning device's interned TraceSink track. Only stores
-  /// the pointer — safe with an incomplete Hub.
-  void set_obs(obs::Hub* hub, std::uint32_t track) {
-    obs_hub_ = hub;
-    obs_track_ = track;
-  }
-
  private:
   friend class Agent;
 
@@ -252,6 +240,9 @@ class PortLogic {
   /// Single gate for every state change: counts the transition and emits a
   /// trace instant when observability is attached.
   void set_state(PortState s);
+  /// A trace instant `what` + `detail` at `t` on the device's track, if the
+  /// simulator's hub traces. Never on the per-beacon path.
+  void trace_instant(fs_t t, const char* what, const char* detail = "") const;
 
   /// lc read honoring the frozen-counter seam (the stuck register reads the
   /// latched value). Every internal lc read goes through here.
@@ -285,8 +276,6 @@ class PortLogic {
   std::optional<WideCounter> frozen_gc_;      ///< gc latched at freeze (tx)
   sim::EventHandle beacon_timer_;  ///< exact-engine beacon timer
   sim::EventHandle init_retry_;
-  obs::Hub* obs_hub_ = nullptr;  ///< trace attachment; null in bare runs
-  std::uint32_t obs_track_ = 0;
 };
 
 }  // namespace dtpsim::dtp

@@ -131,22 +131,13 @@ std::uint64_t HealthWatchdog::total_disables() const {
   return n;
 }
 
-void HealthWatchdog::set_obs(obs::Hub* hub) {
-  hub_ = hub;
-  metrics_ready_ = false;
-  if (hub_ == nullptr) return;
-  if (auto* reg = hub_->metrics()) {
-    metric_ids_[0] = reg->counter("wd.suspects");
-    metric_ids_[1] = reg->counter("wd.quarantines");
-    metric_ids_[2] = reg->counter("wd.reinits");
-    metric_ids_[3] = reg->counter("wd.disables");
-    metrics_ready_ = true;
-  }
+void HealthWatchdog::note(const Mon& m, fs_t now, const std::string& what) {
+  if (auto* tr = obs::trace_of(net_.simulator().obs()))
+    tr->instant_global(now, "wd:" + what + " " + m.label);
 }
 
-void HealthWatchdog::note(const Mon& m, fs_t now, const std::string& what) {
-  if (auto* tr = hub_ != nullptr ? hub_->trace() : nullptr)
-    tr->instant_global(now, "wd:" + what + " " + m.label);
+void HealthWatchdog::count(const char* metric) {
+  if (auto* reg = obs::metrics_of(net_.simulator().obs())) reg->add(reg->counter(metric));
 }
 
 void HealthWatchdog::sample() {
@@ -275,7 +266,7 @@ void HealthWatchdog::strike(Mon& m, fs_t now, const char* why) {
     ++m.stats.suspects;
     m.stats.suspected_at = now;
     if (m.stats.first_suspected_at < 0) m.stats.first_suspected_at = now;
-    if (metrics_ready_) hub_->metrics_registry().add(metric_ids_[0]);
+    count("wd.suspects");
     note(m, now, std::string("suspect (") + why + ")");
   }
   if (m.strike_streak >= kSuspectStrikes)
@@ -308,7 +299,7 @@ void HealthWatchdog::enter_quarantine(Mon& m, fs_t now, const char* why) {
   m.strike_streak = 0;
   m.clean_streak = 0;
   m.has_prev = false;
-  if (metrics_ready_) hub_->metrics_registry().add(metric_ids_[1]);
+  count("wd.quarantines");
 
   if (m.stats.attempts >= params_.max_reinit_attempts) {
     m.health = PortHealth::kDisabled;
@@ -318,7 +309,7 @@ void HealthWatchdog::enter_quarantine(Mon& m, fs_t now, const char* why) {
         m.dev->name(), m.port_index, now,
         std::string(why) + " persisted through " +
             std::to_string(m.stats.attempts) + " re-INIT attempts"});
-    if (metrics_ready_) hub_->metrics_registry().add(metric_ids_[3]);
+    count("wd.disables");
     note(m, now, std::string("disable (") + why + ")");
     return;
   }
@@ -344,7 +335,7 @@ void HealthWatchdog::fire_reinit(Mon& m, fs_t now) {
   m.health = PortHealth::kProbation;
   m.clean_streak = 0;
   m.has_prev = false;
-  if (metrics_ready_) hub_->metrics_registry().add(metric_ids_[2]);
+  count("wd.reinits");
   note(m, now,
        "reinit attempt=" + std::to_string(m.stats.attempts));
   agent.port_logic(m.port_index).reinit();

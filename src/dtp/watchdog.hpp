@@ -51,10 +51,6 @@
 #include "net/topology.hpp"
 #include "sim/simulator.hpp"
 
-namespace dtpsim::obs {
-class Hub;
-}
-
 namespace dtpsim::dtp {
 
 /// Rung of the escalation ladder a watched port currently sits on.
@@ -120,10 +116,6 @@ class HealthWatchdog {
   std::uint64_t total_reinits() const;
   std::uint64_t total_disables() const;
 
-  /// Attach observability (null detaches): ladder transitions become trace
-  /// instants and the wd.* counters are registered/bumped.
-  void set_obs(obs::Hub* hub);
-
  private:
   struct Mon;
 
@@ -133,16 +125,16 @@ class HealthWatchdog {
   void clean_window(Mon& m);
   void enter_quarantine(Mon& m, fs_t now, const char* why);
   void fire_reinit(Mon& m, fs_t now);
+  /// Ladder transitions become global trace instants and bump the wd.*
+  /// counters when the simulator's hub records them.
   void note(const Mon& m, fs_t now, const std::string& what);
+  void count(const char* metric);
 
   net::Network& net_;
   DtpNetwork& dtp_;
   WatchdogParams params_;
   std::vector<std::unique_ptr<Mon>> mons_;
   std::vector<WatchdogVerdict> verdicts_;
-  obs::Hub* hub_ = nullptr;
-  std::uint32_t metric_ids_[4] = {};  ///< suspect/quarantine/reinit/disable
-  bool metrics_ready_ = false;
   std::unique_ptr<sim::PeriodicProcess> sampler_;
 };
 

@@ -5,14 +5,15 @@
 ///
 /// A `Hub` bundles the three recorders — `MetricsRegistry`, `TraceSink`,
 /// `WallProfile` — behind per-facility enable switches. Instrumented code
-/// never owns a hub; it holds a nullable `Hub*` (null in every
-/// non-instrumented run) and each accessor returns null when the facility is
-/// off, so the hot-path cost of disabled observability is one pointer test:
+/// never holds a hub: it asks the simulator for the attached one where it
+/// emits (`sim::Simulator::obs()`, null in every non-instrumented run), and
+/// each accessor returns null when the facility is off, so the cost of
+/// disabled observability is one pointer test:
 ///
-///   if (auto* tr = hub_ ? hub_->trace() : nullptr) tr->instant(...);
+///   if (auto* tr = obs::trace_of(sim.obs())) tr->instant(...);
 ///
 /// The hub lives above the simulator (`sim::Simulator::set_obs`) but below
-/// the wiring layer (`obs::Session`, which knows about devices and agents).
+/// `obs::Session`, which attaches it and knows about devices and agents.
 
 #include <string>
 
@@ -61,5 +62,12 @@ class Hub {
   TraceSink trace_;
   WallProfile wall_;
 };
+
+/// The attached hub's trace sink or metrics registry; null without a hub
+/// or with the facility off.
+inline TraceSink* trace_of(Hub* hub) { return hub != nullptr ? hub->trace() : nullptr; }
+inline MetricsRegistry* metrics_of(Hub* hub) {
+  return hub != nullptr ? hub->metrics() : nullptr;
+}
 
 }  // namespace dtpsim::obs

@@ -25,6 +25,11 @@ MetricId MetricsRegistry::intern(const std::string& name, MetricKind kind) {
   m.name = name;
   m.kind = kind;
   m.points.reserve(snapshot_times_.capacity());
+  // A cell registered after snapshots began (a counter registered where it
+  // is first bumped) held its initial zero at each of them; a late probe
+  // cannot be evaluated in the past, so its series starts here.
+  if (kind != MetricKind::kProbe)
+    for (const fs_t t : snapshot_times_) m.points.push_back(Point{t, 0.0});
   metrics_.push_back(std::move(m));
   return static_cast<MetricId>(metrics_.size() - 1);
 }

@@ -57,11 +57,14 @@ class MetricsRegistry {
     double min = 0;
     double max = 0;
     std::function<double()> probe;  ///< kProbe only
-    std::vector<Point> points;      ///< one entry per snapshot
+    std::vector<Point> points;      ///< one entry per snapshot (see counter())
   };
 
   /// Register a metric (coordinator-only; names should be unique — a
   /// duplicate name returns the existing id so wiring code can be lazy).
+  /// A counter, gauge or histogram registered after snapshots began gets a
+  /// zero point at each of them, so its series lines up with
+  /// snapshot_times(); a probe's series starts at its registration.
   MetricId counter(const std::string& name);
   MetricId gauge(const std::string& name);
   MetricId histogram(const std::string& name);

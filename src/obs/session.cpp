@@ -21,21 +21,10 @@ Session::Session(net::Network& net, dtp::DtpNetwork* dtp, SessionConfig cfg)
     tracks_.reserve(devices_.size());
     for (const net::Device* dev : devices_) tracks_.push_back(tr->track(dev->name()));
   }
-  wire_ports();
 }
 
 Session::~Session() {
   if (enabled()) sim_.set_obs(nullptr);
-}
-
-void Session::wire_ports() {
-  if (dtp_ == nullptr || !trace_on_) return;
-  for (std::size_t i = 0; i < devices_.size(); ++i) {
-    dtp::Agent* agent = dtp_->agent_of(devices_[i]);
-    if (agent == nullptr) continue;
-    for (std::size_t p = 0; p < agent->port_count(); ++p)
-      agent->port_logic(p).set_obs(&hub_, tracks_[i]);
-  }
 }
 
 void Session::start(fs_t horizon) {
@@ -151,9 +140,6 @@ void Session::start(fs_t horizon) {
 
 void Session::take_snapshot() {
   const fs_t now = sim_.now();
-  // Chaos restarts re-attach agents with fresh PortLogic instances; re-wire
-  // lazily so a restarted node keeps its trace instrumentation.
-  wire_ports();
   if (MetricsRegistry* m = hub_.metrics()) m->snapshot(now);
   if (TraceSink* tr = hub_.trace()) {
     if (dtp_ != nullptr) {

@@ -4,20 +4,22 @@
 /// Observability wiring for a live experiment (DESIGN.md §11).
 ///
 /// `Session` owns the `obs::Hub` and knows about the layers above the
-/// simulator: it interns one trace track per device, connects every DTP
-/// port's instrumentation, registers pull-probes over the event core,
-/// PHY counters and agent counters, and drives the periodic snapshot
-/// process. The snapshot process is a *global-affinity* periodic event
-/// (category kProbe): in parallel mode it fires at conservative sync points
-/// on the coordinator thread while every worker is parked, so sampling
-/// device state races nothing and a serial and a parallel run of the same
-/// seed snapshot identical values at identical simulated times.
+/// simulator: it attaches the hub to the simulator, where every instrumented
+/// layer asks for it as it emits, interns one trace track per device (so a
+/// port's instants and its device's offset counters share one track),
+/// registers pull-probes over the event core, PHY counters and agent
+/// counters, and drives the periodic snapshot process. The snapshot process
+/// is a *global-affinity* periodic event (category kProbe): in parallel mode
+/// it fires at conservative sync points on the coordinator thread while
+/// every worker is parked, so sampling device state races nothing and a
+/// serial and a parallel run of the same seed snapshot identical values at
+/// identical simulated times.
 ///
-/// Lifetime: construct after the topology (and DTP layer, if any) exists,
-/// `start(horizon)` before running, `finish()` after — that writes the
-/// configured trace/metrics files. The destructor detaches the hub from the
-/// simulator, so instrumented layers must not outlive the session's
-/// simulator references.
+/// Lifetime: construct after the topology (and DTP layer, if any) exists and
+/// before the layers that register metrics when they start (a time
+/// hierarchy's probes), `start(horizon)` before running, `finish()` after —
+/// that writes the configured trace/metrics files. The destructor detaches
+/// the hub from the simulator.
 
 #include <memory>
 #include <string>
@@ -64,7 +66,6 @@ class Session {
   bool finish(std::string* err = nullptr);
 
  private:
-  void wire_ports();  ///< (re)attach hub to every DTP port logic
   void take_snapshot();
 
   net::Network& net_;
@@ -78,7 +79,7 @@ class Session {
   bool started_ = false;
   bool finished_ = false;
   std::vector<net::Device*> devices_;
-  std::vector<std::uint32_t> tracks_;  ///< parallel to devices_
+  std::vector<std::uint32_t> tracks_;  ///< parallel to devices_ (offset counters)
   std::unique_ptr<sim::PeriodicProcess> sampler_;
   sim::SimStats stats_cache_;  ///< refreshed once per snapshot (see start())
 };

@@ -30,10 +30,11 @@ std::string ts_us_from_ns(std::uint64_t ns) {
 
 std::uint32_t TraceSink::track(const std::string& label) {
   std::lock_guard<std::mutex> lock(mu_);
-  for (std::uint32_t i = 0; i < track_labels_.size(); ++i)
-    if (track_labels_[i] == label) return i + 1;  // tid 0 = the global track
-  track_labels_.push_back(label);
-  const auto tid = static_cast<std::uint32_t>(track_labels_.size());
+  // tid 0 is the global track.
+  const auto [it, added] =
+      track_ids_.try_emplace(label, static_cast<std::uint32_t>(track_ids_.size() + 1));
+  const std::uint32_t tid = it->second;
+  if (!added) return tid;
   Event e;
   e.ph = 'M';
   e.tid = tid;

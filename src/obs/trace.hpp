@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/time_units.hpp"
@@ -39,7 +40,8 @@ class TraceSink {
   static constexpr std::size_t kMaxEvents = 1u << 22;
 
   /// Intern a named simulated-time track (one per device); emits the
-  /// thread_name metadata record. Re-interning a label returns the same id.
+  /// thread_name metadata record. Re-interning a label returns the same id
+  /// (a hash lookup, so emit sites may look their device's track up by name).
   std::uint32_t track(const std::string& label);
 
   /// Instant event ("i", thread scope) on a device track at simulated `t`.
@@ -86,7 +88,7 @@ class TraceSink {
 
   mutable std::mutex mu_;
   std::vector<Event> events_;
-  std::vector<std::string> track_labels_;
+  std::unordered_map<std::string, std::uint32_t> track_ids_;  ///< label -> tid
   std::uint64_t dropped_ = 0;
 };
 

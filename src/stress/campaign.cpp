@@ -25,6 +25,12 @@ Campaign::Campaign(Scenario scenario, const RunOptions& options)
     if (s.dtp->mode == dtp::SyncMode::kMasterTree)
       dtp::configure_master_tree(dtp_, *net_.devices().front());
   }
+  // Observability attaches next: every layer built below finds the hub
+  // through the simulator (the hierarchy registers its probes as it starts,
+  // and run() schedules the plan, so chaos.faults_injected sees every fault).
+  const ObsOptions& o = options_.obs;
+  if (!o.trace_path.empty() || !o.metrics_path.empty())
+    session_ = std::make_unique<obs::Session>(net_, s.dtp ? &dtp_ : nullptr, o);
   if (s.load) s.load(*this);
   if (s.ptp) {
     grandmaster_ = std::make_unique<ptp::Grandmaster>(sim_, *hosts_[0], s.ptp->grandmaster);
@@ -70,16 +76,6 @@ Campaign::Campaign(Scenario scenario, const RunOptions& options)
     if (apps_)
       for (std::size_t i = 0; i < apps_->size(); ++i) sentinel_->watch_timebase(&apps_->daemon(i));
     for (const auto& [from, until] : s.blackouts) sentinel_->add_blackout(from, until);
-  }
-
-  // Observability attaches before run() schedules the plan, so the
-  // chaos.faults_injected counter sees every fault.
-  const ObsOptions& o = options_.obs;
-  if (!o.trace_path.empty() || !o.metrics_path.empty()) {
-    session_ = std::make_unique<obs::Session>(net_, s.dtp ? &dtp_ : nullptr, o);
-    if (engine_) engine_->set_obs(&session_->hub());
-    if (watchdog_) watchdog_->set_obs(&session_->hub());
-    if (sentinel_) sentinel_->set_obs(&session_->hub());
   }
 }
 

@@ -85,7 +85,7 @@ struct Scenario {
   std::function<std::vector<net::Host*>(net::Network&)> topology;
   std::function<void(Campaign&)> load;       ///< empty = idle
   // Time services, built after the load. PTP and NTP start when built,
-  // before the obs session; the app harness starts in `Campaign::start()`.
+  // before the obs session starts; the app harness in `Campaign::start()`.
   std::optional<PtpSetup> ptp;  ///< empty = no PTP
   std::optional<ntp::NtpClientParams> ntp;  ///< server on the first host; empty = none
   /// The app harness over every host, its pages watched by the sentinel.
@@ -113,8 +113,8 @@ const std::vector<Scenario>& scenario_table();
 const Scenario* find_scenario(const std::string& name);
 
 /// A built campaign. The constructor assembles everything in order —
-/// simulator, network, DTP, load, time services, hierarchy and watchdog,
-/// chaos engine and plan, sentinel with blackouts, observability — and
+/// simulator, network, DTP, observability, load, time services, hierarchy
+/// and watchdog, chaos engine and plan, sentinel with blackouts — and
 /// `run()` starts it, runs to the horizon and finishes it. Before `run()`
 /// (or `start()`), callers may attach instruments of their own or add
 /// faults to `plan()`.
@@ -161,9 +161,9 @@ class Campaign {
   net::PaperTreeTopology tree_;
   std::vector<net::Host*> hosts_;
   dtp::DtpNetwork dtp_;
-  // Everything below holds pointers into what is above it; the obs session
-  // is declared before its users so the hub outlives every holder, and the
-  // time services before the sentinel that watches their pages.
+  std::unique_ptr<obs::Session> session_;
+  // Everything below holds pointers into what is above it; the time
+  // services are declared before the sentinel that watches their pages.
   std::unique_ptr<ptp::Grandmaster> grandmaster_;
   std::vector<std::unique_ptr<ptp::TransparentClockAdapter>> transparent_clocks_;
   std::vector<std::unique_ptr<ptp::PtpClient>> ptp_clients_;
@@ -171,7 +171,6 @@ class Campaign {
   std::vector<std::unique_ptr<ntp::NtpClient>> ntp_clients_;
   std::unique_ptr<apps::AppHarness> apps_;
   dtp::TimeHierarchy hierarchy_;
-  std::unique_ptr<obs::Session> session_;
   std::unique_ptr<dtp::HealthWatchdog> watchdog_;
   std::unique_ptr<chaos::ChaosEngine> engine_;
   chaos::FaultPlan plan_;

@@ -1,6 +1,7 @@
 // Observability layer (DESIGN.md §11): trace-file schema round-trip,
-// metrics-snapshot determinism across engine modes, and the guarantee that
-// disabled observability leaves a run bit-identical.
+// metrics-snapshot determinism across engine modes, a late-registered
+// counter's series, and the guarantee that disabled observability leaves a
+// run bit-identical.
 //
 // The trace check is a *strict* parse: a hand-rolled recursive-descent JSON
 // reader that rejects anything outside the grammar (trailing commas, bare
@@ -18,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "stress/runner.hpp"
 
 using namespace dtpsim;
@@ -27,8 +29,9 @@ namespace {
 // ---------------------------------------------------------------------------
 // Strict JSON parser for the Chrome trace "JSON Array Format": a bare array
 // of event objects. Scalar members of each top-level object are collected
-// into a string map (strings unescaped, numbers/bools kept as raw text);
-// nested objects ("args") are validated recursively but not collected.
+// into a string map (strings unescaped, numbers/bools kept as raw text),
+// those of a nested object under a dotted key ("args.name"); arrays are
+// validated but not collected.
 // ---------------------------------------------------------------------------
 struct TraceEvent {
   std::map<std::string, std::string> fields;
@@ -187,8 +190,9 @@ class StrictTraceParser {
     return false;
   }
 
-  /// Parse an object; when `ev` is non-null, collect its scalar members.
-  bool parse_object(TraceEvent* ev) {
+  /// Parse an object; when `ev` is non-null, collect its scalar members
+  /// (and its nested objects', under `prefix`).
+  bool parse_object(TraceEvent* ev, const std::string& prefix = std::string()) {
     skip_ws();
     if (!expect('{')) return false;
     skip_ws();
@@ -204,8 +208,12 @@ class StrictTraceParser {
       skip_ws();
       const bool nested = peek() == '{' || peek() == '[';
       std::string val;
-      if (!parse_value(&val)) return false;
-      if (ev != nullptr && !nested) ev->fields[key] = val;
+      if (peek() == '{') {
+        if (!parse_object(ev, prefix + key + ".")) return false;
+      } else if (!parse_value(&val)) {
+        return false;
+      }
+      if (ev != nullptr && !nested) ev->fields[prefix + key] = val;
       skip_ws();
       if (peek() == ',') {
         ++pos_;
@@ -234,8 +242,14 @@ std::string slurp(const std::string& path) {
 
 std::string tmp_path(const std::string& leaf) { return testing::TempDir() + leaf; }
 
-/// Small deterministic campaign on the paper tree with one link flap —
-/// enough activity for offset tracks, fault marks, and recovery instants.
+/// The host obs_spec crashes, and when it comes back.
+constexpr const char* kCrashedHost = "S8";
+constexpr fs_t kRestartAt = from_us(3800);
+
+/// Small deterministic campaign on the paper tree with one link flap, the
+/// two-source time hierarchy, and a crash of a host that serves no time —
+/// enough activity for offset tracks, fault marks, recovery instants,
+/// selection changes and a restarted agent's own instants.
 stress::StressSpec obs_spec(std::uint32_t threads) {
   stress::StressSpec s;
   s.sim_seed = 4321;
@@ -257,7 +271,20 @@ stress::StressSpec obs_spec(std::uint32_t threads) {
   flap.at = from_ms(3) + from_us(300);
   flap.duration = from_us(80);
   s.faults.push_back(flap);
+
+  s.hier = true;  // sources on S4 and S11, clients on S5-S10
+  chaos::FaultSpec crash;
+  crash.kind = chaos::FaultKind::kNodeCrash;
+  crash.a = kCrashedHost;
+  crash.at = from_us(3600);
+  crash.duration = kRestartAt - crash.at;
+  s.faults.push_back(crash);
   return s;
+}
+
+std::string field(const TraceEvent& e, const std::string& key) {
+  const auto it = e.fields.find(key);
+  return it != e.fields.end() ? it->second : std::string();
 }
 
 bool any_event(const std::vector<TraceEvent>& evs, const char* ph,
@@ -315,6 +342,27 @@ TEST(Obs, TraceFileRoundTripsThroughStrictParse) {
     break;
   }
   EXPECT_TRUE(fault_is_global);
+  // The hierarchy reaches the trace.
+  EXPECT_TRUE(any_event(evs, "i", "hier:select"));
+
+  // The restarted host's new ports log on its own track: SYNCED again and
+  // their BEACON-JOIN announcements.
+  std::string crashed_tid;
+  for (const auto& e : evs)
+    if (field(e, "name") == "thread_name" && field(e, "args.name") == kCrashedHost)
+      crashed_tid = field(e, "tid");
+  ASSERT_FALSE(crashed_tid.empty());
+  bool synced = false;
+  bool join_tx = false;
+  for (const auto& e : evs) {
+    if (field(e, "ph") != "i" || field(e, "tid") != crashed_tid ||
+        std::stod(field(e, "ts")) < to_us_f(kRestartAt))
+      continue;
+    synced = synced || field(e, "name") == "state:SYNCED";
+    join_tx = join_tx || field(e, "name") == "JOIN tx";
+  }
+  EXPECT_TRUE(synced) << "no state:SYNCED on " << kCrashedHost << " after its restart";
+  EXPECT_TRUE(join_tx) << "no JOIN tx on " << kCrashedHost << " after its restart";
   std::remove(trace.c_str());
 }
 
@@ -338,9 +386,29 @@ TEST(Obs, MetricsSnapshotsDeterministicAcrossEngines) {
   const std::string serial_json = slurp(serial_path);
   const std::string par_json = slurp(par_path);
   EXPECT_FALSE(serial_json.empty());
+  // The hierarchy's pull probes exist before the first snapshot.
+  EXPECT_NE(serial_json.find("\"hier.S5.uncertainty_ns\""), std::string::npos);
   EXPECT_EQ(serial_json, par_json);
   std::remove(serial_path.c_str());
   std::remove(par_path.c_str());
+}
+
+// A counter registered where it is first bumped, after snapshots began, still
+// has one point per snapshot: zero at each snapshot before its first bump.
+TEST(Obs, LateCounterSeriesLinesUpWithSnapshots) {
+  obs::MetricsRegistry m;
+  m.snapshot(1);
+  m.snapshot(2);
+  m.add(m.counter("late"));
+  m.snapshot(3);
+  const obs::MetricsRegistry::Metric* late = m.find("late");
+  ASSERT_NE(late, nullptr);
+  ASSERT_EQ(late->points.size(), m.snapshot_count());
+  for (std::size_t i = 0; i < late->points.size(); ++i)
+    EXPECT_EQ(late->points[i].t, m.snapshot_times()[i]);
+  EXPECT_EQ(late->points[0].value, 0.0);
+  EXPECT_EQ(late->points[1].value, 0.0);
+  EXPECT_EQ(late->points[2].value, 1.0);
 }
 
 // Observability off must mean *off*: a run with no ObsOptions and a run with
