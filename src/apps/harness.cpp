@@ -35,12 +35,10 @@ OwdApp::OwdApp(sim::Simulator& sim,
 
     // Stamp at the hardware TX instant: the page sample the sender's NIC
     // would read as the frame leaves.
-    auto& nic = src.host->nic();
-    auto prev_tx = nic.on_transmit;
-    nic.on_transmit = [this, i, id, src, prev_tx](net::Frame& f, fs_t tx_start) {
-      if (f.ethertype == net::kEtherTypePageOwd) {
-        if (auto pkt = std::dynamic_pointer_cast<const PageOwdPacket>(f.packet);
-            pkt && pkt->pair_id == id) {
+    src.host->nic().on_transmit.add(
+        net::kEtherTypePageOwd, [id, src](net::Frame& f, fs_t tx_start) {
+          auto pkt = std::dynamic_pointer_cast<const PageOwdPacket>(f.packet);
+          if (!pkt || pkt->pair_id != id) return;
           const dtp::TimebaseSample s = src.sample(tx_start);
           auto* p = const_cast<PageOwdPacket*>(pkt.get());
           p->ts_units = s.units;
@@ -49,23 +47,13 @@ OwdApp::OwdApp(sim::Simulator& sim,
           p->stale = s.stale;
           p->valid = s.valid;
           p->tx_true = tx_start;
-        }
-      }
-      if (prev_tx) prev_tx(f, tx_start);
-    };
+        });
 
-    auto prev_rx = pairs_[i].second.host->on_hw_receive;
-    pairs_[i].second.host->on_hw_receive = [this, i, id, prev_rx](const net::Frame& f,
-                                                                  fs_t rx_time) {
-      if (f.ethertype == net::kEtherTypePageOwd) {
-        if (auto pkt = std::dynamic_pointer_cast<const PageOwdPacket>(f.packet);
-            pkt && pkt->pair_id == id) {
-          on_probe(i, *pkt, rx_time);
-          return;
-        }
-      }
-      if (prev_rx) prev_rx(f, rx_time);
-    };
+    pairs_[i].second.host->on_hw_receive.add(
+        net::kEtherTypePageOwd, [this, i, id](const net::Frame& f, fs_t rx_time) {
+          auto pkt = std::dynamic_pointer_cast<const PageOwdPacket>(f.packet);
+          if (pkt && pkt->pair_id == id) on_probe(i, *pkt, rx_time);
+        });
 
     auto proc = std::make_unique<sim::PeriodicProcess>(
         sim_, kOwdPeriod, [this, i] { send_probe(i); },

@@ -16,8 +16,7 @@
 /// `AppHarness` — builds the whole serving stack for a set of hosts (one
 /// daemon + page per host, shard-pinned for parallel determinism), a reader
 /// fleet, and any subset of the three workloads (OWD pairs, an LWW ring,
-/// TDMA senders), then folds their results into `chaos::AppVerdict`s for
-/// campaign reports.
+/// TDMA senders), then folds their results into `chaos::AppVerdict`s.
 
 #include <cstdint>
 #include <memory>
@@ -130,7 +129,7 @@ class AppHarness {
   ReaderFleet* readers() { return fleet_.get(); }
 
   /// One AppVerdict per configured workload, in fixed order (owd, lww,
-  /// tdma) — ready for CampaignReport::add_app.
+  /// tdma).
   std::vector<chaos::AppVerdict> verdicts() const;
 
  private:

@@ -30,18 +30,11 @@ LwwApp::LwwApp(sim::Simulator& sim, std::vector<TimeService> ring)
   if (ring_.size() < 2) throw std::invalid_argument("LwwApp: ring too small");
   ns_per_unit_ = ns_per_unit(*ring_.front().daemon);
   for (std::size_t i = 0; i < ring_.size(); ++i) {
-    net::Host& host = *ring_[i].host;
-    auto prev = host.on_hw_receive;
-    host.on_hw_receive = [this, i, prev](const net::Frame& f, fs_t rx_time) {
-      if (f.ethertype == net::kEtherTypeLww) {
-        if (auto tok = std::dynamic_pointer_cast<const LwwTokenPacket>(f.packet);
-            tok && tok->ring_id == kRingId) {
-          on_token(i, *tok, rx_time);
-          return;
-        }
-      }
-      if (prev) prev(f, rx_time);
-    };
+    ring_[i].host->on_hw_receive.add(
+        net::kEtherTypeLww, [this, i](const net::Frame& f, fs_t rx_time) {
+          auto tok = std::dynamic_pointer_cast<const LwwTokenPacket>(f.packet);
+          if (tok && tok->ring_id == kRingId) on_token(i, *tok, rx_time);
+        });
   }
   watchdog_.set_affinity(ring_.front().host->node());
 }

@@ -28,18 +28,13 @@ TdmaApp::TdmaApp(sim::Simulator& sim, std::vector<TimeService> senders)
   ns_per_unit_ = ns_per_unit(*senders_.front().daemon);
 
   for (std::size_t i = 0; i < senders_.size(); ++i) {
-    auto& nic = senders_[i].host->nic();
-    auto prev = nic.on_transmit;
-    nic.on_transmit = [this, i, prev](net::Frame& f, fs_t tx_start) {
-      if (f.ethertype == net::kEtherTypeTdma) {
-        if (auto pkt = std::dynamic_pointer_cast<const TdmaSlotPacket>(f.packet);
-            pkt && pkt->schedule_id == kScheduleId &&
-            pkt->sender == static_cast<std::uint32_t>(i)) {
-          on_transmit(i, tx_start);
-        }
-      }
-      if (prev) prev(f, tx_start);
-    };
+    senders_[i].host->nic().on_transmit.add(
+        net::kEtherTypeTdma, [this, i](net::Frame& f, fs_t tx_start) {
+          auto pkt = std::dynamic_pointer_cast<const TdmaSlotPacket>(f.packet);
+          if (pkt && pkt->schedule_id == kScheduleId &&
+              pkt->sender == static_cast<std::uint32_t>(i))
+            on_transmit(i, tx_start);
+        });
   }
 }
 

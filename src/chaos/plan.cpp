@@ -1,5 +1,6 @@
 #include "chaos/plan.hpp"
 
+#include <cmath>
 #include <stdexcept>
 #include <string>
 
@@ -9,16 +10,9 @@ namespace dtpsim::chaos {
 
 namespace {
 
-void require_window(const char* what, fs_t window) {
-  if (window <= 0)
-    throw std::invalid_argument(std::string(what) +
-                                ": fault window must be positive");
-}
-
-void require_prob(const char* what, double p) {
-  if (!(p >= 0.0 && p <= 1.0))
-    throw std::invalid_argument(std::string(what) +
-                                ": probability must be in [0, 1]");
+FaultSpec checked(FaultSpec s) {
+  validate(s);
+  return s;
 }
 
 }  // namespace
@@ -80,6 +74,44 @@ fs_t fault_end(const FaultSpec& spec) {
   return end;
 }
 
+void validate(const FaultSpec& s) {
+  const std::string what = std::string(fault_class_name(s.kind)) + ": ";
+  auto require = [&what](bool ok, const char* rule) {
+    if (!ok) throw std::invalid_argument(what + rule);
+  };
+  auto unit = [](double p) { return p >= 0.0 && p <= 1.0; };
+  require(std::isfinite(s.magnitude), "magnitude must be finite");
+  switch (s.kind) {
+    case FaultKind::kBerBurst:
+      require(unit(s.magnitude), "BER must be in [0, 1]");
+      break;
+    case FaultKind::kBeaconLoss:
+      require(unit(s.magnitude), "drop probability must be in [0, 1]");
+      break;
+    case FaultKind::kPcieStorm:
+      require(unit(s.pcie_spike_prob), "spike probability must be in [0, 1]");
+      break;
+    case FaultKind::kAsymmetricDelay:
+      require(s.duration > 0, "fault window must be positive");
+      require(s.period > 0, "extra delay must be positive");
+      break;
+    case FaultKind::kLimpingPort:
+      require(s.duration > 0, "fault window must be positive");
+      require(unit(s.magnitude), "stall probability must be in [0, 1]");
+      require(s.period > 0, "stall duration must be positive");
+      break;
+    case FaultKind::kSilentCorruption:
+      require(s.duration > 0, "fault window must be positive");
+      require(unit(s.magnitude), "corruption probability must be in [0, 1]");
+      break;
+    case FaultKind::kFrozenCounter:
+      require(s.duration > 0, "fault window must be positive");
+      break;
+    default:
+      break;
+  }
+}
+
 FaultSpec FaultSpec::link_flap(net::Device& a, net::Device& b, fs_t at,
                                fs_t down_for) {
   FaultSpec s;
@@ -88,7 +120,7 @@ FaultSpec FaultSpec::link_flap(net::Device& a, net::Device& b, fs_t at,
   s.duration = down_for;
   s.a = a.name();
   s.b = b.name();
-  return s;
+  return checked(s);
 }
 
 FaultSpec FaultSpec::flap_storm(net::Device& a, net::Device& b, fs_t at,
@@ -101,7 +133,7 @@ FaultSpec FaultSpec::flap_storm(net::Device& a, net::Device& b, fs_t at,
   s.period = flap_period;
   s.a = a.name();
   s.b = b.name();
-  return s;
+  return checked(s);
 }
 
 FaultSpec FaultSpec::port_fail(net::Device& a, net::Device& b, fs_t at,
@@ -112,7 +144,7 @@ FaultSpec FaultSpec::port_fail(net::Device& a, net::Device& b, fs_t at,
   s.duration = down_for;
   s.a = a.name();
   s.b = b.name();
-  return s;
+  return checked(s);
 }
 
 FaultSpec FaultSpec::ber_burst(net::Device& a, net::Device& b, fs_t at,
@@ -124,7 +156,7 @@ FaultSpec FaultSpec::ber_burst(net::Device& a, net::Device& b, fs_t at,
   s.magnitude = ber;
   s.a = a.name();
   s.b = b.name();
-  return s;
+  return checked(s);
 }
 
 FaultSpec FaultSpec::beacon_loss(net::Device& a, net::Device& b, fs_t at,
@@ -136,7 +168,7 @@ FaultSpec FaultSpec::beacon_loss(net::Device& a, net::Device& b, fs_t at,
   s.magnitude = drop;
   s.a = a.name();
   s.b = b.name();
-  return s;
+  return checked(s);
 }
 
 FaultSpec FaultSpec::node_crash(net::Device& dev, fs_t at, fs_t down_for) {
@@ -145,7 +177,7 @@ FaultSpec FaultSpec::node_crash(net::Device& dev, fs_t at, fs_t down_for) {
   s.at = at;
   s.duration = down_for;
   s.a = dev.name();
-  return s;
+  return checked(s);
 }
 
 FaultSpec FaultSpec::rogue_oscillator(net::Device& dev, fs_t at, double ppm,
@@ -157,7 +189,7 @@ FaultSpec FaultSpec::rogue_oscillator(net::Device& dev, fs_t at, double ppm,
   s.period = remediation_delay;
   s.magnitude = ppm;
   s.a = dev.name();
-  return s;
+  return checked(s);
 }
 
 FaultSpec FaultSpec::pcie_storm(dtp::Daemon& daemon, fs_t at, fs_t window,
@@ -172,7 +204,7 @@ FaultSpec FaultSpec::pcie_storm(dtp::Daemon& daemon, fs_t at, fs_t window,
   s.pcie_spike_prob = spike_prob;
   s.pcie_spike_mean = spike_mean;
   s.probe_threshold_ticks = threshold_ticks;
-  return s;
+  return checked(s);
 }
 
 FaultSpec FaultSpec::gps_loss(net::Device& server_host, fs_t at, fs_t down_for) {
@@ -181,7 +213,7 @@ FaultSpec FaultSpec::gps_loss(net::Device& server_host, fs_t at, fs_t down_for) 
   s.at = at;
   s.duration = down_for;
   s.a = server_host.name();
-  return s;
+  return checked(s);
 }
 
 FaultSpec FaultSpec::rogue_grandmaster(net::Device& server_host, fs_t at,
@@ -194,7 +226,7 @@ FaultSpec FaultSpec::rogue_grandmaster(net::Device& server_host, fs_t at,
   s.period = remediation_delay;
   s.magnitude = lie_ns;
   s.a = server_host.name();
-  return s;
+  return checked(s);
 }
 
 FaultSpec FaultSpec::island_partition(net::Device& a, net::Device& b, fs_t at,
@@ -205,7 +237,7 @@ FaultSpec FaultSpec::island_partition(net::Device& a, net::Device& b, fs_t at,
   s.duration = down_for;
   s.a = a.name();
   s.b = b.name();
-  return s;
+  return checked(s);
 }
 
 FaultSpec FaultSpec::stratum_flap(net::Device& server_host, fs_t at, int flaps,
@@ -217,14 +249,11 @@ FaultSpec FaultSpec::stratum_flap(net::Device& server_host, fs_t at, int flaps,
   s.period = flap_period;
   s.magnitude = alt_stratum;
   s.a = server_host.name();
-  return s;
+  return checked(s);
 }
 
 FaultSpec FaultSpec::asymmetric_delay(net::Device& a, net::Device& b, fs_t at,
                                       fs_t window, fs_t extra_delay) {
-  require_window("asymmetric_delay", window);
-  if (extra_delay <= 0)
-    throw std::invalid_argument("asymmetric_delay: extra delay must be positive");
   FaultSpec s;
   s.kind = FaultKind::kAsymmetricDelay;
   s.at = at;
@@ -232,15 +261,11 @@ FaultSpec FaultSpec::asymmetric_delay(net::Device& a, net::Device& b, fs_t at,
   s.period = extra_delay;
   s.a = a.name();
   s.b = b.name();
-  return s;
+  return checked(s);
 }
 
 FaultSpec FaultSpec::limping_port(net::Device& a, net::Device& b, fs_t at,
                                   fs_t window, double stall_prob, fs_t stall) {
-  require_window("limping_port", window);
-  require_prob("limping_port", stall_prob);
-  if (stall <= 0)
-    throw std::invalid_argument("limping_port: stall duration must be positive");
   FaultSpec s;
   s.kind = FaultKind::kLimpingPort;
   s.at = at;
@@ -249,13 +274,11 @@ FaultSpec FaultSpec::limping_port(net::Device& a, net::Device& b, fs_t at,
   s.period = stall;
   s.a = a.name();
   s.b = b.name();
-  return s;
+  return checked(s);
 }
 
 FaultSpec FaultSpec::silent_corruption(net::Device& a, net::Device& b, fs_t at,
                                        fs_t window, double prob) {
-  require_window("silent_corruption", window);
-  require_prob("silent_corruption", prob);
   FaultSpec s;
   s.kind = FaultKind::kSilentCorruption;
   s.at = at;
@@ -263,19 +286,18 @@ FaultSpec FaultSpec::silent_corruption(net::Device& a, net::Device& b, fs_t at,
   s.magnitude = prob;
   s.a = a.name();
   s.b = b.name();
-  return s;
+  return checked(s);
 }
 
 FaultSpec FaultSpec::frozen_counter(net::Device& a, net::Device& b, fs_t at,
                                     fs_t window) {
-  require_window("frozen_counter", window);
   FaultSpec s;
   s.kind = FaultKind::kFrozenCounter;
   s.at = at;
   s.duration = window;
   s.a = a.name();
   s.b = b.name();
-  return s;
+  return checked(s);
 }
 
 }  // namespace dtpsim::chaos

@@ -62,7 +62,8 @@ const char* fault_class_name(FaultKind kind);
 bool is_link_fault(FaultKind kind);
 
 /// One planned fault. Only the fields relevant to `kind` are used; the
-/// named constructors below fill exactly those.
+/// named constructors below fill exactly those, and throw
+/// std::invalid_argument for a spec that breaks its kind's rules (validate).
 struct FaultSpec {
   FaultKind kind = FaultKind::kLinkFlap;
   fs_t at = 0;        ///< injection time (simulator time)
@@ -163,10 +164,9 @@ struct FaultSpec {
                                 fs_t flap_period, int alt_stratum);
 
   // --- Gray failures (DESIGN.md §15) ---------------------------------------
-  // All four throw std::invalid_argument on nonsense arguments (non-positive
-  // window, negative delay, probability outside [0, 1]): a malformed gray
-  // fault silently looks like a healthy link, which is exactly the failure
-  // mode these exist to kill.
+  // A malformed gray fault (non-positive window or delay, probability
+  // outside [0, 1]) would silently look like a healthy link, which is
+  // exactly the failure mode these exist to kill; validate rejects it.
 
   /// The `a` -> `b` direction of the cable gains `extra_delay` of one-way
   /// latency at `at` (b's beacons from a arrive stale; a re-INIT measures a
@@ -192,6 +192,13 @@ struct FaultSpec {
   static FaultSpec frozen_counter(net::Device& a, net::Device& b, fs_t at,
                                   fs_t window);
 };
+
+/// Throws std::invalid_argument when `spec` breaks its kind's rules: a
+/// non-finite magnitude, a BER or probability outside [0, 1], or a gray
+/// fault with a non-positive window or delay. The named constructors and
+/// `fault_from_line` both call it, so a malformed fault fails where it is
+/// written, not when it fires.
+void validate(const FaultSpec& spec);
 
 /// When the fault's last injected perturbation ends (storms: the final
 /// flap; stratum flaps: the restoring toggle). Throws std::invalid_argument

@@ -57,20 +57,6 @@ void CampaignReport::print(std::ostream& os) const {
          << " did not reconverge (residual " << r.residual_ticks << " ticks)\n";
     }
   }
-  if (!app_verdicts_.empty()) {
-    os << "app workloads: " << app_verdicts_.size() << " verdict(s)\n";
-    os << std::left << std::setw(18) << "  app" << std::right << std::setw(10)
-       << "ops" << std::setw(10) << "fail" << std::setw(10) << "detect"
-       << std::setw(14) << "worst[ns]" << "\n";
-    for (const AppVerdict& v : app_verdicts_) {
-      os << "  " << std::left << std::setw(16) << v.app << std::right
-         << std::setw(10) << v.ops << std::setw(10) << v.failures
-         << std::setw(10) << v.detected << std::fixed << std::setprecision(1)
-         << std::setw(14) << v.worst_error_ns << "\n";
-      os.unsetf(std::ios::fixed);
-      if (!v.detail.empty()) os << "      " << v.detail << "\n";
-    }
-  }
 }
 
 std::string CampaignReport::rows_json() const {

@@ -50,10 +50,8 @@ struct AppVerdict {
 class CampaignReport {
  public:
   void add(ProbeResult r) { results_.push_back(std::move(r)); }
-  void add_app(AppVerdict v) { app_verdicts_.push_back(std::move(v)); }
 
   const std::vector<ProbeResult>& results() const { return results_; }
-  const std::vector<AppVerdict>& app_verdicts() const { return app_verdicts_; }
   std::size_t size() const { return results_.size(); }
 
   /// Per-class aggregation, keyed by fault_class.
@@ -72,7 +70,6 @@ class CampaignReport {
 
  private:
   std::vector<ProbeResult> results_;
-  std::vector<AppVerdict> app_verdicts_;
 };
 
 }  // namespace dtpsim::chaos

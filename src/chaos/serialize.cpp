@@ -106,6 +106,7 @@ FaultSpec fault_from_line(const std::string& line) {
 
   if (!kv.empty())
     throw std::invalid_argument("chaos::serialize: unknown key '" + kv.begin()->first + "'");
+  validate(d);
   fault_end(d);  // throws if the fault would end past the fs_t range
   return d;
 }

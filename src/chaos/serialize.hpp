@@ -27,8 +27,9 @@ namespace dtpsim::chaos {
 std::string fault_to_line(const FaultSpec& spec);
 
 /// Parse one "fault ..." line. Throws std::invalid_argument on malformed
-/// input: missing/duplicate/unknown keys, bad numbers, unknown kind, or a
-/// fault whose end (fault_end) does not fit fs_t.
+/// input: missing/duplicate/unknown keys, bad numbers, unknown kind, a fault
+/// that breaks its kind's rules (validate), or one whose end (fault_end)
+/// does not fit fs_t.
 FaultSpec fault_from_line(const std::string& line);
 
 }  // namespace dtpsim::chaos

@@ -31,15 +31,9 @@ void UtcBroadcaster::fire() {
 }
 
 UtcClient::UtcClient(net::Host& host, Daemon& daemon) : host_(host), daemon_(daemon) {
-  auto previous = host_.on_app_receive;
-  host_.on_app_receive = [this, previous](const net::Frame& f, fs_t hw, fs_t app) {
-    if (f.ethertype == net::kEtherTypeUtc) {
-      if (auto pkt = std::dynamic_pointer_cast<const UtcPairPacket>(f.packet))
-        handle_pair(*pkt);
-      return;
-    }
-    if (previous) previous(f, hw, app);
-  };
+  host_.on_app_receive.add(net::kEtherTypeUtc, [this](const net::Frame& f, fs_t, fs_t) {
+    if (auto pkt = std::dynamic_pointer_cast<const UtcPairPacket>(f.packet)) handle_pair(*pkt);
+  });
 }
 
 void UtcClient::handle_pair(const UtcPairPacket& p) {

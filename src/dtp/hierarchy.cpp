@@ -24,8 +24,6 @@ constexpr fs_t kFalsetickerHolddown = from_ms(1);
 /// oscillator envelope of whatever the island's master tree runs at, on both
 /// sides of a partition.
 constexpr double kHoldoverDriftPpm = 300.0;
-/// Tighter bound while a fresh SyncE-style frequency reference is held.
-constexpr double kHoldoverDriftPpmSynced = 25.0;
 /// Fixed uncertainty margin (ns) on top of claim + dispersion + drift.
 constexpr double kBaseMarginNs = 25.0;
 /// Minimum serving rate while slewing out a backward raw jump: served time
@@ -36,7 +34,6 @@ constexpr double kMinServeRate = 0.5;
 TimeSourceParams TimeSourceParams::gps(std::uint32_t id, fs_t period) {
   TimeSourceParams p;
   p.source_id = id;
-  p.kind = SourceKind::kUtc;
   p.stratum = 1;
   p.accuracy_ns = 100.0;
   p.period = period;
@@ -47,19 +44,8 @@ TimeSourceParams TimeSourceParams::upstream_island(std::uint32_t id, int stratum
                                                    double accuracy_ns, fs_t period) {
   TimeSourceParams p;
   p.source_id = id;
-  p.kind = SourceKind::kUpstreamIsland;
   p.stratum = stratum;
   p.accuracy_ns = accuracy_ns;
-  p.period = period;
-  return p;
-}
-
-TimeSourceParams TimeSourceParams::frequency_ref(std::uint32_t id, fs_t period) {
-  TimeSourceParams p;
-  p.source_id = id;
-  p.kind = SourceKind::kFrequencyRef;
-  p.stratum = 15;     // never competitive; kept out of selection anyway
-  p.accuracy_ns = 0;  // claims no absolute accuracy at all
   p.period = period;
   return p;
 }
@@ -81,24 +67,18 @@ UtcSourceServer::UtcSourceServer(sim::Simulator& sim, net::Host& host, Agent& ag
   // One-step clock: counter and UTC are both captured at the hardware
   // transmit instant. The lie, if any, is applied here too — a rogue
   // grandmaster's packets are perfectly formed.
-  auto prev_tx = host_.nic().on_transmit;
-  host_.nic().on_transmit = [this, prev_tx](net::Frame& f, fs_t tx_start) {
-    if (f.ethertype == net::kEtherTypeSourceSync) {
-      if (auto pkt = std::dynamic_pointer_cast<const SourceSyncPacket>(f.packet)) {
-        if (pkt->source_id == params_.source_id && !agent_alive_.expired()) {
-          auto* mut = const_cast<SourceSyncPacket*>(pkt.get());
-          mut->tx_dtp_counter = agent_.global_fractional_at(tx_start);
-          double utc = static_cast<double>(tx_start);
-          if (params_.utc_error_ns > 0)
-            utc += rng_.normal(0.0, params_.utc_error_ns) * static_cast<double>(kFsPerNs);
-          utc += lie_ns_ * static_cast<double>(kFsPerNs);
-          mut->utc_at_tx = static_cast<fs_t>(std::llround(utc));
-          mut->stamped = true;
-        }
-      }
-    }
-    if (prev_tx) prev_tx(f, tx_start);
-  };
+  host_.nic().on_transmit.add(net::kEtherTypeSourceSync, [this](net::Frame& f, fs_t tx_start) {
+    auto pkt = std::dynamic_pointer_cast<const SourceSyncPacket>(f.packet);
+    if (!pkt || pkt->source_id != params_.source_id || agent_alive_.expired()) return;
+    auto* mut = const_cast<SourceSyncPacket*>(pkt.get());
+    mut->tx_dtp_counter = agent_.global_fractional_at(tx_start);
+    double utc = static_cast<double>(tx_start);
+    if (params_.utc_error_ns > 0)
+      utc += rng_.normal(0.0, params_.utc_error_ns) * static_cast<double>(kFsPerNs);
+    utc += lie_ns_ * static_cast<double>(kFsPerNs);
+    mut->utc_at_tx = static_cast<fs_t>(std::llround(utc));
+    mut->stamped = true;
+  });
 }
 
 void UtcSourceServer::fire() {
@@ -106,7 +86,6 @@ void UtcSourceServer::fire() {
   if (down_ || agent_alive_.expired()) return;
   auto pkt = std::make_shared<SourceSyncPacket>();
   pkt->source_id = params_.source_id;
-  pkt->source_kind = params_.kind;
   pkt->stratum = stratum_;
   pkt->accuracy_ns = params_.accuracy_ns;
 
@@ -124,14 +103,8 @@ void UtcSourceServer::fire() {
 
 HierarchyClient::HierarchyClient(net::Host& host, Agent& agent, HierarchyParams params)
     : host_(host), agent_(agent), agent_alive_(agent.lifetime()), params_(params) {
-  auto prev = host_.on_hw_receive;
-  host_.on_hw_receive = [this, prev](const net::Frame& f, fs_t hw_rx) {
-    if (f.ethertype == net::kEtherTypeSourceSync) {
-      handle_sync(f, hw_rx);
-      return;
-    }
-    if (prev) prev(f, hw_rx);
-  };
+  host_.on_hw_receive.add(net::kEtherTypeSourceSync,
+                          [this](const net::Frame& f, fs_t hw_rx) { handle_sync(f, hw_rx); });
 }
 
 const SourceTrack* HierarchyClient::track(std::uint32_t id) const {
@@ -159,21 +132,12 @@ double HierarchyClient::extrapolate(const SourceTrack& t, fs_t now) const {
   return t.fix_utc + elapsed_units * tick_ns() * static_cast<double>(kFsPerNs);
 }
 
-double HierarchyClient::drift_ppm_effective(fs_t now) const {
-  // A fresh SyncE-style frequency reference disciplines the island's rate
-  // even when no absolute source is left; the free-run bound tightens.
-  for (const SourceTrack& t : tracks_)
-    if (t.kind == SourceKind::kFrequencyRef && t.have_fix && !stale(t, now))
-      return kHoldoverDriftPpmSynced;
-  return kHoldoverDriftPpm;
-}
-
 double HierarchyClient::uncertainty_of(const SourceTrack& t, fs_t now) const {
   // claimed accuracy + measured dispersion + margin, plus rate-error growth
   // since the last accepted fix. Holdover is the same formula with an aging
   // fix: the bound grows linearly and never shrinks until a fix lands.
   const double age_ns = to_ns_f(std::max<fs_t>(0, now - t.last_accept));
-  const double drift_ns = drift_ppm_effective(now) * 1e-6 * age_ns;
+  const double drift_ns = kHoldoverDriftPpm * 1e-6 * age_ns;
   const double ns =
       t.accuracy_ns + t.dispersion_ns + kBaseMarginNs + drift_ns;
   return ns * static_cast<double>(kFsPerNs);
@@ -190,7 +154,6 @@ bool HierarchyClient::stale(const SourceTrack& t, fs_t now) const {
 
 bool HierarchyClient::usable(const SourceTrack& t, fs_t now) const {
   if (!t.have_fix) return false;
-  if (t.kind == SourceKind::kFrequencyRef) return false;  // no absolute time
   if (now < t.quarantined_until) return false;
   return !stale(t, now);
 }
@@ -233,7 +196,6 @@ void HierarchyClient::handle_sync(const net::Frame& f, fs_t hw_rx) {
   if (!pkt || !pkt->stamped || agent_alive_.expired()) return;
   ++syncs_;
   SourceTrack& t = track_for(*pkt);
-  t.kind = pkt->source_kind;
   t.stratum = pkt->stratum;
   t.accuracy_ns = pkt->accuracy_ns;
 
@@ -243,34 +205,28 @@ void HierarchyClient::handle_sync(const net::Frame& f, fs_t hw_rx) {
                      owd_units * tick_ns() * static_cast<double>(kFsPerNs);
 
   bool reject = false;
-  if (t.kind != SourceKind::kFrequencyRef) {
-    // Falseticker screen 1 — self-consistency: the new sample against the
-    // track's own last accepted fix, extrapolated along the DTP counter.
-    // The allowance ages with the fix (same drift model as the uncertainty)
-    // so a healed source is eventually re-admitted by this check alone.
-    if (t.have_fix) {
-      const double age_ns = to_ns_f(std::max<fs_t>(0, hw_rx - t.last_accept));
-      const double allowed_ns = 2.0 * t.accuracy_ns + kFalsetickerMarginNs +
-                                drift_ppm_effective(hw_rx) * 1e-6 * age_ns;
-      if (std::abs(est - extrapolate(t, hw_rx)) >
-          allowed_ns * static_cast<double>(kFsPerNs))
-        reject = true;
-    }
-    // Falseticker screen 2 — cross-consistency: against the currently
-    // selected source's timeline. Rejected samples never update a fix, so
-    // even while a rogue is still *selected* its fix (and this check's
-    // reference) remains the pre-lie truth; a persistent liar therefore
-    // stays quarantined for as long as any truthful source keeps serving.
-    if (!reject && selected_id_ >= 0 &&
-        static_cast<int>(t.id) != selected_id_) {
-      const SourceTrack* sel = track(static_cast<std::uint32_t>(selected_id_));
-      if (sel != nullptr && usable(*sel, hw_rx)) {
-        const double lim =
-            uncertainty_of(*sel, hw_rx) +
-            (t.accuracy_ns + kFalsetickerMarginNs) *
-                static_cast<double>(kFsPerNs);
-        if (std::abs(est - extrapolate(*sel, hw_rx)) > lim) reject = true;
-      }
+  // Falseticker screen 1 — self-consistency: the new sample against the
+  // track's own last accepted fix, extrapolated along the DTP counter.
+  // The allowance ages with the fix (same drift model as the uncertainty)
+  // so a healed source is eventually re-admitted by this check alone.
+  if (t.have_fix) {
+    const double age_ns = to_ns_f(std::max<fs_t>(0, hw_rx - t.last_accept));
+    const double allowed_ns = 2.0 * t.accuracy_ns + kFalsetickerMarginNs +
+                              kHoldoverDriftPpm * 1e-6 * age_ns;
+    if (std::abs(est - extrapolate(t, hw_rx)) > allowed_ns * static_cast<double>(kFsPerNs))
+      reject = true;
+  }
+  // Falseticker screen 2 — cross-consistency: against the currently
+  // selected source's timeline. Rejected samples never update a fix, so
+  // even while a rogue is still *selected* its fix (and this check's
+  // reference) remains the pre-lie truth; a persistent liar therefore
+  // stays quarantined for as long as any truthful source keeps serving.
+  if (!reject && selected_id_ >= 0 && static_cast<int>(t.id) != selected_id_) {
+    const SourceTrack* sel = track(static_cast<std::uint32_t>(selected_id_));
+    if (sel != nullptr && usable(*sel, hw_rx)) {
+      const double lim = uncertainty_of(*sel, hw_rx) +
+                         (t.accuracy_ns + kFalsetickerMarginNs) * static_cast<double>(kFsPerNs);
+      if (std::abs(est - extrapolate(*sel, hw_rx)) > lim) reject = true;
     }
   }
 

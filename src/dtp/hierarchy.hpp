@@ -6,9 +6,9 @@
 ///
 /// §5.2 of the paper maps the internal DTP counter to UTC through *one*
 /// healthy timeserver. Real deployments have several candidate roots — GPS
-/// receivers, upstream DTP islands bridged over PTP/NTP segments, SyncE
-/// frequency references — and any of them can die, lie, or partition away.
-/// This module models that layer:
+/// receivers, upstream DTP islands bridged over PTP/NTP segments — and any
+/// of them can die, lie, or partition away. This module models that layer
+/// (frequency-only references such as SyncE are not modeled):
 ///
 ///   * `UtcSourceServer` — a timeserver broadcasting hardware-stamped
 ///     (DTP counter, UTC) syncs that *advertise* a stratum and a claimed
@@ -50,19 +50,11 @@
 
 namespace dtpsim::dtp {
 
-/// What kind of reference stands behind a source (the TimeSource taxonomy).
-enum class SourceKind : std::uint8_t {
-  kUtc,             ///< externally UTC-disciplined (GPS receiver)
-  kUpstreamIsland,  ///< another DTP island bridged over a PTP/NTP segment
-  kFrequencyRef,    ///< SyncE-style frequency-only reference (no absolute time)
-};
-
 /// A sync hardware-stamped with the server's DTP counter and UTC at the
 /// transmit instant (§5.2's DTP-assisted variant), plus the source's
-/// advertisement (id, kind, stratum, claimed accuracy).
+/// advertisement (id, stratum, claimed accuracy).
 struct SourceSyncPacket : net::Packet {
   std::uint32_t source_id = 0;
-  SourceKind source_kind = SourceKind::kUtc;
   int stratum = 1;
   double accuracy_ns = 0;       ///< the source's *claimed* accuracy
   double tx_dtp_counter = 0.0;  ///< server gc at hardware TX (filled at TX)
@@ -75,7 +67,6 @@ struct SourceSyncPacket : net::Packet {
 /// Static description of one source.
 struct TimeSourceParams {
   std::uint32_t source_id = 0;
-  SourceKind kind = SourceKind::kUtc;
   int stratum = 1;
   double accuracy_ns = 100.0;    ///< claimed; clients budget against this
   fs_t period = from_us(200);    ///< broadcast cadence
@@ -88,10 +79,6 @@ struct TimeSourceParams {
   static TimeSourceParams upstream_island(std::uint32_t id, int stratum,
                                           double accuracy_ns,
                                           fs_t period = from_us(200));
-  /// A SyncE-style frequency reference: never selectable for absolute time,
-  /// but while fresh it tightens the holdover drift bound.
-  static TimeSourceParams frequency_ref(std::uint32_t id,
-                                        fs_t period = from_us(200));
 };
 
 /// Timeserver for one source: multicasts `SourceSyncPacket`s whose counter
@@ -168,7 +155,6 @@ struct ServedTime {
 /// Per-source client state (one per source the client has heard from).
 struct SourceTrack {
   std::uint32_t id = 0;
-  SourceKind kind = SourceKind::kUtc;
   int stratum = 1;
   double accuracy_ns = 0;
 
@@ -226,7 +212,6 @@ class HierarchyClient {
   double extrapolate(const SourceTrack& t, fs_t now) const;
   /// Honest error bound (fs) of `extrapolate(t, now)`.
   double uncertainty_of(const SourceTrack& t, fs_t now) const;
-  double drift_ppm_effective(fs_t now) const;
   bool stale(const SourceTrack& t, fs_t now) const;
   bool usable(const SourceTrack& t, fs_t now) const;
   /// BMCA-lite: best usable track, or nullptr.

@@ -569,11 +569,10 @@ void PortLogic::handle_log(const Message& m, std::int64_t rx_tick, fs_t rx_time)
   }
 }
 
-void PortLogic::send_log(std::uint64_t sw_payload) {
-  port_.request_control_slot([this, sw_payload](fs_t tx_time, std::int64_t tx_tick) {
+void PortLogic::send_log() {
+  port_.request_control_slot([this](fs_t, std::int64_t tx_tick) {
     const WideCounter t1 = agent_.global_at_tick(tx_tick);
     ++stats_.logs_sent;
-    if (on_log_sent) on_log_sent(sw_payload, t1, tx_time);
     return encode_bits({MessageType::kLog, t1.lsb53()}, agent_.params().parity);
   });
 }

@@ -108,13 +108,9 @@ class PortLogic {
   phy::PhyPort& phy_port() { return port_; }
 
   /// Send a LOG message carrying the device global counter stamped at the
-  /// moment of transmission (t1 of Section 6.2). `sw_payload` is ignored by
-  /// the protocol but handed to `on_log_sent` so callers can pair t0/t1.
-  void send_log(std::uint64_t sw_payload);
+  /// moment of transmission (t1 of Section 6.2).
+  void send_log();
 
-  /// Fired when a LOG message is transmitted: (sw_payload, t1 = gc at the
-  /// tx tick, tx_time).
-  std::function<void(std::uint64_t, WideCounter, fs_t)> on_log_sent;
   /// Fired when a LOG message is received: (t1 LSBs from the wire,
   /// t2 = gc at the visible tick, visible_time).
   std::function<void(std::uint64_t, WideCounter, fs_t)> on_log_received;

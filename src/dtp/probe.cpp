@@ -37,7 +37,7 @@ void OffsetProbe::fire() {
   const fs_t now = sim_.now();
   true_series_.add(to_sec_f(now), true_offset_fractional(receiver_, sender_, now) /
                                       static_cast<double>(receiver_.params().counter_delta));
-  sender_.port_logic(sender_port_).send_log(0);
+  sender_.port_logic(sender_port_).send_log();
 }
 
 }  // namespace dtpsim::dtp

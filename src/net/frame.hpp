@@ -9,9 +9,12 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <iterator>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 namespace dtpsim::net {
 
@@ -32,9 +35,10 @@ struct MacAddrHash {
   std::size_t operator()(const MacAddr& m) const { return std::hash<std::uint64_t>{}(m.value); }
 };
 
-/// Every EtherType used in this repo. Receive and transmit hooks chain on
-/// the host, and each one claims frames by EtherType alone, so two
-/// protocols sharing a value would steal each other's frames.
+/// Every EtherType used in this repo. A protocol claims its frames by
+/// registering handlers for its EtherType on a host or MAC
+/// (`EtherTypeHandlers`), so two protocols sharing a value would each hear
+/// the other's frames.
 inline constexpr std::uint16_t kEtherTypeIpv4 = 0x0800;        ///< bulk traffic
 inline constexpr std::uint16_t kEtherTypeTest = 0x88B5;        ///< local experiments
 inline constexpr std::uint16_t kEtherTypeUtc = 0x88B6;         ///< dtp::UtcBroadcaster pairs
@@ -95,6 +99,38 @@ struct Frame {
   std::uint32_t frame_bytes() const;
   /// Bytes occupying the wire: frame plus preamble/SFD.
   std::uint32_t wire_bytes() const { return frame_bytes() + kPreambleBytes; }
+};
+
+/// A host's or MAC's frame dispatch: handlers keyed by EtherType. A frame
+/// runs every handler registered for its EtherType, in registration order,
+/// and each handler filters its own ids. A table is only ever added to,
+/// never reassigned, so no layer can take over another's frames, and
+/// dispatching on an empty one allocates and hashes nothing.
+template <typename FrameRef, typename... Times>
+class EtherTypeHandlers {
+ public:
+  EtherTypeHandlers() = default;
+  EtherTypeHandlers(const EtherTypeHandlers&) = delete;
+  EtherTypeHandlers& operator=(const EtherTypeHandlers&) = delete;
+
+  void add(std::uint16_t ethertype, std::function<void(FrameRef, Times...)> handler) {
+    entries_.emplace_back(ethertype, std::move(handler));
+  }
+  bool empty() const { return entries_.empty(); }
+
+  void operator()(FrameRef frame, Times... times) const {
+    if (!entries_.empty()) [[unlikely]] dispatch(frame, times...);
+  }
+
+ private:
+  // Out of line, so the frame path of a device with no handlers inlines
+  // only the empty test.
+  [[gnu::noinline]] void dispatch(FrameRef frame, Times... times) const {
+    for (const auto& [ethertype, handler] : entries_)
+      if (ethertype == frame.ethertype) handler(frame, times...);
+  }
+
+  std::vector<std::pair<std::uint16_t, std::function<void(FrameRef, Times...)>>> entries_;
 };
 
 }  // namespace dtpsim::net

@@ -41,15 +41,14 @@ void Host::send_app(Frame frame) {
 void Host::handle_rx(const Frame& frame, fs_t rx_time) {
   sim::ScopedAffinity aff(node());
   if (!(frame.dst == addr_) && !frame.dst.is_broadcast() && !frame.dst.is_multicast()) return;
-  if (on_hw_receive) on_hw_receive(frame, rx_time);
-  if (on_app_receive) {
-    const fs_t delay = rx_stack_.sample();
-    const std::uint32_t parked = park_frame(frame);
-    sim_.schedule_in(
-        delay,
-        [this, parked, rx_time] { on_app_receive(unpark_frame(parked), rx_time, sim_.now()); },
-        sim::EventCategory::kFrame);
-  }
+  on_hw_receive(frame, rx_time);
+  if (on_app_receive.empty()) return;
+  const fs_t delay = rx_stack_.sample();
+  const std::uint32_t parked = park_frame(frame);
+  sim_.schedule_in(
+      delay,
+      [this, parked, rx_time] { on_app_receive(unpark_frame(parked), rx_time, sim_.now()); },
+      sim::EventCategory::kFrame);
 }
 
 }  // namespace dtpsim::net

@@ -10,9 +10,10 @@
 /// cache misses). Applications see both the hardware timestamps (MAC
 /// boundary — what PTP-capable NICs expose) and the software arrival time
 /// (what NTP-style daemons get), so baselines can be configured either way.
+/// A protocol claims its frames by registering a handler for its EtherType
+/// on either path.
 
 #include <cstdint>
-#include <functional>
 
 #include "common/rng.hpp"
 #include "net/device.hpp"
@@ -53,14 +54,17 @@ class Host : public Device {
     return nic().enqueue(frame);
   }
 
-  /// Application receive: frame, hardware RX timestamp point, and the later
-  /// software delivery time. Only frames addressed to this host (or
-  /// broadcast/multicast) are delivered.
-  std::function<void(const Frame&, fs_t hw_rx_time, fs_t app_rx_time)> on_app_receive;
+  /// Raw receive at the MAC boundary (before the stack model):
+  /// `on_hw_receive.add(ethertype, handler)` hears every clean frame of that
+  /// EtherType addressed to us (or broadcast/multicast), with its hardware
+  /// RX timestamp.
+  EtherTypeHandlers<const Frame&, fs_t> on_hw_receive;
 
-  /// Raw receive hook at the MAC boundary (before the stack model); fires
-  /// for every clean frame addressed to us, at the hardware timestamp point.
-  std::function<void(const Frame&, fs_t hw_rx_time)> on_hw_receive;
+  /// Application receive: frame, hardware RX timestamp, and the later
+  /// software delivery time. Any handler here puts every frame addressed to
+  /// us through the RX stack model: one stack delay and one delivery event
+  /// per frame, claimed or not.
+  EtherTypeHandlers<const Frame&, fs_t, fs_t> on_app_receive;
 
  protected:
   void on_port_added(std::size_t index) override;

@@ -91,7 +91,7 @@ void Mac::pump() {
   stats_.tx_bytes += frame.frame_bytes();
   auto boxed = std::make_shared<Frame>(frame);
   const auto timing = port_.send_frame(frame.wire_bytes(), boxed);
-  if (on_transmit) on_transmit(*boxed, timing.start);
+  on_transmit(*boxed, timing.start);
   // Come back for the next frame once the IPG has elapsed.
   pump();
 }
@@ -105,6 +105,7 @@ void Mac::handle_rx(const phy::FrameRx& rx) {
   }
   ++stats_.rx_frames;
   stats_.rx_bytes += frame->frame_bytes();
+  on_ingress(*frame, rx.arrival_time);
   if (on_receive) on_receive(*frame, rx.arrival_time);
 }
 

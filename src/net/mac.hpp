@@ -5,10 +5,11 @@
 ///
 /// The MAC owns a drop-tail transmit queue (bytes-bounded, like a NIC/switch
 /// egress buffer), serializes frames through the PHY respecting the
-/// inter-packet gap, and delivers FCS-clean received frames upward. The
-/// `on_transmit` hook fires with the exact first-bit-on-wire time — the
-/// point where PTP-capable NICs take hardware TX timestamps; `on_receive`
-/// fires with last-bit arrival, the hardware RX timestamp point.
+/// inter-packet gap, and delivers FCS-clean received frames upward. A
+/// protocol taps its EtherType's frames at transmit, with the exact
+/// first-bit-on-wire time (where PTP-capable NICs take hardware TX
+/// timestamps), or at ingress, with last-bit arrival (the hardware RX
+/// timestamp point) just before the device's own `on_receive`.
 
 #include <cstdint>
 #include <deque>
@@ -79,12 +80,16 @@ class Mac {
   phy::PhyPort& port() { return port_; }
   const phy::PhyPort& port() const { return port_; }
 
-  /// Hardware TX timestamp point: the in-flight frame and its first-bit
-  /// wire time. The frame reference is mutable so transparent clocks can
-  /// rewrite `correction_ns` at egress serialization, before any receiver
-  /// observes the frame.
-  std::function<void(Frame&, fs_t tx_start)> on_transmit;
-  /// Clean frames up; `rx_time` is last-bit arrival (hardware RX timestamp).
+  /// Hardware TX timestamp point: `on_transmit.add(ethertype, tap)` sees
+  /// each in-flight frame of that EtherType with its first-bit wire time.
+  /// The frame is mutable so transparent clocks can rewrite `correction_ns`
+  /// at egress serialization, before any receiver observes the frame.
+  EtherTypeHandlers<Frame&, fs_t> on_transmit;
+  /// Clean frames by EtherType at last-bit arrival, before `on_receive` (a
+  /// transparent clock's ingress timestamp).
+  EtherTypeHandlers<const Frame&, fs_t> on_ingress;
+  /// The device's own input: every clean frame; `rx_time` is last-bit
+  /// arrival (hardware RX timestamp).
   std::function<void(const Frame&, fs_t rx_time)> on_receive;
 
  private:

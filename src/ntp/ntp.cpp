@@ -15,14 +15,8 @@ constexpr fs_t kSamplePeriod = from_ms(100);    ///< true-offset sampling cadenc
 
 NtpServer::NtpServer(sim::Simulator& sim, net::Host& host, bool ideal_clock)
     : sim_(sim), host_(host), clock_(host.oscillator(), from_ns(100), ideal_clock) {
-  auto previous = host_.on_app_receive;
-  host_.on_app_receive = [this, previous](const net::Frame& f, fs_t hw, fs_t app) {
-    if (f.ethertype == net::kEtherTypeNtp) {
-      handle(f, app);
-      return;
-    }
-    if (previous) previous(f, hw, app);
-  };
+  host_.on_app_receive.add(net::kEtherTypeNtp,
+                           [this](const net::Frame& f, fs_t, fs_t app) { handle(f, app); });
 }
 
 void NtpServer::handle(const net::Frame& f, fs_t app_rx_time) {
@@ -57,14 +51,8 @@ NtpClient::NtpClient(sim::Simulator& sim, net::Host& host, net::MacAddr server,
                  sim::EventCategory::kBeacon),
       sample_proc_(sim, kSamplePeriod, [this] { sample_truth(); },
                    sim::EventCategory::kProbe) {
-  auto previous = host_.on_app_receive;
-  host_.on_app_receive = [this, previous](const net::Frame& f, fs_t hw, fs_t app) {
-    if (f.ethertype == net::kEtherTypeNtp) {
-      handle(f, app);
-      return;
-    }
-    if (previous) previous(f, hw, app);
-  };
+  host_.on_app_receive.add(net::kEtherTypeNtp,
+                           [this](const net::Frame& f, fs_t, fs_t app) { handle(f, app); });
 }
 
 void NtpClient::start() {

@@ -20,8 +20,10 @@ PtpClient::PtpClient(sim::Simulator& sim, net::Host& host, const HardwareClock& 
                  sim::EventCategory::kBeacon),
       sample_proc_(sim, kSamplePeriod, [this] { sample_truth(); },
                    sim::EventCategory::kProbe) {
-  host_.on_hw_receive = [this](const net::Frame& f, fs_t t) { handle_hw_receive(f, t); };
-  host_.nic().on_transmit = [this](net::Frame& f, fs_t t) { handle_transmit(f, t); };
+  host_.on_hw_receive.add(net::kEtherTypePtp,
+                          [this](const net::Frame& f, fs_t t) { handle_hw_receive(f, t); });
+  host_.nic().on_transmit.add(net::kEtherTypePtp,
+                              [this](net::Frame& f, fs_t t) { handle_transmit(f, t); });
 }
 
 void PtpClient::start() {
@@ -35,7 +37,6 @@ void PtpClient::stop() {
 }
 
 void PtpClient::handle_hw_receive(const net::Frame& f, fs_t rx_time) {
-  if (f.ethertype != net::kEtherTypePtp) return;
   auto msg = std::dynamic_pointer_cast<const PtpMessage>(f.packet);
   if (!msg) return;
   switch (msg->type) {
@@ -96,7 +97,6 @@ void PtpClient::send_delay_req() {
 }
 
 void PtpClient::handle_transmit(net::Frame& f, fs_t tx_start) {
-  if (f.ethertype != net::kEtherTypePtp) return;
   auto msg = std::dynamic_pointer_cast<const PtpMessage>(f.packet);
   if (!msg || msg->type != PtpType::kDelayReq || msg->sequence != dreq_seq_) return;
   t3_ns_ = phc_.timestamp_ns(tx_start);  // hardware TX timestamp

@@ -33,7 +33,7 @@ struct PtpClientParams {
 /// The PTP slave role.
 class PtpClient {
  public:
-  /// \param host       this client's host (takes over its receive hooks)
+  /// \param host       this client's host (registers for its PTP frames)
   /// \param reference  the grandmaster's PHC, used ONLY to record
   ///                   ground-truth offsets (simulator-side measurement)
   PtpClient(sim::Simulator& sim, net::Host& host, const HardwareClock& reference,

@@ -11,8 +11,10 @@ Grandmaster::Grandmaster(sim::Simulator& sim, net::Host& host, GrandmasterParams
                  sim::EventCategory::kBeacon),
       announce_proc_(sim, params.announce_interval, [this] { send_announce(); },
                      sim::EventCategory::kBeacon) {
-  host_.on_hw_receive = [this](const net::Frame& f, fs_t t) { handle_hw_receive(f, t); };
-  host_.nic().on_transmit = [this](net::Frame& f, fs_t t) { handle_transmit(f, t); };
+  host_.on_hw_receive.add(net::kEtherTypePtp,
+                          [this](const net::Frame& f, fs_t t) { handle_hw_receive(f, t); });
+  host_.nic().on_transmit.add(net::kEtherTypePtp,
+                              [this](net::Frame& f, fs_t t) { handle_transmit(f, t); });
 }
 
 void Grandmaster::start() {
@@ -50,7 +52,6 @@ void Grandmaster::send_announce() {
 // Two-step clock: when the Sync actually hits the wire, capture its
 // hardware timestamp and chase it with a Follow_Up.
 void Grandmaster::handle_transmit(net::Frame& f, fs_t tx_start) {
-  if (f.ethertype != net::kEtherTypePtp) return;
   auto msg = std::dynamic_pointer_cast<const PtpMessage>(f.packet);
   if (!msg || msg->type != PtpType::kSync) return;
 
@@ -65,7 +66,6 @@ void Grandmaster::handle_transmit(net::Frame& f, fs_t tx_start) {
 }
 
 void Grandmaster::handle_hw_receive(const net::Frame& f, fs_t rx_time) {
-  if (f.ethertype != net::kEtherTypePtp) return;
   auto msg = std::dynamic_pointer_cast<const PtpMessage>(f.packet);
   if (!msg || msg->type != PtpType::kDelayReq) return;
 

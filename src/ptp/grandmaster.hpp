@@ -29,8 +29,8 @@ struct GrandmasterParams {
 /// The PTP master role.
 class Grandmaster {
  public:
-  /// \param host the timeserver host; the grandmaster takes over its
-  ///             `on_hw_receive` hook and NIC `on_transmit` hook.
+  /// \param host the timeserver host; the grandmaster registers for PTP
+  ///             frames on its hardware receive path and NIC transmit tap.
   Grandmaster(sim::Simulator& sim, net::Host& host, GrandmasterParams params = {});
 
   Grandmaster(const Grandmaster&) = delete;

@@ -4,7 +4,6 @@ namespace dtpsim::ptp {
 
 namespace {
 bool is_event_message(const net::Frame& f) {
-  if (f.ethertype != net::kEtherTypePtp) return false;
   auto msg = std::dynamic_pointer_cast<const PtpMessage>(f.packet);
   return msg && (msg->type == PtpType::kSync || msg->type == PtpType::kDelayReq);
 }
@@ -15,13 +14,10 @@ TransparentClockAdapter::TransparentClockAdapter(net::Switch& sw,
     : sw_(sw), params_(params), clock_(sw.oscillator(), kTimestampResolution) {
   for (std::size_t i = 0; i < sw_.port_count(); ++i) {
     net::Mac& mac = sw_.mac(i);
-    // Chain in front of the switch's own forwarding handler.
-    auto forward = mac.on_receive;
-    mac.on_receive = [this, forward](const net::Frame& f, fs_t rx_time) {
-      note_ingress(f, rx_time);
-      if (forward) forward(f, rx_time);
-    };
-    mac.on_transmit = [this](net::Frame& f, fs_t tx_start) { apply_egress(f, tx_start); };
+    mac.on_ingress.add(net::kEtherTypePtp,
+                       [this](const net::Frame& f, fs_t rx_time) { note_ingress(f, rx_time); });
+    mac.on_transmit.add(net::kEtherTypePtp,
+                        [this](net::Frame& f, fs_t tx_start) { apply_egress(f, tx_start); });
   }
 }
 

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "chaos/engine.hpp"
 #include "chaos/serialize.hpp"
 #include "dtp/network.hpp"
@@ -211,6 +213,48 @@ TEST(ChaosSerialize, GrayKindsRejectMisspellingsAndMissingEndpoints) {
       chaos::fault_from_line(
           "fault kind=limping a=S4 b=S1 at=0 dur=1 count=1 period=90 mag=0.3"),
       std::invalid_argument);
+}
+
+TEST(ChaosSerialize, FaultLinesObeyTheNamedConstructorsRules) {
+  // A line the named constructors would refuse must not parse either: it
+  // would otherwise replay as a clean run, or fail only once it fires.
+  const char* bad[] = {
+      "fault kind=ber_burst a=S0 b=S1 at=0 dur=1 count=1 period=0 mag=7.5",
+      "fault kind=ber_burst a=S0 b=S1 at=0 dur=1 count=1 period=0 mag=-1e-9",
+      "fault kind=beacon_loss a=S0 b=S1 at=0 dur=1 count=1 period=0 mag=-2",
+      "fault kind=limping_port a=S4 b=S1 at=0 dur=0 count=1 period=90 mag=0.3",
+      "fault kind=limping_port a=S4 b=S1 at=0 dur=1 count=1 period=90 mag=-3",
+      "fault kind=limping_port a=S4 b=S1 at=0 dur=1 count=1 period=0 mag=0.3",
+      "fault kind=silent_corruption a=S4 b=S1 at=0 dur=1 count=1 period=0 mag=1.5",
+      "fault kind=silent_corruption a=S4 b=S1 at=0 dur=0 count=1 period=0 mag=0.5",
+      "fault kind=asymmetric_delay a=S0 b=S1 at=0 dur=1 count=1 period=0 mag=0",
+      "fault kind=frozen_counter a=S4 b=S1 at=0 dur=0 count=1 period=0 mag=0",
+  };
+  for (const char* line : bad)
+    EXPECT_THROW(chaos::fault_from_line(line), std::invalid_argument) << line;
+  // The rules' edges parse.
+  for (const char* line : {
+           "fault kind=ber_burst a=S0 b=S1 at=0 dur=1 count=1 period=0 mag=0",
+           "fault kind=ber_burst a=S0 b=S1 at=0 dur=1 count=1 period=0 mag=1",
+           "fault kind=beacon_loss a=S0 b=S1 at=0 dur=1 count=1 period=0 mag=1",
+           "fault kind=limping_port a=S4 b=S1 at=0 dur=1 count=1 period=1 mag=0",
+           "fault kind=rogue_oscillator a=S4 at=0 dur=1 count=1 period=0 mag=-500",
+       })
+    EXPECT_NO_THROW(chaos::fault_from_line(line)) << line;
+}
+
+TEST(ChaosSerialize, NamedConstructorsApplyTheSameRules) {
+  sim::Simulator sim(16);
+  net::Network net(sim);
+  net::PaperTreeTopology topo = net::build_paper_tree(net);
+  net::Device& a = *topo.root;
+  net::Device& b = *topo.aggs[0];
+  EXPECT_THROW(chaos::FaultSpec::ber_burst(a, b, 0, 1, 7.5), std::invalid_argument);
+  EXPECT_THROW(chaos::FaultSpec::beacon_loss(a, b, 0, 1, -2), std::invalid_argument);
+  EXPECT_THROW(chaos::FaultSpec::rogue_oscillator(a, 0, std::nan(""), 1, 1),
+               std::invalid_argument);
+  EXPECT_THROW(chaos::FaultSpec::rogue_grandmaster(a, 0, HUGE_VAL, 1, 1),
+               std::invalid_argument);
 }
 
 TEST(ChaosSerialize, UnresolvableDeviceNameThrows) {

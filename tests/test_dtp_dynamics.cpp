@@ -165,7 +165,7 @@ TEST(LinkDynamics, InFlightMessagesAtUnplugAreHarmless) {
   Agent agent_a(a), agent_b(b);
   sim.run_until(1_ms);
   // Queue a beacon-ish message and cut the cable before it is processed.
-  agent_a.port_logic(0).send_log(0);
+  agent_a.port_logic(0).send_log();
   cable.disconnect();
   EXPECT_NO_THROW(sim.run_until(2_ms));
   EXPECT_EQ(agent_b.port_logic(0).state(), PortState::kDown);

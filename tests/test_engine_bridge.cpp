@@ -408,7 +408,8 @@ SimStats saturated_tree_stats(Simulator::EngineMode mode) {
   net::Host& src = *topo.leaves[1];
   net::Host& dst = *topo.leaves[6];
   std::uint64_t received = 0;
-  dst.on_app_receive = [&received](const net::Frame&, fs_t, fs_t) { ++received; };
+  dst.on_app_receive.add(net::kEtherTypeTest,
+                         [&received](const net::Frame&, fs_t, fs_t) { ++received; });
   PeriodicProcess sender(
       sim, from_us(2),
       [&src, &dst] {

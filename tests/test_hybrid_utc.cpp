@@ -20,6 +20,8 @@
 #include "dtp/network.hpp"
 #include "dtp_test_util.hpp"
 #include "net/topology.hpp"
+#include "ptp/client.hpp"
+#include "ptp/grandmaster.hpp"
 
 namespace dtpsim::dtp {
 namespace {
@@ -194,11 +196,8 @@ TEST(OneSourceHierarchy, SyncQueuedAcrossAServerCrashIsDropped) {
   net::Host& server_host = *f.star.hosts[0];
   net::Host& client_host = *f.star.hosts[1];
   int arrived = 0;
-  auto client_hook = client_host.on_hw_receive;
-  client_host.on_hw_receive = [&arrived, client_hook](const net::Frame& fr, fs_t t) {
-    if (fr.ethertype == net::kEtherTypeSourceSync) ++arrived;
-    client_hook(fr, t);
-  };
+  client_host.on_hw_receive.add(net::kEtherTypeSourceSync,
+                                [&arrived](const net::Frame&, fs_t) { ++arrived; });
   const fs_t first_sync = f.sim.now() + f.hier.servers().front()->params().period;
   f.sim.schedule_at(first_sync + 1_us, [&] { engine.crash_node(server_host); });
   f.sim.schedule_at(first_sync + 50_us, [&] { engine.restart_node(server_host); });
@@ -211,6 +210,44 @@ TEST(OneSourceHierarchy, SyncQueuedAcrossAServerCrashIsDropped) {
   EXPECT_EQ(arrived, 1) << "the queued sync should leave once the link is back";
   EXPECT_EQ(f.client(0).syncs_received(), 0u);
   EXPECT_EQ(f.client(0).status(), HierarchyStatus::kAcquiring);
+}
+
+TEST(SharedHost, PtpJoinsAHostThatAlreadyCarriesHierarchyTraffic) {
+  // Host 1 already stamps its own source's syncs at NIC transmit and hears
+  // host 2's source on its hardware receive path when PTP joins it as a
+  // client of a grandmaster on host 0. Each protocol claims its own
+  // EtherType, so all three keep working side by side.
+  sim::Simulator sim(431);
+  net::Network net(sim);
+  net::StarTopology star = net::build_star(net, 4);
+  DtpNetwork dtp = enable_dtp(net);
+  sim.run_until(2_ms);
+  net::Host& shared = *star.hosts[1];
+  TimeHierarchy hier;
+  hier.add_server(sim, shared, *dtp.agent_of(&shared), TimeSourceParams::gps(1));
+  hier.add_server(sim, *star.hosts[2], *dtp.agent_of(star.hosts[2]),
+                  TimeSourceParams::upstream_island(2, 2, 150.0));
+  HierarchyClient& on_shared = hier.add_client(shared, *dtp.agent_of(&shared));
+  HierarchyClient& elsewhere = hier.add_client(*star.hosts[3], *dtp.agent_of(star.hosts[3]));
+
+  ptp::GrandmasterParams gp;
+  gp.sync_interval = 500_us;
+  gp.announce_interval = 500_us;
+  ptp::Grandmaster gm(sim, *star.hosts[0], gp);
+  ptp::PtpClientParams cp;
+  cp.delay_req_interval = 400_us;
+  ptp::PtpClient client(sim, shared, gm.phc(), cp);
+  hier.start();
+  gm.start();
+  client.start();
+  sim.run_until(sim.now() + 10_ms);
+
+  EXPECT_GT(client.syncs_completed(), 0u) << "PTP lost its TX or RX timestamps";
+  EXPECT_GT(gm.delay_reqs_answered(), 0u);
+  EXPECT_GT(on_shared.syncs_received(), 0u) << "the shared host went deaf to source 2";
+  const SourceTrack* from_shared = elsewhere.track(1);
+  ASSERT_NE(from_shared, nullptr) << "source 1's syncs left the shared host unstamped";
+  EXPECT_GT(from_shared->accepted, 0u);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <unordered_map>
+#include <vector>
 
 #include "check/sentinel.hpp"
 #include "common/rng.hpp"
@@ -37,7 +38,7 @@ struct PairFixture : ::testing::Test {
 
 TEST_F(PairFixture, HardwarePathDelivers) {
   int got = 0;
-  b->on_hw_receive = [&](const Frame&, fs_t) { ++got; };
+  b->on_hw_receive.add(kEtherTypeTest, [&](const Frame&, fs_t) { ++got; });
   a->send_hw(frame_to_b());
   sim.run_until(1_ms);
   EXPECT_EQ(got, 1);
@@ -45,12 +46,22 @@ TEST_F(PairFixture, HardwarePathDelivers) {
   EXPECT_EQ(b->nic().stats().rx_frames, 1u);
 }
 
+TEST_F(PairFixture, HandlersOfAFramesEtherTypeRunInRegistrationOrder) {
+  std::vector<int> order;
+  b->on_hw_receive.add(kEtherTypeTest, [&](const Frame&, fs_t) { order.push_back(1); });
+  b->on_hw_receive.add(kEtherTypeNtp, [&](const Frame&, fs_t) { order.push_back(2); });
+  b->on_hw_receive.add(kEtherTypeTest, [&](const Frame&, fs_t) { order.push_back(3); });
+  a->send_hw(frame_to_b());
+  sim.run_until(1_ms);
+  EXPECT_EQ(order, (std::vector<int>{1, 3}));
+}
+
 TEST_F(PairFixture, AppPathAddsStackDelay) {
   fs_t hw_time = 0, app_time = 0;
-  b->on_app_receive = [&](const Frame&, fs_t hw, fs_t app) {
+  b->on_app_receive.add(kEtherTypeTest, [&](const Frame&, fs_t hw, fs_t app) {
     hw_time = hw;
     app_time = app;
-  };
+  });
   a->send_app(frame_to_b());
   sim.run_until(10_ms);
   ASSERT_GT(hw_time, 0);
@@ -60,7 +71,7 @@ TEST_F(PairFixture, AppPathAddsStackDelay) {
 
 TEST_F(PairFixture, AppSendAlsoDelayed) {
   fs_t hw_rx = 0;
-  b->on_hw_receive = [&](const Frame&, fs_t t) { hw_rx = t; };
+  b->on_hw_receive.add(kEtherTypeTest, [&](const Frame&, fs_t t) { hw_rx = t; });
   a->send_app(frame_to_b());
   sim.run_until(10_ms);
   // TX stack base is 2 us; wire+serialization alone would be < 2 us.
@@ -69,7 +80,7 @@ TEST_F(PairFixture, AppSendAlsoDelayed) {
 
 TEST_F(PairFixture, UnicastToOtherAddressIgnored) {
   int got = 0;
-  b->on_hw_receive = [&](const Frame&, fs_t) { ++got; };
+  b->on_hw_receive.add(kEtherTypeTest, [&](const Frame&, fs_t) { ++got; });
   Frame f = frame_to_b();
   f.dst = MacAddr{0xDEADBEEF};
   a->send_hw(f);
@@ -79,7 +90,7 @@ TEST_F(PairFixture, UnicastToOtherAddressIgnored) {
 
 TEST_F(PairFixture, BroadcastAccepted) {
   int got = 0;
-  b->on_hw_receive = [&](const Frame&, fs_t) { ++got; };
+  b->on_hw_receive.add(kEtherTypeTest, [&](const Frame&, fs_t) { ++got; });
   Frame f = frame_to_b();
   f.dst = MacAddr::broadcast();
   a->send_hw(f);
@@ -109,7 +120,7 @@ TEST_F(PairFixture, MacQueueDropsWhenFull) {
 
 TEST_F(PairFixture, TransmitHookSeesWireTime) {
   fs_t tx_start = -1;
-  a->nic().on_transmit = [&](Frame&, fs_t t) { tx_start = t; };
+  a->nic().on_transmit.add(kEtherTypeTest, [&](Frame&, fs_t t) { tx_start = t; });
   a->send_hw(frame_to_b());
   sim.run_until(1_ms);
   EXPECT_GE(tx_start, 0);
@@ -120,8 +131,8 @@ TEST(SwitchTest, ForwardsByLearnedRoute) {
   Network net(sim);
   auto star = build_star(net, 3);
   int got_1 = 0, got_2 = 0;
-  star.hosts[1]->on_hw_receive = [&](const Frame&, fs_t) { ++got_1; };
-  star.hosts[2]->on_hw_receive = [&](const Frame&, fs_t) { ++got_2; };
+  star.hosts[1]->on_hw_receive.add(kEtherTypeTest, [&](const Frame&, fs_t) { ++got_1; });
+  star.hosts[2]->on_hw_receive.add(kEtherTypeTest, [&](const Frame&, fs_t) { ++got_2; });
 
   // First frame from h1 teaches the switch where h1 lives.
   Frame teach;
@@ -145,7 +156,7 @@ TEST(SwitchTest, UnknownUnicastFloods) {
   auto star = build_star(net, 3);
   int got = 0;
   for (auto* h : star.hosts)
-    h->on_hw_receive = [&](const Frame&, fs_t) { ++got; };
+    h->on_hw_receive.add(kEtherTypeTest, [&](const Frame&, fs_t) { ++got; });
   Frame f;
   f.dst = star.hosts[2]->addr();  // never seen as src yet
   star.hosts[0]->send_hw(f);
@@ -175,7 +186,7 @@ TEST(SwitchTest, MulticastFloodsToAll) {
   auto star = build_star(net, 4);
   int got = 0;
   for (auto* h : star.hosts)
-    h->on_hw_receive = [&](const Frame&, fs_t) { ++got; };
+    h->on_hw_receive.add(kEtherTypeTest, [&](const Frame&, fs_t) { ++got; });
   Frame f;
   f.dst = MacAddr{0x0180'C200'000EULL};
   star.hosts[0]->send_hw(f);

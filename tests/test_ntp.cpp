@@ -115,14 +115,14 @@ TEST(Ntp, ServerEchoesOriginateTimestamp) {
   auto star = net::build_star(net, 2);
   NtpServer server(sim, *star.hosts[0]);
   double got_t1 = -1, got_t2 = -1, got_t3 = -1;
-  star.hosts[1]->on_app_receive = [&](const net::Frame& f, fs_t, fs_t) {
+  star.hosts[1]->on_app_receive.add(net::kEtherTypeNtp, [&](const net::Frame& f, fs_t, fs_t) {
     if (auto m = std::dynamic_pointer_cast<const NtpMessage>(f.packet);
         m && m->response) {
       got_t1 = m->t1_ns;
       got_t2 = m->t2_ns;
       got_t3 = m->t3_ns;
     }
-  };
+  });
   auto req = std::make_shared<NtpMessage>();
   req->sequence = 1;
   req->t1_ns = 12345.0;

@@ -27,7 +27,8 @@ TEST(Priority, HighClassOvertakesBacklog) {
   net.connect(a, b);
 
   std::vector<std::uint8_t> arrival_order;
-  b.on_hw_receive = [&](const Frame& f, fs_t) { arrival_order.push_back(f.priority); };
+  b.on_hw_receive.add(kEtherTypeTest,
+                      [&](const Frame& f, fs_t) { arrival_order.push_back(f.priority); });
 
   // Fill the low-priority queue with bulk, then send one priority-7 frame.
   Frame bulk;
@@ -53,7 +54,8 @@ TEST(Priority, SingleQueueIsFifo) {
   auto& b = net.add_host("b");
   net.connect(a, b);
   std::vector<std::uint8_t> arrival_order;
-  b.on_hw_receive = [&](const Frame& f, fs_t) { arrival_order.push_back(f.priority); };
+  b.on_hw_receive.add(kEtherTypeTest,
+                      [&](const Frame& f, fs_t) { arrival_order.push_back(f.priority); });
   Frame bulk;
   bulk.dst = b.addr();
   bulk.payload_bytes = 1500;
@@ -75,7 +77,7 @@ TEST(Priority, ClassMappingCoversRange) {
   // Priorities 0-3 share the low queue, 4-7 the high one: a priority-3
   // frame must NOT overtake priority-0 backlog.
   std::vector<std::uint8_t> order;
-  b.on_hw_receive = [&](const Frame& f, fs_t) { order.push_back(f.priority); };
+  b.on_hw_receive.add(kEtherTypeTest, [&](const Frame& f, fs_t) { order.push_back(f.priority); });
   Frame f;
   f.dst = b.addr();
   f.payload_bytes = 1500;

@@ -279,9 +279,9 @@ TEST(TransparentClockTest, AccumulatesResidenceAcrossQueueing) {
   ideal.max_correctable_residence_ns = 1e12;
   TransparentClockAdapter tc(*star.hub, ideal);
   double seen_correction = -1;
-  star.hosts[1]->on_hw_receive = [&](const net::Frame& f, fs_t) {
-    if (f.ethertype == net::kEtherTypePtp) seen_correction = f.correction_ns;
-  };
+  star.hosts[1]->on_hw_receive.add(net::kEtherTypePtp, [&](const net::Frame& f, fs_t) {
+    seen_correction = f.correction_ns;
+  });
   // Saturate the downlink toward host 1 so the PTP frame queues.
   net::TrafficParams tp;
   tp.saturate = true;

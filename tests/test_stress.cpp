@@ -11,6 +11,7 @@
 #include <sstream>
 #include <string>
 
+#include "chaos/serialize.hpp"
 #include "stress/runner.hpp"
 #include "stress/shrink.hpp"
 #include "stress/spec.hpp"
@@ -65,8 +66,11 @@ TEST(StressSpec, GeneratedSpecsRoundTripThroughText) {
 TEST(StressSpec, GeneratorMatchesGolden) {
   std::string text;
   auto add = [&text](std::uint64_t seed, std::uint32_t index) {
+    const stress::StressSpec s = stress::generate(seed, index);
+    for (const chaos::FaultSpec& f : s.faults)
+      EXPECT_NO_THROW(chaos::validate(f)) << chaos::fault_to_line(f);
     text += "# generate(" + std::to_string(seed) + ", " + std::to_string(index) + ")\n" +
-            stress::to_text(stress::generate(seed, index));
+            stress::to_text(s);
   };
   for (std::uint32_t i = 0; i < 48; ++i) add(kBatchSeed, i);
   add(12, 11);

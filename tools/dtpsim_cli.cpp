@@ -198,12 +198,20 @@ T parse_int(const std::string& key, const std::string& v) {
   }
 }
 
-double parse_double(const std::string& key, const std::string& v) {
+/// A real flag value: text that is not a number keeps its "is not a number"
+/// message; a `finite` flag then goes through dtpsim::parse_real, which
+/// rejects inf and nan. --seconds passes them on to its horizon check,
+/// which names them.
+double parse_real(const std::string& key, const std::string& v, bool finite) {
   char* end = nullptr;
   const double out = std::strtod(v.c_str(), &end);
-  if (v.empty() || end == nullptr || *end != '\0')
-    throw UsageError("--" + key + "=" + v + " is not a number");
-  return out;
+  if (v.empty() || *end != '\0') throw UsageError("--" + key + "=" + v + " is not a number");
+  if (!finite) return out;
+  try {
+    return dtpsim::parse_real("--" + key, v);
+  } catch (const std::invalid_argument& e) {
+    throw UsageError(e.what());
+  }
 }
 
 /// A positive duration with a required unit suffix: "50us", "1.5ms", "2s".
@@ -515,7 +523,7 @@ Options parse(int argc, char** argv) {
       if (n < 1) throw UsageError("--hops must be >= 1");
       o.hops = static_cast<std::size_t>(n);
     } else if (key == "seconds") {
-      o.seconds = parse_double(key, value);
+      o.seconds = parse_real(key, value, /*finite=*/false);
       if (o.seconds <= 0) throw UsageError("--seconds must be positive");
     } else if (key == "seed") {
       o.seed = parse_int<std::uint64_t>(key, value);
@@ -555,7 +563,7 @@ Options parse(int argc, char** argv) {
     } else if (key == "wd-backoff") {
       o.wd_backoff = parse_duration_flag(key, value);
     } else {  // ber — the whitelist above rules out everything else
-      o.ber = parse_double(key, value);
+      o.ber = parse_real(key, value, /*finite=*/true);
       if (o.ber < 0 || o.ber >= 1) throw UsageError("--ber must be in [0, 1)");
     }
   }
